@@ -242,7 +242,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     _, tree = dataio.load_index_spec(args.spec)
     table = dataio.load_score_table(args.data, decimal_comma=args.decimal_comma)
     scope = _parse_scope(args.scope) or list(table.territories)
-    unknown = [t for t in scope if t not in table.territories]
+    known = set(table.territories)
+    unknown = [t for t in scope if t not in known]
     if unknown:
         raise IgeiError(f"scope territories not in the data: {', '.join(unknown)}")
     reports = {
@@ -260,6 +261,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     summaries = {name: stats.descriptive_summary(vals)
                  for name, vals in summary_columns.items()}
     corr = stats.correlation_matrix([summary_columns[leaf] for leaf in leaves])
+    positions = range(len(leaves))
+    corr_matrix = [[corr[i, j] for j in positions] for i in positions]
 
     if args.format == "json":
         doc = {
@@ -275,7 +278,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             },
             "correlation": {
                 "indicators": leaves,
-                "matrix": [[float(v) for v in row] for row in corr],
+                "matrix": corr_matrix,
             },
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -288,10 +291,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         for name, s in summaries.items()
     ]
     corr_headers = ["indicator"] + leaves
-    corr_rows = [
-        [leaves[i]] + [_f2(float(corr[i, j])) for j in range(len(leaves))]
-        for i in range(len(leaves))
-    ]
+    corr_rows = [[leaf] + [_f2(v) for v in row] for leaf, row in zip(leaves, corr_matrix)]
     rank_headers, rank_rows = _ranked_rows(ranked, tree)
 
     if args.format == "csv":
@@ -360,7 +360,7 @@ def _check_penalized_reference() -> tuple[str, str]:
 def _check_domain_aggregation() -> tuple[str, str]:
     _, tree = dataio.load_index_spec()
     table = dataio.load_score_table(dataio.bundled_path("indicator_scores_2023.csv"))
-    reference = dataio.load_index_reference()
+    reference = dataio.load_reference_table()
     max_delta = 0.0
     for terr in table.territories:
         rep = pipeline.aggregate_scores(tree, table.row(terr), terr)
@@ -375,7 +375,7 @@ def _check_domain_aggregation() -> tuple[str, str]:
 
 def _check_final_index() -> tuple[str, str]:
     _, tree = dataio.load_index_spec()
-    reference = dataio.load_index_reference()
+    reference = dataio.load_reference_table()
     domains = [dom.id for dom in tree.domains]
     deltas = {
         terr: pipeline.aggregate_level([vals[d] for d in domains]) - vals["index"]
@@ -413,8 +413,8 @@ def _summary_delta(summary: stats.DescriptiveSummary, expected: dict[str, float]
 
 
 def _check_index_summaries() -> tuple[str, str]:
-    reference = dataio.load_index_reference()
-    published = dataio.load_summary_reference(
+    reference = dataio.load_reference_table()
+    published = dataio.load_reference_table(
         dataio.bundled_path("index_summary_2023.csv")
     )
     regions = _region_rows(reference)
@@ -434,7 +434,7 @@ def _check_index_summaries() -> tuple[str, str]:
 
 def _check_indicator_summaries() -> tuple[str, str]:
     table = dataio.load_score_table(dataio.bundled_path("indicator_scores_2023.csv"))
-    published = dataio.load_summary_reference(
+    published = dataio.load_reference_table(
         dataio.bundled_path("indicator_summary_2023.csv")
     )
     regions = [t for t in table.territories if t not in AGGREGATE_TERRITORIES]
@@ -456,7 +456,7 @@ def _check_correlations() -> tuple[str, str]:
     corr = stats.correlation_matrix(columns)
     pos = {ind: i for i, ind in enumerate(table.indicators)}
     max_delta = max(
-        abs(float(corr[pos[gi], pos[gj]]) - val) for (gi, gj), val in published.items()
+        abs(corr[pos[gi], pos[gj]] - val) for (gi, gj), val in published.items()
     )
     status = PASS if max_delta <= 0.01 else FAIL
     return status, (

@@ -35,6 +35,7 @@ from igei.model import (
     IndicatorSpec,
     ObservationRecord,
     SubDomain,
+    external_source,
 )
 from igei.penalized import Polarity
 
@@ -227,7 +228,7 @@ class ScoreTable:
 def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
     """Read a wide indicator-score table (header: territory + indicator ids)."""
     header: list[str] | None = None
-    territories: list[str] = []
+    territories: dict[str, None] = {}
     scores: dict[tuple[str, str], float] = {}
     for lineno, row in _rows(source, decimal_comma):
         if header is None:
@@ -246,7 +247,7 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
         territory = row[0]
         if territory in territories:
             raise DataError(f"row {lineno}: duplicate territory {territory!r}")
-        territories.append(territory)
+        territories[territory] = None
         for ind, cell in zip(header, row[1:]):
             value = _parse_number(cell, decimal_comma, lineno, ind)
             if value is None:
@@ -351,19 +352,8 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
         if leaf not in specs:
             raise SpecError(f"tree leaf {leaf!r} has no indicator definition")
     for spec in specs.values():
-        corr = spec.correction
-        if corr.kind == "external":
-            source_spec = specs.get(corr.indicator or "")
-            if source_spec is None:
-                raise SpecError(
-                    f"indicator {spec.id!r}: external correction references "
-                    f"unknown indicator {corr.indicator!r}"
-                )
-            if source_spec.metric is not MetricKind.STANDARD:
-                raise SpecError(
-                    f"indicator {spec.id!r}: external correction source "
-                    f"{corr.indicator!r} must be a standard-metric indicator"
-                )
+        if spec.correction.kind == "external":
+            external_source(spec, specs)
     return specs, tree
 
 
@@ -508,25 +498,15 @@ def validate_dataset(
 # --- bundled reference fixtures --------------------------------------------
 
 
-def load_index_reference(source=None) -> dict[str, dict[str, float]]:
-    """Published final-index and domain values keyed by territory."""
+def load_reference_table(source=None) -> dict[str, dict[str, float]]:
+    """Published numeric rows keyed by their first cell, then by column name.
+
+    The default source holds the final-index and domain values per
+    territory; the summary fixtures hold one descriptive-statistics row
+    per column.
+    """
     if source is None:
         source = bundled_path("regional_index_2023.csv")
-    header: list[str] | None = None
-    out: dict[str, dict[str, float]] = {}
-    for lineno, row in _rows(source, decimal_comma=False):
-        if header is None:
-            header = row
-            continue
-        out[row[0]] = {
-            col: _parse_number(cell, False, lineno, col) or 0.0
-            for col, cell in zip(header[1:], row[1:])
-        }
-    return out
-
-
-def load_summary_reference(source) -> dict[str, dict[str, float]]:
-    """Published descriptive-statistics rows keyed by column name."""
     header: list[str] | None = None
     out: dict[str, dict[str, float]] = {}
     for lineno, row in _rows(source, decimal_comma=False):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from igei.errors import DataError, SpecError
 from igei.metrics import MetricKind
@@ -78,6 +78,28 @@ class IndicatorSpec:
             )
         if self.metric is MetricKind.CAPPED and self.correction.kind != "none":
             raise SpecError(f"{self.id}: capped indicators take no correction")
+
+
+def external_source(
+    spec: IndicatorSpec, specs: Mapping[str, IndicatorSpec]
+) -> IndicatorSpec:
+    """The indicator whose observations feed ``spec``'s external correction.
+
+    Raises :class:`SpecError` unless that indicator is defined and is
+    standard-metric, the only kind that carries the borrowed variable.
+    """
+    source = specs.get(spec.correction.indicator or "")
+    if source is None:
+        raise SpecError(
+            f"indicator {spec.id!r}: external correction references "
+            f"unknown indicator {spec.correction.indicator!r}"
+        )
+    if source.metric is not MetricKind.STANDARD:
+        raise SpecError(
+            f"indicator {spec.id!r}: external correction source "
+            f"{spec.correction.indicator!r} must be a standard-metric indicator"
+        )
+    return source
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,10 @@ def weighted_mean(seq: SequenceLike) -> float:
 def weighted_variance(seq: SequenceLike) -> float:
     """Weighted population variance about the weighted mean."""
     s = _as_weighted(seq)
-    m = weighted_mean(s)
+    return _variance_about(s, weighted_mean(s))
+
+
+def _variance_about(s: WeightedSequence, m: float) -> float:
     return math.fsum(p * (x - m) ** 2 for p, x in zip(s.weights, s.values))
 
 
@@ -106,7 +109,7 @@ def penalized_mean(seq: SequenceLike, polarity: Polarity = Polarity.POSITIVE) ->
     m = weighted_mean(s)
     if ran <= RANGE_TOLERANCE:
         return m
-    penalty = weighted_variance(s) / (2.0 * ran)
+    penalty = _variance_about(s, m) / (2.0 * ran)
     return m - penalty if polarity is Polarity.POSITIVE else m + penalty
 
 

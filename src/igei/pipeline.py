@@ -30,6 +30,7 @@ from igei.model import (
     IndicatorSpec,
     ObservationRecord,
     as_dataset,
+    external_source,
 )
 from igei.penalized import Polarity, penalized_mean
 
@@ -73,21 +74,10 @@ def _correction_source(
     spec: IndicatorSpec, specs: Mapping[str, IndicatorSpec]
 ) -> tuple[str, str, Polarity]:
     """(source indicator id, observation attribute, source polarity) for a correction."""
-    corr = spec.correction
-    if corr.kind == "own_average":
+    if spec.correction.kind == "own_average":
         return spec.id, "x_a", spec.polarity
-    source = specs.get(corr.indicator or "")
-    if source is None:
-        raise ScoringError(
-            f"{spec.id}: external correction references unknown indicator "
-            f"{corr.indicator!r}"
-        )
-    if source.metric is not MetricKind.STANDARD:
-        raise ScoringError(
-            f"{spec.id}: external correction source {source.id!r} must be a "
-            f"standard-metric indicator"
-        )
-    return source.id, corr.source_attr, source.polarity
+    source = external_source(spec, specs)
+    return source.id, spec.correction.source_attr, source.polarity
 
 
 def resolve_references(

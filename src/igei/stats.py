@@ -8,10 +8,10 @@ quantiles by linear interpolation between order statistics at position
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from igei.errors import StatisticsError
 from igei.pipeline import TerritoryReport
@@ -31,54 +31,76 @@ class DescriptiveSummary:
     max: float
 
 
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """Linear interpolation in sorted values at 0-based position ``(n - 1) * q``."""
+    position = (len(ordered) - 1) * q
+    lower = math.floor(position)
+    if lower >= len(ordered) - 1:
+        return ordered[-1]
+    a, b, t = ordered[lower], ordered[lower + 1], position - lower
+    # numpy's interpolation form, so printed digits match its percentiles
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def descriptive_summary(values: Iterable[float]) -> DescriptiveSummary:
     """Summarize a score column.
 
     ``sd`` is the population standard deviation and needs at least two
     values; ``cv = sd / mean`` is undefined (None) when the mean is zero.
     """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    ordered = sorted(map(float, values))
+    n = len(ordered)
+    if n == 0:
         raise StatisticsError("cannot summarize an empty sequence")
-    arr = np.sort(arr)  # fixed summation order: exactly permutation-invariant
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=0)) if arr.size >= 2 else None
+    # fsum: correctly rounded, hence exactly permutation-invariant
+    mean = math.fsum(ordered) / n
+    deviations = [v - mean for v in ordered]
+    sd = math.sqrt(math.fsum(map(mul, deviations, deviations)) / n) if n >= 2 else None
     cv = sd / mean if sd is not None and mean != 0 else None
-    q25, q50, q75 = (float(q) for q in np.percentile(arr, [25, 50, 75]))
     return DescriptiveSummary(
         mean=mean,
         sd=sd,
         cv=cv,
-        min=float(arr.min()),
-        p25=q25,
-        p50=q50,
-        p75=q75,
-        max=float(arr.max()),
+        min=ordered[0],
+        p25=_quantile(ordered, 0.25),
+        p50=_quantile(ordered, 0.5),
+        p75=_quantile(ordered, 0.75),
+        max=ordered[-1],
     )
 
 
-def correlation_matrix(columns: Sequence[Sequence[float]]) -> np.ndarray:
+def correlation_matrix(columns: Sequence[Sequence[float]]) -> dict[tuple[int, int], float]:
     """Pairwise Pearson correlations of equal-length columns.
 
-    Returns a symmetric matrix with unit diagonal, one row/column per
-    input column, clipped to [-1, 1].
+    Returns a mapping keyed by ``(i, j)`` column positions, with both
+    orders of every pair present, unit diagonal, and every value clipped
+    to [-1, 1].
     """
     if len(columns) < 2:
         raise StatisticsError("need at least two columns to correlate")
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise StatisticsError("columns must all have the same length")
-    if lengths.pop() < 3:
+    n = lengths.pop()
+    if n < 3:
         raise StatisticsError("need at least three observations per column")
-    mat = np.asarray([list(c) for c in columns], dtype=float)
-    stds = mat.std(axis=1)
-    constant = np.flatnonzero(stds == 0)
-    if constant.size:
+    centred = []
+    for col in columns:
+        mean = math.fsum(col) / n
+        centred.append([v - mean for v in col])
+    norms = [math.sqrt(math.fsum(map(mul, c, c))) for c in centred]
+    constant = [str(i) for i, norm in enumerate(norms) if norm == 0]
+    if constant:
         raise StatisticsError(
             f"correlation is undefined for constant columns "
-            f"(positions {', '.join(map(str, constant))})"
+            f"(positions {', '.join(constant)})"
         )
-    return np.clip(np.corrcoef(mat), -1.0, 1.0)
+    matrix: dict[tuple[int, int], float] = {}
+    for i, ci in enumerate(centred):
+        for j in range(i, len(centred)):
+            r = math.fsum(map(mul, ci, centred[j])) / (norms[i] * norms[j])
+            matrix[i, j] = matrix[j, i] = min(1.0, max(-1.0, r))
+    return matrix
 
 
 def rank_table(reports: Iterable[TerritoryReport]) -> list[TerritoryReport]:

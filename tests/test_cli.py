@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import igei
 from igei.cli import main
 from igei.dataio import bundled_path
 
@@ -231,3 +236,12 @@ class TestVerify:
         _, first, _ = run(capsys, "verify")
         _, second, _ = run(capsys, "verify")
         assert first == second
+
+
+class TestStartup:
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy is a test-only dependency; every CLI start would pay for it
+        probe = "import sys, igei.cli; sys.exit('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(igei.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", probe], env=env)
+        assert result.returncode == 0

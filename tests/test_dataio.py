@@ -159,6 +159,18 @@ indicators:
         with pytest.raises(SpecError, match="MISSING"):
             load_index_spec(write(tmp_path, text, name="spec.yaml"))
 
+    def test_external_source_must_be_standard(self, tmp_path):
+        text = """
+tree:
+  - domain: d
+    indicators: [A, B]
+indicators:
+  A: {metric: share, correction: {indicator: B, field: total}}
+  B: {metric: share}
+"""
+        with pytest.raises(SpecError, match="'A'.*'B' must be a standard-metric"):
+            load_index_spec(write(tmp_path, text, name="spec.yaml"))
+
     def test_duplicate_leaf(self, tmp_path):
         text = """
 tree:

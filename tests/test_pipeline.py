@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from igei.dataio import load_observations, bundled_path, load_index_spec
-from igei.errors import AggregationError, ScoringError
+from igei.errors import AggregationError, ScoringError, SpecError
 from igei.metrics import MetricKind
 from igei.model import (
     Correction,
@@ -154,6 +154,18 @@ class TestResolveReferences:
             resolve_references(records, specs, ["X"])
         refs = resolve_references(records, specs, ["X"], time_mode=True)
         assert refs.maxima["J1"] == 0.5
+
+    def test_external_source_must_be_standard(self):
+        # the same rule, and error, as the spec loader's
+        specs = {
+            "J5": SYNTH_SPECS["J5"],
+            "J3": IndicatorSpec(
+                id="J3", label="J3", domain="d", subdomain="s", metric=MetricKind.SHARE,
+                correction=Correction("external", indicator="J5"),
+            ),
+        }
+        with pytest.raises(SpecError, match="'J3'.*'J5' must be a standard-metric"):
+            resolve_references(SYNTH_RECORDS, specs, ["X"])
 
     def test_zero_reference_rejected(self):
         specs = {"J1": spec_standard("J1")}

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from igei.errors import StatisticsError
@@ -122,7 +123,7 @@ class TestCorrelationMatrix:
             for ind in indicator_table.indicators
         ]
         m = correlation_matrix(columns)
-        assert m.shape == (20, 20)
+        assert set(m) == {(i, j) for i in range(20) for j in range(20)}
         for i in range(20):
             assert m[i, i] == pytest.approx(1.0, abs=1e-12)
             for j in range(20):
@@ -158,6 +159,49 @@ class TestCorrelationMatrix:
         base = correlation_matrix([x, y])
         transformed = correlation_matrix([[a * v + b for v in x], y])
         assert transformed[0, 1] == pytest.approx(base[0, 1], rel=1e-9, abs=1e-9)
+
+
+scores = st.floats(min_value=0.0, max_value=100.0)
+# two-decimal scores, the precision of the published tables
+table_scores = st.integers(min_value=0, max_value=10_000).map(lambda v: v / 100)
+
+
+class TestAgainstNumpy:
+    """numpy, a test-only dependency, as the reference implementation.
+
+    Results agree within 1e-12 relative to the column's largest value;
+    the quartiles use numpy's interpolation arithmetic and agree exactly.
+    """
+
+    @given(values=st.lists(scores, min_size=1, max_size=40))
+    @example(values=[42.5])  # one value: quartiles defined, sd and cv not
+    def test_descriptive_summary(self, values):
+        s = descriptive_summary(values)
+        arr = np.asarray(values)
+        tol = 1e-12 * max(values)
+        assert s.mean == pytest.approx(arr.mean(), rel=1e-12, abs=tol)
+        assert (s.min, s.max) == (arr.min(), arr.max())
+        assert [s.p25, s.p50, s.p75] == list(np.percentile(arr, [25, 50, 75]))
+        if len(values) >= 2:
+            assert s.sd == pytest.approx(arr.std(), rel=1e-12, abs=tol)
+        if s.cv is not None:
+            assert s.cv == pytest.approx(arr.std() / arr.mean(), rel=1e-12, abs=1e-12)
+
+    @given(
+        columns=st.integers(min_value=3, max_value=30).flatmap(
+            lambda n: st.lists(
+                st.lists(table_scores, min_size=n, max_size=n), min_size=2, max_size=6
+            )
+        )
+    )
+    def test_correlation_matrix(self, columns):
+        assume(all(max(c) > min(c) for c in columns))
+        m = correlation_matrix(columns)
+        reference = np.corrcoef(np.asarray(columns))
+        k = len(columns)
+        assert set(m) == {(i, j) for i in range(k) for j in range(k)}
+        for (i, j), r in m.items():
+            assert r == pytest.approx(reference[i, j], rel=1e-12, abs=1e-12)
 
 
 def report_stub(territory, index):
