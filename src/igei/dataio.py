@@ -19,6 +19,7 @@ Lines starting with ``#`` are comments in all delimited formats.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -182,8 +183,10 @@ def _record_shape_problem(rec: ObservationRecord) -> str | None:
             return f"ratio value {rec.value} must be positive"
     for name in ("x_w", "x_m", "x_a", "value"):
         v = getattr(rec, name)
-        if v is not None and v < 0:
-            return f"{name} must be non-negative, got {v}"
+        if v is not None and not 0.0 <= v < math.inf:
+            if v < 0:
+                return f"{name} must be non-negative, got {v}"
+            return f"{name} must be a finite number, got {v}"
     return None
 
 
@@ -286,18 +289,21 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
 
     domains: list[Domain] = []
     placement: dict[str, tuple[str, str]] = {}
-    for entry in raw["tree"]:
+    for entry in _spec_list(raw["tree"], "the 'tree' section"):
+        if not isinstance(entry, dict):
+            raise SpecError(f"tree entry {entry!r} is not a mapping")
         dom_id = entry.get("domain")
-        if not dom_id:
-            raise SpecError("every tree entry needs a 'domain' id")
+        if not _is_id(dom_id):
+            raise SpecError(f"every tree entry needs a 'domain' id, got {dom_id!r}")
         if "subdomains" in entry:
             subs = [
-                SubDomain(id=s["id"], indicators=tuple(s["indicators"]))
-                for s in entry["subdomains"]
+                _parse_subdomain(dom_id, sub)
+                for sub in _spec_list(entry["subdomains"], f"domain {dom_id!r}: subdomains")
             ]
         elif "indicators" in entry:
             # no declared sub-domains: one implicit sub-domain named after the domain
-            subs = [SubDomain(id=dom_id, indicators=tuple(entry["indicators"]))]
+            indicators = _indicator_ids(entry["indicators"], f"domain {dom_id!r}")
+            subs = [SubDomain(id=dom_id, indicators=indicators)]
         else:
             raise SpecError(f"domain {dom_id!r} declares neither subdomains nor indicators")
         domains.append(Domain(id=dom_id, subdomains=tuple(subs)))
@@ -312,6 +318,8 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             f"spec declares {declared} domains but the tree defines {len(tree.domains)}"
         )
 
+    if not isinstance(raw["indicators"], dict):
+        raise SpecError("the 'indicators' section must be a mapping")
     specs: dict[str, IndicatorSpec] = {}
     for ind_id, fields in raw["indicators"].items():
         if ind_id not in placement:
@@ -355,6 +363,32 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
         if spec.correction.kind == "external":
             external_source(spec, specs)
     return specs, tree
+
+
+def _is_id(raw) -> bool:
+    return isinstance(raw, str) and raw != ""
+
+
+def _spec_list(raw, what: str) -> tuple:
+    if not isinstance(raw, list):
+        raise SpecError(f"{what} must be a list, got {raw!r}")
+    return tuple(raw)
+
+
+def _indicator_ids(raw, owner: str) -> tuple[str, ...]:
+    ids = _spec_list(raw, f"{owner}: indicators")
+    if not all(map(_is_id, ids)):
+        raise SpecError(f"{owner}: indicators must be indicator ids, got {raw!r}")
+    return ids
+
+
+def _parse_subdomain(dom_id: str, raw) -> SubDomain:
+    if not isinstance(raw, dict) or not _is_id(raw.get("id")):
+        raise SpecError(f"domain {dom_id!r}: every sub-domain needs an 'id', got {raw!r}")
+    sub_id = raw["id"]
+    return SubDomain(
+        id=sub_id, indicators=_indicator_ids(raw.get("indicators"), f"sub-domain {sub_id!r}")
+    )
 
 
 def _parse_correction(ind_id: str, raw) -> Correction:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from igei.errors import DataError, SpecError
 from igei.metrics import MetricKind
@@ -201,13 +201,17 @@ class Dataset:
     def __len__(self) -> int:
         return len(self._records)
 
+    def series(self, territory: str, indicator: str) -> Sequence[ObservationRecord]:
+        """Every period's observation of one territory and indicator, in input order."""
+        return self._by_pair.get((territory, indicator), ())
+
     def get(
         self, territory: str, indicator: str, period: int | None = None
     ) -> ObservationRecord | None:
         """Look up one observation; ``period=None`` requires a unique period."""
         if period is not None:
             return self._by_key.get((territory, indicator, period))
-        matches = self._by_pair.get((territory, indicator), [])
+        matches = self.series(territory, indicator)
         if not matches:
             return None
         if len(matches) > 1:

@@ -66,31 +66,41 @@ class WeightedSequence:
 SequenceLike = Union[WeightedSequence, Sequence[float]]
 
 
-def _as_weighted(seq: SequenceLike) -> WeightedSequence:
-    return seq if isinstance(seq, WeightedSequence) else WeightedSequence(seq)
+def _unpack(seq: SequenceLike) -> tuple[Sequence[float], Sequence[float]]:
+    """(values, weights); a plain sequence weighs each value ``1 / n``."""
+    if isinstance(seq, WeightedSequence):
+        return seq.values, seq.weights
+    values = [float(v) for v in seq]
+    if not values:
+        raise AggregationError("sequence must contain at least one value")
+    # the same weights WeightedSequence gives, so both forms agree to the bit
+    return values, [1.0 / len(values)] * len(values)
+
+
+def _mean(values: Sequence[float], weights: Sequence[float]) -> float:
+    # fsum: correctly rounded, hence invariant under permutation of the terms
+    return math.fsum(p * x for p, x in zip(weights, values))
+
+
+def _variance_about(values: Sequence[float], weights: Sequence[float], m: float) -> float:
+    return math.fsum(p * (x - m) ** 2 for p, x in zip(weights, values))
 
 
 def weighted_mean(seq: SequenceLike) -> float:
     """Weighted mean; equals the arithmetic mean under uniform weights."""
-    s = _as_weighted(seq)
-    # fsum: correctly rounded, hence invariant under permutation of the terms
-    return math.fsum(p * x for p, x in zip(s.weights, s.values))
+    return _mean(*_unpack(seq))
 
 
 def weighted_variance(seq: SequenceLike) -> float:
     """Weighted population variance about the weighted mean."""
-    s = _as_weighted(seq)
-    return _variance_about(s, weighted_mean(s))
-
-
-def _variance_about(s: WeightedSequence, m: float) -> float:
-    return math.fsum(p * (x - m) ** 2 for p, x in zip(s.weights, s.values))
+    values, weights = _unpack(seq)
+    return _variance_about(values, weights, _mean(values, weights))
 
 
 def value_range(seq: SequenceLike) -> float:
     """Spread ``max(x) - min(x)``."""
-    s = _as_weighted(seq)
-    return max(s.values) - min(s.values)
+    values, _ = _unpack(seq)
+    return max(values) - min(values)
 
 
 def penalized_mean(seq: SequenceLike, polarity: Polarity = Polarity.POSITIVE) -> float:
@@ -101,27 +111,27 @@ def penalized_mean(seq: SequenceLike, polarity: Polarity = Polarity.POSITIVE) ->
     unpenalized, which also removes the division-by-zero case. The
     result always lies within ``[min(x), max(x)]``.
     """
-    s = _as_weighted(seq)
-    ran = value_range(s)
+    values, weights = _unpack(seq)
+    ran = max(values) - min(values)
     if ran == 0.0:
         # exactly constant: the weighted mean is the constant itself
-        return s.values[0]
-    m = weighted_mean(s)
+        return values[0]
+    m = _mean(values, weights)
     if ran <= RANGE_TOLERANCE:
         return m
-    penalty = _variance_about(s, m) / (2.0 * ran)
+    penalty = _variance_about(values, weights, m) / (2.0 * ran)
     return m - penalty if polarity is Polarity.POSITIVE else m + penalty
 
 
 def geometric_mean(seq: SequenceLike) -> float:
     """Weighted geometric mean of strictly positive values."""
-    s = _as_weighted(seq)
-    if any(x <= 0 for x in s.values):
+    values, weights = _unpack(seq)
+    if any(x <= 0 for x in values):
         raise AggregationError("geometric mean requires strictly positive values")
-    if min(s.values) == max(s.values):
+    if min(values) == max(values):
         # constant: the product of x^p with weights summing to 1 is x itself
-        return s.values[0]
-    return math.exp(math.fsum(p * math.log(x) for p, x in zip(s.weights, s.values)))
+        return values[0]
+    return math.exp(math.fsum(p * math.log(x) for p, x in zip(weights, values)))
 
 
 def cartwright_field_bounds(seq: SequenceLike, a: float, b: float) -> tuple[float, float]:
@@ -132,13 +142,13 @@ def cartwright_field_bounds(seq: SequenceLike, a: float, b: float) -> tuple[floa
     arithmetic and geometric means always lies between the two, and the
     constants are the best possible.
     """
-    s = _as_weighted(seq)
+    values, weights = _unpack(seq)
     if a <= 0:
         raise AggregationError(f"lower bound must be strictly positive, got {a}")
-    if a > min(s.values) or b < max(s.values):
+    if a > min(values) or b < max(values):
         raise AggregationError(
             f"bounds [{a}, {b}] do not enclose the values "
-            f"[{min(s.values)}, {max(s.values)}]"
+            f"[{min(values)}, {max(values)}]"
         )
-    var = weighted_variance(s)
+    var = _variance_about(values, weights, _mean(values, weights))
     return var / (2.0 * b), var / (2.0 * a)

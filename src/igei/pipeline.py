@@ -80,6 +80,17 @@ def _correction_source(
     return source.id, spec.correction.source_attr, source.polarity
 
 
+def _source_levels(
+    data: Dataset, territory: str, source_id: str, attr: str, polarity: Polarity
+) -> list[tuple[int, float]]:
+    """(period, working level) of one territory's correction variable, by period."""
+    return sorted(
+        (rec.period, _working(raw, polarity))
+        for rec in data.series(territory, source_id)
+        if (raw := getattr(rec, attr)) is not None
+    )
+
+
 def resolve_references(
     dataset: Dataset | Iterable[ObservationRecord],
     specs: Mapping[str, IndicatorSpec],
@@ -93,6 +104,8 @@ def resolve_references(
     reference across the whole series). Correction base values are
     collected for every territory in the dataset, so territories outside
     the scope can still be scored against the scope's references.
+    Each territory's source observations come from the dataset's
+    per-pair index, so the cost is linear in the records.
     """
     data = as_dataset(dataset)
     scope = list(scope)
@@ -104,28 +117,26 @@ def resolve_references(
         if spec.correction.kind == "none":
             continue
         source_id, attr, source_polarity = _correction_source(spec, specs)
-        base_by_tp: dict[tuple[str, int], float] = {}
-        for rec in data:
-            if rec.indicator != source_id:
-                continue
-            raw = getattr(rec, attr)
-            if raw is None:
-                continue
-            base_by_tp[(rec.territory, rec.period)] = _working(raw, source_polarity)
+        external = spec.correction.kind == "external"
+        # external bases cover every territory, and the scope reads from them
+        levels_of = {
+            terr: _source_levels(data, terr, source_id, attr, source_polarity)
+            for terr in (data.territories if external else scope)
+        }
         scope_values: list[float] = []
         for terr in scope:
-            periods = sorted(p for (t, p) in base_by_tp if t == terr)
-            if not periods:
+            levels = levels_of.get(terr)
+            if not levels:
                 raise ScoringError(
                     f"{spec.id}: no {attr} value of indicator {source_id!r} for "
                     f"territory {terr!r}; dataset is incomplete"
                 )
-            if not time_mode and len(periods) > 1:
+            if not time_mode and len(levels) > 1:
                 raise ScoringError(
-                    f"{spec.id}: territory {terr!r} has {len(periods)} periods for "
+                    f"{spec.id}: territory {terr!r} has {len(levels)} periods for "
                     f"indicator {source_id!r}; score as a time series"
                 )
-            scope_values.extend(base_by_tp[(terr, p)] for p in periods)
+            scope_values.extend(level for _, level in levels)
         reference = max(scope_values)
         if reference <= 0:
             raise ScoringError(
@@ -133,9 +144,10 @@ def resolve_references(
                 f"got {reference}"
             )
         maxima[spec.id] = reference
-        if spec.correction.kind == "external":
-            for (terr, per), val in base_by_tp.items():
-                bases[(spec.id, terr, per)] = val
+        if external:
+            for terr, levels in levels_of.items():
+                for per, level in levels:
+                    bases[(spec.id, terr, per)] = level
     return ReferenceLevels(maxima=maxima, bases=bases)
 
 
@@ -296,10 +308,9 @@ def score_time_series(
     data = as_dataset(dataset)
     if not data.periods:
         raise ScoringError("dataset has no observations")
-    coverage = {
-        p: {(r.territory, r.indicator) for r in data if r.period == p}
-        for p in data.periods
-    }
+    coverage: dict[int, set[tuple[str, str]]] = {p: set() for p in data.periods}
+    for r in data:
+        coverage[r.period].add((r.territory, r.indicator))
     first = coverage[data.periods[0]]
     for p, pairs in coverage.items():
         if pairs != first:

@@ -52,10 +52,16 @@ def descriptive_summary(values: Iterable[float]) -> DescriptiveSummary:
     n = len(ordered)
     if n == 0:
         raise StatisticsError("cannot summarize an empty sequence")
-    # fsum: correctly rounded, hence exactly permutation-invariant
-    mean = math.fsum(ordered) / n
-    deviations = [v - mean for v in ordered]
-    sd = math.sqrt(math.fsum(map(mul, deviations, deviations)) / n) if n >= 2 else None
+    if ordered[0] == ordered[-1]:
+        # constant: fsum(x) / n can miss x by an ulp, which would put the
+        # mean outside [min, max] and give a spurious nonzero sd
+        mean, variance = ordered[0], 0.0
+    else:
+        # fsum: correctly rounded, hence exactly permutation-invariant
+        mean = math.fsum(ordered) / n
+        deviations = [v - mean for v in ordered]
+        variance = math.fsum(map(mul, deviations, deviations)) / n
+    sd = math.sqrt(variance) if n >= 2 else None
     cv = sd / mean if sd is not None and mean != 0 else None
     return DescriptiveSummary(
         mean=mean,
@@ -84,20 +90,22 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> dict[tuple[int, in
     n = lengths.pop()
     if n < 3:
         raise StatisticsError("need at least three observations per column")
-    centred = []
-    for col in columns:
-        mean = math.fsum(col) / n
-        centred.append([v - mean for v in col])
-    norms = [math.sqrt(math.fsum(map(mul, c, c))) for c in centred]
-    constant = [str(i) for i, norm in enumerate(norms) if norm == 0]
+    # a constant column's centred values need not be exactly zero
+    constant = [str(i) for i, col in enumerate(columns) if min(col) == max(col)]
     if constant:
         raise StatisticsError(
             f"correlation is undefined for constant columns "
             f"(positions {', '.join(constant)})"
         )
+    centred = []
+    for col in columns:
+        mean = math.fsum(col) / n
+        centred.append([v - mean for v in col])
+    norms = [math.sqrt(math.fsum(map(mul, c, c))) for c in centred]
     matrix: dict[tuple[int, int], float] = {}
     for i, ci in enumerate(centred):
-        for j in range(i, len(centred)):
+        matrix[i, i] = 1.0
+        for j in range(i + 1, len(centred)):
             r = math.fsum(map(mul, ci, centred[j])) / (norms[i] * norms[j])
             matrix[i, j] = matrix[j, i] = min(1.0, max(-1.0, r))
     return matrix

@@ -159,6 +159,48 @@ class TestScore:
         assert first == second
 
 
+class TestBadInput:
+    """Bad input ends as exit 1 with one ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def _score(capsys, tmp_path, spec_text, data_text):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(spec_text, encoding="utf-8")
+        data = tmp_path / "obs.csv"
+        data.write_text(data_text, encoding="utf-8")
+        code, out, err = run(capsys, "score", "--data", str(data), "--spec", str(spec))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    CAPPED_SPEC = (
+        "tree:\n  - domain: d\n    indicators: [C]\n"
+        "indicators:\n  C: {metric: capped}\n"
+    )
+    CAPPED_DATA = (
+        "territory,indicator,period,kind,x_w,x_m,x_a,value\n"
+        "A,C,2023,capped,,,,0.5\n"
+    )
+
+    def test_non_finite_value(self, capsys, tmp_path):
+        data = self.CAPPED_DATA + "B,C,2023,capped,,,,nan\n"
+        err = self._score(capsys, tmp_path, self.CAPPED_SPEC, data)
+        assert err == "error: row 3: value must be a finite number, got nan\n"
+
+    def test_subdomain_without_id(self, capsys, tmp_path):
+        spec = (
+            "tree:\n  - domain: d\n    subdomains:\n      - indicators: [C]\n"
+            "indicators:\n  C: {metric: capped}\n"
+        )
+        err = self._score(capsys, tmp_path, spec, self.CAPPED_DATA)
+        assert "every sub-domain needs an 'id'" in err
+
+    def test_non_mapping_tree_entry(self, capsys, tmp_path):
+        spec = "tree:\n  - just-a-string\nindicators:\n  C: {metric: capped}\n"
+        err = self._score(capsys, tmp_path, spec, self.CAPPED_DATA)
+        assert "tree entry 'just-a-string' is not a mapping" in err
+
+
 class TestAggregate:
     def test_reproduces_published_domains(self, capsys):
         code, out, _ = run(capsys, "aggregate", "--data", SCORES)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -93,6 +94,21 @@ class TestLoadObservations:
         text = GOOD_FILE.replace("0.3,0.5,0.4", "-0.3,0.5,0.4")
         with pytest.raises(DataError, match="non-negative"):
             load_observations(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("South,G4,2023,capped,,,,nan", "value must be a finite number, got nan"),
+            ("South,G3,2023,ratio,,,,inf", "value must be a finite number, got inf"),
+            ("South,G2,2023,share,,,,nan", r"share value nan is outside \[0, 1\]"),
+            ("West,G1,2023,standard,nan,0.5,0.4,", "x_w must be a finite number"),
+            ("West,G1,2023,standard,0.4,0.5,inf,", "x_a must be a finite number"),
+            ("West,G1,2023,standard,0.4,-inf,0.4,", "x_m must be non-negative"),
+        ],
+    )
+    def test_non_finite_value_names_row(self, tmp_path, row, message):
+        with pytest.raises(DataError, match=f"row 5: {message}"):
+            load_observations(write(tmp_path, GOOD_FILE + row + "\n"))
 
     def test_round_trip(self, tmp_path):
         records = load_observations(write(tmp_path, GOOD_FILE))
@@ -219,6 +235,48 @@ indicators:
             load_index_spec(write(tmp_path, text, name="spec.yaml"))
 
 
+class TestMalformedSpecShapes:
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            ("tree: {d: [A]}", "'tree' section must be a list"),
+            ("tree:\n  - just-a-string", "tree entry 'just-a-string' is not a mapping"),
+            (
+                "tree:\n  - domain: d\n    subdomains:\n      - indicators: [A]",
+                "domain 'd': every sub-domain needs an 'id'",
+            ),
+            (
+                "tree:\n  - domain: d\n    subdomains: [s]",
+                "domain 'd': every sub-domain needs an 'id', got 's'",
+            ),
+            ("tree:\n  - domain: d\n    subdomains: s", "subdomains must be a list"),
+            (
+                "tree:\n  - domain: d\n    subdomains:\n      - id: s",
+                "sub-domain 's': indicators must be a list, got None",
+            ),
+            ("tree:\n  - domain: d\n    indicators: 7", "indicators must be a list"),
+            (
+                "tree:\n  - domain: d\n    indicators: [[A]]",
+                r"domain 'd': indicators must be indicator ids, got \[\['A'\]\]",
+            ),
+            ("tree:\n  - domain: 1\n    indicators: [A]", "'domain' id, got 1"),
+            (
+                "tree:\n  - domain: d\n    subdomains:\n      - {id: [s], indicators: [A]}",
+                "every sub-domain needs an 'id'",
+            ),
+        ],
+    )
+    def test_tree_shape_is_a_spec_error(self, tmp_path, tree, message):
+        text = tree + "\nindicators:\n  A: {metric: capped}\n"
+        with pytest.raises(SpecError, match=message):
+            load_index_spec(write(tmp_path, text, name="spec.yaml"))
+
+    def test_indicators_section_must_be_a_mapping(self, tmp_path):
+        text = "tree:\n  - domain: d\n    indicators: [A]\nindicators: [A]\n"
+        with pytest.raises(SpecError, match="'indicators' section must be a mapping"):
+            load_index_spec(write(tmp_path, text, name="spec.yaml"))
+
+
 class TestValidateDataset:
     @pytest.fixture()
     def demo(self):
@@ -240,6 +298,17 @@ class TestValidateDataset:
         report = validate_dataset(bad, specs)
         assert not report.ok
         assert any(f.code == "out-of-range" for f in report.errors)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_level_finding(self, demo, bad):
+        specs, records = demo
+        report = validate_dataset(
+            records
+            + [ObservationRecord("F", "G1", 2023, MetricKind.STANDARD, 0.2, bad, 0.1)],
+            specs,
+        )
+        assert [(f.code, f.territory) for f in report.errors] == [("out-of-range", "F")]
+        assert "finite" in report.errors[0].message
 
     def test_missing_pair_finding(self, demo):
         specs, records = demo

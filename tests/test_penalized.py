@@ -243,6 +243,20 @@ class TestCartwrightFieldBounds:
         assert lower - 1e-9 <= diff <= upper + 1e-9
 
 
+class TestPlainAndUniformWeighted:
+    @given(seq=sequences())
+    def test_bit_identical(self, seq):
+        # a plain sequence takes the same 1/n weights and the same fsum terms
+        uniform = WeightedSequence(seq)
+        for f in (weighted_mean, weighted_variance, value_range):
+            assert f(seq).hex() == f(uniform).hex()
+        for polarity in Polarity:
+            assert (
+                penalized_mean(seq, polarity).hex()
+                == penalized_mean(uniform, polarity).hex()
+            )
+
+
 class TestHelpers:
     def test_value_range(self):
         assert value_range([2, 8, 5]) == 6.0

@@ -180,6 +180,112 @@ class TestResolveReferences:
         assert refs.bases[("J4", "X", 2023)] == 0.4
 
 
+# --- reference resolution against a brute-force oracle ---------------------
+
+ORACLE_SPECS = {
+    "S1": spec_standard("S1"),
+    "S2": spec_standard("S2", polarity=Polarity.NEGATIVE),
+    "ET": IndicatorSpec(
+        id="ET", label="ET", domain="d", subdomain="s", metric=MetricKind.SHARE,
+        correction=Correction("external", indicator="S1", field="total"),
+    ),
+    "EW": IndicatorSpec(
+        id="EW", label="EW", domain="d", subdomain="s", metric=MetricKind.RATIO,
+        correction=Correction("external", indicator="S1", field="women"),
+    ),
+    "EM": IndicatorSpec(
+        id="EM", label="EM", domain="d", subdomain="s", metric=MetricKind.SHARE,
+        correction=Correction("external", indicator="S2", field="men"),
+    ),
+    "C": IndicatorSpec(id="C", label="C", domain="d", subdomain="s",
+                       metric=MetricKind.CAPPED),
+}
+
+
+def oracle_references(records, specs, scope, time_mode):
+    """Scan every record for each corrected indicator; raise where resolution must."""
+    attrs = {"total": "x_a", "women": "x_w", "men": "x_m"}
+    maxima, bases = {}, {}
+    for spec in specs.values():
+        corr = spec.correction
+        if corr.kind == "none":
+            continue
+        if corr.kind == "own_average":
+            source, attr = spec, "x_a"
+        else:
+            source, attr = specs[corr.indicator], attrs[corr.field]
+        found = {}
+        for rec in records:
+            raw = getattr(rec, attr)
+            if rec.indicator == source.id and raw is not None:
+                negative = source.polarity is Polarity.NEGATIVE
+                found[(rec.territory, rec.period)] = 1.0 - raw if negative else raw
+        for terr in scope:
+            n_periods = sum(1 for t, _ in found if t == terr)
+            if n_periods == 0 or (n_periods > 1 and not time_mode):
+                raise ScoringError(f"{spec.id}: {terr}")
+        maxima[spec.id] = max(v for (t, _), v in found.items() if t in scope)
+        if maxima[spec.id] <= 0:
+            raise ScoringError(f"{spec.id}: reference")
+        if corr.kind == "external":
+            bases.update(((spec.id, t, p), v) for (t, p), v in found.items())
+    return maxima, bases
+
+
+# levels on a coarse grid, so ties and equal maxima occur
+rates = st.integers(min_value=0, max_value=20).map(lambda k: k / 20)
+# now and then a missing total, which leaves the pair without a correction level
+totals = st.integers(min_value=-2, max_value=20).map(lambda k: None if k < 0 else k / 20)
+
+
+@st.composite
+def resolution_cases(draw):
+    territories = [f"T{i}" for i in range(draw(st.integers(1, 5)))]
+    periods = list(range(2020, 2020 + draw(st.integers(1, 3))))
+    records = []
+    for terr in territories:
+        for period in periods:
+            for ind in ("S1", "S2"):
+                records.append(
+                    obs_standard(
+                        terr, ind, draw(rates), draw(rates), draw(totals), period=period
+                    )
+                )
+    records = draw(st.permutations(records))
+    scope = draw(st.lists(st.sampled_from(territories), min_size=1, unique=True))
+    return records, scope, draw(st.booleans())
+
+
+class TestResolveReferencesOracle:
+    @given(case=resolution_cases())
+    def test_matches_brute_force_scan(self, case):
+        records, scope, time_mode = case
+        try:
+            maxima, bases = oracle_references(records, ORACLE_SPECS, scope, time_mode)
+        except ScoringError:
+            with pytest.raises(ScoringError):
+                resolve_references(records, ORACLE_SPECS, scope, time_mode=time_mode)
+            return
+        refs = resolve_references(records, ORACLE_SPECS, scope, time_mode=time_mode)
+        assert dict(refs.maxima) == maxima
+        assert dict(refs.bases) == bases
+
+    def test_out_of_scope_bases_keep_every_period(self):
+        records = [
+            obs_standard(terr, "S1", 0.5, 0.5, level, period=period)
+            for terr, level in (("A", 0.4), ("B", 0.6))
+            for period in (2022, 2021)
+        ]
+        specs = {"S1": ORACLE_SPECS["S1"], "ET": ORACLE_SPECS["ET"]}
+        refs = resolve_references(records, specs, ["A"], time_mode=True)
+        assert refs.maxima == {"S1": 0.4, "ET": 0.4}
+        assert refs.bases == {
+            ("ET", t, p): v
+            for t, v in (("A", 0.4), ("B", 0.6))
+            for p in (2021, 2022)
+        }
+
+
 @pytest.fixture(scope="module")
 def demo_setup():
     specs, _ = load_index_spec(bundled_path("demo_tree.yaml"))
@@ -468,4 +574,18 @@ class TestScoreTimeSeries:
         records = self._period_records([(2022, 0.0), (2023, 0.1)])
         records.append(obs_standard("C", "J1", 0.5, 0.5, 0.5, period=2023))
         with pytest.raises(ScoringError, match="coverage"):
+            score_time_series(records, specs, tree)
+
+    def test_coverage_error_names_first_differing_period(self):
+        specs = {"J1": spec_standard("J1", domain="d1", subdomain="s1")}
+        tree = IndexTree(
+            domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)
+        )
+        records = self._period_records([(2021, 0.0), (2022, 0.1), (2023, 0.2)])
+        # 2022 lacks B and 2023 gains C: the check reports the earlier period
+        records = [r for r in records if (r.territory, r.period) != ("B", 2022)]
+        records.insert(0, obs_standard("C", "J1", 0.5, 0.5, 0.5, period=2023))
+        with pytest.raises(
+            ScoringError, match=r"period 2022 differs from period 2021"
+        ):
             score_time_series(records, specs, tree)

@@ -64,6 +64,12 @@ class TestDescriptiveSummary:
         assert s.mean == 3.0
         assert s.sd is None and s.cv is None
 
+    def test_constant_column_is_exact(self):
+        value = 542.8956285512224 * 161.0
+        s = descriptive_summary([value] * 3)
+        assert s.mean == s.min == s.max == value
+        assert s.sd == 0.0 and s.cv == 0.0
+
     def test_zero_mean_has_undefined_cv(self):
         s = descriptive_summary([-1.0, 1.0])
         assert s.mean == 0.0
@@ -89,6 +95,8 @@ class TestDescriptiveSummary:
         values=st.lists(st.floats(min_value=0.1, max_value=1e4), min_size=2, max_size=20),
         lam=st.floats(min_value=1e-3, max_value=1e3),
     )
+    # fsum(x) / n misses the constant by an ulp here
+    @example(values=[542.8956285512224] * 3, lam=161.0)
     def test_scale_equivariance(self, values, lam):
         base = descriptive_summary(values)
         scaled = descriptive_summary([lam * v for v in values])
@@ -133,6 +141,19 @@ class TestCorrelationMatrix:
     def test_constant_column_rejected(self):
         with pytest.raises(StatisticsError, match="constant"):
             correlation_matrix([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
+
+    def test_constant_column_with_inexact_mean_rejected(self):
+        # fsum([0.1] * 3) / 3 is not 0.1, so centring leaves a nonzero residue
+        with pytest.raises(StatisticsError, match=r"constant columns \(positions 0\)"):
+            correlation_matrix([[0.1, 0.1, 0.1], [0.0, 1.0, 2.0]])
+
+    def test_diagonal_is_exactly_one(self, indicator_table, region_names):
+        columns = [
+            [indicator_table.scores[(t, ind)] for t in region_names]
+            for ind in indicator_table.indicators
+        ]
+        m = correlation_matrix(columns)
+        assert [m[i, i] for i in range(20)] == [1.0] * 20
 
     def test_too_few_observations_rejected(self):
         with pytest.raises(StatisticsError):
