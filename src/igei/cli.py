@@ -34,7 +34,10 @@ KNOWN_DEVIATION = "KNOWN-DEVIATION"
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise IgeiError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -138,6 +141,11 @@ def _parse_scope(arg: str | None) -> list[str] | None:
     scope = [t.strip() for t in arg.split(",") if t.strip()]
     if not scope:
         raise IgeiError("--scope must list at least one territory")
+    seen: set[str] = set()
+    for terr in scope:
+        if terr in seen:
+            raise IgeiError(f"--scope lists territory {terr!r} more than once")
+        seen.add(terr)
     return scope
 
 

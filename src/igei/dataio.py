@@ -68,19 +68,32 @@ def bundled_path(name: str):
 
 
 def _open_text(source) -> IO[str]:
-    if hasattr(source, "open"):
-        return source.open("r", encoding="utf-8")
-    return open(source, "r", encoding="utf-8")
+    """Open a path or traversable for UTF-8 reading; failures are :class:`DataError`."""
+    try:
+        if hasattr(source, "open"):
+            return source.open("r", encoding="utf-8")
+        return open(source, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {source}: {exc.strerror or exc}") from None
+
+
+def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
+    bad = exc.object[exc.start:exc.end]
+    return DataError(f"{source} is not UTF-8 text: {exc.reason} ({bad!r})")
 
 
 def _rows(source, decimal_comma: bool) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, cells) skipping comment and blank lines."""
     delimiter = ";" if decimal_comma else ","
     with _open_text(source) as handle:
-        for lineno, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            yield lineno, [cell.strip() for cell in row]
+        reader = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+        try:
+            for lineno, row in reader:
+                if not row or (row[0].lstrip().startswith("#")):
+                    continue
+                yield lineno, [cell.strip() for cell in row]
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(source, exc) from None
 
 
 def _parse_number(
@@ -280,7 +293,15 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
     if source is None:
         source = bundled_path(DEFAULT_SPEC_RESOURCE)
     with _open_text(source) as handle:
-        raw = yaml.safe_load(handle)
+        try:
+            raw = yaml.safe_load(handle)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(source, exc) from None
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or exc
+            raise SpecError(f"{source}: malformed YAML{where}: {problem}") from None
     if not isinstance(raw, dict):
         raise SpecError("index spec must be a mapping")
     for key in ("tree", "indicators"):

@@ -131,21 +131,19 @@ class IndexTree:
     def __post_init__(self) -> None:
         if not self.domains:
             raise SpecError("index tree has no domains")
-        seen: set[str] = set()
+        seen: dict[str, None] = {}  # insertion-ordered: the leaf order
         for dom in self.domains:
             for sub in dom.subdomains:
                 for ind in sub.indicators:
                     if ind in seen:
                         raise SpecError(f"indicator {ind!r} appears more than once")
-                    seen.add(ind)
+                    seen[ind] = None
+        # not a field: equality, hashing and repr see only the domains
+        object.__setattr__(self, "_leaf_ids", tuple(seen))
 
     def leaf_ids(self) -> tuple[str, ...]:
-        return tuple(
-            ind
-            for dom in self.domains
-            for sub in dom.subdomains
-            for ind in sub.indicators
-        )
+        """Indicator ids in tree order (domains, then sub-domains)."""
+        return self._leaf_ids
 
 
 @dataclass(frozen=True)

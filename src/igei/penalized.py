@@ -25,6 +25,9 @@ WEIGHT_SUM_TOLERANCE = 1e-12
 # skipped instead of dividing by a vanishing range.
 RANGE_TOLERANCE = 1e-12
 
+# Allowance for floating-point drift when validating 0-100 score ranges.
+_SCORE_EPS = 1e-9
+
 
 class Polarity(Enum):
     """Direction of a quantity's relationship to well-being."""
@@ -121,6 +124,34 @@ def penalized_mean(seq: SequenceLike, polarity: Polarity = Polarity.POSITIVE) ->
         return m
     penalty = _variance_about(values, weights, m) / (2.0 * ran)
     return m - penalty if polarity is Polarity.POSITIVE else m + penalty
+
+
+def _fold_scores(values: list[float]) -> float:
+    """Positive-polarity penalized mean of 0-100 scores under uniform weights.
+
+    The aggregation kernel for every tree node: bit-identical to
+    ``penalized_mean(values)`` on the values it accepts, with none of the
+    per-call unpacking. ``values`` is a non-empty list of floats.
+    """
+    for v in values:
+        if not -_SCORE_EPS <= v <= 100.0 + _SCORE_EPS:
+            raise AggregationError(f"scores must lie in [0, 100], got {v}")
+    p = 1.0 / len(values)
+    if len(values) == 2:
+        a, b = values
+        ran = abs(a - b)
+        if ran > RANGE_TOLERANCE:
+            # a two-term IEEE sum is already correctly rounded, as fsum's is;
+            # in range and this far apart, neither overflow nor -0.0 can occur
+            m = p * a + p * b
+            return m - (p * (a - m) ** 2 + p * (b - m) ** 2) / (2.0 * ran)
+    ran = max(values) - min(values)
+    if ran == 0.0:
+        return values[0]
+    m = math.fsum([p * x for x in values])
+    if ran <= RANGE_TOLERANCE:
+        return m
+    return m - math.fsum([p * (x - m) ** 2 for x in values]) / (2.0 * ran)
 
 
 def geometric_mean(seq: SequenceLike) -> float:

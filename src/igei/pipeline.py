@@ -11,6 +11,7 @@ scoring is independent, deterministic, and side-effect free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -32,10 +33,7 @@ from igei.model import (
     as_dataset,
     external_source,
 )
-from igei.penalized import Polarity, penalized_mean
-
-# Allowance for floating-point drift when validating 0-100 score ranges.
-_SCORE_EPS = 1e-9
+from igei.penalized import Polarity, _fold_scores
 
 
 @dataclass(frozen=True)
@@ -83,12 +81,24 @@ def _correction_source(
 def _source_levels(
     data: Dataset, territory: str, source_id: str, attr: str, polarity: Polarity
 ) -> list[tuple[int, float]]:
-    """(period, working level) of one territory's correction variable, by period."""
-    return sorted(
-        (rec.period, _working(raw, polarity))
-        for rec in data.series(territory, source_id)
-        if (raw := getattr(rec, attr)) is not None
-    )
+    """(period, working level) of one territory's correction variable, by period.
+
+    Raises :class:`ScoringError` for a negative or non-finite level, which
+    would otherwise make the reference maximum depend on the scope's order.
+    """
+    levels = []
+    for rec in data.series(territory, source_id):
+        raw = getattr(rec, attr)
+        if raw is None:
+            continue
+        if not 0.0 <= raw < math.inf:
+            raise ScoringError(
+                f"{source_id}: {attr} level of territory {territory!r}, period "
+                f"{rec.period} must be a finite non-negative number, got {raw}"
+            )
+        levels.append((rec.period, _working(raw, polarity)))
+    levels.sort()
+    return levels
 
 
 def resolve_references(
@@ -223,10 +233,7 @@ def aggregate_level(values: Iterable[float]) -> float:
     vals = [float(v) for v in values]
     if not vals:
         raise AggregationError("cannot aggregate an empty level")
-    for v in vals:
-        if not -_SCORE_EPS <= v <= 100.0 + _SCORE_EPS:
-            raise AggregationError(f"scores must lie in [0, 100], got {v}")
-    return penalized_mean(vals, Polarity.POSITIVE)
+    return _fold_scores(vals)
 
 
 def aggregate_scores(
@@ -235,27 +242,32 @@ def aggregate_scores(
     territory: str,
     period: int | None = None,
 ) -> TerritoryReport:
-    """Fold a full set of leaf scores up the tree into a territory report."""
-    missing = [leaf for leaf in tree.leaf_ids() if leaf not in scores]
+    """Fold a full set of leaf scores up the tree into a territory report.
+
+    Every sub-domain, domain and the index is the penalized mean of its
+    children, computed by the same kernel as :func:`aggregate_level`.
+    """
+    leaves = tree.leaf_ids()
+    missing = [leaf for leaf in leaves if leaf not in scores]
     if missing:
         raise ScoringError(
             f"partial report for {territory!r}: missing scores for "
             f"{', '.join(missing)}"
         )
+    leaf_scores = {leaf: float(scores[leaf]) for leaf in leaves}
     subdomain_values: dict[tuple[str, str], float] = {}
     domain_values: dict[str, float] = {}
     for dom in tree.domains:
+        children = []
         for sub in dom.subdomains:
-            subdomain_values[(dom.id, sub.id)] = aggregate_level(
-                scores[i] for i in sub.indicators
-            )
-        domain_values[dom.id] = aggregate_level(
-            subdomain_values[(dom.id, sub.id)] for sub in dom.subdomains
-        )
-    index = aggregate_level(domain_values.values())
+            value = _fold_scores([leaf_scores[i] for i in sub.indicators])
+            subdomain_values[(dom.id, sub.id)] = value
+            children.append(value)
+        domain_values[dom.id] = _fold_scores(children)
+    index = _fold_scores(list(domain_values.values()))
     return TerritoryReport(
         territory=territory,
-        indicator_scores={leaf: scores[leaf] for leaf in tree.leaf_ids()},
+        indicator_scores=leaf_scores,
         subdomain_values=subdomain_values,
         domain_values=domain_values,
         index=index,

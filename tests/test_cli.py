@@ -200,6 +200,50 @@ class TestBadInput:
         err = self._score(capsys, tmp_path, spec, self.CAPPED_DATA)
         assert "tree entry 'just-a-string' is not a mapping" in err
 
+    @staticmethod
+    def _fails(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    def test_missing_data_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope.csv")
+        err = self._fails(capsys, "aggregate", "--data", missing)
+        assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+    def test_data_is_a_directory(self, capsys, tmp_path):
+        err = self._fails(capsys, "score", "--data", str(tmp_path))
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    def test_data_not_utf8(self, capsys, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("territory,G1\nSüdtirol,50\n".encode("latin-1"))
+        err = self._fails(capsys, "aggregate", "--data", str(data))
+        assert err.startswith(f"error: {data} is not UTF-8 text: ")
+
+    def test_malformed_yaml_spec(self, capsys, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("tree: [a\nindicators: {}\n", encoding="utf-8")
+        err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
+        assert err.startswith(f"error: {spec}: malformed YAML at line 2, column ")
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        out = str(tmp_path / "missing-dir" / "x.csv")
+        err = self._fails(capsys, "aggregate", "--data", SCORES, "--out", out)
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_duplicate_scope_entry_in_score(self, capsys):
+        err = self._fails(capsys, "score", "--data", DEMO_DATA, "--spec", DEMO_SPEC,
+                          "--scope", "A,B,A")
+        assert err == "error: --scope lists territory 'A' more than once\n"
+
+    def test_duplicate_scope_entry_in_report(self, capsys):
+        # counted twice, Umbria would shift every summary and still exit 0
+        err = self._fails(capsys, "report", "--data", SCORES,
+                          "--scope", "Umbria,Lazio,Umbria,Marche")
+        assert err == "error: --scope lists territory 'Umbria' more than once\n"
+
 
 class TestAggregate:
     def test_reproduces_published_domains(self, capsys):

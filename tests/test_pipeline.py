@@ -1,7 +1,8 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from igei.dataio import load_observations, bundled_path, load_index_spec
@@ -16,7 +17,7 @@ from igei.model import (
     ObservationRecord,
     SubDomain,
 )
-from igei.penalized import Polarity
+from igei.penalized import Polarity, penalized_mean
 from igei.pipeline import (
     ReferenceLevels,
     aggregate_level,
@@ -171,6 +172,32 @@ class TestResolveReferences:
         specs = {"J1": spec_standard("J1")}
         with pytest.raises(ScoringError, match="positive"):
             resolve_references([obs_standard("X", "J1", 0.4, 0.6, 0.0)], specs, ["X"])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.25])
+    def test_bad_level_raises_in_any_scope_order(self, bad):
+        # records built in code skip the loader's checks; a nan level made
+        # the maximum depend on the scope's order
+        specs = {"J1": spec_standard("J1")}
+        records = [
+            obs_standard("X", "J1", 0.4, 0.6, bad),
+            obs_standard("Y", "J1", 0.5, 0.7, 0.6),
+        ]
+        messages = set()
+        for scope in (["X", "Y"], ["Y", "X"]):
+            with pytest.raises(ScoringError) as info:
+                resolve_references(records, specs, scope)
+            messages.add(str(info.value))
+        assert messages == {
+            f"J1: x_a level of territory 'X', period 2023 must be a finite "
+            f"non-negative number, got {bad}"
+        }
+
+    def test_bad_external_level_names_source(self):
+        # J3 borrows J1's total; a bad total of an out-of-scope territory
+        # would become its correction base
+        records = SYNTH_RECORDS + [obs_standard("Z", "J1", 0.4, 0.6, float("nan"))]
+        with pytest.raises(ScoringError, match="J1: x_a level of territory 'Z'"):
+            resolve_references(records, SYNTH_SPECS, ["Y"])
 
     def test_external_bases_cover_out_of_scope_territories(self):
         refs = resolve_references(SYNTH_RECORDS, SYNTH_SPECS, ["Y"])
@@ -427,6 +454,17 @@ class TestAggregateLevel:
         random.Random(0).shuffle(shuffled)
         assert aggregate_level(values) == aggregate_level(shuffled)
 
+    @given(values=st.one_of(
+        st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=6),
+        st.lists(st.integers(0, 100_000).map(lambda k: k / 1000), min_size=1, max_size=6),
+        st.lists(st.sampled_from([0.0, 12.5, 61.8, 100.0]), min_size=1, max_size=6),
+    ))
+    @example(values=[78.077, 73.619])
+    @example(values=[50.0, 50.0 + 5e-13])
+    @example(values=[-5e-324, -0.0])
+    def test_bit_identical_to_penalized_mean(self, values):
+        assert aggregate_level(values).hex() == penalized_mean(values).hex()
+
     @given(values=st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=8))
     def test_matches_brute_force(self, values):
         assert aggregate_level(values) == pytest.approx(
@@ -463,6 +501,30 @@ class TestAggregateScores:
         with pytest.raises(ScoringError, match="missing scores for.*G20"):
             aggregate_scores(tree, {"G1": 50.0}, "X")
 
+    def test_missing_leaves_listed_in_tree_order(self, default_spec):
+        _, tree = default_spec
+        gaps = ("G2", "G17", "G9")
+        scores = {leaf: 50.0 for leaf in tree.leaf_ids() if leaf not in gaps}
+        with pytest.raises(ScoringError) as info:
+            aggregate_scores(tree, scores, "X")
+        assert str(info.value) == "partial report for 'X': missing scores for G2, G9, G17"
+
+    def test_first_out_of_range_leaf_named(self, default_spec):
+        _, tree = default_spec
+        scores = {leaf: 50.0 for leaf in tree.leaf_ids()}
+        scores.update(G3=101.0, G7=-3.0)
+        with pytest.raises(AggregationError) as info:
+            aggregate_scores(tree, scores, "X")
+        assert str(info.value) == "scores must lie in [0, 100], got 101.0"
+
+    def test_nan_leaf_rejected(self, default_spec):
+        _, tree = default_spec
+        scores = {leaf: 50.0 for leaf in tree.leaf_ids()}
+        scores["G12"] = float("nan")
+        with pytest.raises(AggregationError) as info:
+            aggregate_scores(tree, scores, "X")
+        assert str(info.value) == "scores must lie in [0, 100], got nan"
+
     @given(
         scores=st.lists(
             st.floats(min_value=0, max_value=100), min_size=20, max_size=20
@@ -482,6 +544,27 @@ class TestAggregateScores:
         dom_vals = list(rep.domain_values.values())
         assert min(dom_vals) - 1e-9 <= rep.index <= max(dom_vals) + 1e-9
         assert 0.0 <= rep.index <= 100.0
+
+
+class TestIndexTree:
+    def test_leaf_ids_in_tree_order(self, default_spec):
+        _, tree = default_spec
+        expected = tuple(
+            ind for dom in tree.domains for sub in dom.subdomains for ind in sub.indicators
+        )
+        assert tree.leaf_ids() == expected == tuple(f"G{i}" for i in range(1, 21))
+        assert SYNTH_TREE.leaf_ids() == ("J1", "J2", "J3", "J4", "J5")
+        # computed once, at construction
+        assert tree.leaf_ids() is tree.leaf_ids()
+
+    def test_equality_and_hash_see_only_the_domains(self):
+        twin = IndexTree(domains=SYNTH_TREE.domains)
+        assert twin == SYNTH_TREE and hash(twin) == hash(SYNTH_TREE)
+        assert repr(twin) == f"IndexTree(domains={SYNTH_TREE.domains!r})"
+        assert [f.name for f in dataclasses.fields(IndexTree)] == ["domains"]
+        assert twin != IndexTree(domains=SYNTH_TREE.domains[:1])
+        pruned = dataclasses.replace(SYNTH_TREE, domains=SYNTH_TREE.domains[1:])
+        assert pruned.leaf_ids() == ("J4", "J5")
 
 
 class TestScoreTerritory:
