@@ -19,7 +19,6 @@ Lines starting with ``#`` are comments in all delimited formats.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -37,6 +36,7 @@ from igei.model import (
     ObservationRecord,
     SubDomain,
     external_source,
+    level_problem,
 )
 from igei.penalized import Polarity
 
@@ -194,13 +194,7 @@ def _record_shape_problem(rec: ObservationRecord) -> str | None:
             return f"share value {rec.value} is outside [0, 1]"
         if rec.kind is MetricKind.RATIO and rec.value <= 0:
             return f"ratio value {rec.value} must be positive"
-    for name in ("x_w", "x_m", "x_a", "value"):
-        v = getattr(rec, name)
-        if v is not None and not 0.0 <= v < math.inf:
-            if v < 0:
-                return f"{name} must be non-negative, got {v}"
-            return f"{name} must be a finite number, got {v}"
-    return None
+    return level_problem(rec)
 
 
 def save_observations(records: Iterable[ObservationRecord], path) -> None:
@@ -299,8 +293,15 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             raise _not_utf8(source, exc) from None
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
-            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            problem = getattr(exc, "problem", None) or exc
+            if mark is not None:
+                where = f" at line {mark.line + 1}, column {mark.column + 1}"
+            elif isinstance(exc, yaml.reader.ReaderError):
+                # a control character: the reader knows only its position
+                where = f" at position {exc.position}"
+            else:
+                where = ""
+            # PyYAML's own text repeats the location on further lines
+            problem = getattr(exc, "problem", None) or str(exc).split("\n", 1)[0]
             raise SpecError(f"{source}: malformed YAML{where}: {problem}") from None
     if not isinstance(raw, dict):
         raise SpecError("index spec must be a mapping")

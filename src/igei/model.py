@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -164,6 +165,23 @@ class ObservationRecord:
     x_m: float | None = None
     x_a: float | None = None
     value: float | None = None
+
+
+# Observation fields holding a measured level: each must be finite and >= 0.
+LEVEL_FIELDS = ("x_w", "x_m", "x_a", "value")
+
+
+def level_problem(
+    rec: ObservationRecord, fields: Sequence[str] = LEVEL_FIELDS
+) -> str | None:
+    """Why a level among ``fields`` of ``rec`` is negative or not finite, or None."""
+    for name in fields:
+        v = getattr(rec, name)
+        if v is not None and not 0.0 <= v < math.inf:
+            if v < 0:
+                return f"{name} must be non-negative, got {v}"
+            return f"{name} must be a finite number, got {v}"
+    return None
 
 
 class Dataset:

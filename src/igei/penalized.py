@@ -137,14 +137,6 @@ def _fold_scores(values: list[float]) -> float:
         if not -_SCORE_EPS <= v <= 100.0 + _SCORE_EPS:
             raise AggregationError(f"scores must lie in [0, 100], got {v}")
     p = 1.0 / len(values)
-    if len(values) == 2:
-        a, b = values
-        ran = abs(a - b)
-        if ran > RANGE_TOLERANCE:
-            # a two-term IEEE sum is already correctly rounded, as fsum's is;
-            # in range and this far apart, neither overflow nor -0.0 can occur
-            m = p * a + p * b
-            return m - (p * (a - m) ** 2 + p * (b - m) ** 2) / (2.0 * ran)
     ran = max(values) - min(values)
     if ran == 0.0:
         return values[0]

@@ -11,7 +11,6 @@ scoring is independent, deterministic, and side-effect free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -32,6 +31,7 @@ from igei.model import (
     ObservationRecord,
     as_dataset,
     external_source,
+    level_problem,
 )
 from igei.penalized import Polarity, _fold_scores
 
@@ -88,15 +88,14 @@ def _source_levels(
     """
     levels = []
     for rec in data.series(territory, source_id):
-        raw = getattr(rec, attr)
-        if raw is None:
-            continue
-        if not 0.0 <= raw < math.inf:
+        problem = level_problem(rec, (attr,))
+        if problem:
             raise ScoringError(
-                f"{source_id}: {attr} level of territory {territory!r}, period "
-                f"{rec.period} must be a finite non-negative number, got {raw}"
+                f"{source_id}: territory {territory!r}, period {rec.period}: {problem}"
             )
-        levels.append((rec.period, _working(raw, polarity)))
+        raw = getattr(rec, attr)
+        if raw is not None:
+            levels.append((rec.period, _working(raw, polarity)))
     levels.sort()
     return levels
 

@@ -228,6 +228,16 @@ class TestBadInput:
         err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
         assert err.startswith(f"error: {spec}: malformed YAML at line 2, column ")
 
+    def test_control_character_in_yaml_spec(self, capsys, tmp_path):
+        # valid UTF-8, so PyYAML's reader rejects it, without a line mark
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("tree: []\x00\nindicators: {}\n", encoding="utf-8")
+        err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
+        assert err == (
+            f"error: {spec}: malformed YAML at position 8: unacceptable "
+            "character #x0000: special characters are not allowed\n"
+        )
+
     def test_unwritable_out(self, capsys, tmp_path):
         out = str(tmp_path / "missing-dir" / "x.csv")
         err = self._fails(capsys, "aggregate", "--data", SCORES, "--out", out)

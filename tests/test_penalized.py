@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from igei.dataio import load_penalized_reference
@@ -268,40 +268,9 @@ class TestHelpers:
         assert weighted_variance([1] * 9 + [91]) == pytest.approx(729.0, abs=1e-9)
 
 
-# scores as the loaders read them: any float in range, 3-decimal values,
-# and the range's ends and midpoint
-scores = st.one_of(
-    st.floats(min_value=0, max_value=100),
-    st.integers(min_value=0, max_value=100_000).map(lambda k: k / 1000),
-    st.sampled_from([0.0, 50.0, 100.0]),
-)
-score_lists = st.one_of(
-    st.lists(scores, min_size=1, max_size=6),
-    st.lists(scores, min_size=2, max_size=2),
-    # ties: few distinct values, so repeats and constant lists are common
-    st.lists(scores, min_size=1, max_size=3).flatmap(
-        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
-    ),
-)
-
-
 class TestFoldScores:
-    """The tree-aggregation kernel is ``penalized_mean`` to the bit."""
-
-    @given(values=score_lists)
-    # two children: the single-addition path, both orders, and its edges
-    @example(values=[73.619, 78.077])
-    @example(values=[78.077, 73.619])
-    @example(values=[0.0, 100.0])
-    @example(values=[100.0, 0.0])
-    @example(values=[33.333, 33.334])
-    @example(values=[50.0, 50.0 + 2e-12])  # just above the range tolerance
-    @example(values=[50.0, 50.0 + 5e-13])  # at or below it: the general path
-    @example(values=[-5e-324, -0.0])  # in range; the + of two -0.0 terms is -0.0
-    @example(values=[-1e-9, 1e-9])
-    @example(values=[61.8, 61.8])
-    def test_bit_identical_to_penalized_mean(self, values):
-        assert _fold_scores(values).hex() == penalized_mean(values).hex()
+    """The range check of the tree-aggregation kernel; its bit-identity with
+    ``penalized_mean`` is tested through ``aggregate_level``."""
 
     def test_names_first_value_out_of_range(self):
         with pytest.raises(AggregationError, match=r"got 101\.0$"):

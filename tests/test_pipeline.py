@@ -187,16 +187,14 @@ class TestResolveReferences:
             with pytest.raises(ScoringError) as info:
                 resolve_references(records, specs, scope)
             messages.add(str(info.value))
-        assert messages == {
-            f"J1: x_a level of territory 'X', period 2023 must be a finite "
-            f"non-negative number, got {bad}"
-        }
+        problem = "must be non-negative" if bad < 0 else "must be a finite number"
+        assert messages == {f"J1: territory 'X', period 2023: x_a {problem}, got {bad}"}
 
     def test_bad_external_level_names_source(self):
         # J3 borrows J1's total; a bad total of an out-of-scope territory
         # would become its correction base
         records = SYNTH_RECORDS + [obs_standard("Z", "J1", 0.4, 0.6, float("nan"))]
-        with pytest.raises(ScoringError, match="J1: x_a level of territory 'Z'"):
+        with pytest.raises(ScoringError, match="J1: territory 'Z', period 2023: x_a"):
             resolve_references(records, SYNTH_SPECS, ["Y"])
 
     def test_external_bases_cover_out_of_scope_territories(self):
@@ -403,6 +401,23 @@ class TestComputeIndicator:
         assert score("Y", "J5") == pytest.approx(30.0, rel=1e-12)
 
 
+# scores as the loaders read them: any float in range, 3-decimal values,
+# and the range's ends and midpoint
+SCORES = st.one_of(
+    st.floats(min_value=0, max_value=100),
+    st.integers(min_value=0, max_value=100_000).map(lambda k: k / 1000),
+    st.sampled_from([0.0, 50.0, 100.0]),
+)
+SCORE_LISTS = st.one_of(
+    st.lists(SCORES, min_size=1, max_size=6),
+    st.lists(SCORES, min_size=2, max_size=2),
+    # ties: few distinct values, so repeats and constant lists are common
+    st.lists(SCORES, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+    ),
+)
+
+
 class TestAggregateLevel:
     def test_two_indicator_domain_published(self, indicator_table):
         row = indicator_table.row("Provincia Autonoma di Trento")
@@ -454,14 +469,14 @@ class TestAggregateLevel:
         random.Random(0).shuffle(shuffled)
         assert aggregate_level(values) == aggregate_level(shuffled)
 
-    @given(values=st.one_of(
-        st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=6),
-        st.lists(st.integers(0, 100_000).map(lambda k: k / 1000), min_size=1, max_size=6),
-        st.lists(st.sampled_from([0.0, 12.5, 61.8, 100.0]), min_size=1, max_size=6),
-    ))
+    @given(values=SCORE_LISTS)
+    # two children, as ten of the bundled tree's seventeen nodes have
+    @example(values=[73.619, 78.077])
     @example(values=[78.077, 73.619])
-    @example(values=[50.0, 50.0 + 5e-13])
-    @example(values=[-5e-324, -0.0])
+    @example(values=[0.0, 100.0])
+    @example(values=[33.333, 33.334])
+    @example(values=[61.8, 61.8])
+    @example(values=[50.0, 50.0 + 5e-13])  # inside the range tolerance
     def test_bit_identical_to_penalized_mean(self, values):
         assert aggregate_level(values).hex() == penalized_mean(values).hex()
 
