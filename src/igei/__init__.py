@@ -19,7 +19,6 @@ from igei.errors import (
     StatisticsError,
 )
 from igei.metrics import (
-    GenderPair,
     MetricKind,
     correction_coefficient,
     gap_metric,
@@ -78,7 +77,6 @@ __all__ = [
     "DegenerateInputError",
     "DescriptiveSummary",
     "Domain",
-    "GenderPair",
     "IgeiError",
     "InconsistentReferenceError",
     "IndexTree",

@@ -22,7 +22,6 @@ from pathlib import Path
 from igei import dataio, metrics, pipeline, stats
 from igei.dataio import AGGREGATE_TERRITORIES
 from igei.errors import IgeiError
-from igei.model import Dataset
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -154,10 +153,10 @@ def _parse_scope(arg: str | None) -> list[str] | None:
 
 def cmd_score(args: argparse.Namespace) -> int:
     specs, tree = dataio.load_index_spec(args.spec)
-    records = dataio.load_observations(args.data, decimal_comma=args.decimal_comma)
-    dataset = Dataset(records)
-    scope = _parse_scope(args.scope) or list(dataset.territories)
-    validation = dataio.validate_dataset(records, specs, scope=scope)
+    dataset = dataio.load_dataset(args.data, decimal_comma=args.decimal_comma)
+    # sorted, so that the JSON scope listing does not depend on row order
+    scope = _parse_scope(args.scope) or sorted(dataset.territories)
+    validation = dataio.validate_dataset(dataset, specs, scope=scope)
     if not validation.ok:
         text = (
             _findings_json(validation)
@@ -323,13 +322,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _check_demo_scores() -> tuple[str, str]:
     specs, tree = dataio.load_index_spec(dataio.bundled_path("demo_tree.yaml"))
-    records = dataio.load_observations(dataio.bundled_path("demo_countries.csv"))
-    dataset = Dataset(records)
+    dataset = dataio.load_dataset(dataio.bundled_path("demo_countries.csv"))
     expected = dataio.load_demo_expected()
     refs = pipeline.resolve_references(dataset, specs, dataset.territories)
-    x_ref = max(rec.x_a for rec in records)
+    x_ref = max(rec.x_a for rec in dataset)
     max_delta = 0.0
-    for rec in records:
+    for rec in dataset:
         exp_gei, exp_std = expected[rec.territory]
         got_std = pipeline.score_territory(
             rec.territory, dataset, specs, tree, refs
@@ -526,12 +524,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     specs, tree = dataio.load_index_spec(dataio.bundled_path("demo_tree.yaml"))
-    records = dataio.load_observations(dataio.bundled_path("demo_countries.csv"))
-    dataset = Dataset(records)
+    dataset = dataio.load_dataset(dataio.bundled_path("demo_countries.csv"))
     refs = pipeline.resolve_references(dataset, specs, dataset.territories)
-    x_ref = max(rec.x_a for rec in records)
+    x_ref = max(rec.x_a for rec in dataset)
     rows = []
-    for rec in records:
+    for rec in dataset:
         standard = pipeline.compute_indicator(specs["G1"], rec, refs)
         classic = metrics.score_gei(rec.x_w, rec.x_a, x_ref)
         rows.append([rec.territory, f"{rec.x_w:g}", f"{rec.x_m:g}", f"{rec.x_a:g}",

@@ -25,7 +25,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
-from igei.errors import DataError, SpecError
+from igei.errors import DataError, RecordError, SpecError
 from igei.metrics import MetricKind
 from igei.model import (
     Correction,
@@ -36,7 +36,7 @@ from igei.model import (
     ObservationRecord,
     SubDomain,
     external_source,
-    level_problem,
+    record_problem,
 )
 from igei.penalized import Polarity
 
@@ -111,90 +111,68 @@ def _parse_number(
 # --- observations ----------------------------------------------------------
 
 
-def load_observations(source, decimal_comma: bool = False) -> list[ObservationRecord]:
-    """Read an observation file, preserving input order.
+def load_dataset(source, decimal_comma: bool = False) -> Dataset:
+    """Read an observation file into a :class:`Dataset`, preserving input order.
 
     Raises :class:`DataError` naming the offending row for malformed
-    cells, shape violations, out-of-bound values, and duplicate
-    (territory, indicator, period) keys.
+    cells and for every record :class:`Dataset` refuses: shape
+    violations, out-of-bound values, and duplicate (territory,
+    indicator, period) keys.
     """
-    records: list[ObservationRecord] = []
-    seen: set[tuple[str, str, int]] = set()
-    header_checked = False
-    for lineno, row in _rows(source, decimal_comma):
-        if not header_checked:
-            if tuple(row) != OBSERVATION_HEADER:
-                raise DataError(
-                    f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
-                    f"got {','.join(row)}"
-                )
-            header_checked = True
-            continue
-        if len(row) != len(OBSERVATION_HEADER):
+    lineno = 0
+
+    def records() -> Iterator[ObservationRecord]:
+        nonlocal lineno
+        rows = _rows(source, decimal_comma)
+        first = next(rows, None)
+        if first is None:
+            raise DataError("observation file is empty")
+        lineno, header = first
+        if tuple(header) != OBSERVATION_HEADER:
             raise DataError(
-                f"row {lineno}: expected {len(OBSERVATION_HEADER)} cells, got {len(row)}"
+                f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
+                f"got {','.join(header)}"
             )
-        territory, indicator, period_text, kind_text = row[:4]
-        if not territory or not indicator:
-            raise DataError(f"row {lineno}: territory and indicator must be non-empty")
-        try:
-            period = int(period_text)
-        except ValueError:
-            raise DataError(f"row {lineno}: period is not an integer: {period_text!r}")
-        try:
-            kind = MetricKind(kind_text)
-        except ValueError:
-            raise DataError(
-                f"row {lineno}: unknown metric kind {kind_text!r} (expected one of "
-                f"{', '.join(k.value for k in MetricKind)})"
-            )
-        x_w, x_m, x_a, value = (
-            _parse_number(cell, decimal_comma, lineno, col)
-            for cell, col in zip(row[4:], OBSERVATION_HEADER[4:])
-        )
-        record = ObservationRecord(
-            territory=territory,
-            indicator=indicator,
-            period=period,
-            kind=kind,
-            x_w=x_w,
-            x_m=x_m,
-            x_a=x_a,
-            value=value,
-        )
-        problem = _record_shape_problem(record)
-        if problem:
-            raise DataError(f"row {lineno}: {problem}")
-        key = (territory, indicator, period)
-        if key in seen:
-            raise DataError(
-                f"row {lineno}: duplicate observation for territory {territory!r}, "
-                f"indicator {indicator!r}, period {period}"
-            )
-        seen.add(key)
-        records.append(record)
-    if not header_checked:
-        raise DataError("observation file is empty")
-    return records
+        for lineno, row in rows:
+            yield _parse_observation(lineno, row, decimal_comma)
+
+    try:
+        return Dataset(records())
+    except RecordError as exc:
+        raise DataError(f"row {lineno}: {exc.problem}") from None
 
 
-def _record_shape_problem(rec: ObservationRecord) -> str | None:
-    """Kind-local shape and bound violations, or None if the record is clean."""
-    if rec.kind is MetricKind.STANDARD:
-        if rec.value is not None:
-            return "standard observations take no single value"
-        if rec.x_w is None or rec.x_m is None:
-            return "standard observations need both x_w and x_m"
-    else:
-        if rec.x_w is not None or rec.x_m is not None or rec.x_a is not None:
-            return f"{rec.kind.value} observations take only the value column"
-        if rec.value is None:
-            return f"{rec.kind.value} observations need a value"
-        if rec.kind is MetricKind.SHARE and not 0.0 <= rec.value <= 1.0:
-            return f"share value {rec.value} is outside [0, 1]"
-        if rec.kind is MetricKind.RATIO and rec.value <= 0:
-            return f"ratio value {rec.value} must be positive"
-    return level_problem(rec)
+def load_observations(source, decimal_comma: bool = False) -> list[ObservationRecord]:
+    """The records of :func:`load_dataset`, as a list in input order."""
+    return list(load_dataset(source, decimal_comma))
+
+
+def _parse_observation(
+    lineno: int, row: list[str], decimal_comma: bool
+) -> ObservationRecord:
+    if len(row) != len(OBSERVATION_HEADER):
+        raise DataError(
+            f"row {lineno}: expected {len(OBSERVATION_HEADER)} cells, got {len(row)}"
+        )
+    territory, indicator, period_text, kind_text = row[:4]
+    if not territory or not indicator:
+        raise DataError(f"row {lineno}: territory and indicator must be non-empty")
+    try:
+        period = int(period_text)
+    except ValueError:
+        raise DataError(f"row {lineno}: period is not an integer: {period_text!r}")
+    try:
+        kind = MetricKind(kind_text)
+    except ValueError:
+        raise DataError(
+            f"row {lineno}: unknown metric kind {kind_text!r} (expected one of "
+            f"{', '.join(k.value for k in MetricKind)})"
+        )
+    x_w, x_m, x_a, value = (
+        _parse_number(cell, decimal_comma, lineno, col)
+        for cell, col in zip(row[4:], OBSERVATION_HEADER[4:])
+    )
+    return ObservationRecord(territory, indicator, period, kind, x_w, x_m, x_a, value)
 
 
 def save_observations(records: Iterable[ObservationRecord], path) -> None:
@@ -277,6 +255,30 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
 # --- index spec ------------------------------------------------------------
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """Safe loader that refuses a repeated mapping key; PyYAML keeps the last one."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # ``<<`` keys may repeat; the base class merges them
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in keys
+            except TypeError:  # unhashable: the base class reports it
+                continue
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping",
+                    node.start_mark,
+                    f"found duplicate key {key!r}",
+                    key_node.start_mark,
+                )
+            keys.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
     """Parse an index spec file; ``None`` loads the bundled default.
 
@@ -288,7 +290,7 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
         source = bundled_path(DEFAULT_SPEC_RESOURCE)
     with _open_text(source) as handle:
         try:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_UniqueKeyLoader)
         except UnicodeDecodeError as exc:
             raise _not_utf8(source, exc) from None
         except yaml.YAMLError as exc:
@@ -468,8 +470,10 @@ def validate_dataset(
     Findings cover missing (territory, indicator) pairs over the scope,
     metric-kind mismatches, payload shape problems, out-of-range values,
     degenerate gendered pairs, and duplicates. The finding set is
-    deterministic and independent of record order.
+    deterministic and independent of record order. A :class:`Dataset`
+    has no duplicates or record problems, so those checks are skipped.
     """
+    trusted = isinstance(records, Dataset)
     records = list(records)
     findings: set[Finding] = set()
     seen: set[tuple[str, str, int]] = set()
@@ -491,10 +495,11 @@ def validate_dataset(
         )
 
     for rec in records:
-        key = (rec.territory, rec.indicator, rec.period)
-        if key in seen:
-            add("error", "duplicate", rec, f"duplicate observation for period {rec.period}")
-        seen.add(key)
+        if not trusted:
+            key = (rec.territory, rec.indicator, rec.period)
+            if key in seen:
+                add("error", "duplicate", rec, f"duplicate observation for period {rec.period}")
+            seen.add(key)
         covered.add((rec.territory, rec.indicator))
 
         spec = specs.get(rec.indicator)
@@ -509,7 +514,7 @@ def validate_dataset(
                 f"expected a {spec.metric.value} observation, got {rec.kind.value}",
             )
             continue
-        problem = _record_shape_problem(rec)
+        problem = None if trusted else record_problem(rec)
         if problem:
             add("error", "out-of-range", rec, problem)
             continue
@@ -554,6 +559,19 @@ def validate_dataset(
 # --- bundled reference fixtures --------------------------------------------
 
 
+def _fixture_rows(
+    source, default: str
+) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Header and remaining (line number, cells) of ``source``, or of a bundled file."""
+    if source is None:
+        source = bundled_path(default)
+    rows = _rows(source, decimal_comma=False)
+    first = next(rows, None)
+    if first is None:
+        raise DataError(f"reference fixture {source} is empty")
+    return first[1], rows
+
+
 def load_reference_table(source=None) -> dict[str, dict[str, float]]:
     """Published numeric rows keyed by their first cell, then by column name.
 
@@ -561,14 +579,9 @@ def load_reference_table(source=None) -> dict[str, dict[str, float]]:
     territory; the summary fixtures hold one descriptive-statistics row
     per column.
     """
-    if source is None:
-        source = bundled_path("regional_index_2023.csv")
-    header: list[str] | None = None
+    header, rows = _fixture_rows(source, "regional_index_2023.csv")
     out: dict[str, dict[str, float]] = {}
-    for lineno, row in _rows(source, decimal_comma=False):
-        if header is None:
-            header = row
-            continue
+    for lineno, row in rows:
         out[row[0]] = {
             col: _parse_number(cell, False, lineno, col) or 0.0
             for col, cell in zip(header[1:], row[1:])
@@ -578,14 +591,9 @@ def load_reference_table(source=None) -> dict[str, dict[str, float]]:
 
 def load_correlation_reference(source=None) -> dict[tuple[str, str], float]:
     """Published correlation cells keyed by (row indicator, column indicator)."""
-    if source is None:
-        source = bundled_path("indicator_correlation_2023.csv")
-    header: list[str] | None = None
+    header, rows = _fixture_rows(source, "indicator_correlation_2023.csv")
     out: dict[tuple[str, str], float] = {}
-    for lineno, row in _rows(source, decimal_comma=False):
-        if header is None:
-            header = row
-            continue
+    for lineno, row in rows:
         for col, cell in zip(header[1:], row[1:]):
             if cell:
                 value = _parse_number(cell, False, lineno, col)
@@ -605,14 +613,9 @@ class PenalizedCase:
 
 
 def load_penalized_reference(source=None) -> list[PenalizedCase]:
-    if source is None:
-        source = bundled_path("penalized_mean_reference.csv")
-    header_seen = False
+    _, rows = _fixture_rows(source, "penalized_mean_reference.csv")
     cases: list[PenalizedCase] = []
-    for lineno, row in _rows(source, decimal_comma=False):
-        if not header_seen:
-            header_seen = True
-            continue
+    for _, row in rows:
         seq, mean, penalized, geometric = row
         cases.append(
             PenalizedCase(
@@ -627,13 +630,5 @@ def load_penalized_reference(source=None) -> list[PenalizedCase]:
 
 def load_demo_expected(source=None) -> dict[str, tuple[float, float]]:
     """Published (classic-variant, standard) score pairs for the demo countries."""
-    if source is None:
-        source = bundled_path("demo_countries_expected.csv")
-    header_seen = False
-    out: dict[str, tuple[float, float]] = {}
-    for lineno, row in _rows(source, decimal_comma=False):
-        if not header_seen:
-            header_seen = True
-            continue
-        out[row[0]] = (float(row[1]), float(row[2]))
-    return out
+    _, rows = _fixture_rows(source, "demo_countries_expected.csv")
+    return {row[0]: (float(row[1]), float(row[2])) for _, row in rows}

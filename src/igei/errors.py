@@ -39,3 +39,11 @@ class DataError(IgeiError):
 
 class ScoringError(IgeiError):
     """The pipeline cannot produce a complete, well-defined score."""
+
+
+class RecordError(DataError):
+    """A record refused by :class:`igei.model.Dataset`; ``problem`` omits its key."""
+
+    def __init__(self, message: str, problem: str):
+        super().__init__(message)
+        self.problem = problem

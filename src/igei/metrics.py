@@ -15,7 +15,6 @@ to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from igei.errors import (
@@ -33,23 +32,6 @@ class MetricKind(str, Enum):
     SHARE = "share"        # single share in [0, 1]; the male share is its complement
     RATIO = "ratio"        # single positive ratio of two female rates
     CAPPED = "capped"      # single non-negative coverage ratio, capped at 1
-
-
-@dataclass(frozen=True)
-class GenderPair:
-    """One gendered measurement: women's and men's levels, optional total level."""
-
-    x_w: float
-    x_m: float
-    x_a: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.x_w < 0 or self.x_m < 0:
-            raise MetricInputError(
-                f"gendered levels must be non-negative, got ({self.x_w}, {self.x_m})"
-            )
-        if self.x_a is not None and self.x_a < 0:
-            raise MetricInputError(f"total level must be non-negative, got {self.x_a}")
 
 
 def gap_metric(x_w: float, x_m: float) -> float:

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from igei.errors import DataError, SpecError
+from igei.errors import DataError, RecordError, SpecError
 from igei.metrics import MetricKind
 from igei.penalized import Polarity
 
@@ -151,10 +151,11 @@ class IndexTree:
 class ObservationRecord:
     """One raw measurement for a territory and indicator.
 
-    A plain carrier: payload shape and value ranges are checked by the
-    loader and by :func:`igei.dataio.validate_dataset`, not on
-    construction, so that invalid rows can be collected and reported
-    instead of failing one at a time.
+    A plain carrier: constructing one checks nothing, so that
+    :func:`igei.dataio.validate_dataset` can collect and report every
+    invalid record of a collection. :class:`Dataset` is where a record is
+    trusted: it refuses any record for which :func:`record_problem`
+    finds a problem, and any repeated (territory, indicator, period) key.
     """
 
     territory: str
@@ -167,15 +168,26 @@ class ObservationRecord:
     value: float | None = None
 
 
-# Observation fields holding a measured level: each must be finite and >= 0.
-LEVEL_FIELDS = ("x_w", "x_m", "x_a", "value")
+def record_problem(rec: ObservationRecord) -> str | None:
+    """Why ``rec``'s shape is wrong for its kind or a level is not finite and >= 0.
 
-
-def level_problem(
-    rec: ObservationRecord, fields: Sequence[str] = LEVEL_FIELDS
-) -> str | None:
-    """Why a level among ``fields`` of ``rec`` is negative or not finite, or None."""
-    for name in fields:
+    Returns None for a clean record.
+    """
+    if rec.kind is MetricKind.STANDARD:
+        if rec.value is not None:
+            return "standard observations take no single value"
+        if rec.x_w is None or rec.x_m is None:
+            return "standard observations need both x_w and x_m"
+    else:
+        if rec.x_w is not None or rec.x_m is not None or rec.x_a is not None:
+            return f"{rec.kind.value} observations take only the value column"
+        if rec.value is None:
+            return f"{rec.kind.value} observations need a value"
+        if rec.kind is MetricKind.SHARE and not 0.0 <= rec.value <= 1.0:
+            return f"share value {rec.value} is outside [0, 1]"
+        if rec.kind is MetricKind.RATIO and rec.value <= 0:
+            return f"ratio value {rec.value} must be positive"
+    for name in ("x_w", "x_m", "x_a", "value"):
         v = getattr(rec, name)
         if v is not None and not 0.0 <= v < math.inf:
             if v < 0:
@@ -185,27 +197,38 @@ def level_problem(
 
 
 class Dataset:
-    """Immutable lookup over observation records keyed by territory/indicator/period."""
+    """Immutable lookup over observation records keyed by territory/indicator/period.
+
+    Construction is where a record is trusted: it raises :class:`RecordError`
+    for a repeated key or a record :func:`record_problem` refuses.
+    """
 
     def __init__(self, records: Iterable[ObservationRecord]):
-        self._records = tuple(records)
         self._by_key: dict[tuple[str, str, int], ObservationRecord] = {}
         by_pair: dict[tuple[str, str], list[ObservationRecord]] = {}
         territories: dict[str, None] = {}
         indicators: dict[str, None] = {}
         periods: set[int] = set()
-        for rec in self._records:
+        for rec in records:
             key = (rec.territory, rec.indicator, rec.period)
+            if problem := record_problem(rec):
+                raise RecordError(
+                    f"territory {rec.territory!r}, indicator {rec.indicator!r}, "
+                    f"period {rec.period}: {problem}",
+                    problem,
+                )
             if key in self._by_key:
-                raise DataError(
+                duplicate = (
                     f"duplicate observation for territory {rec.territory!r}, "
                     f"indicator {rec.indicator!r}, period {rec.period}"
                 )
+                raise RecordError(duplicate, duplicate)
             self._by_key[key] = rec
             by_pair.setdefault((rec.territory, rec.indicator), []).append(rec)
             territories.setdefault(rec.territory)
             indicators.setdefault(rec.indicator)
             periods.add(rec.period)
+        self._records = tuple(self._by_key.values())
         self._by_pair = by_pair
         self.territories: tuple[str, ...] = tuple(territories)
         self.indicators: tuple[str, ...] = tuple(indicators)

@@ -31,7 +31,6 @@ from igei.model import (
     ObservationRecord,
     as_dataset,
     external_source,
-    level_problem,
 )
 from igei.penalized import Polarity, _fold_scores
 
@@ -81,18 +80,9 @@ def _correction_source(
 def _source_levels(
     data: Dataset, territory: str, source_id: str, attr: str, polarity: Polarity
 ) -> list[tuple[int, float]]:
-    """(period, working level) of one territory's correction variable, by period.
-
-    Raises :class:`ScoringError` for a negative or non-finite level, which
-    would otherwise make the reference maximum depend on the scope's order.
-    """
+    """(period, working level) of one territory's correction variable, by period."""
     levels = []
     for rec in data.series(territory, source_id):
-        problem = level_problem(rec, (attr,))
-        if problem:
-            raise ScoringError(
-                f"{source_id}: territory {territory!r}, period {rec.period}: {problem}"
-            )
         raw = getattr(rec, attr)
         if raw is not None:
             levels.append((rec.period, _working(raw, polarity)))

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import igei
+from igei import dataio, model
 from igei.cli import main
-from igei.dataio import bundled_path
+from igei.dataio import bundled_path, load_observations
 
 DEMO_DATA = str(bundled_path("demo_countries.csv"))
 DEMO_SPEC = str(bundled_path("demo_tree.yaml"))
@@ -74,6 +75,21 @@ class TestScore:
         lines = out.splitlines()
         assert lines[0] == "territory,G1,work,index"
         assert lines[1] == "E,88.889,88.89,88.89"
+
+    def test_each_record_checked_once(self, capsys, monkeypatch):
+        records = load_observations(DEMO_DATA)
+        checked = []
+        record_problem = model.record_problem
+
+        def counted(rec):
+            checked.append(rec)
+            return record_problem(rec)
+
+        monkeypatch.setattr(dataio, "record_problem", counted)
+        monkeypatch.setattr(model, "record_problem", counted)
+        code, _, _ = run(capsys, "score", "--data", DEMO_DATA, "--spec", DEMO_SPEC)
+        assert code == 0
+        assert checked == records
 
     def test_validation_failure_lists_findings(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -227,6 +243,14 @@ class TestBadInput:
         spec.write_text("tree: [a\nindicators: {}\n", encoding="utf-8")
         err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
         assert err.startswith(f"error: {spec}: malformed YAML at line 2, column ")
+
+    def test_duplicate_yaml_key_in_spec(self, capsys, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(self.CAPPED_SPEC + "  C: {metric: share}\n", encoding="utf-8")
+        err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
+        assert err == (
+            f"error: {spec}: malformed YAML at line 6, column 3: found duplicate key 'C'\n"
+        )
 
     def test_control_character_in_yaml_spec(self, capsys, tmp_path):
         # valid UTF-8, so PyYAML's reader rejects it, without a line mark

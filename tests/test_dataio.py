@@ -5,16 +5,19 @@ import pytest
 
 from igei import dataio
 from igei.dataio import (
+    load_correlation_reference,
     load_demo_expected,
     load_index_spec,
     load_observations,
+    load_penalized_reference,
+    load_reference_table,
     load_score_table,
     save_observations,
     validate_dataset,
 )
 from igei.errors import DataError, SpecError
 from igei.metrics import MetricKind, score_standard
-from igei.model import ObservationRecord
+from igei.model import Dataset, ObservationRecord
 from igei.penalized import Polarity
 
 GOOD_FILE = """territory,indicator,period,kind,x_w,x_m,x_a,value
@@ -235,6 +238,35 @@ indicators:
             load_index_spec(write(tmp_path, text, name="spec.yaml"))
 
 
+    @pytest.mark.parametrize(
+        "entries, problem",
+        [
+            ("  C: {metric: capped}\n  C: {metric: share}\n",
+             "line 6, column 3: found duplicate key 'C'"),
+            ("  C: {metric: capped}\n  ? [C]\n  : {metric: share}\n",
+             "line 6, column 5: found unhashable key"),
+        ],
+    )
+    def test_repeated_or_unhashable_key(self, tmp_path, entries, problem):
+        text = "tree:\n  - domain: d\n    indicators: [C]\nindicators:\n" + entries
+        path = write(tmp_path, text, name="spec.yaml")
+        with pytest.raises(SpecError) as info:
+            load_index_spec(path)
+        assert str(info.value) == f"{path}: malformed YAML at {problem}"
+
+    def test_merge_keys_still_load(self, tmp_path):
+        text = """
+base: &base {metric: capped, label: Base}
+tree:
+  - domain: d
+    indicators: [C]
+indicators:
+  C: {<<: *base, label: Own}
+"""
+        specs, _ = load_index_spec(write(tmp_path, text, name="spec.yaml"))
+        assert (specs["C"].metric, specs["C"].label) == (MetricKind.CAPPED, "Own")
+
+
 class TestMalformedSpecShapes:
     @pytest.mark.parametrize(
         "tree, message",
@@ -366,6 +398,17 @@ class TestValidateDataset:
         report = validate_dataset(records + [records[0]], specs)
         assert any(f.code == "duplicate" for f in report.errors)
 
+    def test_dataset_gives_the_same_findings(self, demo):
+        # a Dataset skips the record checks it already passed
+        specs, records = demo
+        records = records + [
+            ObservationRecord("F", "G1", 2023, MetricKind.STANDARD, 0.0, 0.0, 0.1),
+            ObservationRecord("G", "G1", 2023, MetricKind.SHARE, value=0.5),
+        ]
+        report = validate_dataset(Dataset(records), specs)
+        assert {f.code for f in report.errors} == {"degenerate", "shape-mismatch"}
+        assert report == validate_dataset(records, specs)
+
     def test_findings_are_order_independent(self, demo):
         specs, records = demo
         bad = records + [
@@ -405,3 +448,15 @@ class TestScoreTable:
         text = "territory,G1\nX,50\nX,60\n"
         with pytest.raises(DataError, match="duplicate territory"):
             load_score_table(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "loader",
+    [load_reference_table, load_correlation_reference, load_penalized_reference,
+     load_demo_expected],
+)
+def test_empty_fixture_rejected(tmp_path, loader):
+    path = write(tmp_path, "# header missing\n", name="fixture.csv")
+    with pytest.raises(DataError) as info:
+        loader(path)
+    assert str(info.value) == f"reference fixture {path} is empty"

@@ -9,7 +9,6 @@ from igei.errors import (
     OutOfModelError,
 )
 from igei.metrics import (
-    GenderPair,
     correction_coefficient,
     gap_metric,
     gei_correction_coefficient,
@@ -284,18 +283,3 @@ class TestScoreCapped:
     @given(x=levels)
     def test_bounded(self, x):
         assert 0.0 <= score_capped(x) <= 100.0
-
-
-class TestGenderPair:
-    def test_holds_levels(self):
-        pair = GenderPair(0.1, 0.3, 0.2)
-        assert (pair.x_w, pair.x_m, pair.x_a) == (0.1, 0.3, 0.2)
-
-    def test_total_optional(self):
-        assert GenderPair(0.1, 0.3).x_a is None
-
-    def test_rejects_negative(self):
-        with pytest.raises(MetricInputError):
-            GenderPair(-0.1, 0.3)
-        with pytest.raises(MetricInputError):
-            GenderPair(0.1, 0.3, -0.2)

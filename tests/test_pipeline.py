@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from igei.dataio import load_observations, bundled_path, load_index_spec
-from igei.errors import AggregationError, ScoringError, SpecError
+from igei.errors import AggregationError, DataError, ScoringError, SpecError
 from igei.metrics import MetricKind
 from igei.model import (
     Correction,
@@ -184,18 +184,23 @@ class TestResolveReferences:
         ]
         messages = set()
         for scope in (["X", "Y"], ["Y", "X"]):
-            with pytest.raises(ScoringError) as info:
+            with pytest.raises(DataError) as info:
                 resolve_references(records, specs, scope)
             messages.add(str(info.value))
         problem = "must be non-negative" if bad < 0 else "must be a finite number"
-        assert messages == {f"J1: territory 'X', period 2023: x_a {problem}, got {bad}"}
+        assert messages == {
+            f"territory 'X', indicator 'J1', period 2023: x_a {problem}, got {bad}"
+        }
 
     def test_bad_external_level_names_source(self):
         # J3 borrows J1's total; a bad total of an out-of-scope territory
         # would become its correction base
         records = SYNTH_RECORDS + [obs_standard("Z", "J1", 0.4, 0.6, float("nan"))]
-        with pytest.raises(ScoringError, match="J1: territory 'Z', period 2023: x_a"):
+        with pytest.raises(DataError) as info:
             resolve_references(records, SYNTH_SPECS, ["Y"])
+        assert str(info.value) == (
+            "territory 'Z', indicator 'J1', period 2023: x_a must be a finite number, got nan"
+        )
 
     def test_external_bases_cover_out_of_scope_territories(self):
         refs = resolve_references(SYNTH_RECORDS, SYNTH_SPECS, ["Y"])
@@ -582,6 +587,47 @@ class TestIndexTree:
         assert pruned.leaf_ids() == ("J4", "J5")
 
 
+class TestDatasetBoundary:
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            (
+                dataclasses.replace(obs_standard("X", "J1", 0.4, 0.6), value=0.5),
+                "standard observations take no single value",
+            ),
+            (obs_standard("X", "J1", 0.4, None), "standard observations need both x_w and x_m"),
+            (
+                dataclasses.replace(obs_value("X", "J1", MetricKind.SHARE, 0.5), x_a=0.5),
+                "share observations take only the value column",
+            ),
+            (obs_value("X", "J1", MetricKind.CAPPED, None), "capped observations need a value"),
+            (obs_value("X", "J1", MetricKind.SHARE, 1.5), "share value 1.5 is outside [0, 1]"),
+            (obs_value("X", "J1", MetricKind.RATIO, 0.0), "ratio value 0.0 must be positive"),
+            (obs_standard("X", "J1", -0.1, 0.6), "x_w must be non-negative, got -0.1"),
+            (obs_standard("X", "J1", 0.4, float("inf")), "x_m must be a finite number, got inf"),
+            (
+                obs_standard("X", "J1", 0.4, 0.6, float("nan")),
+                "x_a must be a finite number, got nan",
+            ),
+            (
+                obs_value("X", "J1", MetricKind.CAPPED, float("nan")),
+                "value must be a finite number, got nan",
+            ),
+        ],
+    )
+    def test_refused_record_names_its_key(self, record, problem):
+        with pytest.raises(DataError) as info:
+            Dataset([SYNTH_RECORDS[1], record])
+        assert str(info.value) == f"territory 'X', indicator 'J1', period 2023: {problem}"
+
+    def test_repeated_key_refused(self):
+        with pytest.raises(DataError) as info:
+            Dataset(SYNTH_RECORDS + [obs_value("Y", "J5", MetricKind.CAPPED, 0.9)])
+        assert str(info.value) == (
+            "duplicate observation for territory 'Y', indicator 'J5', period 2023"
+        )
+
+
 class TestScoreTerritory:
     def test_synthetic_universe_against_hand_arithmetic(self):
         refs = resolve_references(SYNTH_RECORDS, SYNTH_SPECS, ["X", "Y"])
@@ -616,6 +662,16 @@ class TestScoreTerritory:
         partial = [r for r in SYNTH_RECORDS if not (r.territory == "X" and r.indicator == "J5")]
         with pytest.raises(ScoringError, match="missing observations for J5"):
             score_territory("X", partial, SYNTH_SPECS, SYNTH_TREE, refs)
+
+    def test_bad_level_names_the_record(self):
+        # a nan level used to surface only in aggregation, naming no record
+        refs = resolve_references(SYNTH_RECORDS, SYNTH_SPECS, ["X", "Y"])
+        records = [obs_standard("X", "J1", float("nan"), 0.6, 0.5)] + SYNTH_RECORDS[1:]
+        with pytest.raises(DataError) as info:
+            score_territory("X", records, SYNTH_SPECS, SYNTH_TREE, refs)
+        assert str(info.value) == (
+            "territory 'X', indicator 'J1', period 2023: x_w must be a finite number, got nan"
+        )
 
 
 class TestScoreTimeSeries:

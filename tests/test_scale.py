@@ -1,12 +1,14 @@
-"""Tree invariants on a seeded table of 500 territories, not only the bundled 21."""
+"""Invariants on seeded tables of 500 territories, not only the bundled 21."""
 
+import dataclasses
 import random
 
 import pytest
 
 from igei.cli import main
-from igei.dataio import load_index_spec, load_score_table
-from igei.pipeline import aggregate_scores
+from igei.dataio import OBSERVATION_HEADER, load_dataset, load_index_spec, load_score_table
+from igei.metrics import MetricKind
+from igei.pipeline import aggregate_scores, score_time_series
 
 TERRITORIES = 500
 SEED = 20231
@@ -77,3 +79,95 @@ def test_row_order_does_not_change_output(capsys, table_files, argv):
         outputs.append(capsys.readouterr().out.encode("utf-8"))
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) > TERRITORIES
+
+
+# --- observations ------------------------------------------------------------
+
+PERIODS = (2022, 2023)
+STEADY = "Region 00007"  # the same observations in both periods
+
+# (low, high) of a single-value observation, by metric kind
+VALUE_RANGES = {
+    MetricKind.SHARE: (0.05, 0.95),
+    MetricKind.RATIO: (0.5, 1.5),
+    MetricKind.CAPPED: (0.0, 1.5),
+}
+
+
+def observation_cells(spec, rng):
+    """x_w, x_m, x_a and value cells of one valid observation for ``spec``.
+
+    Gendered levels stay inside (0, 1), so negative-polarity rates are
+    valid too; x_a feeds own-average and external corrections.
+    """
+    if spec.metric is MetricKind.STANDARD:
+        x_w, x_m = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+        return [f"{x_w:.4f}", f"{x_m:.4f}", f"{(x_w + x_m) / 2:.4f}", ""]
+    low, high = VALUE_RANGES[spec.metric]
+    return ["", "", "", f"{rng.uniform(low, high):.4f}"]
+
+
+@pytest.fixture(scope="module")
+def observation_files(tmp_path_factory):
+    """Single-period and two-period observation files, each in generation order and shuffled.
+
+    Every territory but STEADY draws new observations for the second period.
+    """
+    specs, _ = load_index_spec()
+    rng = random.Random(SEED)
+    names = [f"Region {i:05d}" for i in range(TERRITORIES)]
+    first = {t: {ind: observation_cells(s, rng) for ind, s in specs.items()} for t in names}
+    second = {
+        t: first[t] if t == STEADY else {ind: observation_cells(s, rng) for ind, s in specs.items()}
+        for t in names
+    }
+
+    def rows(period, cells):
+        return [
+            ",".join([t, ind, str(period), specs[ind].metric.value] + c)
+            for t, by_ind in cells.items()
+            for ind, c in by_ind.items()
+        ]
+
+    directory = tmp_path_factory.mktemp("observations")
+    files = {}
+    for name, body in (
+        ("single", rows(PERIODS[0], first)),
+        ("series", rows(PERIODS[0], first) + rows(PERIODS[1], second)),
+    ):
+        shuffled = body[:]
+        random.Random(SEED + 1).shuffle(shuffled)
+        assert shuffled != body
+        files[name] = []
+        for order, lines in (("ordered", body), ("shuffled", shuffled)):
+            path = directory / f"{name}-{order}.csv"
+            text = "\n".join([",".join(OBSERVATION_HEADER)] + lines) + "\n"
+            path.write_text(text, encoding="utf-8")
+            files[name].append(str(path))
+    return files
+
+
+@pytest.mark.parametrize("series", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_observation_order_does_not_change_scores(capsys, observation_files, series, fmt):
+    argv = ["score", "--format", fmt] + (["--time-series"] if series else [])
+    outputs = []
+    for path in observation_files["series" if series else "single"]:
+        assert main(argv + ["--data", path]) == 0
+        outputs.append(capsys.readouterr().out.encode("utf-8"))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) > TERRITORIES
+
+
+def test_unchanged_territory_keeps_its_scores(observation_files):
+    specs, tree = load_index_spec()
+    data = load_dataset(observation_files["series"][0])
+    by_period = score_time_series(data, specs, tree)
+    assert sorted(by_period) == list(PERIODS)
+    before, after = (by_period[p] for p in PERIODS)
+    assert len(before) == TERRITORIES
+    for terr, report in before.items():
+        same = dataclasses.replace(report, period=None) == dataclasses.replace(
+            after[terr], period=None
+        )
+        assert same == (terr == STEADY), terr
