@@ -248,7 +248,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     _, tree = dataio.load_index_spec(args.spec)
     table = dataio.load_score_table(args.data, decimal_comma=args.decimal_comma)
-    scope = _parse_scope(args.scope) or list(table.territories)
+    # sorted, so that the JSON scope listing does not depend on row order
+    scope = _parse_scope(args.scope) or sorted(table.territories)
     known = set(table.territories)
     unknown = [t for t in scope if t not in known]
     if unknown:

@@ -58,6 +58,8 @@ DEFAULT_SPEC_RESOURCE = "igei_tree.yaml"
 # provinces are already counted.
 AGGREGATE_TERRITORIES = ("Italia", "Trentino-Alto Adige/Südtirol")
 
+_METRIC_KINDS = {kind.value: kind for kind in MetricKind}
+
 
 # --- file plumbing ---------------------------------------------------------
 
@@ -91,7 +93,7 @@ def _rows(source, decimal_comma: bool) -> Iterator[tuple[int, list[str]]]:
             for lineno, row in reader:
                 if not row or (row[0].lstrip().startswith("#")):
                     continue
-                yield lineno, [cell.strip() for cell in row]
+                yield lineno, list(map(str.strip, row))
         except UnicodeDecodeError as exc:
             raise _not_utf8(source, exc) from None
 
@@ -120,6 +122,8 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
     indicator, period) keys.
     """
     lineno = 0
+    # one object per distinct territory, indicator and period of this file
+    shared: dict[str | int, str | int] = {}
 
     def records() -> Iterator[ObservationRecord]:
         nonlocal lineno
@@ -134,7 +138,7 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
                 f"got {','.join(header)}"
             )
         for lineno, row in rows:
-            yield _parse_observation(lineno, row, decimal_comma)
+            yield _parse_observation(lineno, row, decimal_comma, shared)
 
     try:
         return Dataset(records())
@@ -148,31 +152,47 @@ def load_observations(source, decimal_comma: bool = False) -> list[ObservationRe
 
 
 def _parse_observation(
-    lineno: int, row: list[str], decimal_comma: bool
+    lineno: int, row: list[str], decimal_comma: bool, shared: dict[str | int, str | int]
 ) -> ObservationRecord:
+    """One record from a row's stripped cells.
+
+    ``shared`` maps each territory, indicator and period seen so far to
+    its first object, which the record takes in place of its own copy.
+    """
     if len(row) != len(OBSERVATION_HEADER):
         raise DataError(
             f"row {lineno}: expected {len(OBSERVATION_HEADER)} cells, got {len(row)}"
         )
-    territory, indicator, period_text, kind_text = row[:4]
+    territory, indicator, period_text, kind_text, x_w, x_m, x_a, value = row
     if not territory or not indicator:
         raise DataError(f"row {lineno}: territory and indicator must be non-empty")
     try:
         period = int(period_text)
     except ValueError:
         raise DataError(f"row {lineno}: period is not an integer: {period_text!r}")
-    try:
-        kind = MetricKind(kind_text)
-    except ValueError:
+    kind = _METRIC_KINDS.get(kind_text)
+    if kind is None:
         raise DataError(
             f"row {lineno}: unknown metric kind {kind_text!r} (expected one of "
             f"{', '.join(k.value for k in MetricKind)})"
         )
-    x_w, x_m, x_a, value = (
-        _parse_number(cell, decimal_comma, lineno, col)
-        for cell, col in zip(row[4:], OBSERVATION_HEADER[4:])
+    if decimal_comma:
+        x_w, x_m, x_a, value = (c.replace(",", ".") for c in (x_w, x_m, x_a, value))
+    try:
+        x_w = float(x_w) if x_w else None
+        x_m = float(x_m) if x_m else None
+        x_a = float(x_a) if x_a else None
+        value = float(value) if value else None
+    except ValueError:
+        # name the first bad column, quoting the cell as written
+        for cell, column in zip(row[4:], OBSERVATION_HEADER[4:]):
+            _parse_number(cell, decimal_comma, lineno, column)
+        raise
+    share = shared.setdefault
+    return ObservationRecord(
+        share(territory, territory), share(indicator, indicator), share(period, period),
+        kind, x_w, x_m, x_a, value,
     )
-    return ObservationRecord(territory, indicator, period, kind, x_w, x_m, x_a, value)
 
 
 def save_observations(records: Iterable[ObservationRecord], path) -> None:

@@ -147,7 +147,7 @@ class IndexTree:
         return self._leaf_ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservationRecord:
     """One raw measurement for a territory and indicator.
 
@@ -156,6 +156,10 @@ class ObservationRecord:
     invalid record of a collection. :class:`Dataset` is where a record is
     trusted: it refuses any record for which :func:`record_problem`
     finds a problem, and any repeated (territory, indicator, period) key.
+
+    Records are slotted, so they have no ``__dict__`` (``vars(rec)``
+    fails). Records loaded from one file share one string object per
+    territory and indicator name and one ``int`` per period.
     """
 
     territory: str
@@ -204,34 +208,39 @@ class Dataset:
     """
 
     def __init__(self, records: Iterable[ObservationRecord]):
-        self._by_key: dict[tuple[str, str, int], ObservationRecord] = {}
+        by_key: dict[tuple[str, str, int], ObservationRecord] = {}
         by_pair: dict[tuple[str, str], list[ObservationRecord]] = {}
-        territories: dict[str, None] = {}
-        indicators: dict[str, None] = {}
         periods: set[int] = set()
+        problem_of = record_problem
         for rec in records:
-            key = (rec.territory, rec.indicator, rec.period)
-            if problem := record_problem(rec):
+            territory, indicator, period = rec.territory, rec.indicator, rec.period
+            if problem := problem_of(rec):
                 raise RecordError(
-                    f"territory {rec.territory!r}, indicator {rec.indicator!r}, "
-                    f"period {rec.period}: {problem}",
+                    f"territory {territory!r}, indicator {indicator!r}, "
+                    f"period {period}: {problem}",
                     problem,
                 )
-            if key in self._by_key:
+            key = (territory, indicator, period)
+            if key in by_key:
                 duplicate = (
-                    f"duplicate observation for territory {rec.territory!r}, "
-                    f"indicator {rec.indicator!r}, period {rec.period}"
+                    f"duplicate observation for territory {territory!r}, "
+                    f"indicator {indicator!r}, period {period}"
                 )
                 raise RecordError(duplicate, duplicate)
-            self._by_key[key] = rec
-            by_pair.setdefault((rec.territory, rec.indicator), []).append(rec)
-            territories.setdefault(rec.territory)
-            indicators.setdefault(rec.indicator)
-            periods.add(rec.period)
-        self._records = tuple(self._by_key.values())
+            by_key[key] = rec
+            pair = (territory, indicator)
+            series = by_pair.get(pair)
+            if series is None:
+                by_pair[pair] = [rec]
+            else:
+                series.append(rec)
+            periods.add(period)
+        self._by_key = by_key
+        self._records = tuple(by_key.values())
         self._by_pair = by_pair
-        self.territories: tuple[str, ...] = tuple(territories)
-        self.indicators: tuple[str, ...] = tuple(indicators)
+        # a name's first pair comes from its first record: first-appearance order
+        self.territories: tuple[str, ...] = tuple(dict.fromkeys(t for t, _ in by_pair))
+        self.indicators: tuple[str, ...] = tuple(dict.fromkeys(i for _, i in by_pair))
         self.periods: tuple[int, ...] = tuple(sorted(periods))
 
     def __iter__(self) -> Iterator[ObservationRecord]:
@@ -243,6 +252,10 @@ class Dataset:
     def series(self, territory: str, indicator: str) -> Sequence[ObservationRecord]:
         """Every period's observation of one territory and indicator, in input order."""
         return self._by_pair.get((territory, indicator), ())
+
+    def series_lengths(self) -> set[int]:
+        """The distinct numbers of periods recorded per (territory, indicator) pair."""
+        return {len(series) for series in self._by_pair.values()}
 
     def get(
         self, territory: str, indicator: str, period: int | None = None

@@ -12,7 +12,7 @@ scoring is independent, deterministic, and side-effect free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from igei.errors import AggregationError, ScoringError
 from igei.metrics import (
@@ -62,9 +62,9 @@ class TerritoryReport:
     period: int | None = None
 
 
-def _working(value: float, polarity: Polarity) -> float:
-    """Map a raw level onto the working scale (rates inverted for negative polarity)."""
-    return invert_polarity(value) if polarity is Polarity.NEGATIVE else float(value)
+def _working_scale(polarity: Polarity) -> Callable[[float], float]:
+    """Map of raw levels onto the working scale (rates inverted for negative polarity)."""
+    return invert_polarity if polarity is Polarity.NEGATIVE else float
 
 
 def _correction_source(
@@ -81,12 +81,14 @@ def _source_levels(
     data: Dataset, territory: str, source_id: str, attr: str, polarity: Polarity
 ) -> list[tuple[int, float]]:
     """(period, working level) of one territory's correction variable, by period."""
-    levels = []
-    for rec in data.series(territory, source_id):
-        raw = getattr(rec, attr)
-        if raw is not None:
-            levels.append((rec.period, _working(raw, polarity)))
-    levels.sort()
+    working = _working_scale(polarity)
+    levels = [
+        (rec.period, working(raw))
+        for rec in data.series(territory, source_id)
+        if (raw := getattr(rec, attr)) is not None
+    ]
+    if len(levels) > 1:
+        levels.sort()
     return levels
 
 
@@ -194,9 +196,9 @@ def compute_indicator(
                 f"{spec.id}: standard observation for {obs.territory!r} lacks "
                 f"gendered levels"
             )
-        x_w = _working(obs.x_w, spec.polarity)
-        x_m = _working(obs.x_m, spec.polarity)
-        total = None if obs.x_a is None else _working(obs.x_a, spec.polarity)
+        working = _working_scale(spec.polarity)
+        x_w, x_m = working(obs.x_w), working(obs.x_m)
+        total = None if obs.x_a is None else working(obs.x_a)
         gamma = gap_metric(x_w, x_m)
         alpha = _alpha(spec, obs, total, refs)
         return (1.0 if alpha is None else alpha) * (1.0 - gamma) * 100.0
@@ -309,16 +311,18 @@ def score_time_series(
     data = as_dataset(dataset)
     if not data.periods:
         raise ScoringError("dataset has no observations")
-    coverage: dict[int, set[tuple[str, str]]] = {p: set() for p in data.periods}
-    for r in data:
-        coverage[r.period].add((r.territory, r.indicator))
-    first = coverage[data.periods[0]]
-    for p, pairs in coverage.items():
-        if pairs != first:
-            raise ScoringError(
-                f"inconsistent indicator coverage across periods (period {p} "
-                f"differs from period {data.periods[0]})"
-            )
+    if data.series_lengths() != {len(data.periods)}:
+        # keys are unique, so some pair misses a period: name the first period
+        # whose coverage differs from the first period's
+        coverage: dict[int, set[tuple[str, str]]] = {p: set() for p in data.periods}
+        for r in data:
+            coverage[r.period].add((r.territory, r.indicator))
+        first = coverage[data.periods[0]]
+        differing = next(p for p, pairs in coverage.items() if pairs != first)
+        raise ScoringError(
+            f"inconsistent indicator coverage across periods (period {differing} "
+            f"differs from period {data.periods[0]})"
+        )
     scope = list(scope) if scope is not None else list(data.territories)
     refs = resolve_references(data, specs, scope, time_mode=True)
     return {

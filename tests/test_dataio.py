@@ -65,6 +65,59 @@ class TestLoadObservations:
         with pytest.raises(DataError, match="row 3"):
             load_observations(write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                GOOD_FILE + "West,G1,2023,standard,0.4,0.5,0.4\n",
+                "row 5: expected 8 cells, got 7",
+            ),
+            (
+                GOOD_FILE + " ,G1,2023,standard,0.4,0.5,0.4,\n",
+                "row 5: territory and indicator must be non-empty",
+            ),
+            (
+                GOOD_FILE + "West,G1,2023.0,standard,0.4,0.5,0.4,\n",
+                "row 5: period is not an integer: '2023.0'",
+            ),
+            (
+                GOOD_FILE + "West,G1,2023,Standard,0.4,0.5,0.4,\n",
+                "row 5: unknown metric kind 'Standard' "
+                "(expected one of standard, share, ratio, capped)",
+            ),
+            (
+                GOOD_FILE + "West,G1,2023,standard,abc,0.5,x,\n",
+                "row 5: column 'x_w' is not a number: 'abc'",
+            ),
+            (
+                GOOD_FILE + "West,G1,2023,standard,0.4,0.5.1,x,y\n",
+                "row 5: column 'x_m' is not a number: '0.5.1'",
+            ),
+            (
+                GOOD_FILE + "West,G1,2023,standard,0.4,0.5,1e,y\n",
+                "row 5: column 'x_a' is not a number: '1e'",
+            ),
+            (
+                GOOD_FILE + "West,G2,2023,share,,,,half\n",
+                "row 5: column 'value' is not a number: 'half'",
+            ),
+            (
+                "territory;indicator;period;kind;x_w;x_m;x_a;value\n"
+                "North;G1;2023;standard;0,4;0,6;0,5;\n"
+                "South;G1;2023;standard;0,3;0,5.0;0,4;\n",
+                "row 3: column 'x_m' is not a number: '0,5.0'",
+            ),
+        ],
+        ids=[
+            "cell-count", "empty-territory", "period", "kind",
+            "x_w", "x_m", "x_a", "value", "decimal-comma",
+        ],
+    )
+    def test_malformed_row_message(self, tmp_path, text, message):
+        with pytest.raises(DataError) as info:
+            load_observations(write(tmp_path, text), decimal_comma=";" in text)
+        assert str(info.value) == message
+
     def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(DataError, match="header"):
             load_observations(write(tmp_path, "a,b,c\n1,2,3\n"))
@@ -112,6 +165,18 @@ class TestLoadObservations:
     def test_non_finite_value_names_row(self, tmp_path, row, message):
         with pytest.raises(DataError, match=f"row 5: {message}"):
             load_observations(write(tmp_path, GOOD_FILE + row + "\n"))
+
+    def test_loaded_records_share_names_and_periods(self, tmp_path):
+        text = GOOD_FILE + "South,G2,2023,share,,,,0.4\n"
+        data = dataio.load_dataset(write(tmp_path, text))
+        north, south, north_g2, south_g2 = data
+        assert north.territory is north_g2.territory
+        assert south.territory is south_g2.territory
+        assert north.indicator is south.indicator
+        assert north_g2.indicator is south_g2.indicator
+        assert all(rec.period is north.period for rec in data)
+        assert data.territories[0] is north.territory
+        assert data.indicators[1] is north_g2.indicator
 
     def test_round_trip(self, tmp_path):
         records = load_observations(write(tmp_path, GOOD_FILE))

@@ -587,6 +587,35 @@ class TestIndexTree:
         assert pruned.leaf_ids() == ("J4", "J5")
 
 
+class TestObservationRecord:
+    def test_slotted(self):
+        record = obs_standard("X", "J1", 0.4, 0.6)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(TypeError):
+            vars(record)
+
+    def test_repr_equality_and_hash(self):
+        record = obs_standard("X", "J1", 0.4, 0.6)
+        assert repr(record) == (
+            "ObservationRecord(territory='X', indicator='J1', period=2023, "
+            "kind=<MetricKind.STANDARD: 'standard'>, x_w=0.4, x_m=0.6, x_a=None, "
+            "value=None)"
+        )
+        twin = obs_standard("X", "J1", 0.4, 0.6)
+        assert record == twin and record is not twin
+        assert hash(record) == hash(twin)
+        assert record != obs_standard("X", "J1", 0.4, 0.6, 0.5)
+        assert len({record, twin}) == 1
+
+    def test_replace_and_frozen(self):
+        record = obs_standard("X", "J1", 0.4, 0.6)
+        moved = dataclasses.replace(record, period=2024)
+        assert moved.period == 2024 and record.period == 2023
+        assert dataclasses.replace(moved, period=2023) == record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.x_w = 0.5
+
+
 class TestDatasetBoundary:
     @pytest.mark.parametrize(
         "record, problem",
@@ -729,6 +758,21 @@ class TestScoreTimeSeries:
         records.append(obs_standard("C", "J1", 0.5, 0.5, 0.5, period=2023))
         with pytest.raises(ScoringError, match="coverage"):
             score_time_series(records, specs, tree)
+
+    @pytest.mark.parametrize("extra_period, differing", [(2021, 2022), (2023, 2023)])
+    def test_pair_in_one_end_period_only(self, extra_period, differing):
+        specs = {"J1": spec_standard("J1", domain="d1", subdomain="s1")}
+        tree = IndexTree(
+            domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)
+        )
+        records = self._period_records([(2021, 0.0), (2022, 0.1), (2023, 0.2)])
+        records.append(obs_standard("C", "J1", 0.5, 0.5, 0.5, period=extra_period))
+        with pytest.raises(ScoringError) as info:
+            score_time_series(records, specs, tree)
+        assert str(info.value) == (
+            f"inconsistent indicator coverage across periods (period {differing} "
+            f"differs from period 2021)"
+        )
 
     def test_coverage_error_names_first_differing_period(self):
         specs = {"J1": spec_standard("J1", domain="d1", subdomain="s1")}
