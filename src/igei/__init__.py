@@ -33,6 +33,7 @@ from igei.metrics import (
 )
 from igei.model import (
     Correction,
+    CorrectionKind,
     Dataset,
     Domain,
     IndexTree,
@@ -46,9 +47,7 @@ from igei.penalized import (
     cartwright_field_bounds,
     geometric_mean,
     penalized_mean,
-    value_range,
     weighted_mean,
-    weighted_variance,
 )
 from igei.pipeline import (
     ReferenceLevels,
@@ -72,6 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregationError",
     "Correction",
+    "CorrectionKind",
     "DataError",
     "Dataset",
     "DegenerateInputError",
@@ -115,7 +115,5 @@ __all__ = [
     "score_standard",
     "score_territory",
     "score_time_series",
-    "value_range",
     "weighted_mean",
-    "weighted_variance",
 ]

@@ -4,7 +4,8 @@ Commands: ``score`` (raw observations to full reports), ``aggregate``
 (indicator-score tables to domain and index values), ``report`` (ranking,
 descriptive summaries, correlation matrix), ``verify`` (replay of the
 bundled reference tables with one pass/fail line per check), and ``demo``
-(the five-country comparison of the two scoring variants).
+(the five-country comparison of the two scoring variants). The last two
+render what :mod:`igei.verify` computes.
 
 Identical inputs produce byte-identical output: ordering is fixed
 (descending final index, ties alphabetical), numbers are formatted with
@@ -17,15 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from igei import dataio, metrics, pipeline, stats
-from igei.dataio import AGGREGATE_TERRITORIES
+from igei import dataio, pipeline, stats, verify
 from igei.errors import IgeiError
-
-PASS = "PASS"
-FAIL = "FAIL"
-KNOWN_DEVIATION = "KNOWN-DEVIATION"
 
 
 # --- output helpers --------------------------------------------------------
@@ -277,27 +274,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             "command": "report",
             "scope": scope,
             "ranking": [_report_json(rep) for rep in ranked],
-            "summaries": {
-                name: {
-                    "mean": s.mean, "sd": s.sd, "cv": s.cv, "min": s.min,
-                    "p25": s.p25, "p50": s.p50, "p75": s.p75, "max": s.max,
-                }
-                for name, s in summaries.items()
-            },
-            "correlation": {
-                "indicators": leaves,
-                "matrix": corr_matrix,
-            },
+            "summaries": {name: asdict(s) for name, s in summaries.items()},
+            "correlation": {"indicators": leaves, "matrix": corr_matrix},
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return 0
 
-    stat_headers = ["column", "mean", "sd", "cv", "min", "p25", "p50", "p75", "max"]
-    stat_rows = [
-        [name, _f2(s.mean), _f2(s.sd), _f2(s.cv), _f2(s.min),
-         _f2(s.p25), _f2(s.p50), _f2(s.p75), _f2(s.max)]
-        for name, s in summaries.items()
-    ]
+    stat_headers = ["column"] + [f.name for f in fields(stats.DescriptiveSummary)]
+    stat_rows = [[name] + list(map(_f2, asdict(s).values())) for name, s in summaries.items()]
     corr_headers = ["indicator"] + leaves
     corr_rows = [[leaf] + [_f2(v) for v in row] for leaf, row in zip(leaves, corr_matrix)]
     rank_headers, rank_rows = _ranked_rows(ranked, tree)
@@ -321,183 +305,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 # --- verify ----------------------------------------------------------------
 
 
-def _check_demo_scores() -> tuple[str, str]:
-    specs, tree = dataio.load_index_spec(dataio.bundled_path("demo_tree.yaml"))
-    dataset = dataio.load_dataset(dataio.bundled_path("demo_countries.csv"))
-    expected = dataio.load_demo_expected()
-    refs = pipeline.resolve_references(dataset, specs, dataset.territories)
-    x_ref = max(rec.x_a for rec in dataset)
-    max_delta = 0.0
-    for rec in dataset:
-        exp_gei, exp_std = expected[rec.territory]
-        got_std = pipeline.score_territory(
-            rec.territory, dataset, specs, tree, refs
-        ).index
-        got_gei = metrics.score_gei(rec.x_w, rec.x_a, x_ref)
-        max_delta = max(max_delta, abs(got_std - exp_std), abs(got_gei - exp_gei))
-    status = PASS if max_delta <= 0.005 else FAIL
-    return status, f"max |delta| {max_delta:.4f} over 10 published scores"
-
-
-def _check_penalized_reference() -> tuple[str, str]:
-    from igei import penalized
-
-    max_delta = 0.0
-    for case in dataio.load_penalized_reference():
-        max_delta = max(
-            max_delta,
-            abs(penalized.weighted_mean(case.values) - case.mean),
-            abs(penalized.penalized_mean(case.values) - case.penalized),
-        )
-        if any(v <= 0 for v in case.values):
-            try:
-                penalized.geometric_mean(case.values)
-            except IgeiError:
-                pass  # non-positive values: the geometric mean must refuse
-            else:
-                return FAIL, "geometric mean accepted non-positive values"
-        elif case.geometric is not None:
-            max_delta = max(
-                max_delta, abs(penalized.geometric_mean(case.values) - case.geometric)
-            )
-    status = PASS if max_delta <= 0.005 else FAIL
-    return status, f"max |delta| {max_delta:.4f} across reference sequences"
-
-
-def _check_domain_aggregation() -> tuple[str, str]:
-    _, tree = dataio.load_index_spec()
-    table = dataio.load_score_table(dataio.bundled_path("indicator_scores_2023.csv"))
-    reference = dataio.load_reference_table()
-    max_delta = 0.0
-    for terr in table.territories:
-        rep = pipeline.aggregate_scores(tree, table.row(terr), terr)
-        for dom in rep.domain_values:
-            max_delta = max(
-                max_delta, abs(rep.domain_values[dom] - reference[terr][dom])
-            )
-    n = len(table.territories) * len(tree.domains)
-    status = PASS if max_delta <= 0.01 else FAIL
-    return status, f"max |delta| {max_delta:.4f} over {n} published domain values"
-
-
-def _check_final_index() -> tuple[str, str]:
-    _, tree = dataio.load_index_spec()
-    reference = dataio.load_reference_table()
-    domains = [dom.id for dom in tree.domains]
-    deltas = {
-        terr: pipeline.aggregate_level([vals[d] for d in domains]) - vals["index"]
-        for terr, vals in reference.items()
-    }
-    trento = pipeline.aggregate_level(
-        [reference["Provincia Autonoma di Trento"][d] for d in domains]
-    )
-    if abs(trento - 73.184) > 0.005:
-        return FAIL, (
-            f"recomputed headline value {trento:.3f} does not match the "
-            f"documented formula's 73.184"
-        )
-    lo, hi = min(deltas.values()), max(deltas.values())
-    if max(abs(lo), abs(hi)) <= 0.01:
-        return PASS, "published index column matches the documented formula"
-    return KNOWN_DEVIATION, (
-        f"published index column differs from the documented formula "
-        f"(deltas {lo:+.3f}..{hi:+.3f}); domain columns reproduce, and the "
-        f"formula is retained as specified"
-    )
-
-
-def _region_rows(reference: dict[str, dict[str, float]]) -> list[str]:
-    return [t for t in reference if t not in AGGREGATE_TERRITORIES]
-
-
-def _summary_delta(summary: stats.DescriptiveSummary, expected: dict[str, float]) -> float:
-    computed = {
-        "mean": summary.mean, "sd": summary.sd, "cv": summary.cv,
-        "min": summary.min, "p25": summary.p25, "p50": summary.p50,
-        "p75": summary.p75, "max": summary.max,
-    }
-    return max(abs(computed[stat] - val) for stat, val in expected.items())
-
-
-def _check_index_summaries() -> tuple[str, str]:
-    reference = dataio.load_reference_table()
-    published = dataio.load_reference_table(
-        dataio.bundled_path("index_summary_2023.csv")
-    )
-    regions = _region_rows(reference)
-    columns = {"IGEI": "index", "Work": "work", "Economy": "economy",
-               "Knowledge": "knowledge", "Time": "time", "Politics": "politics",
-               "Health": "health"}
-    max_delta = 0.0
-    for row_name, col in columns.items():
-        summary = stats.descriptive_summary([reference[t][col] for t in regions])
-        max_delta = max(max_delta, _summary_delta(summary, published[row_name]))
-    status = PASS if max_delta <= 0.01 else FAIL
-    return status, (
-        f"max |delta| {max_delta:.4f} over 7 published rows "
-        f"({len(regions)}-region population)"
-    )
-
-
-def _check_indicator_summaries() -> tuple[str, str]:
-    table = dataio.load_score_table(dataio.bundled_path("indicator_scores_2023.csv"))
-    published = dataio.load_reference_table(
-        dataio.bundled_path("indicator_summary_2023.csv")
-    )
-    regions = [t for t in table.territories if t not in AGGREGATE_TERRITORIES]
-    max_delta = 0.0
-    for ind in table.indicators:
-        values = [table.scores[(t, ind)] for t in regions]
-        max_delta = max(
-            max_delta, _summary_delta(stats.descriptive_summary(values), published[ind])
-        )
-    status = PASS if max_delta <= 0.01 else FAIL
-    return status, f"max |delta| {max_delta:.4f} over 20 published rows"
-
-
-def _check_correlations() -> tuple[str, str]:
-    table = dataio.load_score_table(dataio.bundled_path("indicator_scores_2023.csv"))
-    published = dataio.load_correlation_reference()
-    regions = [t for t in table.territories if t not in AGGREGATE_TERRITORIES]
-    columns = [[table.scores[(t, ind)] for t in regions] for ind in table.indicators]
-    corr = stats.correlation_matrix(columns)
-    pos = {ind: i for i, ind in enumerate(table.indicators)}
-    max_delta = max(
-        abs(corr[pos[gi], pos[gj]] - val) for (gi, gj), val in published.items()
-    )
-    status = PASS if max_delta <= 0.01 else FAIL
-    return status, (
-        f"max |delta| {max_delta:.4f} over {len(published)} published cells "
-        f"({len(regions)}-region population)"
-    )
-
-
-VERIFY_CHECKS = [
-    ("five-country-scores", _check_demo_scores),
-    ("penalized-mean-reference", _check_penalized_reference),
-    ("domain-aggregation", _check_domain_aggregation),
-    ("final-index-recomputation", _check_final_index),
-    ("index-summary-statistics", _check_index_summaries),
-    ("indicator-summary-statistics", _check_indicator_summaries),
-    ("indicator-correlations", _check_correlations),
-]
-
-
-def run_verify_checks() -> list[tuple[str, str, str]]:
-    """Run all verification checks; returns (name, status, detail) triples."""
-    results = []
-    for name, check in VERIFY_CHECKS:
-        try:
-            status, detail = check()
-        except Exception as exc:  # a crashed check is a failed check
-            status, detail = FAIL, f"check raised {exc!r}"
-        results.append((name, status, detail))
-    return results
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verify_checks()
-    failures = sum(1 for _, status, _ in results if status == FAIL)
+    results = verify.run_verify_checks()
+    failures = sum(1 for _, status, _ in results if status == verify.FAIL)
     if args.format == "json":
         doc = {
             "command": "verify",
@@ -524,16 +334,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    specs, tree = dataio.load_index_spec(dataio.bundled_path("demo_tree.yaml"))
-    dataset = dataio.load_dataset(dataio.bundled_path("demo_countries.csv"))
-    refs = pipeline.resolve_references(dataset, specs, dataset.territories)
-    x_ref = max(rec.x_a for rec in dataset)
-    rows = []
-    for rec in dataset:
-        standard = pipeline.compute_indicator(specs["G1"], rec, refs)
-        classic = metrics.score_gei(rec.x_w, rec.x_a, x_ref)
-        rows.append([rec.territory, f"{rec.x_w:g}", f"{rec.x_m:g}", f"{rec.x_a:g}",
-                     _f2(classic), _f2(standard)])
+    rows = [
+        [rec.territory, f"{rec.x_w:g}", f"{rec.x_m:g}", f"{rec.x_a:g}",
+         _f2(classic), _f2(standard)]
+        for rec, classic, standard in verify.demo_scores()
+    ]
     headers = ["territory", "x_w", "x_m", "x_a", "score_gei", "score"]
     if args.format == "json":
         doc = {

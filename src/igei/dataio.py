@@ -8,8 +8,8 @@ File formats:
   as the cell delimiter and ``,`` as the decimal separator; this is
   never sniffed.
 * Index spec: a YAML document defining the aggregation tree and one
-  recipe per indicator (metric kind, polarity, correction source,
-  reporting period).
+  recipe per indicator (metric kind, polarity, correction source; an
+  integer ``period`` key is accepted and checked, but not used).
 * Score tables: wide delimited text, one territory per row and one
   0-100 score column per indicator.
 
@@ -29,6 +29,7 @@ from igei.errors import DataError, RecordError, SpecError
 from igei.metrics import MetricKind
 from igei.model import (
     Correction,
+    CorrectionKind,
     Dataset,
     Domain,
     IndexTree,
@@ -52,11 +53,6 @@ OBSERVATION_HEADER = (
 )
 
 DEFAULT_SPEC_RESOURCE = "igei_tree.yaml"
-
-# Rows carried in the published tables that are not among the 21 scoring
-# regions: the national aggregate and the region whose two autonomous
-# provinces are already counted.
-AGGREGATE_TERRITORIES = ("Italia", "Trentino-Alto Adige/Südtirol")
 
 _METRIC_KINDS = {kind.value: kind for kind in MetricKind}
 
@@ -303,7 +299,7 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
     """Parse an index spec file; ``None`` loads the bundled default.
 
     Returns the indicator recipes keyed by id and the aggregation tree.
-    Placement (domain, sub-domain) is derived from the tree, so indicator
+    Placement (domain, sub-domain) lives only in the tree, so indicator
     entries declare only their scoring recipe.
     """
     if source is None:
@@ -325,6 +321,8 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             # PyYAML's own text repeats the location on further lines
             problem = getattr(exc, "problem", None) or str(exc).split("\n", 1)[0]
             raise SpecError(f"{source}: malformed YAML{where}: {problem}") from None
+        except RecursionError:
+            raise SpecError(f"{source}: malformed YAML: nesting is too deep") from None
     if not isinstance(raw, dict):
         raise SpecError("index spec must be a mapping")
     for key in ("tree", "indicators"):
@@ -332,7 +330,6 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             raise SpecError(f"index spec lacks the {key!r} section")
 
     domains: list[Domain] = []
-    placement: dict[str, tuple[str, str]] = {}
     for entry in _spec_list(raw["tree"], "the 'tree' section"):
         if not isinstance(entry, dict):
             raise SpecError(f"tree entry {entry!r} is not a mapping")
@@ -351,9 +348,6 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
         else:
             raise SpecError(f"domain {dom_id!r} declares neither subdomains nor indicators")
         domains.append(Domain(id=dom_id, subdomains=tuple(subs)))
-        for sub in subs:
-            for ind in sub.indicators:
-                placement[ind] = (dom_id, sub.id)
     tree = IndexTree(domains=tuple(domains))
 
     declared = raw.get("domain_count")
@@ -366,7 +360,7 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
         raise SpecError("the 'indicators' section must be a mapping")
     specs: dict[str, IndicatorSpec] = {}
     for ind_id, fields in raw["indicators"].items():
-        if ind_id not in placement:
+        if ind_id not in tree.leaf_ids():
             raise SpecError(f"indicator {ind_id!r} does not appear in the tree")
         if not isinstance(fields, dict) or "metric" not in fields:
             raise SpecError(f"indicator {ind_id!r} needs at least a metric kind")
@@ -388,23 +382,19 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             raise SpecError(
                 f"indicator {ind_id!r}: period must be an integer year, got {period!r}"
             )
-        domain_id, subdomain_id = placement[ind_id]
         specs[ind_id] = IndicatorSpec(
             id=ind_id,
             label=str(fields.get("label", ind_id)),
-            domain=domain_id,
-            subdomain=subdomain_id,
             metric=metric,
             polarity=polarity,
             correction=correction,
-            period=period,
         )
 
     for leaf in tree.leaf_ids():
         if leaf not in specs:
             raise SpecError(f"tree leaf {leaf!r} has no indicator definition")
     for spec in specs.values():
-        if spec.correction.kind == "external":
+        if spec.correction.kind is CorrectionKind.EXTERNAL:
             external_source(spec, specs)
     return specs, tree
 
@@ -443,9 +433,8 @@ def _parse_correction(ind_id: str, raw) -> Correction:
             raise SpecError(
                 f"indicator {ind_id!r}: external correction needs a source indicator"
             )
-        return Correction(
-            "external", indicator=str(raw["indicator"]), field=raw.get("field", "total")
-        )
+        return Correction(CorrectionKind.EXTERNAL, indicator=str(raw["indicator"]),
+                          field=raw.get("field", "total"))
     raise SpecError(f"indicator {ind_id!r}: cannot parse correction {raw!r}")
 
 
@@ -539,7 +528,7 @@ def validate_dataset(
             add("error", "out-of-range", rec, problem)
             continue
         if spec.metric is MetricKind.STANDARD:
-            if spec.correction.kind == "own_average" and rec.x_a is None:
+            if rec.x_a is None and spec.correction.kind is CorrectionKind.OWN_AVERAGE:
                 add(
                     "error",
                     "missing-total",

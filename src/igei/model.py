@@ -4,35 +4,45 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from igei.errors import DataError, RecordError, SpecError
 from igei.metrics import MetricKind
 from igei.penalized import Polarity
 
-# Which variable of the referenced indicator feeds an external correction.
-CORRECTION_FIELDS = ("total", "women", "men")
 
+class CorrectionKind(str, Enum):
+    """Where an indicator's achievement correction comes from."""
+
+    OWN_AVERAGE = "own_average"  # the indicator's own total-population level
+    EXTERNAL = "external"        # a variable of another indicator's observations
+    NONE = "none"                # no correction
+
+
+# Which variable of the referenced indicator feeds an external correction.
 _FIELD_ATTRS = {"total": "x_a", "women": "x_w", "men": "x_m"}
+CORRECTION_FIELDS = tuple(_FIELD_ATTRS)
 
 
 @dataclass(frozen=True)
 class Correction:
     """How an indicator's achievement correction is sourced.
 
-    ``own_average`` uses the indicator's own total-population level,
-    ``external`` borrows a variable from another indicator's
-    observations, ``none`` applies no correction.
+    ``kind`` may be given as a :class:`CorrectionKind` or as its value.
     """
 
-    kind: str
+    kind: CorrectionKind
     indicator: str | None = None
     field: str = "total"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("own_average", "external", "none"):
-            raise SpecError(f"unknown correction kind {self.kind!r}")
-        if self.kind == "external":
+        try:
+            kind = CorrectionKind(self.kind)
+        except ValueError:
+            raise SpecError(f"unknown correction kind {self.kind!r}") from None
+        object.__setattr__(self, "kind", kind)
+        if kind is CorrectionKind.EXTERNAL:
             if not self.indicator:
                 raise SpecError("external correction requires a source indicator id")
             if self.field not in CORRECTION_FIELDS:
@@ -41,7 +51,7 @@ class Correction:
                     f"got {self.field!r}"
                 )
         elif self.indicator is not None:
-            raise SpecError(f"{self.kind!r} correction takes no source indicator")
+            raise SpecError(f"{kind.value!r} correction takes no source indicator")
 
     @property
     def source_attr(self) -> str:
@@ -49,22 +59,18 @@ class Correction:
         return _FIELD_ATTRS[self.field]
 
 
-OWN_AVERAGE = Correction("own_average")
-NO_CORRECTION = Correction("none")
+NO_CORRECTION = Correction(CorrectionKind.NONE)
 
 
 @dataclass(frozen=True)
 class IndicatorSpec:
-    """Recipe for a single indicator: metric kind, polarity, correction, placement."""
+    """Recipe for one indicator: metric kind, polarity, correction; the tree places it."""
 
     id: str
     label: str
-    domain: str
-    subdomain: str
     metric: MetricKind
     polarity: Polarity = Polarity.POSITIVE
     correction: Correction = NO_CORRECTION
-    period: int | None = None
 
     def __post_init__(self) -> None:
         if self.polarity is Polarity.NEGATIVE and self.metric is not MetricKind.STANDARD:
@@ -72,12 +78,13 @@ class IndicatorSpec:
                 f"{self.id}: negative polarity is only defined for standard-metric "
                 f"(rate-valued) indicators"
             )
-        if self.correction.kind == "own_average" and self.metric is not MetricKind.STANDARD:
+        kind = self.correction.kind
+        if kind is CorrectionKind.OWN_AVERAGE and self.metric is not MetricKind.STANDARD:
             raise SpecError(
                 f"{self.id}: own-average correction needs a total-population level, "
                 f"which only standard observations carry"
             )
-        if self.metric is MetricKind.CAPPED and self.correction.kind != "none":
+        if self.metric is MetricKind.CAPPED and kind is not CorrectionKind.NONE:
             raise SpecError(f"{self.id}: capped indicators take no correction")
 
 
@@ -103,6 +110,15 @@ def external_source(
     return source
 
 
+def _refuse_repeats(ids: Iterable[str], what: str) -> None:
+    """Raise :class:`SpecError` naming the first id that is seen a second time."""
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            raise SpecError(f"{what} {i!r} appears more than once")
+        seen.add(i)
+
+
 @dataclass(frozen=True)
 class SubDomain:
     id: str
@@ -121,6 +137,7 @@ class Domain:
     def __post_init__(self) -> None:
         if not self.subdomains:
             raise SpecError(f"domain {self.id!r} has no sub-domains")
+        _refuse_repeats((sub.id for sub in self.subdomains), f"domain {self.id!r}: sub-domain")
 
 
 @dataclass(frozen=True)
@@ -132,15 +149,13 @@ class IndexTree:
     def __post_init__(self) -> None:
         if not self.domains:
             raise SpecError("index tree has no domains")
-        seen: dict[str, None] = {}  # insertion-ordered: the leaf order
-        for dom in self.domains:
-            for sub in dom.subdomains:
-                for ind in sub.indicators:
-                    if ind in seen:
-                        raise SpecError(f"indicator {ind!r} appears more than once")
-                    seen[ind] = None
+        _refuse_repeats((dom.id for dom in self.domains), "domain")
+        leaves = tuple(
+            ind for dom in self.domains for sub in dom.subdomains for ind in sub.indicators
+        )
+        _refuse_repeats(leaves, "indicator")
         # not a field: equality, hashing and repr see only the domains
-        object.__setattr__(self, "_leaf_ids", tuple(seen))
+        object.__setattr__(self, "_leaf_ids", leaves)
 
     def leaf_ids(self) -> tuple[str, ...]:
         """Indicator ids in tree order (domains, then sub-domains)."""
@@ -209,7 +224,7 @@ class Dataset:
 
     def __init__(self, records: Iterable[ObservationRecord]):
         by_key: dict[tuple[str, str, int], ObservationRecord] = {}
-        by_pair: dict[tuple[str, str], list[ObservationRecord]] = {}
+        by_pair: dict[tuple[str, str], Sequence[ObservationRecord]] = {}
         periods: set[int] = set()
         problem_of = record_problem
         for rec in records:
@@ -235,6 +250,9 @@ class Dataset:
             else:
                 series.append(rec)
             periods.add(period)
+        for pair, series in by_pair.items():
+            # in place, so the lists are freed one by one
+            by_pair[pair] = tuple(series)
         self._by_key = by_key
         self._records = tuple(by_key.values())
         self._by_pair = by_pair
@@ -249,7 +267,7 @@ class Dataset:
     def __len__(self) -> int:
         return len(self._records)
 
-    def series(self, territory: str, indicator: str) -> Sequence[ObservationRecord]:
+    def series(self, territory: str, indicator: str) -> tuple[ObservationRecord, ...]:
         """Every period's observation of one territory and indicator, in input order."""
         return self._by_pair.get((territory, indicator), ())
 

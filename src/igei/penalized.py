@@ -94,18 +94,6 @@ def weighted_mean(seq: SequenceLike) -> float:
     return _mean(*_unpack(seq))
 
 
-def weighted_variance(seq: SequenceLike) -> float:
-    """Weighted population variance about the weighted mean."""
-    values, weights = _unpack(seq)
-    return _variance_about(values, weights, _mean(values, weights))
-
-
-def value_range(seq: SequenceLike) -> float:
-    """Spread ``max(x) - min(x)``."""
-    values, _ = _unpack(seq)
-    return max(values) - min(values)
-
-
 def penalized_mean(seq: SequenceLike, polarity: Polarity = Polarity.POSITIVE) -> float:
     """Weighted mean shifted by ``var / (2 * range)`` against the polarity.
 

@@ -25,6 +25,7 @@ from igei.metrics import (
     score_share,
 )
 from igei.model import (
+    CorrectionKind,
     Dataset,
     IndexTree,
     IndicatorSpec,
@@ -33,6 +34,10 @@ from igei.model import (
     external_source,
 )
 from igei.penalized import Polarity, _fold_scores
+
+# bound once: on CPython 3.11 a member read off its Enum class takes a slow
+# path (the metaclass defines __getattr__), and _alpha runs per observation
+_NONE, _OWN_AVERAGE = CorrectionKind.NONE, CorrectionKind.OWN_AVERAGE
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ def _correction_source(
     spec: IndicatorSpec, specs: Mapping[str, IndicatorSpec]
 ) -> tuple[str, str, Polarity]:
     """(source indicator id, observation attribute, source polarity) for a correction."""
-    if spec.correction.kind == "own_average":
+    if spec.correction.kind is CorrectionKind.OWN_AVERAGE:
         return spec.id, "x_a", spec.polarity
     source = external_source(spec, specs)
     return source.id, spec.correction.source_attr, source.polarity
@@ -115,10 +120,10 @@ def resolve_references(
     maxima: dict[str, float] = {}
     bases: dict[tuple[str, str, int], float] = {}
     for spec in specs.values():
-        if spec.correction.kind == "none":
+        if spec.correction.kind is CorrectionKind.NONE:
             continue
         source_id, attr, source_polarity = _correction_source(spec, specs)
-        external = spec.correction.kind == "external"
+        external = spec.correction.kind is CorrectionKind.EXTERNAL
         # external bases cover every territory, and the scope reads from them
         levels_of = {
             terr: _source_levels(data, terr, source_id, attr, source_polarity)
@@ -160,12 +165,12 @@ def _alpha(
 ) -> float | None:
     """Correction coefficient for one observation; ``None`` when uncorrected."""
     corr = spec.correction
-    if corr.kind == "none":
+    if corr.kind is _NONE:
         return None
     reference = refs.maxima.get(spec.id)
     if reference is None:
         raise ScoringError(f"{spec.id}: references were not resolved for this indicator")
-    if corr.kind == "own_average":
+    if corr.kind is _OWN_AVERAGE:
         if working_total is None:
             raise ScoringError(
                 f"{spec.id}: observation for {obs.territory!r} lacks the total level "

@@ -1,6 +1,6 @@
 import pytest
 
-from igei import dataio
+from igei import dataio, verify
 
 
 @pytest.fixture(scope="session")
@@ -22,5 +22,5 @@ def index_reference():
 @pytest.fixture(scope="session")
 def region_names(index_reference):
     return [
-        t for t in index_reference if t not in dataio.AGGREGATE_TERRITORIES
+        t for t in index_reference if t not in verify.AGGREGATE_TERRITORIES
     ]

@@ -7,7 +7,7 @@ lines; every criterion is asserted at its stated tolerance.
 import numpy as np
 import pytest
 
-from igei import cli, dataio, metrics, pipeline
+from igei import dataio, metrics, pipeline, verify
 from igei.errors import AggregationError
 from igei.metrics import MetricKind
 from igei.model import (
@@ -115,8 +115,8 @@ def test_04_final_index_formula_and_known_deviation(default_spec, index_referenc
     published = index_reference["Provincia Autonoma di Trento"]["index"]
     assert published == pytest.approx(73.949, abs=0.005)
     assert abs(pipeline.aggregate_level(vector) - published) > 0.5
-    status, detail = cli._check_final_index()
-    assert status == cli.KNOWN_DEVIATION
+    status, detail = verify._check_final_index()
+    assert status == verify.KNOWN_DEVIATION
     note(4, "final index formula", f"oracle 73.184 matches; verify reports {status}")
 
 
@@ -207,16 +207,16 @@ def test_10_time_comparability():
     )
     specs = {
         "J1": IndicatorSpec(
-            id="J1", label="J1", domain="d1", subdomain="s1",
+            id="J1", label="J1",
             metric=MetricKind.STANDARD, correction=Correction("own_average"),
         ),
         "J2": IndicatorSpec(
-            id="J2", label="J2", domain="d1", subdomain="s1",
+            id="J2", label="J2",
             metric=MetricKind.RATIO,
             correction=Correction("external", indicator="J1", field="women"),
         ),
         "J3": IndicatorSpec(
-            id="J3", label="J3", domain="d2", subdomain="d2", metric=MetricKind.SHARE,
+            id="J3", label="J3", metric=MetricKind.SHARE,
         ),
     }
     records = []

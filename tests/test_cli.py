@@ -223,6 +223,26 @@ class TestBadInput:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         return err
 
+    def test_repeated_domain_id(self, capsys, tmp_path):
+        # kept, the index read 90.00 with two 'work' columns instead of 40
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(
+            "tree:\n  - domain: work\n    indicators: [A]\n"
+            "  - domain: work\n    indicators: [B]\n"
+            "indicators:\n  A: {metric: capped}\n  B: {metric: capped}\n",
+            encoding="utf-8",
+        )
+        data = tmp_path / "scores.csv"
+        data.write_text("territory,A,B\nX,10,90\n", encoding="utf-8")
+        err = self._fails(capsys, "aggregate", "--data", str(data), "--spec", str(spec))
+        assert err == "error: domain 'work' appears more than once\n"
+
+    def test_deeply_nested_yaml_spec(self, capsys, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("tree: " + "[" * 500 + "\n", encoding="utf-8")
+        err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
+        assert err == f"error: {spec}: malformed YAML: nesting is too deep\n"
+
     def test_missing_data_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.csv")
         err = self._fails(capsys, "aggregate", "--data", missing)
@@ -356,6 +376,25 @@ class TestVerify:
         _, first, _ = run(capsys, "verify")
         _, second, _ = run(capsys, "verify")
         assert first == second
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenOutput:
+    """The full bundled ``verify`` and ``demo`` output, byte for byte."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["verify"], "verify.txt"),
+        (["verify", "--format", "json"], "verify.json"),
+        (["demo"], "demo.txt"),
+        (["demo", "--format", "csv"], "demo.csv"),
+        (["demo", "--format", "json"], "demo.json"),
+    ])
+    def test_matches_golden_file(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 class TestStartup:

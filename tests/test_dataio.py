@@ -223,9 +223,64 @@ class TestLoadIndexSpec:
             assert specs[gid].correction.kind == "none"
 
     def test_placement_derived_from_tree(self, default_spec):
-        specs, _ = default_spec
-        assert (specs["G1"].domain, specs["G1"].subdomain) == ("work", "participation")
-        assert specs["G4"].subdomain == "economy"  # implicit sub-domain
+        _, tree = default_spec
+        placement = {
+            ind: (dom.id, sub.id)
+            for dom in tree.domains for sub in dom.subdomains for ind in sub.indicators
+        }
+        assert placement["G1"] == ("work", "participation")
+        assert placement["G4"] == ("economy", "economy")  # implicit sub-domain
+
+    def test_period_key_checked_but_not_kept(self, tmp_path):
+        text = (
+            "tree:\n  - domain: d\n    indicators: [C]\n"
+            "indicators:\n  C: {metric: capped, period: %s}\n"
+        )
+        specs, _ = load_index_spec(write(tmp_path, text % "2023", name="spec.yaml"))
+        assert not hasattr(specs["C"], "period")
+        with pytest.raises(SpecError) as info:
+            load_index_spec(write(tmp_path, text % "'2023'", name="spec.yaml"))
+        assert str(info.value) == (
+            "indicator 'C': period must be an integer year, got '2023'"
+        )
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            (
+                "  - domain: work\n    indicators: [A]\n"
+                "  - domain: work\n    indicators: [B]\n",
+                "domain 'work' appears more than once",
+            ),
+            (
+                "  - domain: work\n    subdomains:\n"
+                "      - {id: s, indicators: [A]}\n      - {id: s, indicators: [B]}\n",
+                "domain 'work': sub-domain 's' appears more than once",
+            ),
+        ],
+    )
+    def test_repeated_tree_id(self, tmp_path, tree, message):
+        # kept, the second 'work' would overwrite the first one's values
+        text = "tree:\n" + tree + "indicators:\n  A: {metric: capped}\n  B: {metric: capped}\n"
+        with pytest.raises(SpecError) as info:
+            load_index_spec(write(tmp_path, text, name="spec.yaml"))
+        assert str(info.value) == message
+
+    def test_subdomain_id_may_repeat_across_domains(self, tmp_path):
+        text = (
+            "tree:\n"
+            "  - domain: d1\n    subdomains: [{id: s, indicators: [A]}]\n"
+            "  - domain: d2\n    subdomains: [{id: s, indicators: [B]}]\n"
+            "indicators:\n  A: {metric: capped}\n  B: {metric: capped}\n"
+        )
+        _, tree = load_index_spec(write(tmp_path, text, name="spec.yaml"))
+        assert tree.leaf_ids() == ("A", "B")
+
+    def test_deep_nesting_is_a_spec_error(self, tmp_path):
+        path = write(tmp_path, "tree: " + "[" * 500 + "\n", name="spec.yaml")
+        with pytest.raises(SpecError) as info:
+            load_index_spec(path)
+        assert str(info.value) == f"{path}: malformed YAML: nesting is too deep"
 
     def test_minimal_spec(self):
         specs, tree = load_index_spec(dataio.bundled_path("demo_tree.yaml"))
@@ -441,7 +496,7 @@ class TestValidateDataset:
         from igei.model import Correction, IndicatorSpec
 
         spec = IndicatorSpec(
-            id="N", label="N", domain="d", subdomain="s",
+            id="N", label="N",
             metric=MetricKind.STANDARD, polarity=Polarity.NEGATIVE,
             correction=Correction("own_average"),
         )

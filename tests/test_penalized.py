@@ -13,9 +13,7 @@ from igei.penalized import (
     cartwright_field_bounds,
     geometric_mean,
     penalized_mean,
-    value_range,
     weighted_mean,
-    weighted_variance,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -249,23 +247,12 @@ class TestPlainAndUniformWeighted:
     def test_bit_identical(self, seq):
         # a plain sequence takes the same 1/n weights and the same fsum terms
         uniform = WeightedSequence(seq)
-        for f in (weighted_mean, weighted_variance, value_range):
-            assert f(seq).hex() == f(uniform).hex()
+        assert weighted_mean(seq).hex() == weighted_mean(uniform).hex()
         for polarity in Polarity:
             assert (
                 penalized_mean(seq, polarity).hex()
                 == penalized_mean(uniform, polarity).hex()
             )
-
-
-class TestHelpers:
-    def test_value_range(self):
-        assert value_range([2, 8, 5]) == 6.0
-
-    def test_weighted_variance_uniform(self):
-        # population variance about the mean
-        assert weighted_variance([4, 6]) == pytest.approx(1.0, abs=1e-12)
-        assert weighted_variance([1] * 9 + [91]) == pytest.approx(729.0, abs=1e-9)
 
 
 class TestFoldScores:

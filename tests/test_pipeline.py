@@ -10,6 +10,7 @@ from igei.errors import AggregationError, DataError, ScoringError, SpecError
 from igei.metrics import MetricKind
 from igei.model import (
     Correction,
+    CorrectionKind,
     Dataset,
     Domain,
     IndexTree,
@@ -57,11 +58,10 @@ def obs_value(territory, indicator, kind, value, period=2023):
     )
 
 
-def spec_standard(ind, polarity=Polarity.POSITIVE, correction=Correction("own_average"),
-                  domain="d", subdomain="s"):
+def spec_standard(ind, polarity=Polarity.POSITIVE, correction=Correction("own_average")):
     return IndicatorSpec(
-        id=ind, label=ind, domain=domain, subdomain=subdomain,
-        metric=MetricKind.STANDARD, polarity=polarity, correction=correction,
+        id=ind, label=ind, metric=MetricKind.STANDARD, polarity=polarity,
+        correction=correction,
     )
 
 
@@ -81,19 +81,17 @@ SYNTH_TREE = IndexTree(
 )
 
 SYNTH_SPECS = {
-    "J1": spec_standard("J1", domain="d1", subdomain="s1"),
-    "J2": spec_standard("J2", polarity=Polarity.NEGATIVE, domain="d1", subdomain="s2"),
+    "J1": spec_standard("J1"),
+    "J2": spec_standard("J2", polarity=Polarity.NEGATIVE),
     "J3": IndicatorSpec(
-        id="J3", label="J3", domain="d1", subdomain="s2", metric=MetricKind.SHARE,
+        id="J3", label="J3", metric=MetricKind.SHARE,
         correction=Correction("external", indicator="J1", field="total"),
     ),
     "J4": IndicatorSpec(
-        id="J4", label="J4", domain="d2", subdomain="d2", metric=MetricKind.RATIO,
+        id="J4", label="J4", metric=MetricKind.RATIO,
         correction=Correction("external", indicator="J1", field="women"),
     ),
-    "J5": IndicatorSpec(
-        id="J5", label="J5", domain="d2", subdomain="d2", metric=MetricKind.CAPPED,
-    ),
+    "J5": IndicatorSpec(id="J5", label="J5", metric=MetricKind.CAPPED),
 }
 
 SYNTH_RECORDS = [
@@ -161,7 +159,7 @@ class TestResolveReferences:
         specs = {
             "J5": SYNTH_SPECS["J5"],
             "J3": IndicatorSpec(
-                id="J3", label="J3", domain="d", subdomain="s", metric=MetricKind.SHARE,
+                id="J3", label="J3", metric=MetricKind.SHARE,
                 correction=Correction("external", indicator="J5"),
             ),
         }
@@ -216,19 +214,18 @@ ORACLE_SPECS = {
     "S1": spec_standard("S1"),
     "S2": spec_standard("S2", polarity=Polarity.NEGATIVE),
     "ET": IndicatorSpec(
-        id="ET", label="ET", domain="d", subdomain="s", metric=MetricKind.SHARE,
+        id="ET", label="ET", metric=MetricKind.SHARE,
         correction=Correction("external", indicator="S1", field="total"),
     ),
     "EW": IndicatorSpec(
-        id="EW", label="EW", domain="d", subdomain="s", metric=MetricKind.RATIO,
+        id="EW", label="EW", metric=MetricKind.RATIO,
         correction=Correction("external", indicator="S1", field="women"),
     ),
     "EM": IndicatorSpec(
-        id="EM", label="EM", domain="d", subdomain="s", metric=MetricKind.SHARE,
+        id="EM", label="EM", metric=MetricKind.SHARE,
         correction=Correction("external", indicator="S2", field="men"),
     ),
-    "C": IndicatorSpec(id="C", label="C", domain="d", subdomain="s",
-                       metric=MetricKind.CAPPED),
+    "C": IndicatorSpec(id="C", label="C", metric=MetricKind.CAPPED),
 }
 
 
@@ -333,18 +330,14 @@ class TestComputeIndicator:
         )
 
     def test_share_without_correction(self):
-        spec = IndicatorSpec(
-            id="S", label="S", domain="d", subdomain="s", metric=MetricKind.SHARE
-        )
+        spec = IndicatorSpec(id="S", label="S", metric=MetricKind.SHARE)
         obs = obs_value("X", "S", MetricKind.SHARE, 0.5)
         assert compute_indicator(spec, obs, ReferenceLevels(maxima={})) == pytest.approx(
             100.0, abs=1e-12
         )
 
     def test_capped_published_value(self):
-        spec = IndicatorSpec(
-            id="C", label="C", domain="d", subdomain="s", metric=MetricKind.CAPPED
-        )
+        spec = IndicatorSpec(id="C", label="C", metric=MetricKind.CAPPED)
         obs = obs_value("X", "C", MetricKind.CAPPED, 0.132)
         assert compute_indicator(spec, obs, ReferenceLevels(maxima={})) == pytest.approx(
             13.20, abs=1e-9
@@ -587,6 +580,50 @@ class TestIndexTree:
         assert pruned.leaf_ids() == ("J4", "J5")
 
 
+    def test_repeated_domain_id(self):
+        sub = SubDomain(id="s", indicators=("A",))
+        twin = SubDomain(id="s", indicators=("B",))
+        with pytest.raises(SpecError, match="^domain 'd' appears more than once$"):
+            IndexTree(domains=(Domain(id="d", subdomains=(sub,)),
+                               Domain(id="d", subdomains=(twin,))))
+
+    def test_repeated_subdomain_id_within_a_domain(self):
+        subs = (SubDomain(id="s", indicators=("A",)), SubDomain(id="s", indicators=("B",)))
+        with pytest.raises(SpecError, match="^domain 'd': sub-domain 's' appears more than once$"):
+            IndexTree(domains=(Domain(id="d", subdomains=subs),))
+
+
+class TestCorrection:
+    def test_kind_is_an_enum_and_accepts_its_value(self):
+        own = Correction("own_average")
+        assert own.kind is CorrectionKind.OWN_AVERAGE
+        assert own == Correction(CorrectionKind.OWN_AVERAGE)
+        assert hash(own) == hash(Correction(CorrectionKind.OWN_AVERAGE))
+        assert own.kind == "own_average"
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kind": "bogus"}, "unknown correction kind 'bogus'"),
+            ({"kind": "none", "indicator": "X"}, "'none' correction takes no source indicator"),
+            (
+                {"kind": "own_average", "indicator": "X"},
+                "'own_average' correction takes no source indicator",
+            ),
+            ({"kind": "external"}, "external correction requires a source indicator id"),
+            (
+                {"kind": "external", "indicator": "X", "field": "all"},
+                "external correction field must be one of ('total', 'women', 'men'), "
+                "got 'all'",
+            ),
+        ],
+    )
+    def test_messages(self, kwargs, message):
+        with pytest.raises(SpecError) as info:
+            Correction(**kwargs)
+        assert str(info.value) == message
+
+
 class TestObservationRecord:
     def test_slotted(self):
         record = obs_standard("X", "J1", 0.4, 0.6)
@@ -648,6 +685,15 @@ class TestDatasetBoundary:
         with pytest.raises(DataError) as info:
             Dataset([SYNTH_RECORDS[1], record])
         assert str(info.value) == f"territory 'X', indicator 'J1', period 2023: {problem}"
+
+    def test_series_cannot_be_mutated(self):
+        data = Dataset(SYNTH_RECORDS)
+        series = data.series("X", "J1")
+        assert series == (SYNTH_RECORDS[0],)
+        with pytest.raises(AttributeError):
+            series.clear()
+        assert data.get("X", "J1") == SYNTH_RECORDS[0]
+        assert data.series("nowhere", "J1") == ()
 
     def test_repeated_key_refused(self):
         with pytest.raises(DataError) as info:
@@ -715,7 +761,7 @@ class TestScoreTimeSeries:
         return records
 
     def test_constant_territory_has_constant_scores(self):
-        specs = {"J1": spec_standard("J1", domain="d1", subdomain="s1")}
+        specs = {"J1": spec_standard("J1")}
         tree = IndexTree(
             domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)
         )
@@ -728,7 +774,7 @@ class TestScoreTimeSeries:
         assert len(set(b_scores)) == 3
 
     def test_single_period_matches_plain_scoring(self):
-        specs = {"J1": spec_standard("J1", domain="d1", subdomain="s1")}
+        specs = {"J1": spec_standard("J1")}
         tree = IndexTree(
             domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)
         )
@@ -741,7 +787,7 @@ class TestScoreTimeSeries:
     def test_reference_frozen_across_periods(self):
         # B overtakes the old maximum in the second period; A's data never
         # changes, so A's scores must not change either
-        specs = {"J1": spec_standard("J1", domain="d1", subdomain="s1")}
+        specs = {"J1": spec_standard("J1")}
         tree = IndexTree(
             domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)
         )
@@ -750,7 +796,7 @@ class TestScoreTimeSeries:
         assert by_period[2022]["A"].index == by_period[2023]["A"].index
 
     def test_inconsistent_coverage_rejected(self):
-        specs = {"J1": spec_standard("J1", domain="d1", subdomain="s1")}
+        specs = {"J1": spec_standard("J1")}
         tree = IndexTree(
             domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)
         )
@@ -761,7 +807,7 @@ class TestScoreTimeSeries:
 
     @pytest.mark.parametrize("extra_period, differing", [(2021, 2022), (2023, 2023)])
     def test_pair_in_one_end_period_only(self, extra_period, differing):
-        specs = {"J1": spec_standard("J1", domain="d1", subdomain="s1")}
+        specs = {"J1": spec_standard("J1")}
         tree = IndexTree(
             domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)
         )
@@ -775,7 +821,7 @@ class TestScoreTimeSeries:
         )
 
     def test_coverage_error_names_first_differing_period(self):
-        specs = {"J1": spec_standard("J1", domain="d1", subdomain="s1")}
+        specs = {"J1": spec_standard("J1")}
         tree = IndexTree(
             domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)
         )
