@@ -3,7 +3,7 @@
 Builds 0-100 indicator scores from gender-disaggregated observations,
 aggregates them through a configurable domain hierarchy with penalized
 arithmetic means, and reproduces the published reference tables that pin
-the conventions down.
+the conventions down. The names imported here are the public API.
 """
 
 from igei.errors import (
@@ -67,53 +67,3 @@ from igei.stats import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregationError",
-    "Correction",
-    "CorrectionKind",
-    "DataError",
-    "Dataset",
-    "DegenerateInputError",
-    "DescriptiveSummary",
-    "Domain",
-    "IgeiError",
-    "InconsistentReferenceError",
-    "IndexTree",
-    "IndicatorSpec",
-    "MetricInputError",
-    "MetricKind",
-    "ObservationRecord",
-    "OutOfModelError",
-    "Polarity",
-    "ReferenceLevels",
-    "ScoringError",
-    "SpecError",
-    "StatisticsError",
-    "SubDomain",
-    "TerritoryReport",
-    "WeightedSequence",
-    "aggregate_level",
-    "aggregate_scores",
-    "cartwright_field_bounds",
-    "compute_indicator",
-    "correction_coefficient",
-    "correlation_matrix",
-    "descriptive_summary",
-    "gap_metric",
-    "gei_correction_coefficient",
-    "gei_gap_metric",
-    "geometric_mean",
-    "invert_polarity",
-    "penalized_mean",
-    "rank_table",
-    "resolve_references",
-    "score_capped",
-    "score_gei",
-    "score_ratio",
-    "score_share",
-    "score_standard",
-    "score_territory",
-    "score_time_series",
-    "weighted_mean",
-]

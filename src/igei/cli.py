@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from igei import dataio, pipeline, stats, verify
-from igei.errors import IgeiError
+from igei.errors import IgeiError, StatisticsError
 
 
 # --- output helpers --------------------------------------------------------
@@ -265,7 +265,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         summary_columns[leaf] = [reports[t].indicator_scores[leaf] for t in scope]
     summaries = {name: stats.descriptive_summary(vals)
                  for name, vals in summary_columns.items()}
-    corr = stats.correlation_matrix([summary_columns[leaf] for leaf in leaves])
+    try:
+        corr = stats.correlation_matrix([summary_columns[leaf] for leaf in leaves])
+    except StatisticsError as exc:
+        if not exc.positions:
+            raise
+        raise StatisticsError(
+            f"correlation is undefined for constant indicator columns "
+            f"({', '.join(leaves[i] for i in exc.positions)})"
+        ) from None
     positions = range(len(leaves))
     corr_matrix = [[corr[i, j] for j in positions] for i in positions]
 

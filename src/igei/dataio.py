@@ -36,8 +36,8 @@ from igei.model import (
     IndicatorSpec,
     ObservationRecord,
     SubDomain,
+    as_dataset,
     external_source,
-    record_problem,
 )
 from igei.penalized import Polarity
 
@@ -55,6 +55,10 @@ OBSERVATION_HEADER = (
 DEFAULT_SPEC_RESOURCE = "igei_tree.yaml"
 
 _METRIC_KINDS = {kind.value: kind for kind in MetricKind}
+# bound once: on CPython 3.11 a member read off its Enum class takes a slow
+# path, and validate_dataset reads these per record
+_STANDARD, _OWN_AVERAGE = MetricKind.STANDARD, CorrectionKind.OWN_AVERAGE
+_NEGATIVE = Polarity.NEGATIVE
 
 
 # --- file plumbing ---------------------------------------------------------
@@ -83,6 +87,7 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
 def _rows(source, decimal_comma: bool) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, cells) skipping comment and blank lines."""
     delimiter = ";" if decimal_comma else ","
+    lineno = 0
     with _open_text(source) as handle:
         reader = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
         try:
@@ -92,6 +97,8 @@ def _rows(source, decimal_comma: bool) -> Iterator[tuple[int, list[str]]]:
                 yield lineno, list(map(str.strip, row))
         except UnicodeDecodeError as exc:
             raise _not_utf8(source, exc) from None
+        except csv.Error as exc:  # such as a cell above the csv module's size limit
+            raise DataError(f"row {lineno + 1}: {exc}") from None
 
 
 def _parse_number(
@@ -113,9 +120,9 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
     """Read an observation file into a :class:`Dataset`, preserving input order.
 
     Raises :class:`DataError` naming the offending row for malformed
-    cells and for every record :class:`Dataset` refuses: shape
-    violations, out-of-bound values, and duplicate (territory,
-    indicator, period) keys.
+    cells, for every record that :class:`ObservationRecord` refuses
+    (unknown kinds, shape violations, out-of-bound values), and for
+    duplicate (territory, indicator, period) keys.
     """
     lineno = 0
     # one object per distinct territory, indicator and period of this file
@@ -160,18 +167,10 @@ def _parse_observation(
             f"row {lineno}: expected {len(OBSERVATION_HEADER)} cells, got {len(row)}"
         )
     territory, indicator, period_text, kind_text, x_w, x_m, x_a, value = row
-    if not territory or not indicator:
-        raise DataError(f"row {lineno}: territory and indicator must be non-empty")
     try:
         period = int(period_text)
     except ValueError:
         raise DataError(f"row {lineno}: period is not an integer: {period_text!r}")
-    kind = _METRIC_KINDS.get(kind_text)
-    if kind is None:
-        raise DataError(
-            f"row {lineno}: unknown metric kind {kind_text!r} (expected one of "
-            f"{', '.join(k.value for k in MetricKind)})"
-        )
     if decimal_comma:
         x_w, x_m, x_a, value = (c.replace(",", ".") for c in (x_w, x_m, x_a, value))
     try:
@@ -185,9 +184,10 @@ def _parse_observation(
             _parse_number(cell, decimal_comma, lineno, column)
         raise
     share = shared.setdefault
+    # an unknown kind stays text, for the record to refuse
     return ObservationRecord(
         share(territory, territory), share(indicator, indicator), share(period, period),
-        kind, x_w, x_m, x_a, value,
+        _METRIC_KINDS.get(kind_text, kind_text), x_w, x_m, x_a, value,
     )
 
 
@@ -323,6 +323,13 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             raise SpecError(f"{source}: malformed YAML{where}: {problem}") from None
         except RecursionError:
             raise SpecError(f"{source}: malformed YAML: nesting is too deep") from None
+        except Exception as exc:
+            # PyYAML's scalar constructors raise bare errors for a value they
+            # cannot build: ValueError for 2023-13-45, IndexError for !!float ''
+            raise SpecError(
+                f"{source}: malformed YAML: cannot construct a value "
+                f"({type(exc).__name__}: {str(exc)[:80]})"
+            ) from None
     if not isinstance(raw, dict):
         raise SpecError("index spec must be a mapping")
     for key in ("tree", "indicators"):
@@ -330,12 +337,12 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             raise SpecError(f"index spec lacks the {key!r} section")
 
     domains: list[Domain] = []
-    for entry in _spec_list(raw["tree"], "the 'tree' section"):
+    for position, entry in enumerate(_spec_list(raw["tree"], "the 'tree' section"), 1):
         if not isinstance(entry, dict):
-            raise SpecError(f"tree entry {entry!r} is not a mapping")
+            raise SpecError(f"tree entry {position} is not a mapping, got {_shown(entry)}")
         dom_id = entry.get("domain")
         if not _is_id(dom_id):
-            raise SpecError(f"every tree entry needs a 'domain' id, got {dom_id!r}")
+            raise SpecError(f"every tree entry needs a 'domain' id, got {_shown(dom_id)}")
         if "subdomains" in entry:
             subs = [
                 _parse_subdomain(dom_id, sub)
@@ -353,7 +360,8 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
     declared = raw.get("domain_count")
     if declared is not None and declared != len(tree.domains):
         raise SpecError(
-            f"spec declares {declared} domains but the tree defines {len(tree.domains)}"
+            f"spec declares {_shown(declared)} domains but the tree defines "
+            f"{len(tree.domains)}"
         )
 
     if not isinstance(raw["indicators"], dict):
@@ -368,19 +376,20 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             metric = MetricKind(fields["metric"])
         except ValueError:
             raise SpecError(
-                f"indicator {ind_id!r}: unknown metric kind {fields['metric']!r}"
+                f"indicator {ind_id!r}: unknown metric kind {_shown(fields['metric'])}"
             )
         try:
             polarity = Polarity(fields.get("polarity", "positive"))
         except ValueError:
             raise SpecError(
-                f"indicator {ind_id!r}: unknown polarity {fields['polarity']!r}"
+                f"indicator {ind_id!r}: unknown polarity {_shown(fields['polarity'])}"
             )
         correction = _parse_correction(ind_id, fields.get("correction", "none"))
         period = fields.get("period")
         if period is not None and not isinstance(period, int):
             raise SpecError(
-                f"indicator {ind_id!r}: period must be an integer year, got {period!r}"
+                f"indicator {ind_id!r}: period must be an integer year, "
+                f"got {_shown(period)}"
             )
         specs[ind_id] = IndicatorSpec(
             id=ind_id,
@@ -403,22 +412,37 @@ def _is_id(raw) -> bool:
     return isinstance(raw, str) and raw != ""
 
 
+def _shown(raw) -> str:
+    """A short scalar as written, anything else by type: aliases can make a value huge."""
+    if not isinstance(raw, (list, dict, set)):
+        text = repr(raw)
+        if len(text) <= 40:
+            return text
+    return "a " + {dict: "mapping", str: "long string"}.get(type(raw), type(raw).__name__)
+
+
 def _spec_list(raw, what: str) -> tuple:
     if not isinstance(raw, list):
-        raise SpecError(f"{what} must be a list, got {raw!r}")
+        raise SpecError(f"{what} must be a list, got {_shown(raw)}")
     return tuple(raw)
 
 
 def _indicator_ids(raw, owner: str) -> tuple[str, ...]:
     ids = _spec_list(raw, f"{owner}: indicators")
-    if not all(map(_is_id, ids)):
-        raise SpecError(f"{owner}: indicators must be indicator ids, got {raw!r}")
+    for position, ind in enumerate(ids, 1):
+        if not _is_id(ind):
+            raise SpecError(
+                f"{owner}: indicators must be indicator ids, got {_shown(ind)} "
+                f"at position {position}"
+            )
     return ids
 
 
 def _parse_subdomain(dom_id: str, raw) -> SubDomain:
     if not isinstance(raw, dict) or not _is_id(raw.get("id")):
-        raise SpecError(f"domain {dom_id!r}: every sub-domain needs an 'id', got {raw!r}")
+        raise SpecError(
+            f"domain {dom_id!r}: every sub-domain needs an 'id', got {_shown(raw)}"
+        )
     sub_id = raw["id"]
     return SubDomain(
         id=sub_id, indicators=_indicator_ids(raw.get("indicators"), f"sub-domain {sub_id!r}")
@@ -433,9 +457,14 @@ def _parse_correction(ind_id: str, raw) -> Correction:
             raise SpecError(
                 f"indicator {ind_id!r}: external correction needs a source indicator"
             )
-        return Correction(CorrectionKind.EXTERNAL, indicator=str(raw["indicator"]),
-                          field=raw.get("field", "total"))
-    raise SpecError(f"indicator {ind_id!r}: cannot parse correction {raw!r}")
+        source, field = raw["indicator"], raw.get("field", "total")
+        if isinstance(source, (list, dict, set)) or not isinstance(field, str):
+            raise SpecError(
+                f"indicator {ind_id!r}: external correction needs an indicator id and "
+                f"a field name, got {_shown(source)} and {_shown(field)}"
+            )
+        return Correction(CorrectionKind.EXTERNAL, indicator=str(source), field=field)
+    raise SpecError(f"indicator {ind_id!r}: cannot parse correction {_shown(raw)}")
 
 
 # --- dataset validation ----------------------------------------------------
@@ -470,96 +499,55 @@ class ValidationReport:
 
 
 def validate_dataset(
-    records: Iterable[ObservationRecord],
+    records: Dataset | Iterable[ObservationRecord],
     specs: Mapping[str, IndicatorSpec],
     scope: Sequence[str] | None = None,
 ) -> ValidationReport:
     """Check a record collection against the indicator recipes.
 
     Findings cover missing (territory, indicator) pairs over the scope,
-    metric-kind mismatches, payload shape problems, out-of-range values,
-    degenerate gendered pairs, and duplicates. The finding set is
-    deterministic and independent of record order. A :class:`Dataset`
-    has no duplicates or record problems, so those checks are skipped.
+    metric-kind mismatches, missing totals, degenerate gendered pairs
+    and out-of-range rates. The finding set is deterministic and
+    independent of record order. Records pass through :class:`Dataset`,
+    so a repeated key raises :class:`RecordError`.
     """
-    trusted = isinstance(records, Dataset)
-    records = list(records)
+    data = as_dataset(records)
     findings: set[Finding] = set()
-    seen: set[tuple[str, str, int]] = set()
-    covered: set[tuple[str, str]] = set()
 
     def add(level: str, code: str, rec_or_pair, message: str) -> None:
-        if isinstance(rec_or_pair, tuple):
-            territory, indicator = rec_or_pair
-        else:
-            territory, indicator = rec_or_pair.territory, rec_or_pair.indicator
-        findings.add(
-            Finding(
-                level=level,
-                code=code,
-                indicator=indicator,
-                territory=territory,
-                message=message,
-            )
+        territory, indicator = (
+            rec_or_pair if isinstance(rec_or_pair, tuple)
+            else (rec_or_pair.territory, rec_or_pair.indicator)
         )
+        findings.add(Finding(level, code, indicator, territory, message))
 
-    for rec in records:
-        if not trusted:
-            key = (rec.territory, rec.indicator, rec.period)
-            if key in seen:
-                add("error", "duplicate", rec, f"duplicate observation for period {rec.period}")
-            seen.add(key)
-        covered.add((rec.territory, rec.indicator))
-
+    for rec in data:
         spec = specs.get(rec.indicator)
         if spec is None:
             add("warning", "unknown-indicator", rec, "no recipe for this indicator")
             continue
         if rec.kind is not spec.metric:
-            add(
-                "error",
-                "shape-mismatch",
-                rec,
-                f"expected a {spec.metric.value} observation, got {rec.kind.value}",
-            )
+            add("error", "shape-mismatch", rec,
+                f"expected a {spec.metric.value} observation, got {rec.kind.value}")
             continue
-        problem = None if trusted else record_problem(rec)
-        if problem:
-            add("error", "out-of-range", rec, problem)
-            continue
-        if spec.metric is MetricKind.STANDARD:
-            if rec.x_a is None and spec.correction.kind is CorrectionKind.OWN_AVERAGE:
-                add(
-                    "error",
-                    "missing-total",
-                    rec,
-                    "own-average correction needs the x_a column",
-                )
+        if rec.kind is _STANDARD:
+            if rec.x_a is None and spec.correction.kind is _OWN_AVERAGE:
+                add("error", "missing-total", rec,
+                    "own-average correction needs the x_a column")
             if rec.x_w == 0 and rec.x_m == 0:
-                add(
-                    "error",
-                    "degenerate",
-                    rec,
-                    "both gendered levels are zero; the gap is undefined",
-                )
-            if spec.polarity is Polarity.NEGATIVE:
+                add("error", "degenerate", rec,
+                    "both gendered levels are zero; the gap is undefined")
+            if spec.polarity is _NEGATIVE:
                 for name in ("x_w", "x_m", "x_a"):
                     v = getattr(rec, name)
                     if v is not None and v > 1.0:
-                        add(
-                            "error",
-                            "out-of-range",
-                            rec,
-                            f"negative-polarity indicators are rates; {name}={v} "
-                            f"exceeds 1",
-                        )
+                        add("error", "out-of-range", rec,
+                            f"negative-polarity indicators are rates; {name}={v} exceeds 1")
 
-    territories = (
-        list(scope) if scope is not None else sorted({r.territory for r in records})
-    )
+    territories = list(scope) if scope is not None else sorted(data.territories)
     for terr in territories:
         for ind in specs:
-            if (terr, ind) not in covered:
+            if not data.series(terr, ind):
                 add("error", "missing-pair", (terr, ind), "no observation")
 
     return ValidationReport(findings=tuple(sorted(findings)))

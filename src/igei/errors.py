@@ -26,7 +26,9 @@ class AggregationError(IgeiError):
 
 
 class StatisticsError(IgeiError):
-    """Descriptive statistics or correlations requested on unsuitable data."""
+    """Statistics requested on unsuitable data; ``positions`` are the columns named."""
+
+    positions: tuple[int, ...] = ()
 
 
 class SpecError(IgeiError):
@@ -42,7 +44,7 @@ class ScoringError(IgeiError):
 
 
 class RecordError(DataError):
-    """A record refused by :class:`igei.model.Dataset`; ``problem`` omits its key."""
+    """A record refused when built, or a repeated key; ``problem`` omits the key."""
 
     def __init__(self, message: str, problem: str):
         super().__init__(message)

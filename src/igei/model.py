@@ -166,11 +166,9 @@ class IndexTree:
 class ObservationRecord:
     """One raw measurement for a territory and indicator.
 
-    A plain carrier: constructing one checks nothing, so that
-    :func:`igei.dataio.validate_dataset` can collect and report every
-    invalid record of a collection. :class:`Dataset` is where a record is
-    trusted: it refuses any record for which :func:`record_problem`
-    finds a problem, and any repeated (territory, indicator, period) key.
+    Valid by construction: building a record that :func:`record_problem`
+    refuses raises :class:`RecordError` naming its key. ``kind`` may be
+    given as a :class:`MetricKind` or as its value.
 
     Records are slotted, so they have no ``__dict__`` (``vars(rec)``
     fails). Records loaded from one file share one string object per
@@ -186,25 +184,56 @@ class ObservationRecord:
     x_a: float | None = None
     value: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind.__class__ is not MetricKind:
+            try:
+                object.__setattr__(self, "kind", MetricKind(self.kind))
+            except ValueError:
+                pass  # record_problem names the unknown kind
+        try:
+            problem = record_problem(self)
+        except TypeError:  # a level that does not compare with numbers
+            problem = "levels must be numbers or None"
+        if problem:
+            raise RecordError(
+                f"territory {self.territory!r}, indicator {self.indicator!r}, "
+                f"period {self.period}: {problem}",
+                problem,
+            )
+
+
+# bound once: on CPython 3.11 a member read off its Enum class takes a slow
+# path (the metaclass defines __getattr__), and record_problem runs per record
+_STANDARD, _SHARE, _RATIO = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.RATIO
+
 
 def record_problem(rec: ObservationRecord) -> str | None:
-    """Why ``rec``'s shape is wrong for its kind or a level is not finite and >= 0.
+    """Why ``rec`` is not a well-formed observation; None for a clean record.
 
-    Returns None for a clean record.
+    A record needs non-empty names, an ``int`` period, a known kind, the
+    columns its kind takes, and levels that are finite and >= 0.
     """
-    if rec.kind is MetricKind.STANDARD:
+    if not rec.territory or not rec.indicator:
+        return "territory and indicator must be non-empty"
+    if rec.period.__class__ is not int:
+        return f"period must be an integer year, got {rec.period!r}"
+    kind = rec.kind
+    if kind is _STANDARD:
         if rec.value is not None:
             return "standard observations take no single value"
         if rec.x_w is None or rec.x_m is None:
             return "standard observations need both x_w and x_m"
+    elif kind.__class__ is not MetricKind:
+        expected = ", ".join(k.value for k in MetricKind)
+        return f"unknown metric kind {kind!r} (expected one of {expected})"
     else:
         if rec.x_w is not None or rec.x_m is not None or rec.x_a is not None:
-            return f"{rec.kind.value} observations take only the value column"
+            return f"{kind.value} observations take only the value column"
         if rec.value is None:
-            return f"{rec.kind.value} observations need a value"
-        if rec.kind is MetricKind.SHARE and not 0.0 <= rec.value <= 1.0:
+            return f"{kind.value} observations need a value"
+        if kind is _SHARE and not 0.0 <= rec.value <= 1.0:
             return f"share value {rec.value} is outside [0, 1]"
-        if rec.kind is MetricKind.RATIO and rec.value <= 0:
+        if kind is _RATIO and rec.value <= 0:
             return f"ratio value {rec.value} must be positive"
     for name in ("x_w", "x_m", "x_a", "value"):
         v = getattr(rec, name)
@@ -218,23 +247,16 @@ def record_problem(rec: ObservationRecord) -> str | None:
 class Dataset:
     """Immutable lookup over observation records keyed by territory/indicator/period.
 
-    Construction is where a record is trusted: it raises :class:`RecordError`
-    for a repeated key or a record :func:`record_problem` refuses.
+    Records are checked when built; construction raises :class:`RecordError`
+    for a repeated (territory, indicator, period) key.
     """
 
     def __init__(self, records: Iterable[ObservationRecord]):
         by_key: dict[tuple[str, str, int], ObservationRecord] = {}
         by_pair: dict[tuple[str, str], Sequence[ObservationRecord]] = {}
         periods: set[int] = set()
-        problem_of = record_problem
         for rec in records:
             territory, indicator, period = rec.territory, rec.indicator, rec.period
-            if problem := problem_of(rec):
-                raise RecordError(
-                    f"territory {territory!r}, indicator {indicator!r}, "
-                    f"period {period}: {problem}",
-                    problem,
-                )
             key = (territory, indicator, period)
             if key in by_key:
                 duplicate = (

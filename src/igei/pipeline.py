@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from igei.errors import AggregationError, ScoringError
+from igei.errors import AggregationError, MetricInputError, ScoringError
 from igei.metrics import (
     MetricKind,
     correction_coefficient,
@@ -36,8 +36,11 @@ from igei.model import (
 from igei.penalized import Polarity, _fold_scores
 
 # bound once: on CPython 3.11 a member read off its Enum class takes a slow
-# path (the metaclass defines __getattr__), and _alpha runs per observation
+# path (the metaclass defines __getattr__), and compute_indicator and _alpha
+# run per observation
 _NONE, _OWN_AVERAGE = CorrectionKind.NONE, CorrectionKind.OWN_AVERAGE
+_STANDARD, _SHARE, _RATIO = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.RATIO
+_NEGATIVE = Polarity.NEGATIVE
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class TerritoryReport:
 
 def _working_scale(polarity: Polarity) -> Callable[[float], float]:
     """Map of raw levels onto the working scale (rates inverted for negative polarity)."""
-    return invert_polarity if polarity is Polarity.NEGATIVE else float
+    return invert_polarity if polarity is _NEGATIVE else float
 
 
 def _correction_source(
@@ -189,35 +192,35 @@ def _alpha(
 def compute_indicator(
     spec: IndicatorSpec, obs: ObservationRecord, refs: ReferenceLevels
 ) -> float:
-    """Score one observation according to its indicator recipe, on 0-100."""
-    if obs.kind is not spec.metric:
+    """Score one observation according to its indicator recipe, on 0-100.
+
+    A scalar formula's refusal (say, an achievement above the reference
+    maximum) is raised as a :class:`ScoringError` naming the record.
+    """
+    metric = spec.metric
+    if obs.kind is not metric:
         raise ScoringError(
-            f"{spec.id}: expected a {spec.metric.value} observation, "
+            f"{spec.id}: expected a {metric.value} observation, "
             f"got {obs.kind.value}"
         )
-    if spec.metric is MetricKind.STANDARD:
-        if obs.x_w is None or obs.x_m is None:
-            raise ScoringError(
-                f"{spec.id}: standard observation for {obs.territory!r} lacks "
-                f"gendered levels"
-            )
-        working = _working_scale(spec.polarity)
-        x_w, x_m = working(obs.x_w), working(obs.x_m)
-        total = None if obs.x_a is None else working(obs.x_a)
-        gamma = gap_metric(x_w, x_m)
-        alpha = _alpha(spec, obs, total, refs)
-        return (1.0 if alpha is None else alpha) * (1.0 - gamma) * 100.0
-    if obs.value is None:
+    try:
+        if metric is _STANDARD:
+            working = _working_scale(spec.polarity)
+            total = None if obs.x_a is None else working(obs.x_a)
+            gamma = gap_metric(working(obs.x_w), working(obs.x_m))
+            alpha = _alpha(spec, obs, total, refs)
+            return (1.0 if alpha is None else alpha) * (1.0 - gamma) * 100.0
+        if metric is _SHARE:
+            return score_share(obs.value, _alpha(spec, obs, None, refs))
+        if metric is _RATIO:
+            alpha = _alpha(spec, obs, None, refs)
+            return score_ratio(obs.value, 1.0 if alpha is None else alpha)
+        return score_capped(obs.value)
+    except MetricInputError as exc:
         raise ScoringError(
-            f"{spec.id}: {spec.metric.value} observation for {obs.territory!r} "
-            f"lacks a value"
-        )
-    if spec.metric is MetricKind.SHARE:
-        return score_share(obs.value, _alpha(spec, obs, None, refs))
-    if spec.metric is MetricKind.RATIO:
-        alpha = _alpha(spec, obs, None, refs)
-        return score_ratio(obs.value, 1.0 if alpha is None else alpha)
-    return score_capped(obs.value)
+            f"territory {obs.territory!r}, indicator {spec.id!r}, "
+            f"period {obs.period}: {exc}"
+        ) from None
 
 
 def aggregate_level(values: Iterable[float]) -> float:

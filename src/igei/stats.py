@@ -91,12 +91,14 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> dict[tuple[int, in
     if n < 3:
         raise StatisticsError("need at least three observations per column")
     # a constant column's centred values need not be exactly zero
-    constant = [str(i) for i, col in enumerate(columns) if min(col) == max(col)]
+    constant = tuple(i for i, col in enumerate(columns) if min(col) == max(col))
     if constant:
-        raise StatisticsError(
+        error = StatisticsError(
             f"correlation is undefined for constant columns "
-            f"(positions {', '.join(constant)})"
+            f"(positions {', '.join(map(str, constant))})"
         )
+        error.positions = constant
+        raise error
     centred = []
     for col in columns:
         mean = math.fsum(col) / n

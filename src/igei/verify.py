@@ -7,6 +7,7 @@ does not reproduce: it is reported, never papered over.
 from __future__ import annotations
 
 from dataclasses import asdict
+from functools import cache
 
 from igei import dataio, metrics, penalized, pipeline, stats
 from igei.errors import IgeiError
@@ -20,6 +21,12 @@ KNOWN_DEVIATION = "KNOWN-DEVIATION"
 # regions: the national aggregate and the region whose two autonomous
 # provinces are already counted.
 AGGREGATE_TERRITORIES = ("Italia", "Trentino-Alto Adige/Südtirol")
+
+
+@cache
+def _bundled(loader, name: str | None = None):
+    """``loader``'s result for a bundled file (its default for ``None``), read once per run."""
+    return loader(None if name is None else dataio.bundled_path(name))
 
 
 def demo_scores() -> list[tuple[ObservationRecord, float, float]]:
@@ -67,9 +74,9 @@ def _check_penalized_reference() -> tuple[str, str]:
 
 
 def _check_domain_aggregation() -> tuple[str, str]:
-    _, tree = dataio.load_index_spec()
-    table = dataio.load_score_table(dataio.bundled_path("indicator_scores_2023.csv"))
-    reference = dataio.load_reference_table()
+    _, tree = _bundled(dataio.load_index_spec)
+    table = _bundled(dataio.load_score_table, "indicator_scores_2023.csv")
+    reference = _bundled(dataio.load_reference_table)
     max_delta = 0.0
     for terr in table.territories:
         rep = pipeline.aggregate_scores(tree, table.row(terr), terr)
@@ -81,8 +88,8 @@ def _check_domain_aggregation() -> tuple[str, str]:
 
 
 def _check_final_index() -> tuple[str, str]:
-    _, tree = dataio.load_index_spec()
-    reference = dataio.load_reference_table()
+    _, tree = _bundled(dataio.load_index_spec)
+    reference = _bundled(dataio.load_reference_table)
     domains = [dom.id for dom in tree.domains]
     deltas = {
         terr: pipeline.aggregate_level([vals[d] for d in domains]) - vals["index"]
@@ -112,7 +119,7 @@ def _regions(territories) -> list[str]:
 
 def _region_scores() -> tuple[list[str], dict[str, list[float]]]:
     """The bundled score table's scoring regions, and their scores by indicator."""
-    table = dataio.load_score_table(dataio.bundled_path("indicator_scores_2023.csv"))
+    table = _bundled(dataio.load_score_table, "indicator_scores_2023.csv")
     regions = _regions(table.territories)
     return regions, {
         ind: [table.scores[(t, ind)] for t in regions] for ind in table.indicators
@@ -125,7 +132,7 @@ def _summary_delta(summary: stats.DescriptiveSummary, expected: dict[str, float]
 
 
 def _check_index_summaries() -> tuple[str, str]:
-    reference = dataio.load_reference_table()
+    reference = _bundled(dataio.load_reference_table)
     published = dataio.load_reference_table(
         dataio.bundled_path("index_summary_2023.csv")
     )
@@ -184,6 +191,7 @@ VERIFY_CHECKS = [
 
 def run_verify_checks() -> list[tuple[str, str, str]]:
     """Run all verification checks; returns (name, status, detail) triples."""
+    _bundled.cache_clear()  # each run reads the bundled files afresh, once
     results = []
     for name, check in VERIFY_CHECKS:
         try:

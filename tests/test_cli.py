@@ -9,7 +9,7 @@ import pytest
 import igei
 from igei import dataio, model
 from igei.cli import main
-from igei.dataio import bundled_path, load_observations
+from igei.dataio import bundled_path, load_observations, load_score_table
 
 DEMO_DATA = str(bundled_path("demo_countries.csv"))
 DEMO_SPEC = str(bundled_path("demo_tree.yaml"))
@@ -85,7 +85,6 @@ class TestScore:
             checked.append(rec)
             return record_problem(rec)
 
-        monkeypatch.setattr(dataio, "record_problem", counted)
         monkeypatch.setattr(model, "record_problem", counted)
         code, _, _ = run(capsys, "score", "--data", DEMO_DATA, "--spec", DEMO_SPEC)
         assert code == 0
@@ -138,6 +137,17 @@ class TestScore:
         )
         assert code == 1
         assert "exceeds reference maximum" in err
+
+    def test_reference_failure_names_the_record(self, capsys):
+        # the scope's maximum total is B's 0.5, and D's 0.6 exceeds it
+        code, out, err = run(
+            capsys, "score", "--data", DEMO_DATA, "--spec", DEMO_SPEC, "--scope", "A,B"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: territory 'D', indicator 'G1', period 2023: "
+            "achievement 0.6 exceeds reference maximum 0.5\n"
+        )
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "scores.txt"
@@ -214,7 +224,7 @@ class TestBadInput:
     def test_non_mapping_tree_entry(self, capsys, tmp_path):
         spec = "tree:\n  - just-a-string\nindicators:\n  C: {metric: capped}\n"
         err = self._score(capsys, tmp_path, spec, self.CAPPED_DATA)
-        assert "tree entry 'just-a-string' is not a mapping" in err
+        assert "tree entry 1 is not a mapping, got 'just-a-string'" in err
 
     @staticmethod
     def _fails(capsys, *argv):
@@ -242,6 +252,38 @@ class TestBadInput:
         spec.write_text("tree: " + "[" * 500 + "\n", encoding="utf-8")
         err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
         assert err == f"error: {spec}: malformed YAML: nesting is too deep\n"
+
+    def test_nested_yaml_error_stays_short(self, capsys, tmp_path):
+        # the whole nested value used to be quoted: one line of 834 characters
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(
+            "tree:\n  - " + "[" * 400 + "]" * 400 + "\nindicators: {C: {metric: capped}}\n",
+            encoding="utf-8",
+        )
+        err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
+        assert err == "error: tree entry 1 is not a mapping, got a list\n"
+        assert len(err) < 200
+
+    def test_aliased_yaml_values_are_not_expanded(self, capsys, tmp_path):
+        # nine levels of ten aliases: a repr of the value would be 10**9 items
+        lines = ["l0: &l0 [x, x, x, x, x, x, x, x, x, x]"]
+        lines += [f"l{k}: &l{k} [{', '.join([f'*l{k - 1}'] * 10)}]" for k in range(1, 9)]
+        spec = tmp_path / "spec.yaml"
+        for tail, message in [
+            (
+                "tree: [*l8]\nindicators: {C: {metric: capped}}\n",
+                "tree entry 1 is not a mapping, got a list",
+            ),
+            (
+                "tree: [{domain: d, indicators: [C]}]\n"
+                "indicators:\n  C: {metric: share, correction: {indicator: C, field: *l8}}\n",
+                "indicator 'C': external correction needs an indicator id and a field "
+                "name, got 'C' and a list",
+            ),
+        ]:
+            spec.write_text("\n".join(lines) + "\n" + tail, encoding="utf-8")
+            err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
+            assert err == f"error: {message}\n"
 
     def test_missing_data_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.csv")
@@ -331,6 +373,18 @@ class TestReport:
         summary_block = out.split("Descriptive summaries")[1]
         assert "health" in summary_block and "84.85" in summary_block
 
+    def test_constant_column_is_named(self, capsys, tmp_path):
+        table = load_score_table(SCORES)
+        lines = [",".join(("territory",) + table.indicators)]
+        for terr in table.territories:
+            row = table.row(terr) | {"G10": 100.0}
+            lines.append(",".join([terr] + [f"{row[ind]:.3f}" for ind in table.indicators]))
+        data = tmp_path / "scores.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "report", "--data", str(data))
+        assert (code, out) == (1, "")
+        assert err == "error: correlation is undefined for constant indicator columns (G10)\n"
+
     def test_unknown_scope_territory(self, capsys):
         code, _, err = run(capsys, "report", "--data", SCORES, "--scope", "Atlantis")
         assert code == 1
@@ -371,6 +425,24 @@ class TestVerify:
         assert len(doc["checks"]) == 7
         by_name = {c["name"]: c["status"] for c in doc["checks"]}
         assert by_name["final-index-recomputation"] == "KNOWN-DEVIATION"
+
+    def test_each_bundled_file_read_once(self, capsys, monkeypatch):
+        reads = []
+        for name in ("load_index_spec", "load_score_table", "load_reference_table"):
+            loader = getattr(dataio, name)
+
+            def counted(source=None, *args, _loader=loader, **kwargs):
+                reads.append((_loader.__name__, str(source)))
+                return _loader(source, *args, **kwargs)
+
+            monkeypatch.setattr(dataio, name, counted)
+        for _ in range(2):
+            reads.clear()
+            code, _, _ = run(capsys, "verify")
+            assert code == 0
+            assert sorted(reads) == sorted(set(reads))
+            assert ("load_score_table", SCORES) in reads
+            assert ("load_index_spec", "None") in reads
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "verify")

@@ -1,0 +1,216 @@
+"""Fuzz the input boundary: bad input ends as an ``IgeiError``, never another exception.
+
+Every test is derandomized and bounded, so a run is deterministic and
+takes about as long as the rest of one test module.
+"""
+
+import contextlib
+import io
+import math
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from igei.cli import main
+from igei.dataio import load_dataset, load_index_spec, load_score_table
+from igei.errors import IgeiError, RecordError
+from igei.metrics import MetricKind
+from igei.model import ObservationRecord, record_problem
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+HEADER = "territory,indicator,period,kind,x_w,x_m,x_a,value"
+
+# cells that reach past the parser: names, years, kinds and edge numbers
+CELLS = st.one_of(
+    st.sampled_from([
+        "", "A", "B", "J1", "J3", "J5", "2023", "2024", "standard", "share", "ratio",
+        "capped", "0", "0.5", "1", "1.5", "-1", "nan", "inf", "1e400", "0,5", '"',
+    ]),
+    st.text(max_size=6),
+)
+ROWS = st.lists(st.lists(CELLS, max_size=9), max_size=6).map(
+    lambda rows: "\n".join(",".join(row) for row in rows)
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return path
+
+
+def _only_igei_errors(load, path):
+    try:
+        load(path)
+    except IgeiError:
+        pass
+
+
+@FUZZ
+@given(
+    content=st.one_of(st.text(max_size=200), st.binary(max_size=100), ROWS.map(
+        lambda rows: HEADER + "\n" + rows
+    )),
+    decimal_comma=st.booleans(),
+)
+def test_load_dataset(scratch, content, decimal_comma):
+    path = _write(scratch / "obs.csv", content)
+    _only_igei_errors(lambda p: load_dataset(p, decimal_comma=decimal_comma), path)
+
+
+@FUZZ
+@given(content=st.one_of(st.text(max_size=200), ROWS.map(
+    lambda rows: "territory,G1,G2\n" + rows
+)))
+def test_load_score_table(scratch, content):
+    _only_igei_errors(load_score_table, _write(scratch / "scores.csv", content))
+
+
+SPEC_KEYS = st.sampled_from([
+    "tree", "indicators", "domain", "subdomains", "id", "metric", "polarity",
+    "correction", "indicator", "field", "period", "domain_count", "label", "C", "D",
+])
+SPEC_SCALARS = st.one_of(
+    SPEC_KEYS, st.sampled_from(["capped", "standard", "share", "negative", "external",
+                                "own_average", "total"]),
+    st.integers(-2, 2), st.none(), st.booleans(), st.floats(allow_nan=False),
+)
+SPEC_VALUES = st.recursive(
+    SPEC_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SPEC_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+# YAML text: arbitrary, a dumped document, or spliced from tokens, tags and aliases
+SPEC_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.dictionaries(SPEC_KEYS, SPEC_VALUES, max_size=4).map(yaml.safe_dump),
+    st.lists(st.sampled_from([
+        "tree:", "indicators:", "\n", "  ", "- ", "domain: d", "indicators: [C]",
+        "C: {metric: capped}", ": ", "[", "]", "{", "}", ", ", "&a ", "*a", "!!float ",
+        "!!int ", "!!binary ", "2023-13-45", "x", "1e400", "0x1g", "'", '"',
+    ]), max_size=25).map("".join),
+)
+
+
+@settings(FUZZ, max_examples=60)
+@given(content=SPEC_TEXT)
+def test_load_index_spec(scratch, content):
+    _only_igei_errors(load_index_spec, _write(scratch / "spec.yaml", content))
+
+
+LEVELS = st.one_of(st.none(), st.floats())
+
+
+@FUZZ
+@given(
+    kind=st.one_of(
+        st.sampled_from(MetricKind),
+        st.sampled_from([k.value for k in MetricKind]),
+        st.text(max_size=8), st.integers(), st.none(), st.lists(st.integers(), max_size=2),
+    ),
+    period=st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.none(),
+                     st.booleans()),
+    x_w=LEVELS, x_m=LEVELS, x_a=LEVELS, value=LEVELS,
+)
+def test_observation_record(kind, period, x_w, x_m, x_a, value):
+    try:
+        record = ObservationRecord("X", "J1", period, kind, x_w, x_m, x_a, value)
+    except RecordError as exc:
+        assert str(exc) == f"territory 'X', indicator 'J1', period {period}: {exc.problem}"
+        return
+    assert record.kind in MetricKind and type(record.period) is int
+    assert record_problem(record) is None
+    levels = [v for v in (x_w, x_m, x_a, value) if v is not None]
+    assert all(0.0 <= v < math.inf for v in levels)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# every metric kind, negative polarity and both correction sources
+SPEC = """\
+tree:
+  - domain: d1
+    subdomains:
+      - {id: s1, indicators: [J1, J2]}
+      - {id: s2, indicators: [J3]}
+  - domain: d2
+    indicators: [J4, J5]
+indicators:
+  J1: {metric: standard, correction: own_average}
+  J2: {metric: standard, polarity: negative, correction: own_average}
+  J3: {metric: share, correction: {indicator: J1, field: total}}
+  J4: {metric: ratio, correction: {indicator: J1, field: women}}
+  J5: {metric: capped}
+"""
+VALID_ROWS = [
+    ["A", "J1", "2023", "standard", "0.4", "0.6", "0.5", ""],
+    ["B", "J1", "2023", "standard", "0.7", "0.9", "0.8", ""],
+    ["A", "J2", "2023", "standard", "0.2", "0.4", "0.3", ""],
+    ["B", "J2", "2023", "standard", "0.1", "0.1", "0.1", ""],
+    ["A", "J3", "2023", "share", "", "", "", "0.25"],
+    ["B", "J3", "2023", "share", "", "", "", "0.5"],
+    ["A", "J4", "2023", "ratio", "", "", "", "0.8"],
+    ["B", "J4", "2023", "ratio", "", "", "", "1.25"],
+    ["A", "J5", "2023", "capped", "", "", "", "1.4"],
+    ["B", "J5", "2023", "capped", "", "", "", "0.3"],
+]
+
+
+@settings(FUZZ, max_examples=50)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, len(VALID_ROWS) - 1), st.integers(0, 7), CELLS),
+        max_size=3,
+    ),
+    next_period=st.booleans(),
+    options=st.sampled_from([[], ["--scope", "A"], ["--scope", "B,C"], ["--time-series"]]),
+)
+def test_score_command(scratch, edits, next_period, options):
+    rows = [row[:] for row in VALID_ROWS]
+    for r, c, cell in edits:
+        rows[r][c] = cell
+    if next_period:
+        rows += [[t, i, "2024"] + rest for t, i, _, *rest in rows]
+    data = _write(scratch / "score.csv", "\n".join([HEADER] + [",".join(r) for r in rows]))
+    spec = _write(scratch / "spec.yaml", SPEC)
+    code, out, err = _run(["score", "--data", str(data), "--spec", str(spec)] + options)
+    if code == 0:
+        assert out and not err
+    elif err:
+        # refused: one line and nothing else
+        assert code == 1 and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        # validation findings go to stdout
+        assert code == 1 and out.endswith("refusing to score\n")
+
+
+@settings(FUZZ, max_examples=30)
+@given(content=SPEC_TEXT)
+def test_main_refuses_a_bad_spec_in_one_line(scratch, content):
+    spec = _write(scratch / "bad.yaml", content)
+    data = _write(scratch / "one.csv", "territory,G1\nX,50\n")
+    code, out, err = _run(["aggregate", "--data", str(data), "--spec", str(spec)])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,12 +1,13 @@
 import dataclasses
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from igei.dataio import load_observations, bundled_path, load_index_spec
-from igei.errors import AggregationError, DataError, ScoringError, SpecError
+from igei.errors import AggregationError, DataError, RecordError, ScoringError, SpecError
 from igei.metrics import MetricKind
 from igei.model import (
     Correction,
@@ -173,16 +174,16 @@ class TestResolveReferences:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.25])
     def test_bad_level_raises_in_any_scope_order(self, bad):
-        # records built in code skip the loader's checks; a nan level made
-        # the maximum depend on the scope's order
+        # a nan level once made the maximum depend on the scope's order;
+        # such a record is now refused when it is built
         specs = {"J1": spec_standard("J1")}
-        records = [
-            obs_standard("X", "J1", 0.4, 0.6, bad),
-            obs_standard("Y", "J1", 0.5, 0.7, 0.6),
-        ]
         messages = set()
         for scope in (["X", "Y"], ["Y", "X"]):
             with pytest.raises(DataError) as info:
+                records = [
+                    obs_standard("X", "J1", 0.4, 0.6, bad),
+                    obs_standard("Y", "J1", 0.5, 0.7, 0.6),
+                ]
                 resolve_references(records, specs, scope)
             messages.add(str(info.value))
         problem = "must be non-negative" if bad < 0 else "must be a finite number"
@@ -193,8 +194,8 @@ class TestResolveReferences:
     def test_bad_external_level_names_source(self):
         # J3 borrows J1's total; a bad total of an out-of-scope territory
         # would become its correction base
-        records = SYNTH_RECORDS + [obs_standard("Z", "J1", 0.4, 0.6, float("nan"))]
         with pytest.raises(DataError) as info:
+            records = SYNTH_RECORDS + [obs_standard("Z", "J1", 0.4, 0.6, float("nan"))]
             resolve_references(records, SYNTH_SPECS, ["Y"])
         assert str(info.value) == (
             "territory 'Z', indicator 'J1', period 2023: x_a must be a finite number, got nan"
@@ -366,10 +367,10 @@ class TestComputeIndicator:
 
     def test_missing_value_rejected(self):
         refs = ReferenceLevels(maxima={"J3": 0.8}, bases={("J3", "X", 2023): 0.5})
-        bad = ObservationRecord(
-            territory="X", indicator="J3", period=2023, kind=MetricKind.SHARE
-        )
-        with pytest.raises(ScoringError, match="lacks a value"):
+        with pytest.raises(DataError, match="share observations need a value"):
+            bad = ObservationRecord(
+                territory="X", indicator="J3", period=2023, kind=MetricKind.SHARE
+            )
             compute_indicator(SYNTH_SPECS["J3"], bad, refs)
 
     def test_full_dispatch_against_hand_arithmetic(self):
@@ -653,37 +654,89 @@ class TestObservationRecord:
             record.x_w = 0.5
 
 
+    def test_kind_given_as_its_value(self):
+        record = ObservationRecord("X", "J1", 2023, "standard", 0.4, 0.6)
+        assert record.kind is MetricKind.STANDARD
+        assert record == obs_standard("X", "J1", 0.4, 0.6)
+
+    @pytest.mark.parametrize(
+        "changes, problem",
+        [
+            (
+                {"kind": "Standard"},
+                "unknown metric kind 'Standard' "
+                "(expected one of standard, share, ratio, capped)",
+            ),
+            ({"kind": None}, "unknown metric kind None"),
+            ({"kind": ["standard"]}, "unknown metric kind ['standard']"),
+            ({"period": "2023"}, "period must be an integer year, got '2023'"),
+            ({"period": 2023.0}, "period must be an integer year, got 2023.0"),
+            ({"period": True}, "period must be an integer year, got True"),
+            ({"territory": ""}, "territory and indicator must be non-empty"),
+            ({"x_w": "0.4"}, "levels must be numbers or None"),
+        ],
+    )
+    def test_refused_when_built(self, changes, problem):
+        fields = dict(territory="X", indicator="J1", period=2023, kind="standard",
+                      x_w=0.4, x_m=0.6) | changes
+        with pytest.raises(RecordError) as info:
+            ObservationRecord(**fields)
+        assert info.value.problem.startswith(problem)
+        assert str(info.value).endswith(f": {info.value.problem}")
+
+
 class TestDatasetBoundary:
+    # each record is built inside the test: construction is what refuses it
     @pytest.mark.parametrize(
         "record, problem",
         [
             (
-                dataclasses.replace(obs_standard("X", "J1", 0.4, 0.6), value=0.5),
+                partial(dataclasses.replace, obs_standard("X", "J1", 0.4, 0.6), value=0.5),
                 "standard observations take no single value",
             ),
-            (obs_standard("X", "J1", 0.4, None), "standard observations need both x_w and x_m"),
             (
-                dataclasses.replace(obs_value("X", "J1", MetricKind.SHARE, 0.5), x_a=0.5),
+                partial(obs_standard, "X", "J1", 0.4, None),
+                "standard observations need both x_w and x_m",
+            ),
+            (
+                partial(
+                    dataclasses.replace, obs_value("X", "J1", MetricKind.SHARE, 0.5), x_a=0.5
+                ),
                 "share observations take only the value column",
             ),
-            (obs_value("X", "J1", MetricKind.CAPPED, None), "capped observations need a value"),
-            (obs_value("X", "J1", MetricKind.SHARE, 1.5), "share value 1.5 is outside [0, 1]"),
-            (obs_value("X", "J1", MetricKind.RATIO, 0.0), "ratio value 0.0 must be positive"),
-            (obs_standard("X", "J1", -0.1, 0.6), "x_w must be non-negative, got -0.1"),
-            (obs_standard("X", "J1", 0.4, float("inf")), "x_m must be a finite number, got inf"),
             (
-                obs_standard("X", "J1", 0.4, 0.6, float("nan")),
+                partial(obs_value, "X", "J1", MetricKind.CAPPED, None),
+                "capped observations need a value",
+            ),
+            (
+                partial(obs_value, "X", "J1", MetricKind.SHARE, 1.5),
+                "share value 1.5 is outside [0, 1]",
+            ),
+            (
+                partial(obs_value, "X", "J1", MetricKind.RATIO, 0.0),
+                "ratio value 0.0 must be positive",
+            ),
+            (
+                partial(obs_standard, "X", "J1", -0.1, 0.6),
+                "x_w must be non-negative, got -0.1",
+            ),
+            (
+                partial(obs_standard, "X", "J1", 0.4, float("inf")),
+                "x_m must be a finite number, got inf",
+            ),
+            (
+                partial(obs_standard, "X", "J1", 0.4, 0.6, float("nan")),
                 "x_a must be a finite number, got nan",
             ),
             (
-                obs_value("X", "J1", MetricKind.CAPPED, float("nan")),
+                partial(obs_value, "X", "J1", MetricKind.CAPPED, float("nan")),
                 "value must be a finite number, got nan",
             ),
         ],
     )
     def test_refused_record_names_its_key(self, record, problem):
         with pytest.raises(DataError) as info:
-            Dataset([SYNTH_RECORDS[1], record])
+            record()
         assert str(info.value) == f"territory 'X', indicator 'J1', period 2023: {problem}"
 
     def test_series_cannot_be_mutated(self):
@@ -741,11 +794,23 @@ class TestScoreTerritory:
     def test_bad_level_names_the_record(self):
         # a nan level used to surface only in aggregation, naming no record
         refs = resolve_references(SYNTH_RECORDS, SYNTH_SPECS, ["X", "Y"])
-        records = [obs_standard("X", "J1", float("nan"), 0.6, 0.5)] + SYNTH_RECORDS[1:]
         with pytest.raises(DataError) as info:
+            records = [obs_standard("X", "J1", float("nan"), 0.6, 0.5)] + SYNTH_RECORDS[1:]
             score_territory("X", records, SYNTH_SPECS, SYNTH_TREE, refs)
         assert str(info.value) == (
             "territory 'X', indicator 'J1', period 2023: x_w must be a finite number, got nan"
+        )
+
+
+    def test_zero_pair_names_the_record(self):
+        # a library caller that skips validate_dataset still learns which record
+        records = [obs_standard("X", "J1", 0.0, 0.0, 0.5)] + SYNTH_RECORDS[1:]
+        refs = resolve_references(records, SYNTH_SPECS, ["X", "Y"])
+        with pytest.raises(ScoringError) as info:
+            score_territory("X", records, SYNTH_SPECS, SYNTH_TREE, refs)
+        assert str(info.value) == (
+            "territory 'X', indicator 'J1', period 2023: "
+            "gender gap is undefined when both levels are zero"
         )
 
 

@@ -142,6 +142,14 @@ class TestCorrelationMatrix:
         with pytest.raises(StatisticsError, match="constant"):
             correlation_matrix([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
 
+    def test_constant_columns_carry_their_positions(self):
+        with pytest.raises(StatisticsError) as info:
+            correlation_matrix([[5.0] * 3, [1.0, 2.0, 3.0], [0.5] * 3])
+        assert info.value.positions == (0, 2)
+        assert str(info.value) == (
+            "correlation is undefined for constant columns (positions 0, 2)"
+        )
+
     def test_constant_column_with_inexact_mean_rejected(self):
         # fsum([0.1] * 3) / 3 is not 0.1, so centring leaves a nonzero residue
         with pytest.raises(StatisticsError, match=r"constant columns \(positions 0\)"):
