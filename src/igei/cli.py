@@ -43,11 +43,11 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
         max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)
     ]
     def line(cells: list[str]) -> str:
-        out = []
-        for i, cell in enumerate(cells):
-            # left-align the first (label) column, right-align numbers
-            out.append(cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i]))
-        return "  ".join(out).rstrip()
+        # left-align the first (label) column, right-align numbers
+        return "  ".join(
+            cell.ljust(width) if i == 0 else cell.rjust(width)
+            for i, (cell, width) in enumerate(zip(cells, widths))
+        ).rstrip()
     rule = "  ".join("-" * w for w in widths)
     return "\n".join([line(headers), rule] + [line(r) for r in rows]) + "\n"
 
@@ -113,22 +113,9 @@ def _findings_text(report: dataio.ValidationReport) -> str:
 
 
 def _findings_json(report: dataio.ValidationReport) -> str:
-    return json.dumps(
-        {
-            "findings": [
-                {
-                    "level": f.level,
-                    "code": f.code,
-                    "territory": f.territory,
-                    "indicator": f.indicator,
-                    "message": f.message,
-                }
-                for f in report.findings
-            ],
-            "errors": len(report.errors),
-        },
-        indent=2,
-    ) + "\n"
+    keys = ("level", "code", "territory", "indicator", "message")
+    findings = [{key: getattr(f, key) for key in keys} for f in report.findings]
+    return json.dumps({"findings": findings, "errors": len(report.errors)}, indent=2) + "\n"
 
 
 def _parse_scope(arg: str | None) -> list[str] | None:
@@ -212,14 +199,13 @@ def _format_reports(reports, tree, fmt: str, command: str, scope=None) -> str:
         # index values (2 dp)
         leaves = list(tree.leaf_ids())
         headers = ["territory"] + leaves + _domain_ids(tree) + ["index"]
-        rows = []
-        for rep in stats.rank_table(reports):
-            rows.append(
-                [rep.territory]
-                + [_f3(rep.indicator_scores[leaf]) for leaf in leaves]
-                + [_f2(rep.domain_values[d]) for d in _domain_ids(tree)]
-                + [_f2(rep.index)]
-            )
+        rows = [
+            [rep.territory]
+            + [_f3(rep.indicator_scores[leaf]) for leaf in leaves]
+            + [_f2(rep.domain_values[d]) for d in _domain_ids(tree)]
+            + [_f2(rep.index)]
+            for rep in stats.rank_table(reports)
+        ]
         return _render_csv(headers, rows)
     headers, rows = _ranked_rows(reports, tree)
     return _render_table(headers, rows)
@@ -295,17 +281,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     rank_headers, rank_rows = _ranked_rows(ranked, tree)
 
     if args.format == "csv":
-        sections = [
-            "# ranking\n" + _render_csv(rank_headers, rank_rows).rstrip("\n"),
-            "# summaries\n" + _render_csv(stat_headers, stat_rows).rstrip("\n"),
-            "# correlation\n" + _render_csv(corr_headers, corr_rows).rstrip("\n"),
-        ]
+        render, titles = _render_csv, ("# ranking", "# summaries", "# correlation")
     else:
-        sections = [
-            "Ranking\n" + _render_table(rank_headers, rank_rows).rstrip("\n"),
-            "Descriptive summaries\n" + _render_table(stat_headers, stat_rows).rstrip("\n"),
-            "Correlation matrix\n" + _render_table(corr_headers, corr_rows).rstrip("\n"),
-        ]
+        render, titles = _render_table, ("Ranking", "Descriptive summaries", "Correlation matrix")
+    tables = [(rank_headers, rank_rows), (stat_headers, stat_rows), (corr_headers, corr_rows)]
+    sections = [f"{title}\n" + render(*table).rstrip("\n") for title, table in zip(titles, tables)]
     _emit("\n\n".join(sections) + "\n", args.out)
     return 0
 

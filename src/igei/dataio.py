@@ -36,6 +36,7 @@ from igei.model import (
     IndicatorSpec,
     ObservationRecord,
     SubDomain,
+    _shown,
     as_dataset,
     external_source,
 )
@@ -191,26 +192,6 @@ def _parse_observation(
     )
 
 
-def save_observations(records: Iterable[ObservationRecord], path) -> None:
-    """Write observations in the documented format; round-trips with the loader."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(OBSERVATION_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.territory,
-                    rec.indicator,
-                    rec.period,
-                    rec.kind.value,
-                ]
-                + [
-                    "" if v is None else repr(v)
-                    for v in (rec.x_w, rec.x_m, rec.x_a, rec.value)
-                ]
-            )
-
-
 # --- score tables ----------------------------------------------------------
 
 
@@ -340,22 +321,24 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
     for position, entry in enumerate(_spec_list(raw["tree"], "the 'tree' section"), 1):
         if not isinstance(entry, dict):
             raise SpecError(f"tree entry {position} is not a mapping, got {_shown(entry)}")
-        dom_id = entry.get("domain")
-        if not _is_id(dom_id):
-            raise SpecError(f"every tree entry needs a 'domain' id, got {_shown(dom_id)}")
+        if "domain" not in entry:
+            raise SpecError(f"tree entry {position} needs a 'domain' id")
+        dom_id = entry["domain"]
+        # Domain checks the id once its sub-domains are built: show it bounded till then
+        owner = f"domain {_shown(dom_id)}"
         if "subdomains" in entry:
-            subs = [
-                _parse_subdomain(dom_id, sub)
-                for sub in _spec_list(entry["subdomains"], f"domain {dom_id!r}: subdomains")
-            ]
+            subs = []
+            for sub in _spec_list(entry["subdomains"], f"{owner}: subdomains"):
+                if not isinstance(sub, dict) or "id" not in sub:
+                    raise SpecError(f"{owner}: every sub-domain needs an 'id', got {_shown(sub)}")
+                subs.append(SubDomain(id=sub["id"], indicators=sub.get("indicators")))
         elif "indicators" in entry:
             # no declared sub-domains: one implicit sub-domain named after the domain
-            indicators = _indicator_ids(entry["indicators"], f"domain {dom_id!r}")
-            subs = [SubDomain(id=dom_id, indicators=indicators)]
+            subs = [SubDomain(id=dom_id, indicators=entry["indicators"])]
         else:
-            raise SpecError(f"domain {dom_id!r} declares neither subdomains nor indicators")
-        domains.append(Domain(id=dom_id, subdomains=tuple(subs)))
-    tree = IndexTree(domains=tuple(domains))
+            raise SpecError(f"{owner} declares neither subdomains nor indicators")
+        domains.append(Domain(id=dom_id, subdomains=subs))
+    tree = IndexTree(domains=domains)
 
     declared = raw.get("domain_count")
     if declared is not None and declared != len(tree.domains):
@@ -372,31 +355,15 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             raise SpecError(f"indicator {ind_id!r} does not appear in the tree")
         if not isinstance(fields, dict) or "metric" not in fields:
             raise SpecError(f"indicator {ind_id!r} needs at least a metric kind")
-        try:
-            metric = MetricKind(fields["metric"])
-        except ValueError:
-            raise SpecError(
-                f"indicator {ind_id!r}: unknown metric kind {_shown(fields['metric'])}"
-            )
-        try:
-            polarity = Polarity(fields.get("polarity", "positive"))
-        except ValueError:
-            raise SpecError(
-                f"indicator {ind_id!r}: unknown polarity {_shown(fields['polarity'])}"
-            )
-        correction = _parse_correction(ind_id, fields.get("correction", "none"))
-        period = fields.get("period")
-        if period is not None and not isinstance(period, int):
-            raise SpecError(
-                f"indicator {ind_id!r}: period must be an integer year, "
-                f"got {_shown(period)}"
-            )
+        if fields.get("period") is not None and not isinstance(fields["period"], int):
+            period = _shown(fields["period"])
+            raise SpecError(f"indicator {ind_id!r}: period must be an integer year, got {period}")
         specs[ind_id] = IndicatorSpec(
             id=ind_id,
             label=str(fields.get("label", ind_id)),
-            metric=metric,
-            polarity=polarity,
-            correction=correction,
+            metric=fields["metric"],
+            polarity=fields.get("polarity", "positive"),
+            correction=_parse_correction(ind_id, fields.get("correction", "none")),
         )
 
     for leaf in tree.leaf_ids():
@@ -408,45 +375,10 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
     return specs, tree
 
 
-def _is_id(raw) -> bool:
-    return isinstance(raw, str) and raw != ""
-
-
-def _shown(raw) -> str:
-    """A short scalar as written, anything else by type: aliases can make a value huge."""
-    if not isinstance(raw, (list, dict, set)):
-        text = repr(raw)
-        if len(text) <= 40:
-            return text
-    return "a " + {dict: "mapping", str: "long string"}.get(type(raw), type(raw).__name__)
-
-
 def _spec_list(raw, what: str) -> tuple:
     if not isinstance(raw, list):
         raise SpecError(f"{what} must be a list, got {_shown(raw)}")
     return tuple(raw)
-
-
-def _indicator_ids(raw, owner: str) -> tuple[str, ...]:
-    ids = _spec_list(raw, f"{owner}: indicators")
-    for position, ind in enumerate(ids, 1):
-        if not _is_id(ind):
-            raise SpecError(
-                f"{owner}: indicators must be indicator ids, got {_shown(ind)} "
-                f"at position {position}"
-            )
-    return ids
-
-
-def _parse_subdomain(dom_id: str, raw) -> SubDomain:
-    if not isinstance(raw, dict) or not _is_id(raw.get("id")):
-        raise SpecError(
-            f"domain {dom_id!r}: every sub-domain needs an 'id', got {_shown(raw)}"
-        )
-    sub_id = raw["id"]
-    return SubDomain(
-        id=sub_id, indicators=_indicator_ids(raw.get("indicators"), f"sub-domain {sub_id!r}")
-    )
 
 
 def _parse_correction(ind_id: str, raw) -> Correction:

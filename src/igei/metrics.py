@@ -15,6 +15,7 @@ to call concurrently.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 
 from igei.errors import (
@@ -34,6 +35,10 @@ class MetricKind(str, Enum):
     CAPPED = "capped"      # single non-negative coverage ratio, capped at 1
 
 
+# bound once for the guards below, which NaN fails; two levels at most _HALF_MAX sum to a float
+_INF, _HALF_MAX = float("inf"), sys.float_info.max / 2
+
+
 def gap_metric(x_w: float, x_m: float) -> float:
     """Relative gender gap ``|x_w - x_m| / (x_w + x_m)``.
 
@@ -45,8 +50,8 @@ def gap_metric(x_w: float, x_m: float) -> float:
         DegenerateInputError: if both levels are zero (0/0 is undefined;
             upstream validation should reject such observations).
     """
-    if x_w < 0 or x_m < 0:
-        raise MetricInputError(f"levels must be non-negative, got ({x_w}, {x_m})")
+    if not (0.0 <= x_w <= _HALF_MAX and 0.0 <= x_m <= _HALF_MAX):
+        raise MetricInputError(f"levels must lie in [0, {_HALF_MAX!r}], got ({x_w}, {x_m})")
     total = x_w + x_m
     if total == 0:
         raise DegenerateInputError("gender gap is undefined when both levels are zero")
@@ -60,11 +65,14 @@ def gei_gap_metric(x_w: float, x_a: float) -> float:
     population's and is not bounded above by 1 when ``x_w > 2 * x_a``;
     callers scoring with it must treat values above 1 as out of model.
     """
-    if x_w < 0:
-        raise MetricInputError(f"women's level must be non-negative, got {x_w}")
-    if x_a <= 0:
-        raise DegenerateInputError(f"total level must be positive, got {x_a}")
-    return abs(1.0 - x_w / x_a)
+    if not 0.0 <= x_w < _INF:
+        raise MetricInputError(f"women's level must be finite and non-negative, got {x_w}")
+    if not 0.0 < x_a < _INF:
+        raise DegenerateInputError(f"total level must be finite and positive, got {x_a}")
+    gamma = abs(1.0 - x_w / x_a)
+    if gamma == _INF:
+        raise OutOfModelError(f"level-based gap of {x_w} to {x_a} overflows the float range")
+    return gamma
 
 
 def correction_coefficient(x_a: float, x_ref: float) -> float:
@@ -76,28 +84,26 @@ def correction_coefficient(x_a: float, x_ref: float) -> float:
     to a reference midway between its own level and the best one,
     softening the shadow the top performer casts on weak territories.
     """
-    if x_ref <= 0:
-        raise MetricInputError(f"reference maximum must be positive, got {x_ref}")
-    if x_a < 0:
-        raise MetricInputError(f"achievement must be non-negative, got {x_a}")
-    if x_a > x_ref:
-        raise InconsistentReferenceError(
-            f"achievement {x_a} exceeds reference maximum {x_ref}"
-        )
+    _check_achievement(x_a, x_ref)
     return 2.0 * x_a / (x_ref + x_a)
 
 
 def gei_correction_coefficient(x_a: float, x_ref: float) -> float:
     """Classic achievement correction ``x_a / x_ref``."""
-    if x_ref <= 0:
-        raise MetricInputError(f"reference maximum must be positive, got {x_ref}")
-    if x_a < 0:
-        raise MetricInputError(f"achievement must be non-negative, got {x_a}")
+    _check_achievement(x_a, x_ref)
+    return x_a / x_ref
+
+
+def _check_achievement(x_a: float, x_ref: float) -> None:
+    """Refuse what neither achievement correction is defined for; NaN fails every test."""
+    if not 0.0 < x_ref <= _HALF_MAX:
+        raise MetricInputError(f"reference maximum must lie in (0, {_HALF_MAX!r}], got {x_ref}")
+    if not 0.0 <= x_a:
+        raise MetricInputError(f"achievement must be a non-negative number, got {x_a}")
     if x_a > x_ref:
         raise InconsistentReferenceError(
             f"achievement {x_a} exceeds reference maximum {x_ref}"
         )
-    return x_a / x_ref
 
 
 def score_standard(x_w: float, x_m: float, x_a: float, x_ref: float) -> float:
@@ -166,8 +172,8 @@ def score_ratio(ratio: float, correction: float) -> float:
     ``correction * (1 - |r - 1| / (r + 1)) * 100`` and is invariant
     under ``r <-> 1/r``.
     """
-    if ratio <= 0:
-        raise MetricInputError(f"ratio must be positive, got {ratio}")
+    if not 0.0 < ratio < _INF:
+        raise MetricInputError(f"ratio must be finite and positive, got {ratio}")
     if not 0.0 <= correction <= 1.0:
         raise MetricInputError(f"correction must lie in [0, 1], got {correction}")
     return correction * (1.0 - abs(ratio - 1.0) / (ratio + 1.0)) * 100.0
@@ -175,6 +181,6 @@ def score_ratio(ratio: float, correction: float) -> float:
 
 def score_capped(value: float) -> float:
     """Score a coverage ratio as ``min(1, value) * 100``, with no correction."""
-    if value < 0:
-        raise MetricInputError(f"coverage ratio must be non-negative, got {value}")
+    if not 0.0 <= value < _INF:
+        raise MetricInputError(f"coverage ratio must be finite and non-negative, got {value}")
     return min(1.0, value) * 100.0

@@ -12,6 +12,42 @@ from igei.metrics import MetricKind
 from igei.penalized import Polarity
 
 
+def _shown(raw) -> str:
+    """A short scalar as written, anything else by type: aliases can make a value huge."""
+    if not isinstance(raw, (list, dict, set)):
+        text = repr(raw)
+        if len(text) <= 40:
+            return text
+    return "a " + {dict: "mapping", str: "long string"}.get(type(raw), type(raw).__name__)
+
+
+def _member(enum: type[Enum], raw, what: str, owner: str = ""):
+    """``raw`` as a member of ``enum``: a member, or a member's value."""
+    try:
+        return enum(raw)
+    except ValueError:
+        raise SpecError(f"{owner}unknown {what} {_shown(raw)}") from None
+
+
+def _check_id(raw, what: str) -> None:
+    if not isinstance(raw, str) or not raw:
+        raise SpecError(f"{what} id must be a non-empty string, got {_shown(raw)}")
+
+
+def _tuple_of(raw, item_type: type, owner: str, field: str, expected: str) -> tuple:
+    """``raw``, a non-empty list or tuple (never a str) of truthy ``item_type`` values."""
+    if not isinstance(raw, (list, tuple)):
+        raise SpecError(f"{owner}: {field} must be a list, got {_shown(raw)}")
+    if not raw:
+        raise SpecError(f"{owner} has no {field}")
+    for position, item in enumerate(raw, 1):
+        if not isinstance(item, item_type) or not item:
+            raise SpecError(
+                f"{owner}: {field} must be {expected}, got {_shown(item)} at position {position}"
+            )
+    return tuple(raw)
+
+
 class CorrectionKind(str, Enum):
     """Where an indicator's achievement correction comes from."""
 
@@ -37,18 +73,15 @@ class Correction:
     field: str = "total"
 
     def __post_init__(self) -> None:
-        try:
-            kind = CorrectionKind(self.kind)
-        except ValueError:
-            raise SpecError(f"unknown correction kind {self.kind!r}") from None
+        kind = _member(CorrectionKind, self.kind, "correction kind")
         object.__setattr__(self, "kind", kind)
         if kind is CorrectionKind.EXTERNAL:
-            if not self.indicator:
+            if not isinstance(self.indicator, str) or not self.indicator:
                 raise SpecError("external correction requires a source indicator id")
             if self.field not in CORRECTION_FIELDS:
                 raise SpecError(
                     f"external correction field must be one of {CORRECTION_FIELDS}, "
-                    f"got {self.field!r}"
+                    f"got {_shown(self.field)}"
                 )
         elif self.indicator is not None:
             raise SpecError(f"{kind.value!r} correction takes no source indicator")
@@ -64,7 +97,10 @@ NO_CORRECTION = Correction(CorrectionKind.NONE)
 
 @dataclass(frozen=True)
 class IndicatorSpec:
-    """Recipe for one indicator: metric kind, polarity, correction; the tree places it."""
+    """Recipe for one indicator: metric kind, polarity, correction; the tree places it.
+
+    Checked when built; ``metric`` and ``polarity`` may be given as values.
+    """
 
     id: str
     label: str
@@ -73,6 +109,13 @@ class IndicatorSpec:
     correction: Correction = NO_CORRECTION
 
     def __post_init__(self) -> None:
+        _check_id(self.id, "indicator")
+        owner = f"indicator {self.id!r}: "
+        object.__setattr__(self, "metric", _member(MetricKind, self.metric, "metric kind", owner))
+        object.__setattr__(self, "polarity", _member(Polarity, self.polarity, "polarity", owner))
+        if not isinstance(self.correction, Correction):
+            raise SpecError(f"{owner}correction must be a Correction, "
+                            f"got {_shown(self.correction)}")
         if self.polarity is Polarity.NEGATIVE and self.metric is not MetricKind.STANDARD:
             raise SpecError(
                 f"{self.id}: negative polarity is only defined for standard-metric "
@@ -125,8 +168,10 @@ class SubDomain:
     indicators: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.indicators:
-            raise SpecError(f"sub-domain {self.id!r} has no indicators")
+        _check_id(self.id, "sub-domain")
+        owner = f"sub-domain {self.id!r}"
+        indicators = _tuple_of(self.indicators, str, owner, "indicators", "indicator ids")
+        object.__setattr__(self, "indicators", indicators)
 
 
 @dataclass(frozen=True)
@@ -135,9 +180,11 @@ class Domain:
     subdomains: tuple[SubDomain, ...]
 
     def __post_init__(self) -> None:
-        if not self.subdomains:
-            raise SpecError(f"domain {self.id!r} has no sub-domains")
-        _refuse_repeats((sub.id for sub in self.subdomains), f"domain {self.id!r}: sub-domain")
+        _check_id(self.id, "domain")
+        owner = f"domain {self.id!r}"
+        subs = _tuple_of(self.subdomains, SubDomain, owner, "sub-domains", "SubDomain objects")
+        _refuse_repeats((sub.id for sub in subs), f"{owner}: sub-domain")
+        object.__setattr__(self, "subdomains", subs)
 
 
 @dataclass(frozen=True)
@@ -147,12 +194,10 @@ class IndexTree:
     domains: tuple[Domain, ...]
 
     def __post_init__(self) -> None:
-        if not self.domains:
-            raise SpecError("index tree has no domains")
-        _refuse_repeats((dom.id for dom in self.domains), "domain")
-        leaves = tuple(
-            ind for dom in self.domains for sub in dom.subdomains for ind in sub.indicators
-        )
+        domains = _tuple_of(self.domains, Domain, "index tree", "domains", "Domain objects")
+        _refuse_repeats((dom.id for dom in domains), "domain")
+        object.__setattr__(self, "domains", domains)
+        leaves = tuple(ind for dom in domains for sub in dom.subdomains for ind in sub.indicators)
         _refuse_repeats(leaves, "indicator")
         # not a field: equality, hashing and repr see only the domains
         object.__setattr__(self, "_leaf_ids", leaves)

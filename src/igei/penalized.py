@@ -38,7 +38,7 @@ class Polarity(Enum):
 
 @dataclass(frozen=True)
 class WeightedSequence:
-    """A finite sequence of reals with non-negative weights summing to one."""
+    """Non-empty finite reals with finite, non-negative weights summing to one (default 1/n)."""
 
     values: tuple[float, ...]
     weights: tuple[float, ...]
@@ -52,13 +52,15 @@ class WeightedSequence:
         else:
             w = tuple(float(x) for x in weights)
             if len(w) != len(vals):
-                raise AggregationError(
-                    f"{len(vals)} values but {len(w)} weights"
-                )
+                raise AggregationError(f"{len(vals)} values but {len(w)} weights")
             if any(x < 0 for x in w):
                 raise AggregationError("weights must be non-negative")
             if abs(sum(w) - 1.0) > WEIGHT_SUM_TOLERANCE:
                 raise AggregationError(f"weights must sum to 1, got {sum(w)!r}")
+        for what, xs in (("value", vals), ("weight", w)):
+            if not all(map(math.isfinite, xs)):
+                position = next(i for i, x in enumerate(xs, 1) if not math.isfinite(x))
+                raise AggregationError(f"{what} {position} is not finite: {xs[position - 1]}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "weights", w)
 
@@ -70,23 +72,30 @@ SequenceLike = Union[WeightedSequence, Sequence[float]]
 
 
 def _unpack(seq: SequenceLike) -> tuple[Sequence[float], Sequence[float]]:
-    """(values, weights); a plain sequence weighs each value ``1 / n``."""
-    if isinstance(seq, WeightedSequence):
-        return seq.values, seq.weights
-    values = [float(v) for v in seq]
-    if not values:
-        raise AggregationError("sequence must contain at least one value")
-    # the same weights WeightedSequence gives, so both forms agree to the bit
-    return values, [1.0 / len(values)] * len(values)
+    """(values, weights) of ``seq``, read as a :class:`WeightedSequence`."""
+    if not isinstance(seq, WeightedSequence):
+        seq = WeightedSequence(seq)
+    return seq.values, seq.weights
+
+
+def _finite_fsum(terms: Iterable[float], what: str, error=AggregationError) -> float:
+    """``math.fsum(terms)``, raising ``error`` unless the terms and their sum are finite."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a square or sum past the float range, or inf - inf
+        total = math.nan
+    if not -math.inf < total < math.inf:
+        raise error(f"{what} is not finite")
+    return total
 
 
 def _mean(values: Sequence[float], weights: Sequence[float]) -> float:
     # fsum: correctly rounded, hence invariant under permutation of the terms
-    return math.fsum(p * x for p, x in zip(weights, values))
+    return _finite_fsum((p * x for p, x in zip(weights, values)), "the mean")
 
 
 def _variance_about(values: Sequence[float], weights: Sequence[float], m: float) -> float:
-    return math.fsum(p * (x - m) ** 2 for p, x in zip(weights, values))
+    return _finite_fsum((p * (x - m) ** 2 for p, x in zip(weights, values)), "the variance")
 
 
 def weighted_mean(seq: SequenceLike) -> float:
@@ -100,8 +109,13 @@ def penalized_mean(seq: SequenceLike, polarity: Polarity = Polarity.POSITIVE) ->
     Positive polarity subtracts the penalty, negative polarity adds it.
     Constant sequences (including single elements) are returned
     unpenalized, which also removes the division-by-zero case. The
-    result always lies within ``[min(x), max(x)]``.
+    result always lies within ``[min(x), max(x)]``. ``polarity`` may be a value.
     """
+    if polarity.__class__ is not Polarity:
+        try:
+            polarity = Polarity(polarity)
+        except ValueError:
+            raise AggregationError(f"unknown polarity {polarity!r:.40}") from None
     values, weights = _unpack(seq)
     ran = max(values) - min(values)
     if ran == 0.0:
@@ -142,7 +156,10 @@ def geometric_mean(seq: SequenceLike) -> float:
     if min(values) == max(values):
         # constant: the product of x^p with weights summing to 1 is x itself
         return values[0]
-    return math.exp(math.fsum(p * math.log(x) for p, x in zip(weights, values)))
+    try:
+        return math.exp(math.fsum(p * math.log(x) for p, x in zip(weights, values)))
+    except OverflowError:  # weights a rounding above 1, at the top of the float range
+        raise AggregationError("the geometric mean overflows the float range") from None
 
 
 def cartwright_field_bounds(seq: SequenceLike, a: float, b: float) -> tuple[float, float]:
@@ -154,9 +171,9 @@ def cartwright_field_bounds(seq: SequenceLike, a: float, b: float) -> tuple[floa
     constants are the best possible.
     """
     values, weights = _unpack(seq)
-    if a <= 0:
+    if not a > 0:  # NaN fails it too
         raise AggregationError(f"lower bound must be strictly positive, got {a}")
-    if a > min(values) or b < max(values):
+    if not a <= min(values) <= max(values) <= b:
         raise AggregationError(
             f"bounds [{a}, {b}] do not enclose the values "
             f"[{min(values)}, {max(values)}]"

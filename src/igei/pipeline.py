@@ -90,11 +90,16 @@ def _source_levels(
 ) -> list[tuple[int, float]]:
     """(period, working level) of one territory's correction variable, by period."""
     working = _working_scale(polarity)
-    levels = [
-        (rec.period, working(raw))
-        for rec in data.series(territory, source_id)
-        if (raw := getattr(rec, attr)) is not None
-    ]
+    levels = []
+    try:
+        for rec in data.series(territory, source_id):
+            if (raw := getattr(rec, attr)) is not None:
+                levels.append((rec.period, working(raw)))
+    except MetricInputError as exc:  # a rate above 1 under negative polarity
+        raise ScoringError(
+            f"territory {rec.territory!r}, indicator {rec.indicator!r}, "
+            f"period {rec.period}: {exc}"
+        ) from None
     if len(levels) > 1:
         levels.sort()
     return levels

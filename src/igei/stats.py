@@ -14,7 +14,11 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from igei.errors import StatisticsError
+from igei.penalized import _finite_fsum
 from igei.pipeline import TerritoryReport
+
+# about the square root of the least normal float: products of two norms stay normal
+_MIN_NORM = 1.5e-154
 
 
 @dataclass(frozen=True)
@@ -52,17 +56,21 @@ def descriptive_summary(values: Iterable[float]) -> DescriptiveSummary:
     n = len(ordered)
     if n == 0:
         raise StatisticsError("cannot summarize an empty sequence")
+    # fsum: correctly rounded, hence exactly permutation-invariant
+    total = _finite_fsum(ordered, "the sum of the values", StatisticsError)
     if ordered[0] == ordered[-1]:
         # constant: fsum(x) / n can miss x by an ulp, which would put the
         # mean outside [min, max] and give a spurious nonzero sd
         mean, variance = ordered[0], 0.0
     else:
-        # fsum: correctly rounded, hence exactly permutation-invariant
-        mean = math.fsum(ordered) / n
+        mean = total / n
         deviations = [v - mean for v in ordered]
-        variance = math.fsum(map(mul, deviations, deviations)) / n
+        squares = map(mul, deviations, deviations)
+        variance = _finite_fsum(squares, "the sum of squared deviations", StatisticsError) / n
     sd = math.sqrt(variance) if n >= 2 else None
     cv = sd / mean if sd is not None and mean != 0 else None
+    if cv is not None and not -math.inf < cv < math.inf:
+        raise StatisticsError(f"the coefficient of variation sd / mean = {sd} / {mean} overflows")
     return DescriptiveSummary(
         mean=mean,
         sd=sd,
@@ -90,20 +98,26 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> dict[tuple[int, in
     n = lengths.pop()
     if n < 3:
         raise StatisticsError("need at least three observations per column")
-    # a constant column's centred values need not be exactly zero
-    constant = tuple(i for i, col in enumerate(columns) if min(col) == max(col))
+    centred, norms, constant = [], [], []
+    for i, col in enumerate(columns):
+        # one sum per column: NaN and inf leave it non-finite
+        mean = _finite_fsum(col, f"column {i}'s sum", StatisticsError) / n
+        if min(col) == max(col):  # its centred values need not be exactly zero
+            constant.append(i)
+            continue
+        centred.append([v - mean for v in col])
+        squares = map(mul, centred[-1], centred[-1])
+        norm = math.sqrt(_finite_fsum(squares, f"column {i}'s sum of squares", StatisticsError))
+        if norm < _MIN_NORM:
+            raise StatisticsError(f"column {i} varies too little to correlate")
+        norms.append(norm)
     if constant:
         error = StatisticsError(
             f"correlation is undefined for constant columns "
             f"(positions {', '.join(map(str, constant))})"
         )
-        error.positions = constant
+        error.positions = tuple(constant)
         raise error
-    centred = []
-    for col in columns:
-        mean = math.fsum(col) / n
-        centred.append([v - mean for v in col])
-    norms = [math.sqrt(math.fsum(map(mul, c, c))) for c in centred]
     matrix: dict[tuple[int, int], float] = {}
     for i, ci in enumerate(centred):
         matrix[i, i] = 1.0

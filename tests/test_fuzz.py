@@ -13,11 +13,29 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from igei import metrics
 from igei.cli import main
 from igei.dataio import load_dataset, load_index_spec, load_score_table
 from igei.errors import IgeiError, RecordError
 from igei.metrics import MetricKind
-from igei.model import ObservationRecord, record_problem
+from igei.model import (
+    Correction,
+    CorrectionKind,
+    Domain,
+    IndexTree,
+    IndicatorSpec,
+    ObservationRecord,
+    SubDomain,
+    record_problem,
+)
+from igei.penalized import (
+    Polarity,
+    WeightedSequence,
+    geometric_mean,
+    penalized_mean,
+    weighted_mean,
+)
+from igei.stats import correlation_matrix, descriptive_summary
 
 FUZZ = settings(
     derandomize=True,
@@ -55,11 +73,12 @@ def _write(path, content):
     return path
 
 
-def _only_igei_errors(load, path):
+def _only_igei_errors(call, *args):
+    """``call(*args)``, or None when it raises an ``IgeiError``; any other exception fails."""
     try:
-        load(path)
+        return call(*args)
     except IgeiError:
-        pass
+        return None
 
 
 @FUZZ
@@ -138,6 +157,92 @@ def test_observation_record(kind, period, x_w, x_m, x_a, value):
     assert record_problem(record) is None
     levels = [v for v in (x_w, x_m, x_a, value) if v is not None]
     assert all(0.0 <= v < math.inf for v in levels)
+
+
+# --- library constructors and numeric functions -----------------------------
+
+# floats of every kind: nan, both infinities, subnormals, the largest finite
+FLOATS = st.floats()
+# a member, a member's value, or anything else a caller might pass
+ENUM_LIKE = st.one_of(
+    st.sampled_from([*MetricKind, *Polarity, *CorrectionKind]),
+    st.sampled_from([m.value for m in (*MetricKind, *Polarity, *CorrectionKind)]),
+    st.text(max_size=8), st.integers(), st.none(), FLOATS,
+    st.lists(st.text(max_size=2), max_size=2),
+)
+IDS = st.one_of(st.sampled_from(["A", "B", "s", "d"]), st.text(max_size=3), st.integers(),
+                st.none(), st.booleans(), FLOATS, st.lists(st.text(max_size=2), max_size=2))
+ID_LISTS = st.one_of(st.lists(IDS, max_size=3), st.lists(IDS, max_size=3).map(tuple), IDS)
+
+
+@FUZZ
+@given(ind_id=IDS, metric=ENUM_LIKE, polarity=ENUM_LIKE, kind=ENUM_LIKE, source=IDS,
+       field=st.one_of(st.sampled_from(["total", "women", "men"]), IDS))
+def test_indicator_spec_and_correction(ind_id, metric, polarity, kind, source, field):
+    correction = _only_igei_errors(Correction, kind, source, field)
+    if correction is not None:
+        assert isinstance(correction.kind, CorrectionKind)
+    spec = _only_igei_errors(
+        IndicatorSpec, ind_id, "label", metric, polarity, correction or Correction("none")
+    )
+    if spec is not None:
+        assert isinstance(spec.id, str) and spec.id
+        assert isinstance(spec.metric, MetricKind) and isinstance(spec.polarity, Polarity)
+
+
+@FUZZ
+@given(sub_id=IDS, indicators=ID_LISTS, dom_id=IDS, wrap=st.booleans())
+def test_tree_types(sub_id, indicators, dom_id, wrap):
+    sub = _only_igei_errors(SubDomain, sub_id, indicators)
+    if sub is None:
+        return
+    assert type(sub.indicators) is tuple and all(isinstance(i, str) and i for i in sub.indicators)
+    dom = _only_igei_errors(Domain, dom_id, [sub] if wrap else sub)
+    tree = dom and _only_igei_errors(IndexTree, [dom])  # refuses a repeated leaf
+    if tree is not None:
+        assert tree.leaf_ids() == sub.indicators
+
+
+def _assert_finite(*results):
+    assert all(math.isfinite(r) for r in results if r is not None), results
+
+
+NUMBERS = st.lists(FLOATS, min_size=0, max_size=6)
+
+
+@FUZZ
+@given(values=NUMBERS, weights=st.one_of(st.none(), NUMBERS), polarity=ENUM_LIKE)
+def test_means(values, weights, polarity):
+    seq = _only_igei_errors(WeightedSequence, values, weights)
+    for data in (values, seq) if seq is not None else (values,):
+        for mean in (weighted_mean, geometric_mean, penalized_mean):
+            _assert_finite(_only_igei_errors(mean, data))
+        _assert_finite(_only_igei_errors(penalized_mean, data, polarity))
+
+
+SCALAR_FORMULAS = [
+    (metrics.gap_metric, 2), (metrics.gei_gap_metric, 2), (metrics.correction_coefficient, 2),
+    (metrics.gei_correction_coefficient, 2), (metrics.score_standard, 4),
+    (metrics.score_gei, 3), (metrics.invert_polarity, 1), (metrics.score_share, 2),
+    (metrics.score_ratio, 2), (metrics.score_capped, 1),
+]
+
+
+@FUZZ
+@given(args=st.lists(FLOATS, min_size=4, max_size=4))
+def test_scalar_formulas(args):
+    for formula, arity in SCALAR_FORMULAS:
+        _assert_finite(_only_igei_errors(formula, *args[:arity]))
+
+
+@FUZZ
+@given(columns=st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=1, max_size=3))
+def test_statistics(columns):
+    for summary in filter(None, (_only_igei_errors(descriptive_summary, c) for c in columns)):
+        _assert_finite(*vars(summary).values())
+        assert summary.min <= summary.p25 <= summary.p50 <= summary.p75 <= summary.max
+    matrix = _only_igei_errors(correlation_matrix, columns)
+    assert matrix is None or all(-1.0 <= r <= 1.0 for r in matrix.values())
 
 
 def _run(argv):

@@ -266,6 +266,51 @@ class TestScoreRatio:
         assert 0.0 <= score_ratio(r, alpha) <= 100.0
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInputs:
+    # each once returned a wrong finite score or nan
+    @pytest.mark.parametrize(
+        "formula, args",
+        [
+            (score_capped, (NAN,)),
+            (score_capped, (INF,)),
+            (gap_metric, (NAN, 1.0)),
+            (gap_metric, (1.0, INF)),
+            (gap_metric, (1e308, 1.7e308)),
+            (gei_gap_metric, (NAN, 1.0)),
+            (gei_gap_metric, (1.0, NAN)),
+            (gei_gap_metric, (1e308, 1e-10)),
+            (correction_coefficient, (NAN, 1.0)),
+            (correction_coefficient, (0.5, NAN)),
+            (correction_coefficient, (1e308, 1e308)),
+            (gei_correction_coefficient, (NAN, 1.0)),
+            (gei_correction_coefficient, (0.5, INF)),
+            (score_ratio, (NAN, 1.0)),
+            (score_ratio, (INF, 1.0)),
+            (score_share, (NAN,)),
+            (score_gei, (NAN, 1.0, 1.0)),
+            (score_gei, (0.5, 0.5, NAN)),
+            (score_standard, (0.4, 0.6, NAN, 0.9)),
+            (invert_polarity, (NAN,)),
+        ],
+    )
+    def test_refused(self, formula, args):
+        with pytest.raises(MetricInputError):
+            formula(*args)
+
+    def test_corrections_share_one_guard(self):
+        for coefficient in (correction_coefficient, gei_correction_coefficient):
+            with pytest.raises(MetricInputError) as info:
+                coefficient(0.5, 0.0)
+            assert str(info.value) == (
+                "reference maximum must lie in (0, 8.988465674311579e+307], got 0.0"
+            )
+            with pytest.raises(InconsistentReferenceError):
+                coefficient(0.6, 0.5)
+
+
 class TestScoreCapped:
     def test_published_value(self):
         assert score_capped(0.412) == pytest.approx(41.20, abs=1e-9)

@@ -87,6 +87,33 @@ class TestPenalizedMean:
                 case.penalized, abs=0.005
             )
 
+    def test_polarity_given_as_its_value(self):
+        # a value once failed the identity test and took the negative branch
+        xs = [10.0, 90.0]
+        assert penalized_mean(xs, "positive") == penalized_mean(xs, Polarity.POSITIVE) == 40.0
+        assert penalized_mean(xs, "negative") == penalized_mean(xs, Polarity.NEGATIVE) == 60.0
+        for polarity in ("bogus", "Positive", None, 1):
+            with pytest.raises(AggregationError, match="^unknown polarity "):
+                penalized_mean(xs, polarity)
+
+    @given(values=sequences(min_size=2), negative=st.booleans())
+    def test_value_polarity_bit_identical(self, values, negative):
+        member = Polarity.NEGATIVE if negative else Polarity.POSITIVE
+        assert penalized_mean(values, member.value) == penalized_mean(values, member)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1e308, -1e308], "the variance is not finite"),
+            ([1.7e308, 1e308, 0.0], "the variance is not finite"),
+            ([float("nan"), 1.0], "value 1 is not finite: nan"),
+        ],
+    )
+    def test_overflow_and_nan_refused(self, values, message):
+        with pytest.raises(AggregationError) as info:
+            penalized_mean(values)
+        assert str(info.value) == message
+
     def test_exact_two_value_cases(self):
         assert penalized_mean([4, 6]) == pytest.approx(4.75, abs=1e-12)
         assert penalized_mean([2, 8]) == pytest.approx(4.25, abs=1e-12)

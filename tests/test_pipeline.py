@@ -19,7 +19,7 @@ from igei.model import (
     ObservationRecord,
     SubDomain,
 )
-from igei.penalized import Polarity, penalized_mean
+from igei.penalized import Polarity, WeightedSequence, penalized_mean
 from igei.pipeline import (
     ReferenceLevels,
     aggregate_level,
@@ -199,6 +199,17 @@ class TestResolveReferences:
             resolve_references(records, SYNTH_SPECS, ["Y"])
         assert str(info.value) == (
             "territory 'Z', indicator 'J1', period 2023: x_a must be a finite number, got nan"
+        )
+
+    def test_inverted_rate_above_one_names_its_record(self):
+        # the CLI's validate_dataset catches this first; the library path did not
+        specs = {"J2": spec_standard("J2", polarity="negative")}
+        records = [obs_standard("A", "J2", 0.2, 0.4, 1.2)]
+        with pytest.raises(ScoringError) as info:
+            resolve_references(records, specs, ["A"])
+        assert str(info.value) == (
+            "territory 'A', indicator 'J2', period 2023: "
+            "polarity inversion is only defined for rates, got 1.2"
         )
 
     def test_external_bases_cover_out_of_scope_territories(self):
@@ -623,6 +634,135 @@ class TestCorrection:
         with pytest.raises(SpecError) as info:
             Correction(**kwargs)
         assert str(info.value) == message
+
+
+class TestSpecTypesValidByConstruction:
+    SUB = SubDomain("s", ("A",))
+
+    # each value is built inside the test: construction is what refuses it
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                partial(IndicatorSpec, "", "x", "capped"),
+                "indicator id must be a non-empty string, got ''",
+            ),
+            (
+                partial(IndicatorSpec, 7, "x", "capped"),
+                "indicator id must be a non-empty string, got 7",
+            ),
+            (
+                partial(IndicatorSpec, "G", "x", "bogus"),
+                "indicator 'G': unknown metric kind 'bogus'",
+            ),
+            (
+                partial(IndicatorSpec, "G", "x", "Standard"),
+                "indicator 'G': unknown metric kind 'Standard'",
+            ),
+            (
+                partial(IndicatorSpec, "G", "x", ["standard"]),
+                "indicator 'G': unknown metric kind a list",
+            ),
+            (
+                partial(IndicatorSpec, "G", "x", "standard", "up"),
+                "indicator 'G': unknown polarity 'up'",
+            ),
+            (
+                partial(IndicatorSpec, "G", "x", "standard", None),
+                "indicator 'G': unknown polarity None",
+            ),
+            (
+                partial(IndicatorSpec, "G", "x", "standard", correction="own_average"),
+                "indicator 'G': correction must be a Correction, got 'own_average'",
+            ),
+            (
+                partial(IndicatorSpec, "G", "x", "share", "negative"),
+                "G: negative polarity is only defined for standard-metric "
+                "(rate-valued) indicators",
+            ),
+            (partial(SubDomain, "", ("A",)), "sub-domain id must be a non-empty string, got ''"),
+            (
+                partial(SubDomain, None, ("A",)),
+                "sub-domain id must be a non-empty string, got None",
+            ),
+            (partial(SubDomain, "s", "AB"), "sub-domain 's': indicators must be a list, got 'AB'"),
+            (partial(SubDomain, "s", None), "sub-domain 's': indicators must be a list, got None"),
+            (partial(SubDomain, "s", ()), "sub-domain 's' has no indicators"),
+            (
+                partial(SubDomain, "s", ("A", "")),
+                "sub-domain 's': indicators must be indicator ids, got '' at position 2",
+            ),
+            (
+                partial(SubDomain, "s", ["A", 3]),
+                "sub-domain 's': indicators must be indicator ids, got 3 at position 2",
+            ),
+            (partial(Domain, 3, (SUB,)), "domain id must be a non-empty string, got 3"),
+            (partial(Domain, "", (SUB,)), "domain id must be a non-empty string, got ''"),
+            (
+                partial(Domain, "d", SUB),
+                "domain 'd': sub-domains must be a list, got SubDomain(id='s', indicators=('A',))",
+            ),
+            (partial(Domain, "d", []), "domain 'd' has no sub-domains"),
+            (
+                partial(Domain, "d", (SUB, "t")),
+                "domain 'd': sub-domains must be SubDomain objects, got 't' at position 2",
+            ),
+            (partial(IndexTree, "d"), "index tree: domains must be a list, got 'd'"),
+            (partial(Correction, None), "unknown correction kind None"),
+            (
+                partial(Correction, "external", indicator=["J1"]),
+                "external correction requires a source indicator id",
+            ),
+            (
+                partial(Correction, "external", indicator="J1", field=["total"] * 50),
+                "external correction field must be one of ('total', 'women', 'men'), got a list",
+            ),
+            (partial(WeightedSequence, [1.0, float("nan")]), "value 2 is not finite: nan"),
+            (partial(WeightedSequence, [float("-inf")]), "value 1 is not finite: -inf"),
+            (
+                partial(WeightedSequence, [1.0, 2.0], [float("nan")] * 2),
+                "weight 1 is not finite: nan",
+            ),
+            (
+                partial(WeightedSequence, [1.0, 2.0], [float("inf"), 0.0]),
+                "weights must sum to 1, got inf",
+            ),
+        ],
+    )
+    def test_refused_value(self, build, message):
+        with pytest.raises((SpecError, AggregationError)) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_indicators_stored_as_a_tuple(self):
+        sub = SubDomain("s", ["A", "B"])
+        assert sub.indicators == ("A", "B") and sub == SubDomain("s", ("A", "B"))
+        dom = Domain("d", [sub])
+        assert dom.subdomains == (sub,)
+        assert IndexTree([dom]) == IndexTree((dom,))
+
+    def test_values_behave_as_their_members(self):
+        by_value = IndicatorSpec("J2", "J2", "standard", "negative", Correction("own_average"))
+        by_member = spec_standard("J2", polarity=Polarity.NEGATIVE)
+        assert by_value == by_member and hash(by_value) == hash(by_member)
+        assert by_value.metric is MetricKind.STANDARD
+        assert by_value.polarity is Polarity.NEGATIVE
+        records = SYNTH_RECORDS[2:4]
+        refs = resolve_references(records, {"J2": by_member}, ["X", "Y"])
+        assert refs == resolve_references(records, {"J2": by_value}, ["X", "Y"])
+        # negative polarity: 1 - x_w = 0.8, 1 - x_m = 0.6, 1 - x_a = 0.7 against 0.9
+        score = compute_indicator(by_value, records[0], refs)
+        assert score == compute_indicator(by_member, records[0], refs)
+        assert score == pytest.approx((2 * 0.7 / 1.6) * (6 / 7) * 100, abs=1e-12)
+
+    def test_polarity_value_scores_as_that_polarity(self):
+        # a string polarity once failed an identity test and scored as positive
+        obs = obs_standard("X", "G2", 0.2, 0.4)
+        refs = ReferenceLevels(maxima={})
+        negative = IndicatorSpec("G2", "x", MetricKind.STANDARD, "negative")
+        positive = IndicatorSpec("G2", "x", MetricKind.STANDARD, "positive")
+        assert compute_indicator(negative, obs, refs) == pytest.approx(100 * 6 / 7, abs=1e-12)
+        assert compute_indicator(positive, obs, refs) == pytest.approx(100 * 2 / 3, abs=1e-12)
 
 
 class TestObservationRecord:

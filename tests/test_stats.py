@@ -59,6 +59,24 @@ class TestDescriptiveSummary:
         with pytest.raises(StatisticsError):
             descriptive_summary([])
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            # nan once sorted into the middle: p50 1.0 and a nan mean
+            ([float("nan"), 1, 2], "the sum of the values is not finite"),
+            ([1, float("nan"), 1], "the sum of the values is not finite"),
+            ([float("inf"), float("-inf"), 1], "the sum of the values is not finite"),
+            ([float("inf")] * 2, "the sum of the values is not finite"),
+            ([1e308, 1.5e308], "the sum of the values is not finite"),
+            ([1e200, -1e200, 0.0], "the sum of squared deviations is not finite"),
+            ([-1.0, 1.0, 1e-320], "the coefficient of variation sd / mean = "),
+        ],
+    )
+    def test_non_finite_refused(self, values, message):
+        with pytest.raises(StatisticsError) as info:
+            descriptive_summary(values)
+        assert str(info.value).startswith(message)
+
     def test_single_value_has_no_spread_stats(self):
         s = descriptive_summary([3.0])
         assert s.mean == 3.0
@@ -162,6 +180,24 @@ class TestCorrelationMatrix:
         ]
         m = correlation_matrix(columns)
         assert [m[i, i] for i in range(20)] == [1.0] * 20
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            # the clip once turned nan into -1.0
+            ([[float("nan"), 1, 2], [1, 2, 3]], "column 0's sum is not finite"),
+            ([[1, 2, 3], [float("inf"), 1, 2]], "column 1's sum is not finite"),
+            # squares past the float range once correlated as -0.0
+            ([[1, 2, 3], [1e200, 1, 2]], "column 1's sum of squares is not finite"),
+            ([[0.0, 5e-324, 1e-323], [1, 2, 3]], "column 0 varies too little to correlate"),
+        ],
+    )
+    def test_non_finite_refused_without_positions(self, columns, message):
+        # positions name constant columns only, which report words as such
+        with pytest.raises(StatisticsError) as info:
+            correlation_matrix(columns)
+        assert str(info.value) == message
+        assert info.value.positions == ()
 
     def test_too_few_observations_rejected(self):
         with pytest.raises(StatisticsError):
