@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from importlib import resources
+from math import isnan
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import yaml
@@ -197,24 +198,28 @@ def _parse_observation(
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Wide table of 0-100 indicator scores, one row per territory."""
+    """Wide table of 0-100 indicator scores, one row per territory.
+
+    ``rows`` maps each territory to its scores in ``indicators`` order;
+    read them through :meth:`row` and :meth:`column`.
+    """
 
     territories: tuple[str, ...]
     indicators: tuple[str, ...]
-    scores: Mapping[tuple[str, str], float]
+    rows: Mapping[str, tuple[float, ...]]
 
     def row(self, territory: str) -> dict[str, float]:
-        return {ind: self.scores[(territory, ind)] for ind in self.indicators}
+        return dict(zip(self.indicators, self.rows[territory]))
 
     def column(self, indicator: str) -> list[float]:
-        return [self.scores[(terr, indicator)] for terr in self.territories]
+        position = self.indicators.index(indicator)
+        return [self.rows[terr][position] for terr in self.territories]
 
 
 def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
     """Read a wide indicator-score table (header: territory + indicator ids)."""
     header: list[str] | None = None
-    territories: dict[str, None] = {}
-    scores: dict[tuple[str, str], float] = {}
+    rows: dict[str, tuple[float, ...]] = {}
     for lineno, row in _rows(source, decimal_comma):
         if header is None:
             if len(row) < 2 or row[0] != "territory":
@@ -229,24 +234,31 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
             raise DataError(
                 f"row {lineno}: expected {len(header) + 1} cells, got {len(row)}"
             )
-        territory = row[0]
-        if territory in territories:
+        territory, cells = row[0], row[1:]
+        if territory in rows:
             raise DataError(f"row {lineno}: duplicate territory {territory!r}")
-        territories[territory] = None
-        for ind, cell in zip(header, row[1:]):
-            value = _parse_number(cell, decimal_comma, lineno, ind)
-            if value is None:
-                raise DataError(f"row {lineno}: missing score for {ind!r}")
-            if not 0.0 <= value <= 100.0:
-                raise DataError(
-                    f"row {lineno}: score {value} for {ind!r} is outside [0, 100]"
-                )
-            scores[(territory, ind)] = value
+        try:
+            values = tuple(
+                map(float, [c.replace(",", ".") for c in cells] if decimal_comma else cells)
+            )
+        except ValueError:
+            values = ()
+        # min and max pass over a NaN that is not first; with both bounds
+        # met, the sum is NaN exactly when some score is
+        if not values or not 0.0 <= min(values) <= max(values) <= 100.0 or isnan(sum(values)):
+            # name the first bad cell, quoting it as written
+            for ind, cell in zip(header, cells):
+                value = _parse_number(cell, decimal_comma, lineno, ind)
+                if value is None:
+                    raise DataError(f"row {lineno}: missing score for {ind!r}")
+                if not 0.0 <= value <= 100.0:
+                    raise DataError(
+                        f"row {lineno}: score {value} for {ind!r} is outside [0, 100]"
+                    )
+        rows[territory] = values
     if header is None:
         raise DataError("score table is empty")
-    return ScoreTable(
-        territories=tuple(territories), indicators=tuple(header), scores=scores
-    )
+    return ScoreTable(territories=tuple(rows), indicators=tuple(header), rows=rows)
 
 
 # --- index spec ------------------------------------------------------------
@@ -341,11 +353,13 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
     tree = IndexTree(domains=domains)
 
     declared = raw.get("domain_count")
-    if declared is not None and declared != len(tree.domains):
-        raise SpecError(
-            f"spec declares {_shown(declared)} domains but the tree defines "
-            f"{len(tree.domains)}"
-        )
+    if declared is not None:
+        if declared.__class__ is not int:  # a bool too: True would count as 1
+            raise SpecError(f"domain_count must be an integer, got {_shown(declared)}")
+        if declared != len(tree.domains):
+            raise SpecError(
+                f"spec declares {declared} domains but the tree defines {len(tree.domains)}"
+            )
 
     if not isinstance(raw["indicators"], dict):
         raise SpecError("the 'indicators' section must be a mapping")
@@ -358,9 +372,13 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
         if fields.get("period") is not None and not isinstance(fields["period"], int):
             period = _shown(fields["period"])
             raise SpecError(f"indicator {ind_id!r}: period must be an integer year, got {period}")
+        label = fields.get("label", ind_id)
+        if isinstance(label, (list, dict, set)):
+            # str() would expand every YAML alias inside it
+            raise SpecError(f"indicator {ind_id!r}: label must be text, got {_shown(label)}")
         specs[ind_id] = IndicatorSpec(
             id=ind_id,
-            label=str(fields.get("label", ind_id)),
+            label=str(label),
             metric=fields["metric"],
             polarity=fields.get("polarity", "positive"),
             correction=_parse_correction(ind_id, fields.get("correction", "none")),
@@ -382,21 +400,25 @@ def _spec_list(raw, what: str) -> tuple:
 
 
 def _parse_correction(ind_id: str, raw) -> Correction:
+    owner = f"indicator {ind_id!r}"
     if isinstance(raw, str):
-        return Correction(raw)
-    if isinstance(raw, dict):
+        kind, source, field = raw, None, "total"
+    elif isinstance(raw, dict):
         if "indicator" not in raw:
-            raise SpecError(
-                f"indicator {ind_id!r}: external correction needs a source indicator"
-            )
+            raise SpecError(f"{owner}: external correction needs a source indicator")
         source, field = raw["indicator"], raw.get("field", "total")
         if isinstance(source, (list, dict, set)) or not isinstance(field, str):
             raise SpecError(
-                f"indicator {ind_id!r}: external correction needs an indicator id and "
+                f"{owner}: external correction needs an indicator id and "
                 f"a field name, got {_shown(source)} and {_shown(field)}"
             )
-        return Correction(CorrectionKind.EXTERNAL, indicator=str(source), field=field)
-    raise SpecError(f"indicator {ind_id!r}: cannot parse correction {_shown(raw)}")
+        kind, source = CorrectionKind.EXTERNAL, str(source)
+    else:
+        raise SpecError(f"{owner}: cannot parse correction {_shown(raw)}")
+    try:
+        return Correction(kind, indicator=source, field=field)
+    except SpecError as exc:
+        raise SpecError(f"{owner}: {exc}") from None
 
 
 # --- dataset validation ----------------------------------------------------

@@ -199,12 +199,24 @@ class IndexTree:
         object.__setattr__(self, "domains", domains)
         leaves = tuple(ind for dom in domains for sub in dom.subdomains for ind in sub.indicators)
         _refuse_repeats(leaves, "indicator")
-        # not a field: equality, hashing and repr see only the domains
+        # not fields: equality, hashing and repr see only the domains
         object.__setattr__(self, "_leaf_ids", leaves)
+        object.__setattr__(self, "_fold_plan", tuple(
+            (dom.id, tuple(((dom.id, sub.id), sub.indicators) for sub in dom.subdomains))
+            for dom in domains
+        ))
 
     def leaf_ids(self) -> tuple[str, ...]:
         """Indicator ids in tree order (domains, then sub-domains)."""
         return self._leaf_ids
+
+    def fold_plan(self) -> tuple[tuple[str, tuple], ...]:
+        """Per domain, in tree order: its id and each sub-domain's key and indicators.
+
+        Built once, so every report keyed by ``(domain id, sub-domain id)``
+        shares the same key tuples.
+        """
+        return self._fold_plan
 
 
 @dataclass(frozen=True, slots=True)

@@ -261,13 +261,13 @@ def aggregate_scores(
     leaf_scores = {leaf: float(scores[leaf]) for leaf in leaves}
     subdomain_values: dict[tuple[str, str], float] = {}
     domain_values: dict[str, float] = {}
-    for dom in tree.domains:
+    for dom_id, subdomains in tree.fold_plan():
         children = []
-        for sub in dom.subdomains:
-            value = _fold_scores([leaf_scores[i] for i in sub.indicators])
-            subdomain_values[(dom.id, sub.id)] = value
+        for key, indicators in subdomains:
+            value = _fold_scores([leaf_scores[i] for i in indicators])
+            subdomain_values[key] = value
             children.append(value)
-        domain_values[dom.id] = _fold_scores(children)
+        domain_values[dom_id] = _fold_scores(children)
     index = _fold_scores(list(domain_values.values()))
     return TerritoryReport(
         territory=territory,

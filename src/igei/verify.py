@@ -121,9 +121,8 @@ def _region_scores() -> tuple[list[str], dict[str, list[float]]]:
     """The bundled score table's scoring regions, and their scores by indicator."""
     table = _bundled(dataio.load_score_table, "indicator_scores_2023.csv")
     regions = _regions(table.territories)
-    return regions, {
-        ind: [table.scores[(t, ind)] for t in regions] for ind in table.indicators
-    }
+    rows = [table.row(t) for t in regions]
+    return regions, {ind: [row[ind] for row in rows] for ind in table.indicators}
 
 
 def _summary_delta(summary: stats.DescriptiveSummary, expected: dict[str, float]) -> float:

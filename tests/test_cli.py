@@ -280,10 +280,38 @@ class TestBadInput:
                 "indicator 'C': external correction needs an indicator id and a field "
                 "name, got 'C' and a list",
             ),
+            (
+                "tree: [{domain: d, indicators: [C]}]\n"
+                "indicators:\n  C: {metric: capped, label: *l8}\n",
+                "indicator 'C': label must be text, got a list",
+            ),
         ]:
             spec.write_text("\n".join(lines) + "\n" + tail, encoding="utf-8")
             err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
             assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "spec_text, message",
+        [
+            (
+                CAPPED_SPEC.replace("capped}", "capped, correction: bogus}"),
+                "indicator 'C': unknown correction kind 'bogus'",
+            ),
+            (
+                CAPPED_SPEC.replace("capped}", "share, correction: {indicator: C, field: all}}"),
+                "indicator 'C': external correction field must be one of "
+                "('total', 'women', 'men'), got 'all'",
+            ),
+            # True == 1, so a one-domain tree used to accept it
+            ("domain_count: true\n" + CAPPED_SPEC, "domain_count must be an integer, got True"),
+        ],
+        ids=["correction-kind", "correction-field", "domain-count"],
+    )
+    def test_spec_value_refused(self, capsys, tmp_path, spec_text, message):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(spec_text, encoding="utf-8")
+        err = self._fails(capsys, "aggregate", "--data", SCORES, "--spec", str(spec))
+        assert err == f"error: {message}\n"
 
     def test_missing_data_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.csv")

@@ -550,9 +550,9 @@ class TestScoreTable:
     def test_bundled_table(self, indicator_table):
         assert len(indicator_table.territories) == 23
         assert indicator_table.indicators == tuple(f"G{k}" for k in range(1, 21))
-        assert indicator_table.scores[
-            ("Provincia Autonoma di Trento", "G13")
-        ] == pytest.approx(76.923)
+        assert indicator_table.row("Provincia Autonoma di Trento")["G13"] == pytest.approx(
+            76.923
+        )
 
     def test_row_and_column(self, indicator_table):
         row = indicator_table.row("Basilicata")
@@ -574,6 +574,40 @@ class TestScoreTable:
         text = "territory,G1\nX,50\nX,60\n"
         with pytest.raises(DataError, match="duplicate territory"):
             load_score_table(write(tmp_path, text))
+
+    # (decimal_comma, cells of row 2, message): the first bad cell is named,
+    # a non-number quoted as written
+    BAD_ROWS = [
+        (False, ("nan", "50", "50"), "score nan for 'A' is outside [0, 100]"),
+        (False, ("50", "nan", "50"), "score nan for 'B' is outside [0, 100]"),
+        (False, ("50", "50", "nan"), "score nan for 'C' is outside [0, 100]"),
+        (False, ("50", "inf", "50"), "score inf for 'B' is outside [0, 100]"),
+        (False, ("50", "50", "-inf"), "score -inf for 'C' is outside [0, 100]"),
+        (False, ("100.0001", "50", "50"), "score 100.0001 for 'A' is outside [0, 100]"),
+        (False, ("50", "-0.5", "50"), "score -0.5 for 'B' is outside [0, 100]"),
+        (False, ("50", "", "50"), "missing score for 'B'"),
+        (False, ("50", "50", "1.2.3"), "column 'C' is not a number: '1.2.3'"),
+        (False, ("50", "nan", "x"), "score nan for 'B' is outside [0, 100]"),
+        (False, ("50", "x", "nan"), "column 'B' is not a number: 'x'"),
+        (True, ("nan", "50,5", "50"), "score nan for 'A' is outside [0, 100]"),
+        (True, ("50,5", "nan", "50"), "score nan for 'B' is outside [0, 100]"),
+        (True, ("50", "50,5", "nan"), "score nan for 'C' is outside [0, 100]"),
+        (True, ("50", "inf", "50"), "score inf for 'B' is outside [0, 100]"),
+        (True, ("50", "50", "-inf"), "score -inf for 'C' is outside [0, 100]"),
+        (True, ("100,0001", "50", "50"), "score 100.0001 for 'A' is outside [0, 100]"),
+        (True, ("50", "-0,5", "50"), "score -0.5 for 'B' is outside [0, 100]"),
+        (True, ("50", "", "50"), "missing score for 'B'"),
+        (True, ("50", "50", "1,2,3"), "column 'C' is not a number: '1,2,3'"),
+        (True, ("50", "x", "nan"), "column 'B' is not a number: 'x'"),
+    ]
+
+    @pytest.mark.parametrize("decimal_comma, cells, message", BAD_ROWS)
+    def test_bad_row_messages(self, tmp_path, decimal_comma, cells, message):
+        sep = ";" if decimal_comma else ","
+        text = f"territory{sep}A{sep}B{sep}C\nX{sep}1{sep}2{sep}3\nY{sep}" + sep.join(cells)
+        with pytest.raises(DataError) as info:
+            load_score_table(write(tmp_path, text + "\n"), decimal_comma=decimal_comma)
+        assert str(info.value) == f"row 3: {message}"
 
 
 @pytest.mark.parametrize(

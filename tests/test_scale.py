@@ -186,6 +186,34 @@ def test_loaded_records_are_lean(observation_files):
     assert kept / len(data) < KEPT_BYTES_PER_RECORD
 
 
+# Bytes a loaded score cell keeps: one tuple of floats per territory sits near
+# 39 on CPython 3.11; a dict keyed by a (territory, indicator) pair per cell
+# kept about 113 on this table.
+KEPT_BYTES_PER_SCORE = 60
+# Bytes an aggregate_scores report keeps beside the table's floats: reports
+# that share the tree's (domain, sub-domain) keys sit near 1,535; ten new key
+# tuples per report kept about 2,095.
+KEPT_BYTES_PER_REPORT = 1800
+
+
+def test_score_tables_and_reports_are_lean(table_files):
+    _, tree = load_index_spec()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = load_score_table(table_files[0])
+        gc.collect()
+        table_bytes, _ = tracemalloc.get_traced_memory()
+        reports = [aggregate_scores(tree, table.row(t), t) for t in table.territories]
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = len(table.territories) * len(table.indicators)
+    assert table_bytes / cells < KEPT_BYTES_PER_SCORE
+    assert (kept - table_bytes) / len(reports) < KEPT_BYTES_PER_REPORT
+
+
 def test_unchanged_territory_keeps_its_scores(observation_files):
     specs, tree = load_index_spec()
     data = load_dataset(observation_files["series"][0])

@@ -138,16 +138,15 @@ class TestCorrelationMatrix:
         assert m[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_published_cell(self, indicator_table, region_names):
-        g1 = [indicator_table.scores[(t, "G1")] for t in region_names]
-        g2 = [indicator_table.scores[(t, "G2")] for t in region_names]
+        rows = [indicator_table.row(t) for t in region_names]
+        g1 = [row["G1"] for row in rows]
+        g2 = [row["G2"] for row in rows]
         m = correlation_matrix([g1, g2])
         assert m[0, 1] == pytest.approx(0.67, abs=0.02)
 
     def test_symmetric_unit_diagonal_bounded(self, indicator_table, region_names):
-        columns = [
-            [indicator_table.scores[(t, ind)] for t in region_names]
-            for ind in indicator_table.indicators
-        ]
+        rows = [indicator_table.row(t) for t in region_names]
+        columns = [[row[ind] for row in rows] for ind in indicator_table.indicators]
         m = correlation_matrix(columns)
         assert set(m) == {(i, j) for i in range(20) for j in range(20)}
         for i in range(20):
@@ -174,10 +173,8 @@ class TestCorrelationMatrix:
             correlation_matrix([[0.1, 0.1, 0.1], [0.0, 1.0, 2.0]])
 
     def test_diagonal_is_exactly_one(self, indicator_table, region_names):
-        columns = [
-            [indicator_table.scores[(t, ind)] for t in region_names]
-            for ind in indicator_table.indicators
-        ]
+        rows = [indicator_table.row(t) for t in region_names]
+        columns = [[row[ind] for row in rows] for ind in indicator_table.indicators]
         m = correlation_matrix(columns)
         assert [m[i, i] for i in range(20)] == [1.0] * 20
 
