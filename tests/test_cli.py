@@ -14,6 +14,10 @@ from igei.dataio import bundled_path, load_observations, load_score_table
 DEMO_DATA = str(bundled_path("demo_countries.csv"))
 DEMO_SPEC = str(bundled_path("demo_tree.yaml"))
 SCORES = str(bundled_path("indicator_scores_2023.csv"))
+GOLDEN = Path(__file__).parent / "golden"
+DEMO_ARGS = ["--data", DEMO_DATA, "--spec", DEMO_SPEC]
+SERIES_ARGS = ["--data", str(GOLDEN / "series.csv"), "--spec", DEMO_SPEC, "--time-series"]
+INVALID_ARGS = ["--data", str(GOLDEN / "degenerate.csv"), "--spec", DEMO_SPEC]
 
 
 def run(capsys, *argv):
@@ -149,15 +153,16 @@ class TestScore:
             "achievement 0.6 exceeds reference maximum 0.5\n"
         )
 
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "scores.txt"
-        code, out, _ = run(
-            capsys, "score", "--data", DEMO_DATA, "--spec", DEMO_SPEC,
-            "--out", str(target),
-        )
-        assert code == 0
-        assert out == ""
-        assert "88.89" in target.read_text(encoding="utf-8")
+    @pytest.mark.parametrize("argv", [
+        ["demo"], ["verify"], ["score", *DEMO_ARGS], ["aggregate", "--data", SCORES],
+        ["report", "--data", SCORES], ["score", *INVALID_ARGS],
+    ], ids=["demo", "verify", "score", "aggregate", "report", "invalid"])
+    def test_out_file(self, capsys, tmp_path, argv):
+        # --out writes exactly what stdout would show, with the same exit code
+        code, expected, _ = run(capsys, *argv)
+        target = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_bytes() == expected.encode("utf-8")
 
     def test_time_series(self, capsys, tmp_path):
         data = tmp_path / "ts.csv"
@@ -478,22 +483,39 @@ class TestVerify:
         assert first == second
 
 
-GOLDEN = Path(__file__).parent / "golden"
+
+FORMATS = (("table", "txt"), ("csv", "csv"), ("json", "json"))
+GOLDEN_RUNS = [
+    (["verify"], "verify.txt", 0),
+    (["verify", "--format", "json"], "verify.json", 0),
+    (["demo"], "demo.txt", 0),
+    (["demo", "--format", "csv"], "demo.csv", 0),
+    (["demo", "--format", "json"], "demo.json", 0),
+] + [
+    ([command, *args, "--format", fmt], f"{name}.{ext}", 0)
+    for command, args, name in (
+        ("score", DEMO_ARGS, "score"),
+        ("score", SERIES_ARGS, "score-series"),
+        ("aggregate", ["--data", SCORES], "aggregate"),
+        ("report", ["--data", SCORES], "report"),
+    )
+    for fmt, ext in FORMATS
+] + [
+    (["score", *INVALID_ARGS, "--format", "table"], "invalid.txt", 1),
+    (["score", *INVALID_ARGS, "--format", "json"], "invalid.json", 1),
+]
 
 
 class TestGoldenOutput:
-    """The full bundled ``verify`` and ``demo`` output, byte for byte."""
+    """Full command output, byte for byte, in every format."""
 
-    @pytest.mark.parametrize("argv, name", [
-        (["verify"], "verify.txt"),
-        (["verify", "--format", "json"], "verify.json"),
-        (["demo"], "demo.txt"),
-        (["demo", "--format", "csv"], "demo.csv"),
-        (["demo", "--format", "json"], "demo.json"),
-    ])
-    def test_matches_golden_file(self, capsys, argv, name):
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, "")
+    @pytest.mark.parametrize(
+        "argv, name, code", GOLDEN_RUNS,
+        ids=[f"argv{i}-{name}" for i, (_, name, _) in enumerate(GOLDEN_RUNS)],
+    )
+    def test_matches_golden_file(self, capsys, argv, name, code):
+        status, out, err = run(capsys, *argv)
+        assert (status, err) == (code, "")
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
