@@ -25,7 +25,15 @@ from igei import dataio, pipeline, stats, verify
 from igei.errors import IgeiError, StatisticsError
 
 
-# --- output helpers --------------------------------------------------------
+# --- output ---------------------------------------------------------------
+#
+# A command returns its exit status and its output, which is one of: a JSON
+# document (a dict), finished text (a str), or a list of sections
+# ``(table title, csv title, headers, rows)``. Only ``main`` renders and
+# writes it.
+
+Section = tuple[str, str, list[str], list[list[str]]]
+Output = dict | str | list[Section]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -36,6 +44,22 @@ def _emit(text: str, out: str | None) -> None:
             raise IgeiError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _render(fmt: str, output: Output) -> str:
+    """The one place that turns a command's output into text in ``fmt``."""
+    if isinstance(output, dict):
+        return json.dumps(output, indent=2) + "\n"
+    if isinstance(output, str):
+        return output
+    as_csv = fmt == "csv"
+    render = _render_csv if as_csv else _render_table
+    blocks = []
+    for table_title, csv_title, headers, rows in output:
+        title = csv_title if as_csv else table_title
+        block = render(headers, rows).rstrip("\n")
+        blocks.append(f"{title}\n{block}" if title else block)
+    return "\n\n".join(blocks) + "\n"
 
 
 def _render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -53,13 +77,11 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _render_csv(headers: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(headers)]
-    lines += [",".join(_csv_cell(c) for c in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(map(_csv_cell, row)) for row in [headers, *rows]) + "\n"
 
 
 def _csv_cell(cell: str) -> str:
-    if "," in cell or '"' in cell:
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -72,50 +94,39 @@ def _f3(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _report_json(rep: pipeline.TerritoryReport) -> dict:
-    data = {
-        "territory": rep.territory,
-        "index": rep.index,
-        "domains": dict(rep.domain_values),
-        "subdomains": {f"{d}/{s}": v for (d, s), v in rep.subdomain_values.items()},
-        "indicators": dict(rep.indicator_scores),
-    }
-    if rep.period is not None:
-        data["period"] = rep.period
-    return data
+def _reports_json(reports) -> list[dict]:
+    """Reports best first, at full precision."""
+    docs = []
+    for rep in stats.rank_table(reports):
+        data = {
+            "territory": rep.territory,
+            "index": rep.index,
+            "domains": dict(rep.domain_values),
+            "subdomains": {f"{d}/{s}": v for (d, s), v in rep.subdomain_values.items()},
+            "indicators": dict(rep.indicator_scores),
+        }
+        if rep.period is not None:
+            data["period"] = rep.period
+        docs.append(data)
+    return docs
 
 
-def _domain_ids(tree) -> list[str]:
-    return [dom.id for dom in tree.domains]
-
-
-def _ranked_rows(reports, tree) -> tuple[list[str], list[list[str]]]:
-    headers = ["territory", "index"] + _domain_ids(tree)
-    rows = [
-        [rep.territory, _f2(rep.index)]
-        + [_f2(rep.domain_values[d]) for d in _domain_ids(tree)]
-        for rep in stats.rank_table(reports)
-    ]
-    return headers, rows
-
-
-def _findings_text(report: dataio.ValidationReport) -> str:
-    lines = [
-        f"{f.level}: {f.code}: territory={f.territory!r} indicator={f.indicator!r}: "
-        f"{f.message}"
-        for f in report.findings
-    ]
-    lines.append(
-        f"{len(report.errors)} error(s), {len(report.warnings)} warning(s); "
-        f"refusing to score"
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _findings_json(report: dataio.ValidationReport) -> str:
-    keys = ("level", "code", "territory", "indicator", "message")
-    findings = [{key: getattr(f, key) for key in keys} for f in report.findings]
-    return json.dumps({"findings": findings, "errors": len(report.errors)}, indent=2) + "\n"
+def _ranking(reports, tree, titles: tuple[str, str] = ("", ""), wide: bool = False) -> Section:
+    """Reports best first: index, then domains (2 dp); ``wide`` lists the
+    indicators (3 dp) and domains before the index."""
+    domains = [dom.id for dom in tree.domains]
+    leaves = list(tree.leaf_ids()) if wide else []
+    headers = ["territory"] + (leaves + domains + ["index"] if wide else ["index"] + domains)
+    rows = []
+    for rep in stats.rank_table(reports):
+        values = [_f2(rep.domain_values[d]) for d in domains]
+        if wide:
+            scores = rep.indicator_scores
+            rows.append([rep.territory] + [_f3(scores[leaf]) for leaf in leaves]
+                        + values + [_f2(rep.index)])
+        else:
+            rows.append([rep.territory, _f2(rep.index)] + values)
+    return (*titles, headers, rows)
 
 
 def _parse_scope(arg: str | None) -> list[str] | None:
@@ -132,103 +143,76 @@ def _parse_scope(arg: str | None) -> list[str] | None:
     return scope
 
 
-# --- score -----------------------------------------------------------------
+# --- score and aggregate ---------------------------------------------------
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
     specs, tree = dataio.load_index_spec(args.spec)
     dataset = dataio.load_dataset(args.data, decimal_comma=args.decimal_comma)
     # sorted, so that the JSON scope listing does not depend on row order
     scope = _parse_scope(args.scope) or sorted(dataset.territories)
     validation = dataio.validate_dataset(dataset, specs, scope=scope)
     if not validation.ok:
-        text = (
-            _findings_json(validation)
-            if args.format == "json"
-            else _findings_text(validation)
+        if args.format == "json":
+            keys = ("level", "code", "territory", "indicator", "message")
+            findings = [{key: getattr(f, key) for key in keys} for f in validation.findings]
+            return 1, {"findings": findings, "errors": len(validation.errors)}
+        lines = [
+            f"{f.level}: {f.code}: territory={f.territory!r} indicator={f.indicator!r}: "
+            f"{f.message}"
+            for f in validation.findings
+        ]
+        lines.append(
+            f"{len(validation.errors)} error(s), {len(validation.warnings)} warning(s); "
+            f"refusing to score"
         )
-        _emit(text, args.out)
-        return 1
+        return 1, "\n".join(lines) + "\n"
 
     if args.time_series:
-        by_period = pipeline.score_time_series(dataset, specs, tree, scope=scope)
+        by_period = sorted(pipeline.score_time_series(dataset, specs, tree, scope=scope).items())
         if args.format == "json":
-            doc = {
-                "command": "score",
-                "scope": scope,
-                "periods": [
-                    {"period": p, "reports": [
-                        _report_json(rep) for rep in stats.rank_table(reps.values())
-                    ]}
-                    for p, reps in sorted(by_period.items())
-                ],
-            }
-            _emit(json.dumps(doc, indent=2) + "\n", args.out)
-            return 0
-        blocks = []
-        for p, reps in sorted(by_period.items()):
-            headers, rows = _ranked_rows(reps.values(), tree)
-            if args.format == "csv":
-                headers = ["period"] + headers
-                rows = [[str(p)] + r for r in rows]
-                blocks.append(_render_csv(headers, rows).rstrip("\n"))
-            else:
-                blocks.append(f"period {p}\n" + _render_table(headers, rows).rstrip("\n"))
-        _emit("\n\n".join(blocks) + "\n", args.out)
-        return 0
+            return 0, {"command": "score", "scope": scope, "periods": [
+                {"period": p, "reports": _reports_json(reps.values())}
+                for p, reps in by_period
+            ]}
+        if args.format == "csv":
+            # one untitled block per period, led by a period column
+            sections = []
+            for p, reps in by_period:
+                _, _, headers, rows = _ranking(reps.values(), tree)
+                sections.append(("", "", ["period"] + headers, [[str(p)] + r for r in rows]))
+            return 0, sections
+        return 0, [_ranking(reps.values(), tree, (f"period {p}", "")) for p, reps in by_period]
 
     refs = pipeline.resolve_references(dataset, specs, scope)
     reports = [
         pipeline.score_territory(terr, dataset, specs, tree, refs)
         for terr in dataset.territories
     ]
-    _emit(_format_reports(reports, tree, args.format, command="score", scope=scope),
-          args.out)
-    return 0
+    return 0, _ranked_output(args.format, reports, tree, command="score", scope=scope)
 
 
-def _format_reports(reports, tree, fmt: str, command: str, scope=None) -> str:
-    if fmt == "json":
-        doc = {"command": command}
-        if scope is not None:
-            doc["scope"] = scope
-        doc["reports"] = [_report_json(rep) for rep in stats.rank_table(reports)]
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        # one row per territory: indicator scores (3 dp), then domain and
-        # index values (2 dp)
-        leaves = list(tree.leaf_ids())
-        headers = ["territory"] + leaves + _domain_ids(tree) + ["index"]
-        rows = [
-            [rep.territory]
-            + [_f3(rep.indicator_scores[leaf]) for leaf in leaves]
-            + [_f2(rep.domain_values[d]) for d in _domain_ids(tree)]
-            + [_f2(rep.index)]
-            for rep in stats.rank_table(reports)
-        ]
-        return _render_csv(headers, rows)
-    headers, rows = _ranked_rows(reports, tree)
-    return _render_table(headers, rows)
-
-
-# --- aggregate -------------------------------------------------------------
-
-
-def cmd_aggregate(args: argparse.Namespace) -> int:
+def cmd_aggregate(args: argparse.Namespace) -> tuple[int, Output]:
     _, tree = dataio.load_index_spec(args.spec)
     table = dataio.load_score_table(args.data, decimal_comma=args.decimal_comma)
     reports = [
         pipeline.aggregate_scores(tree, table.row(terr), terr)
         for terr in table.territories
     ]
-    _emit(_format_reports(reports, tree, args.format, command="aggregate"), args.out)
-    return 0
+    return 0, _ranked_output(args.format, reports, tree, command="aggregate")
+
+
+def _ranked_output(fmt: str, reports, tree, **doc) -> Output:
+    """The JSON document, or one ranking: wide in CSV, narrow in a table."""
+    if fmt == "json":
+        return {**doc, "reports": _reports_json(reports)}
+    return [_ranking(reports, tree, wide=fmt == "csv")]
 
 
 # --- report ----------------------------------------------------------------
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
     _, tree = dataio.load_index_spec(args.spec)
     table = dataio.load_score_table(args.data, decimal_comma=args.decimal_comma)
     # sorted, so that the JSON scope listing does not depend on row order
@@ -242,11 +226,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         for terr in table.territories
     }
 
-    ranked = stats.rank_table(reports.values())
     leaves = list(tree.leaf_ids())
     summary_columns: dict[str, list[float]] = {"index": [reports[t].index for t in scope]}
-    for dom in _domain_ids(tree):
-        summary_columns[dom] = [reports[t].domain_values[dom] for t in scope]
+    for dom in tree.domains:
+        summary_columns[dom.id] = [reports[t].domain_values[dom.id] for t in scope]
     for leaf in leaves:
         summary_columns[leaf] = [reports[t].indicator_scores[leaf] for t in scope]
     summaries = {name: stats.descriptive_summary(vals)
@@ -264,64 +247,43 @@ def cmd_report(args: argparse.Namespace) -> int:
     corr_matrix = [[corr[i, j] for j in positions] for i in positions]
 
     if args.format == "json":
-        doc = {
+        return 0, {
             "command": "report",
             "scope": scope,
-            "ranking": [_report_json(rep) for rep in ranked],
+            "ranking": _reports_json(reports.values()),
             "summaries": {name: asdict(s) for name, s in summaries.items()},
             "correlation": {"indicators": leaves, "matrix": corr_matrix},
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        return 0
-
-    stat_headers = ["column"] + [f.name for f in fields(stats.DescriptiveSummary)]
-    stat_rows = [[name] + list(map(_f2, asdict(s).values())) for name, s in summaries.items()]
-    corr_headers = ["indicator"] + leaves
-    corr_rows = [[leaf] + [_f2(v) for v in row] for leaf, row in zip(leaves, corr_matrix)]
-    rank_headers, rank_rows = _ranked_rows(ranked, tree)
-
-    if args.format == "csv":
-        render, titles = _render_csv, ("# ranking", "# summaries", "# correlation")
-    else:
-        render, titles = _render_table, ("Ranking", "Descriptive summaries", "Correlation matrix")
-    tables = [(rank_headers, rank_rows), (stat_headers, stat_rows), (corr_headers, corr_rows)]
-    sections = [f"{title}\n" + render(*table).rstrip("\n") for title, table in zip(titles, tables)]
-    _emit("\n\n".join(sections) + "\n", args.out)
-    return 0
+    return 0, [
+        _ranking(reports.values(), tree, ("Ranking", "# ranking")),
+        ("Descriptive summaries", "# summaries",
+         ["column"] + [f.name for f in fields(stats.DescriptiveSummary)],
+         [[name] + list(map(_f2, asdict(s).values())) for name, s in summaries.items()]),
+        ("Correlation matrix", "# correlation", ["indicator"] + leaves,
+         [[leaf] + [_f2(v) for v in row] for leaf, row in zip(leaves, corr_matrix)]),
+    ]
 
 
-# --- verify ----------------------------------------------------------------
+# --- verify and demo -------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, Output]:
     results = verify.run_verify_checks()
     failures = sum(1 for _, status, _ in results if status == verify.FAIL)
+    exit_status = 1 if failures else 0
     if args.format == "json":
-        doc = {
-            "command": "verify",
-            "checks": [
-                {"name": name, "status": status, "detail": detail}
-                for name, status, detail in results
-            ],
-            "failures": failures,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"{status:<15} {name}: {detail}" for name, status, detail in results
-        ]
-        lines.append(
-            f"{len(results) - failures}/{len(results)} checks passed"
-            + (f", {failures} failed" if failures else "")
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failures else 0
+        checks = [{"name": name, "status": status, "detail": detail}
+                  for name, status, detail in results]
+        return exit_status, {"command": "verify", "checks": checks, "failures": failures}
+    lines = [f"{status:<15} {name}: {detail}" for name, status, detail in results]
+    lines.append(
+        f"{len(results) - failures}/{len(results)} checks passed"
+        + (f", {failures} failed" if failures else "")
+    )
+    return exit_status, "\n".join(lines) + "\n"
 
 
-# --- demo ------------------------------------------------------------------
-
-
-def cmd_demo(args: argparse.Namespace) -> int:
+def cmd_demo(args: argparse.Namespace) -> tuple[int, Output]:
     rows = [
         [rec.territory, f"{rec.x_w:g}", f"{rec.x_m:g}", f"{rec.x_a:g}",
          _f2(classic), _f2(standard)]
@@ -329,16 +291,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     ]
     headers = ["territory", "x_w", "x_m", "x_a", "score_gei", "score"]
     if args.format == "json":
-        doc = {
-            "command": "demo",
-            "countries": [dict(zip(headers, row)) for row in rows],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_render_csv(headers, rows), args.out)
-    else:
-        _emit(_render_table(headers, rows), args.out)
-    return 0
+        return 0, {"command": "demo", "countries": [dict(zip(headers, row)) for row in rows]}
+    return 0, [("", "", headers, rows)]
 
 
 # --- argument parsing ------------------------------------------------------
@@ -412,10 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, output = args.func(args)
+        _emit(_render(args.format, output), args.out)
     except IgeiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return status
 
 
 if __name__ == "__main__":

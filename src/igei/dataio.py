@@ -110,9 +110,16 @@ def _parse_number(
         return None
     text = cell.replace(",", ".") if decimal_comma else cell
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"row {lineno}: column {column!r} is not a number: {cell!r}")
+    if decimal_comma and "." in cell:
+        # where ',' is the decimal separator, '.' groups thousands: 1.234 means 1234
+        raise DataError(
+            f"row {lineno}: column {column!r} has a '.' but the decimal separator "
+            f"is ',': {cell!r}"
+        )
+    return value
 
 
 # --- observations ----------------------------------------------------------
@@ -173,18 +180,19 @@ def _parse_observation(
         period = int(period_text)
     except ValueError:
         raise DataError(f"row {lineno}: period is not an integer: {period_text!r}")
-    if decimal_comma:
-        x_w, x_m, x_a, value = (c.replace(",", ".") for c in (x_w, x_m, x_a, value))
     try:
+        if decimal_comma:
+            raise ValueError  # a decimal comma takes the per-cell path
         x_w = float(x_w) if x_w else None
         x_m = float(x_m) if x_m else None
         x_a = float(x_a) if x_a else None
         value = float(value) if value else None
     except ValueError:
-        # name the first bad column, quoting the cell as written
-        for cell, column in zip(row[4:], OBSERVATION_HEADER[4:]):
+        # cell by cell: names the first bad column, quoting the cell as written
+        x_w, x_m, x_a, value = (
             _parse_number(cell, decimal_comma, lineno, column)
-        raise
+            for cell, column in zip(row[4:], OBSERVATION_HEADER[4:])
+        )
     share = shared.setdefault
     # an unknown kind stays text, for the record to refuse
     return ObservationRecord(
@@ -238,15 +246,15 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
         if territory in rows:
             raise DataError(f"row {lineno}: duplicate territory {territory!r}")
         try:
-            values = tuple(
-                map(float, [c.replace(",", ".") for c in cells] if decimal_comma else cells)
-            )
+            # a decimal comma takes the per-cell path
+            values = () if decimal_comma else tuple(map(float, cells))
         except ValueError:
             values = ()
         # min and max pass over a NaN that is not first; with both bounds
         # met, the sum is NaN exactly when some score is
         if not values or not 0.0 <= min(values) <= max(values) <= 100.0 or isnan(sum(values)):
             # name the first bad cell, quoting it as written
+            checked = []
             for ind, cell in zip(header, cells):
                 value = _parse_number(cell, decimal_comma, lineno, ind)
                 if value is None:
@@ -255,6 +263,8 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
                     raise DataError(
                         f"row {lineno}: score {value} for {ind!r} is outside [0, 100]"
                     )
+                checked.append(value)
+            values = tuple(checked)
         rows[territory] = values
     if header is None:
         raise DataError("score table is empty")

@@ -106,14 +106,15 @@ def _check_achievement(x_a: float, x_ref: float) -> None:
         )
 
 
-def score_standard(x_w: float, x_m: float, x_a: float, x_ref: float) -> float:
+def score_standard(x_w: float, x_m: float, correction: float | None = None) -> float:
     """Standard indicator score on the 0-100 scale.
 
-    Combines the symmetric gap with the achievement correction:
-    ``correction_coefficient(x_a, x_ref) * (1 - gap_metric(x_w, x_m)) * 100``.
+    Multiplies the symmetric gap's complement by the optional correction:
+    ``correction * (1 - gap_metric(x_w, x_m)) * 100``. The achievement-corrected
+    score passes ``correction_coefficient(x_a, x_ref)``.
     """
-    alpha = correction_coefficient(x_a, x_ref)
-    return alpha * (1.0 - gap_metric(x_w, x_m)) * 100.0
+    gamma = gap_metric(x_w, x_m)
+    return _factor(correction) * (1.0 - gamma) * 100.0
 
 
 def score_gei(x_w: float, x_a: float, x_ref: float) -> float:
@@ -158,25 +159,29 @@ def score_share(share: float, correction: float | None = None) -> float:
     """
     if not 0.0 <= share <= 1.0:
         raise MetricInputError(f"share must lie in [0, 1], got {share}")
-    alpha = 1.0 if correction is None else correction
-    if not 0.0 <= alpha <= 1.0:
-        raise MetricInputError(f"correction must lie in [0, 1], got {correction}")
-    return alpha * (1.0 - abs(1.0 - 2.0 * share)) * 100.0
+    return _factor(correction) * (1.0 - abs(1.0 - 2.0 * share)) * 100.0
 
 
-def score_ratio(ratio: float, correction: float) -> float:
+def score_ratio(ratio: float, correction: float | None = None) -> float:
     """Score a positive ratio of two female rates.
 
     Writing the ratio ``r = num / den`` turns the symmetric gap into
     ``|r - 1| / (r + 1)``, so the score is
-    ``correction * (1 - |r - 1| / (r + 1)) * 100`` and is invariant
-    under ``r <-> 1/r``.
+    ``correction * (1 - |r - 1| / (r + 1)) * 100`` (the correction is 1
+    when omitted) and is invariant under ``r <-> 1/r``.
     """
     if not 0.0 < ratio < _INF:
         raise MetricInputError(f"ratio must be finite and positive, got {ratio}")
+    return _factor(correction) * (1.0 - abs(ratio - 1.0) / (ratio + 1.0)) * 100.0
+
+
+def _factor(correction: float | None) -> float:
+    """A scorer's optional correction, 1 when omitted; NaN fails the range test."""
+    if correction is None:
+        return 1.0
     if not 0.0 <= correction <= 1.0:
         raise MetricInputError(f"correction must lie in [0, 1], got {correction}")
-    return correction * (1.0 - abs(ratio - 1.0) / (ratio + 1.0)) * 100.0
+    return correction
 
 
 def score_capped(value: float) -> float:

@@ -18,11 +18,11 @@ from igei.errors import AggregationError, MetricInputError, ScoringError
 from igei.metrics import (
     MetricKind,
     correction_coefficient,
-    gap_metric,
     invert_polarity,
     score_capped,
     score_ratio,
     score_share,
+    score_standard,
 )
 from igei.model import (
     CorrectionKind,
@@ -212,14 +212,13 @@ def compute_indicator(
         if metric is _STANDARD:
             working = _working_scale(spec.polarity)
             total = None if obs.x_a is None else working(obs.x_a)
-            gamma = gap_metric(working(obs.x_w), working(obs.x_m))
-            alpha = _alpha(spec, obs, total, refs)
-            return (1.0 if alpha is None else alpha) * (1.0 - gamma) * 100.0
+            return score_standard(
+                working(obs.x_w), working(obs.x_m), _alpha(spec, obs, total, refs)
+            )
         if metric is _SHARE:
             return score_share(obs.value, _alpha(spec, obs, None, refs))
         if metric is _RATIO:
-            alpha = _alpha(spec, obs, None, refs)
-            return score_ratio(obs.value, 1.0 if alpha is None else alpha)
+            return score_ratio(obs.value, _alpha(spec, obs, None, refs))
         return score_capped(obs.value)
     except MetricInputError as exc:
         raise ScoringError(

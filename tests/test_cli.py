@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -79,6 +81,22 @@ class TestScore:
         lines = out.splitlines()
         assert lines[0] == "territory,G1,work,index"
         assert lines[1] == "E,88.889,88.89,88.89"
+
+    def test_csv_quotes_line_breaks(self, capsys, tmp_path):
+        data = tmp_path / "breaks.csv"
+        data.write_text(
+            "territory,indicator,period,kind,x_w,x_m,x_a,value\n"
+            '"A\nZ",G1,2023,standard,0.4,0.6,0.5,\n'
+            "B,G1,2023,standard,0.1,0.3,0.2,\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(
+            capsys, "score", "--data", str(data), "--spec", DEMO_SPEC, "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert [row[0] for row in rows] == ["territory", "A\nZ", "B"]
+        assert rows[1] == ["A\nZ", "80.000", "80.00", "80.00"]
 
     def test_each_record_checked_once(self, capsys, monkeypatch):
         records = load_observations(DEMO_DATA)

@@ -14,7 +14,7 @@ from igei.dataio import (
     validate_dataset,
 )
 from igei.errors import DataError, SpecError
-from igei.metrics import MetricKind, score_standard
+from igei.metrics import MetricKind, correction_coefficient, score_standard
 from igei.model import Dataset, ObservationRecord
 from igei.penalized import Polarity
 
@@ -50,7 +50,7 @@ class TestLoadObservations:
         expected = load_demo_expected()
         x_ref = max(r.x_a for r in records)
         for rec in records:
-            got = score_standard(rec.x_w, rec.x_m, rec.x_a, x_ref)
+            got = score_standard(rec.x_w, rec.x_m, correction_coefficient(rec.x_a, x_ref))
             assert got == pytest.approx(expected[rec.territory][1], abs=0.005)
 
     def test_duplicate_key_rejected(self, tmp_path):
@@ -105,10 +105,15 @@ class TestLoadObservations:
                 "South;G1;2023;standard;0,3;0,5.0;0,4;\n",
                 "row 3: column 'x_m' is not a number: '0,5.0'",
             ),
+            (
+                "territory;indicator;period;kind;x_w;x_m;x_a;value\n"
+                "North;G1;2023;ratio;;;;1.234\n",
+                "row 2: column 'value' has a '.' but the decimal separator is ',': '1.234'",
+            ),
         ],
         ids=[
             "cell-count", "empty-territory", "period", "kind",
-            "x_w", "x_m", "x_a", "value", "decimal-comma",
+            "x_w", "x_m", "x_a", "value", "decimal-comma", "decimal-point",
         ],
     )
     def test_malformed_row_message(self, tmp_path, text, message):
@@ -565,6 +570,11 @@ class TestScoreTable:
         with pytest.raises(DataError, match="outside"):
             load_score_table(write(tmp_path, text))
 
+    def test_decimal_comma_flag(self, tmp_path):
+        table = load_score_table(write(tmp_path, "territory;G1;G2\nX;50,5;1\n"),
+                                 decimal_comma=True)
+        assert table.row("X") == {"G1": 50.5, "G2": 1.0}
+
     def test_missing_cell_rejected(self, tmp_path):
         text = "territory,G1,G2\nX,50,\n"
         with pytest.raises(DataError, match="missing score"):
@@ -599,6 +609,10 @@ class TestScoreTable:
         (True, ("50", "", "50"), "missing score for 'B'"),
         (True, ("50", "50", "1,2,3"), "column 'C' is not a number: '1,2,3'"),
         (True, ("50", "x", "nan"), "column 'B' is not a number: 'x'"),
+        (True, ("50", "1.234", "50"),
+         "column 'B' has a '.' but the decimal separator is ',': '1.234'"),
+        (True, ("1.5", "50", "x"), "column 'A' has a '.' but the decimal separator is ',': '1.5'"),
+        (True, ("x", "1.5", "50"), "column 'A' is not a number: 'x'"),
     ]
 
     @pytest.mark.parametrize("decimal_comma, cells, message", BAD_ROWS)

@@ -222,7 +222,7 @@ def test_means(values, weights, polarity):
 
 SCALAR_FORMULAS = [
     (metrics.gap_metric, 2), (metrics.gei_gap_metric, 2), (metrics.correction_coefficient, 2),
-    (metrics.gei_correction_coefficient, 2), (metrics.score_standard, 4),
+    (metrics.gei_correction_coefficient, 2), (metrics.score_standard, 3),
     (metrics.score_gei, 3), (metrics.invert_polarity, 1), (metrics.score_share, 2),
     (metrics.score_ratio, 2), (metrics.score_capped, 1),
 ]

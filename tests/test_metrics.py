@@ -120,19 +120,27 @@ class TestCorrections:
 class TestStandardAndGeiScores:
     @pytest.mark.parametrize("name,x_w,x_m,x_a,exp_gei,exp_std", FIVE_COUNTRIES)
     def test_published_comparison(self, name, x_w, x_m, x_a, exp_gei, exp_std):
-        assert score_standard(x_w, x_m, x_a, 0.9) == pytest.approx(exp_std, abs=0.005)
+        std = score_standard(x_w, x_m, correction_coefficient(x_a, 0.9))
+        assert std == pytest.approx(exp_std, abs=0.005)
         assert score_gei(x_w, x_a, 0.9) == pytest.approx(exp_gei, abs=0.005)
 
     def test_score_ordering_matches_published_rows(self):
         # the symmetric variant scores higher for the four weaker countries
         # and lower only for the top one
         for name, x_w, x_m, x_a, exp_gei, exp_std in FIVE_COUNTRIES:
-            std = score_standard(x_w, x_m, x_a, 0.9)
+            std = score_standard(x_w, x_m, correction_coefficient(x_a, 0.9))
             gei = score_gei(x_w, x_a, 0.9)
             if name == "E":
                 assert gei > std
             else:
                 assert std > gei
+
+    def test_correction_is_optional(self):
+        # uncorrected, the score is the gap's complement alone
+        assert score_standard(0.4, 0.6) == (1.0 - gap_metric(0.4, 0.6)) * 100.0
+        assert score_standard(0.4, 0.6, 0.5) == 0.5 * score_standard(0.4, 0.6)
+        with pytest.raises(MetricInputError, match="correction"):
+            score_standard(0.4, 0.6, 1.5)
 
     def test_gei_perfect_equality_at_max(self):
         assert score_gei(0.9, 0.9, 0.9) == pytest.approx(100.0, abs=1e-12)
@@ -145,14 +153,14 @@ class TestStandardAndGeiScores:
     def test_standard_bounded(self, x_w, x_m, x_a, x_ref):
         if x_w + x_m == 0 or x_a > x_ref:
             return
-        assert 0.0 <= score_standard(x_w, x_m, x_a, x_ref) <= 100.0
+        assert 0.0 <= score_standard(x_w, x_m, correction_coefficient(x_a, x_ref)) <= 100.0
 
     @given(c=positive_levels, x_a=levels, x_ref=positive_levels)
     def test_equality_fixed_point(self, c, x_a, x_ref):
         if x_a > x_ref:
             return
         alpha = correction_coefficient(x_a, x_ref)
-        assert score_standard(c, c, x_a, x_ref) == pytest.approx(
+        assert score_standard(c, c, correction_coefficient(x_a, x_ref)) == pytest.approx(
             alpha * 100.0, rel=1e-12
         )
 
@@ -160,7 +168,7 @@ class TestStandardAndGeiScores:
     def test_annihilation(self, x_m, x_a, x_ref):
         if x_a > x_ref:
             return
-        assert score_standard(0.0, x_m, x_a, x_ref) == 0.0
+        assert score_standard(0.0, x_m, correction_coefficient(x_a, x_ref)) == 0.0
 
     def test_midpoint_identity_exact(self):
         # dyadic inputs make the algebraic identity exact in floating point
@@ -192,7 +200,7 @@ class TestStandardAndGeiScores:
         for step in range(0, 40):
             x_m = x_w + step * 0.05
             x_a = (x_w + x_m) / 2
-            score = score_standard(x_w, x_m, x_a, x_ref)
+            score = score_standard(x_w, x_m, correction_coefficient(x_a, x_ref))
             if previous is not None:
                 assert score < previous
             previous = score
@@ -246,6 +254,7 @@ class TestScoreRatio:
         assert score_ratio(1.0, alpha) == pytest.approx(alpha * 100.0, abs=1e-12)
 
     def test_examples(self):
+        assert score_ratio(3.0) == score_ratio(3.0, 1.0)
         assert score_ratio(3.0, 1.0) == pytest.approx(50.0, abs=1e-12)
         assert score_ratio(1 / 3, 1.0) == pytest.approx(50.0, abs=1e-12)
 
@@ -292,7 +301,7 @@ class TestNonFiniteInputs:
             (score_share, (NAN,)),
             (score_gei, (NAN, 1.0, 1.0)),
             (score_gei, (0.5, 0.5, NAN)),
-            (score_standard, (0.4, 0.6, NAN, 0.9)),
+            (score_standard, (0.4, 0.6, NAN)),
             (invert_polarity, (NAN,)),
         ],
     )
