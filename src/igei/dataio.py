@@ -71,12 +71,16 @@ def bundled_path(name: str):
     return resources.files("igei").joinpath("data", name)
 
 
-def _open_text(source) -> IO[str]:
-    """Open a path or traversable for UTF-8 reading; failures are :class:`DataError`."""
+def _open_text(source, newline: str | None = None) -> IO[str]:
+    """Open a path or traversable for UTF-8 reading; failures are :class:`DataError`.
+
+    Delimited files pass ``newline=""``, so that a quoted cell keeps its
+    line breaks as written.
+    """
     try:
         if hasattr(source, "open"):
-            return source.open("r", encoding="utf-8")
-        return open(source, "r", encoding="utf-8")
+            return source.open("r", encoding="utf-8", newline=newline)
+        return open(source, "r", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc.strerror or exc}") from None
 
@@ -87,20 +91,24 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
 
 
 def _rows(source, decimal_comma: bool) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, cells) skipping comment and blank lines."""
-    delimiter = ";" if decimal_comma else ","
+    """Yield (line number, stripped cells) skipping comment and blank lines."""
     lineno = 0
-    with _open_text(source) as handle:
-        reader = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+    with _open_text(source, newline="") as handle:
+        reader = enumerate(_reader(handle, decimal_comma), start=1)
         try:
             for lineno, row in reader:
-                if not row or (row[0].lstrip().startswith("#")):
+                # the cheap test first: most first cells hold no '#'
+                if not row or ("#" in row[0] and row[0].lstrip().startswith("#")):
                     continue
                 yield lineno, list(map(str.strip, row))
         except UnicodeDecodeError as exc:
             raise _not_utf8(source, exc) from None
         except csv.Error as exc:  # such as a cell above the csv module's size limit
             raise DataError(f"row {lineno + 1}: {exc}") from None
+
+
+def _reader(handle: IO[str], decimal_comma: bool):
+    return csv.reader(handle, delimiter=";" if decimal_comma else ",")
 
 
 def _parse_number(
@@ -125,6 +133,21 @@ def _parse_number(
 # --- observations ----------------------------------------------------------
 
 
+class _Interned(dict):
+    """Cell text -> its converted value, converted once per distinct text.
+
+    A conversion error propagates and stores nothing.
+    """
+
+    def __init__(self, convert) -> None:
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, cell: str):
+        value = self[cell] = self.convert(cell)
+        return value
+
+
 def load_dataset(source, decimal_comma: bool = False) -> Dataset:
     """Read an observation file into a :class:`Dataset`, preserving input order.
 
@@ -134,23 +157,55 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
     duplicate (territory, indicator, period) keys.
     """
     lineno = 0
-    # one object per distinct territory, indicator and period of this file
-    shared: dict[str | int, str | int] = {}
+    width = len(OBSERVATION_HEADER)
 
     def records() -> Iterator[ObservationRecord]:
         nonlocal lineno
-        rows = _rows(source, decimal_comma)
-        first = next(rows, None)
-        if first is None:
-            raise DataError("observation file is empty")
-        lineno, header = first
-        if tuple(header) != OBSERVATION_HEADER:
-            raise DataError(
-                f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        for lineno, row in rows:
-            yield _parse_observation(lineno, row, decimal_comma, shared)
+        # one object per distinct territory or indicator name and period of this
+        # file, whatever the whitespace around it; an unknown kind stays text,
+        # for the record to refuse
+        shared: dict[str, str] = {}
+        names = _Interned(lambda cell: shared.setdefault(cell.strip(), cell.strip()))
+        periods = _Interned(int)
+        kinds = _Interned(lambda cell: _METRIC_KINDS.get(cell.strip(), cell.strip()))
+        with _open_text(source, newline="") as handle:
+            rows = enumerate(_reader(handle, decimal_comma), start=1)
+            try:
+                for lineno, row in rows:
+                    if row and not row[0].lstrip().startswith("#"):
+                        break
+                else:
+                    raise DataError("observation file is empty")
+                header = tuple(map(str.strip, row))
+                if header != OBSERVATION_HEADER:
+                    raise DataError(
+                        f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
+                        f"got {','.join(header)}"
+                    )
+                for lineno, row in rows:
+                    if not row or ("#" in row[0] and row[0].lstrip().startswith("#")):
+                        continue
+                    try:
+                        if decimal_comma or len(row) != width:
+                            raise ValueError  # the per-cell path says why
+                        territory, indicator, period, kind, x_w, x_m, x_a, value = row
+                        period = periods[period]
+                        x_w = float(x_w) if x_w else None
+                        x_m = float(x_m) if x_m else None
+                        x_a = float(x_a) if x_a else None
+                        value = float(value) if value else None
+                    except ValueError:
+                        territory, indicator, period, kind, x_w, x_m, x_a, value = (
+                            _parse_observation(lineno, row, decimal_comma, periods)
+                        )
+                    yield ObservationRecord(
+                        names[territory], names[indicator], period, kinds[kind],
+                        x_w, x_m, x_a, value,
+                    )
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(source, exc) from None
+            except csv.Error as exc:  # such as a cell above the csv module's size limit
+                raise DataError(f"row {lineno + 1}: {exc}") from None
 
     try:
         return Dataset(records())
@@ -164,41 +219,28 @@ def load_observations(source, decimal_comma: bool = False) -> list[ObservationRe
 
 
 def _parse_observation(
-    lineno: int, row: list[str], decimal_comma: bool, shared: dict[str | int, str | int]
-) -> ObservationRecord:
-    """One record from a row's stripped cells.
+    lineno: int, row: list[str], decimal_comma: bool, periods: _Interned
+) -> tuple:
+    """A row's fields, cell by cell, naming the first bad cell as written.
 
-    ``shared`` maps each territory, indicator and period seen so far to
-    its first object, which the record takes in place of its own copy.
+    The path of a row the loader's one-pass conversion refuses; cells are
+    stripped first, so a blank cell still reads as empty.
     """
+    row = list(map(str.strip, row))
     if len(row) != len(OBSERVATION_HEADER):
         raise DataError(
             f"row {lineno}: expected {len(OBSERVATION_HEADER)} cells, got {len(row)}"
         )
-    territory, indicator, period_text, kind_text, x_w, x_m, x_a, value = row
+    territory, indicator, period_text, kind = row[:4]
     try:
-        period = int(period_text)
+        period = periods[period_text]
     except ValueError:
-        raise DataError(f"row {lineno}: period is not an integer: {period_text!r}")
-    try:
-        if decimal_comma:
-            raise ValueError  # a decimal comma takes the per-cell path
-        x_w = float(x_w) if x_w else None
-        x_m = float(x_m) if x_m else None
-        x_a = float(x_a) if x_a else None
-        value = float(value) if value else None
-    except ValueError:
-        # cell by cell: names the first bad column, quoting the cell as written
-        x_w, x_m, x_a, value = (
-            _parse_number(cell, decimal_comma, lineno, column)
-            for cell, column in zip(row[4:], OBSERVATION_HEADER[4:])
-        )
-    share = shared.setdefault
-    # an unknown kind stays text, for the record to refuse
-    return ObservationRecord(
-        share(territory, territory), share(indicator, indicator), share(period, period),
-        _METRIC_KINDS.get(kind_text, kind_text), x_w, x_m, x_a, value,
+        raise DataError(f"row {lineno}: period is not an integer: {period_text!r}") from None
+    levels = (
+        _parse_number(cell, decimal_comma, lineno, column)
+        for cell, column in zip(row[4:], OBSERVATION_HEADER[4:])
     )
+    return (territory, indicator, period, kind, *levels)
 
 
 # --- score tables ----------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from igei.errors import DataError, RecordError, SpecError
 from igei.metrics import MetricKind
@@ -201,31 +201,38 @@ class IndexTree:
         _refuse_repeats(leaves, "indicator")
         # not fields: equality, hashing and repr see only the domains
         object.__setattr__(self, "_leaf_ids", leaves)
-        object.__setattr__(self, "_fold_plan", tuple(
-            (dom.id, tuple(((dom.id, sub.id), sub.indicators) for sub in dom.subdomains))
-            for dom in domains
-        ))
+        # a sub-domain's leaves are consecutive in tree order: one slice each
+        plan, start = [], 0
+        for dom in domains:
+            subs = []
+            for sub in dom.subdomains:
+                stop = start + len(sub.indicators)
+                subs.append(((dom.id, sub.id), slice(start, stop)))
+                start = stop
+            plan.append((dom.id, tuple(subs)))
+        object.__setattr__(self, "_fold_plan", tuple(plan))
 
     def leaf_ids(self) -> tuple[str, ...]:
         """Indicator ids in tree order (domains, then sub-domains)."""
         return self._leaf_ids
 
     def fold_plan(self) -> tuple[tuple[str, tuple], ...]:
-        """Per domain, in tree order: its id and each sub-domain's key and indicators.
+        """Per domain, in tree order: its id and each sub-domain's key and leaves.
 
-        Built once, so every report keyed by ``(domain id, sub-domain id)``
-        shares the same key tuples.
+        A sub-domain's leaves are a slice of :meth:`leaf_ids`. Built once,
+        so every report keyed by ``(domain id, sub-domain id)`` shares the
+        same key tuples.
         """
         return self._fold_plan
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ObservationRecord:
     """One raw measurement for a territory and indicator.
 
-    Valid by construction: building a record that :func:`record_problem`
-    refuses raises :class:`RecordError` naming its key. ``kind`` may be
-    given as a :class:`MetricKind` or as its value.
+    Valid by construction: building a record whose fields
+    :func:`record_problem` refuses raises :class:`RecordError` naming its
+    key. ``kind`` may be given as a :class:`MetricKind` or as its value.
 
     Records are slotted, so they have no ``__dict__`` (``vars(rec)``
     fails). Records loaded from one file share one string object per
@@ -241,104 +248,135 @@ class ObservationRecord:
     x_a: float | None = None
     value: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind.__class__ is not MetricKind:
+    def __init__(self, territory, indicator, period, kind,
+                 x_w=None, x_m=None, x_a=None, value=None) -> None:
+        # checked on the arguments, then stored through the slot descriptors,
+        # which a frozen dataclass's __setattr__ does not guard
+        if kind.__class__ is not MetricKind:
             try:
-                object.__setattr__(self, "kind", MetricKind(self.kind))
+                kind = MetricKind(kind)
             except ValueError:
                 pass  # record_problem names the unknown kind
         try:
-            problem = record_problem(self)
+            problem = record_problem(territory, indicator, period, kind, x_w, x_m, x_a, value)
         except TypeError:  # a level that does not compare with numbers
             problem = "levels must be numbers or None"
         if problem:
             raise RecordError(
-                f"territory {self.territory!r}, indicator {self.indicator!r}, "
-                f"period {self.period}: {problem}",
+                f"territory {territory!r}, indicator {indicator!r}, "
+                f"period {period}: {problem}",
                 problem,
             )
+        _set_territory(self, territory)
+        _set_indicator(self, indicator)
+        _set_period(self, period)
+        _set_kind(self, kind)
+        _set_x_w(self, x_w)
+        _set_x_m(self, x_m)
+        _set_x_a(self, x_a)
+        _set_value(self, value)
 
+
+(_set_territory, _set_indicator, _set_period, _set_kind,
+ _set_x_w, _set_x_m, _set_x_a, _set_value) = (
+    getattr(ObservationRecord, name).__set__ for name in ObservationRecord.__slots__
+)
 
 # bound once: on CPython 3.11 a member read off its Enum class takes a slow
 # path (the metaclass defines __getattr__), and record_problem runs per record
 _STANDARD, _SHARE, _RATIO = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.RATIO
+_INF = math.inf
 
 
-def record_problem(rec: ObservationRecord) -> str | None:
-    """Why ``rec`` is not a well-formed observation; None for a clean record.
+def record_problem(
+    territory, indicator, period, kind, x_w=None, x_m=None, x_a=None, value=None
+) -> str | None:
+    """Why these fields are not a well-formed observation; None for a clean one.
 
-    A record needs non-empty names, an ``int`` period, a known kind, the
+    The one record rule, which :class:`ObservationRecord` runs when built:
+    a record needs non-empty names, an ``int`` period, a known kind, the
     columns its kind takes, and levels that are finite and >= 0.
     """
-    if not rec.territory or not rec.indicator:
+    if not territory or not indicator:
         return "territory and indicator must be non-empty"
-    if rec.period.__class__ is not int:
-        return f"period must be an integer year, got {rec.period!r}"
-    kind = rec.kind
+    if period.__class__ is not int:
+        return f"period must be an integer year, got {period!r}"
     if kind is _STANDARD:
-        if rec.value is not None:
+        if value is not None:
             return "standard observations take no single value"
-        if rec.x_w is None or rec.x_m is None:
+        if x_w is None or x_m is None:
             return "standard observations need both x_w and x_m"
-    elif kind.__class__ is not MetricKind:
+        if 0.0 <= x_w < _INF and 0.0 <= x_m < _INF and (x_a is None or 0.0 <= x_a < _INF):
+            return None
+        return _level_problem((("x_w", x_w), ("x_m", x_m), ("x_a", x_a)))
+    if kind.__class__ is not MetricKind:
         expected = ", ".join(k.value for k in MetricKind)
         return f"unknown metric kind {kind!r} (expected one of {expected})"
-    else:
-        if rec.x_w is not None or rec.x_m is not None or rec.x_a is not None:
-            return f"{kind.value} observations take only the value column"
-        if rec.value is None:
-            return f"{kind.value} observations need a value"
-        if kind is _SHARE and not 0.0 <= rec.value <= 1.0:
-            return f"share value {rec.value} is outside [0, 1]"
-        if kind is _RATIO and rec.value <= 0:
-            return f"ratio value {rec.value} must be positive"
-    for name in ("x_w", "x_m", "x_a", "value"):
-        v = getattr(rec, name)
-        if v is not None and not 0.0 <= v < math.inf:
+    if x_w is not None or x_m is not None or x_a is not None:
+        return f"{kind.value} observations take only the value column"
+    if value is None:
+        return f"{kind.value} observations need a value"
+    if kind is _SHARE and not 0.0 <= value <= 1.0:
+        return f"share value {value} is outside [0, 1]"
+    if kind is _RATIO and value <= 0:
+        return f"ratio value {value} must be positive"
+    if 0.0 <= value < _INF:
+        return None
+    return _level_problem((("value", value),))
+
+
+def _level_problem(levels) -> str:
+    """The first (name, level) pair that is negative or not finite, as a problem."""
+    for name, v in levels:
+        if v is not None and not 0.0 <= v < _INF:
             if v < 0:
                 return f"{name} must be non-negative, got {v}"
             return f"{name} must be a finite number, got {v}"
-    return None
 
 
 class Dataset:
     """Immutable lookup over observation records keyed by territory/indicator/period.
 
-    Records are checked when built; construction raises :class:`RecordError`
-    for a repeated (territory, indicator, period) key.
+    One index maps each (territory, indicator) pair to the tuple of its
+    records in input order. Construction raises :class:`RecordError` for a
+    repeated (territory, indicator, period) key, in time linear in the
+    records.
     """
 
     def __init__(self, records: Iterable[ObservationRecord]):
-        by_key: dict[tuple[str, str, int], ObservationRecord] = {}
-        by_pair: dict[tuple[str, str], Sequence[ObservationRecord]] = {}
-        periods: set[int] = set()
+        # while building, a pair holds its first record, then a {period: record}
+        # dict in input order, which finds a repeated period in constant time
+        index: dict[tuple[str, str], ObservationRecord | dict | tuple] = {}
+        kept: list[ObservationRecord] = []
+        find, keep = index.get, kept.append
         for rec in records:
-            territory, indicator, period = rec.territory, rec.indicator, rec.period
-            key = (territory, indicator, period)
-            if key in by_key:
-                duplicate = (
-                    f"duplicate observation for territory {territory!r}, "
-                    f"indicator {indicator!r}, period {period}"
-                )
-                raise RecordError(duplicate, duplicate)
-            by_key[key] = rec
-            pair = (territory, indicator)
-            series = by_pair.get(pair)
-            if series is None:
-                by_pair[pair] = [rec]
+            pair = (rec.territory, rec.indicator)
+            entry = find(pair)
+            if entry is None:
+                index[pair] = rec
             else:
-                series.append(rec)
-            periods.add(period)
-        for pair, series in by_pair.items():
-            # in place, so the lists are freed one by one
-            by_pair[pair] = tuple(series)
-        self._by_key = by_key
-        self._records = tuple(by_key.values())
-        self._by_pair = by_pair
+                if entry.__class__ is ObservationRecord:
+                    entry = index[pair] = {entry.period: entry}
+                period = rec.period
+                if period in entry:
+                    duplicate = (
+                        f"duplicate observation for territory {rec.territory!r}, "
+                        f"indicator {rec.indicator!r}, period {period}"
+                    )
+                    raise RecordError(duplicate, duplicate)
+                entry[period] = rec
+            keep(rec)
+        for pair, entry in index.items():
+            # in place, so each dict is freed once its tuple is made
+            index[pair] = (
+                (entry,) if entry.__class__ is ObservationRecord else tuple(entry.values())
+            )
+        self._index: dict[tuple[str, str], tuple[ObservationRecord, ...]] = index
+        self._records = tuple(kept)
         # a name's first pair comes from its first record: first-appearance order
-        self.territories: tuple[str, ...] = tuple(dict.fromkeys(t for t, _ in by_pair))
-        self.indicators: tuple[str, ...] = tuple(dict.fromkeys(i for _, i in by_pair))
-        self.periods: tuple[int, ...] = tuple(sorted(periods))
+        self.territories: tuple[str, ...] = tuple(dict.fromkeys(t for t, _ in index))
+        self.indicators: tuple[str, ...] = tuple(dict.fromkeys(i for _, i in index))
+        self.periods: tuple[int, ...] = tuple(sorted({rec.period for rec in kept}))
 
     def __iter__(self) -> Iterator[ObservationRecord]:
         return iter(self._records)
@@ -348,19 +386,26 @@ class Dataset:
 
     def series(self, territory: str, indicator: str) -> tuple[ObservationRecord, ...]:
         """Every period's observation of one territory and indicator, in input order."""
-        return self._by_pair.get((territory, indicator), ())
+        return self._index.get((territory, indicator), ())
 
     def series_lengths(self) -> set[int]:
         """The distinct numbers of periods recorded per (territory, indicator) pair."""
-        return {len(series) for series in self._by_pair.values()}
+        return {len(series) for series in self._index.values()}
 
     def get(
         self, territory: str, indicator: str, period: int | None = None
     ) -> ObservationRecord | None:
-        """Look up one observation; ``period=None`` requires a unique period."""
-        if period is not None:
-            return self._by_key.get((territory, indicator, period))
+        """Look up one observation; ``period=None`` requires a unique period.
+
+        Reads the pair's series, so a lookup costs at most one comparison
+        per period of that pair.
+        """
         matches = self.series(territory, indicator)
+        if period is not None:
+            for rec in matches:
+                if rec.period == period:
+                    return rec
+            return None
         if not matches:
             return None
         if len(matches) > 1:

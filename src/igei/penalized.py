@@ -135,17 +135,43 @@ def _fold_scores(values: list[float]) -> float:
     ``penalized_mean(values)`` on the values it accepts, with none of the
     per-call unpacking. ``values`` is a non-empty list of floats.
     """
-    for v in values:
-        if not -_SCORE_EPS <= v <= 100.0 + _SCORE_EPS:
-            raise AggregationError(f"scores must lie in [0, 100], got {v}")
+    if len(values) <= 2:
+        return _fold_two(values[0], values[-1])
+    lo, hi = min(values), max(values)
     p = 1.0 / len(values)
-    ran = max(values) - min(values)
+    if -_SCORE_EPS <= lo and hi <= 100.0 + _SCORE_EPS:
+        m = math.fsum([p * x for x in values])
+    else:
+        m = math.nan
+    # min and max pass over a NaN that is not first, but the mean is NaN then
+    if m != m:
+        for v in values:
+            if not -_SCORE_EPS <= v <= 100.0 + _SCORE_EPS:
+                raise AggregationError(f"scores must lie in [0, 100], got {v}")
+    ran = hi - lo
     if ran == 0.0:
         return values[0]
-    m = math.fsum([p * x for x in values])
     if ran <= RANGE_TOLERANCE:
         return m
     return m - math.fsum([p * (x - m) ** 2 for x in values]) / (2.0 * ran)
+
+
+def _fold_two(a: float, b: float) -> float:
+    """:func:`_fold_scores` of two scores (of one, given twice), with plain sums for ``fsum``.
+
+    A sum of two floats is correctly rounded, as ``fsum`` is; only the
+    sign of a zero sum differs, and ``fsum`` gives +0.0.
+    """
+    if not (-_SCORE_EPS <= a <= 100.0 + _SCORE_EPS and -_SCORE_EPS <= b <= 100.0 + _SCORE_EPS):
+        bad = b if -_SCORE_EPS <= a <= 100.0 + _SCORE_EPS else a
+        raise AggregationError(f"scores must lie in [0, 100], got {bad}")
+    ran = b - a if a < b else a - b
+    if ran == 0.0:
+        return a
+    m = (0.5 * a + 0.5 * b) or 0.0
+    if ran <= RANGE_TOLERANCE:
+        return m
+    return m - (0.5 * (a - m) ** 2 + 0.5 * (b - m) ** 2) / (2.0 * ran)
 
 
 def geometric_mean(seq: SequenceLike) -> float:

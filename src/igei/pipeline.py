@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from igei.errors import AggregationError, MetricInputError, ScoringError
+from igei.errors import AggregationError, IgeiError, MetricInputError, ScoringError
 from igei.metrics import (
     MetricKind,
     correction_coefficient,
@@ -39,7 +39,7 @@ from igei.penalized import Polarity, _fold_scores
 # path (the metaclass defines __getattr__), and compute_indicator and _alpha
 # run per observation
 _NONE, _OWN_AVERAGE = CorrectionKind.NONE, CorrectionKind.OWN_AVERAGE
-_STANDARD, _SHARE, _RATIO = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.RATIO
+_STANDARD, _SHARE, _CAPPED = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.CAPPED
 _NEGATIVE = Polarity.NEGATIVE
 
 
@@ -56,6 +56,18 @@ class ReferenceLevels:
 
     maxima: Mapping[str, float]
     bases: Mapping[tuple[str, str, int], float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # per-leaf plans of compute_indicator, keyed by indicator id; not a
+        # field, so equality and repr see only the references
+        object.__setattr__(self, "_plans", {})
+
+
+def _leaf_plan(spec: IndicatorSpec, refs: ReferenceLevels) -> tuple:
+    """What scoring ``spec`` needs of its recipe and of ``refs``, read once:
+    (spec, metric, working scale, correction kind, reference maximum or None)."""
+    return (spec, spec.metric, _working_scale(spec.polarity), spec.correction.kind,
+            refs.maxima.get(spec.id))
 
 
 @dataclass(frozen=True)
@@ -165,20 +177,13 @@ def resolve_references(
     return ReferenceLevels(maxima=maxima, bases=bases)
 
 
-def _alpha(
-    spec: IndicatorSpec,
-    obs: ObservationRecord,
-    working_total: float | None,
-    refs: ReferenceLevels,
-) -> float | None:
-    """Correction coefficient for one observation; ``None`` when uncorrected."""
-    corr = spec.correction
-    if corr.kind is _NONE:
-        return None
-    reference = refs.maxima.get(spec.id)
+def _alpha(plan: tuple, obs: ObservationRecord, working_total: float | None,
+           refs: ReferenceLevels) -> float:
+    """Correction coefficient for one observation of a corrected indicator."""
+    spec, _, _, kind, reference = plan
     if reference is None:
         raise ScoringError(f"{spec.id}: references were not resolved for this indicator")
-    if corr.kind is _OWN_AVERAGE:
+    if kind is _OWN_AVERAGE:
         if working_total is None:
             raise ScoringError(
                 f"{spec.id}: observation for {obs.territory!r} lacks the total level "
@@ -199,10 +204,16 @@ def compute_indicator(
 ) -> float:
     """Score one observation according to its indicator recipe, on 0-100.
 
-    A scalar formula's refusal (say, an achievement above the reference
-    maximum) is raised as a :class:`ScoringError` naming the record.
+    What depends only on the recipe and the references (the working
+    scale, the correction kind and the reference maximum) is read once
+    per indicator into a plan that ``refs`` keeps. A scalar formula's
+    refusal (say, an achievement above the reference maximum) is raised
+    as a :class:`ScoringError` naming the record.
     """
-    metric = spec.metric
+    plan = refs._plans.get(spec.id)
+    if plan is None or plan[0] is not spec:
+        plan = refs._plans[spec.id] = _leaf_plan(spec, refs)
+    _, metric, working, correction, _ = plan
     if obs.kind is not metric:
         raise ScoringError(
             f"{spec.id}: expected a {metric.value} observation, "
@@ -210,16 +221,16 @@ def compute_indicator(
         )
     try:
         if metric is _STANDARD:
-            working = _working_scale(spec.polarity)
             total = None if obs.x_a is None else working(obs.x_a)
-            return score_standard(
-                working(obs.x_w), working(obs.x_m), _alpha(spec, obs, total, refs)
-            )
+            x_w, x_m = working(obs.x_w), working(obs.x_m)
+            alpha = None if correction is _NONE else _alpha(plan, obs, total, refs)
+            return score_standard(x_w, x_m, alpha)
+        if metric is _CAPPED:
+            return score_capped(obs.value)
+        alpha = None if correction is _NONE else _alpha(plan, obs, None, refs)
         if metric is _SHARE:
-            return score_share(obs.value, _alpha(spec, obs, None, refs))
-        if metric is _RATIO:
-            return score_ratio(obs.value, _alpha(spec, obs, None, refs))
-        return score_capped(obs.value)
+            return score_share(obs.value, alpha)
+        return score_ratio(obs.value, alpha)
     except MetricInputError as exc:
         raise ScoringError(
             f"territory {obs.territory!r}, indicator {spec.id!r}, "
@@ -251,26 +262,28 @@ def aggregate_scores(
     children, computed by the same kernel as :func:`aggregate_level`.
     """
     leaves = tree.leaf_ids()
-    missing = [leaf for leaf in leaves if leaf not in scores]
-    if missing:
+    try:
+        values = [float(scores[leaf]) for leaf in leaves]
+    except (KeyError, TypeError, ValueError):
+        missing = [leaf for leaf in leaves if leaf not in scores]
+        if not missing:
+            raise
         raise ScoringError(
             f"partial report for {territory!r}: missing scores for "
             f"{', '.join(missing)}"
-        )
-    leaf_scores = {leaf: float(scores[leaf]) for leaf in leaves}
+        ) from None
     subdomain_values: dict[tuple[str, str], float] = {}
     domain_values: dict[str, float] = {}
     for dom_id, subdomains in tree.fold_plan():
         children = []
-        for key, indicators in subdomains:
-            value = _fold_scores([leaf_scores[i] for i in indicators])
-            subdomain_values[key] = value
+        for key, leaf_span in subdomains:
+            value = subdomain_values[key] = _fold_scores(values[leaf_span])
             children.append(value)
         domain_values[dom_id] = _fold_scores(children)
     index = _fold_scores(list(domain_values.values()))
     return TerritoryReport(
         territory=territory,
-        indicator_scores=leaf_scores,
+        indicator_scores=dict(zip(leaves, values)),
         subdomain_values=subdomain_values,
         domain_values=domain_values,
         index=index,
@@ -337,10 +350,26 @@ def score_time_series(
         )
     scope = list(scope) if scope is not None else list(data.territories)
     refs = resolve_references(data, specs, scope, time_mode=True)
-    return {
-        p: {
-            terr: score_territory(terr, data, specs, tree, refs, period=p)
-            for terr in data.territories
-        }
-        for p in data.periods
-    }
+    leaves = tree.leaf_ids()
+    reports: dict[int, dict[str, TerritoryReport]] = {p: {} for p in data.periods}
+    try:
+        # the coverage check proves one record per pair and period, so each
+        # territory's series are walked once per leaf, with no keyed lookups
+        for terr in data.territories:
+            scores: dict[int, dict[str, float]] = {p: {} for p in data.periods}
+            for leaf in leaves:
+                spec = specs.get(leaf)
+                if spec is None:
+                    raise ScoringError(f"no indicator spec for tree leaf {leaf!r}")
+                for obs in data.series(terr, leaf):
+                    scores[obs.period][leaf] = compute_indicator(spec, obs, refs)
+            for p, period_scores in scores.items():
+                reports[p][terr] = aggregate_scores(tree, period_scores, terr, period=p)
+    except IgeiError:
+        # name the first fault in period, territory and leaf order, as
+        # scoring period by period does
+        for p in data.periods:
+            for terr in data.territories:
+                score_territory(terr, data, specs, tree, refs, period=p)
+        raise
+    return reports

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -103,14 +104,14 @@ class TestScore:
         checked = []
         record_problem = model.record_problem
 
-        def counted(rec):
-            checked.append(rec)
-            return record_problem(rec)
+        def counted(*fields):
+            checked.append(fields)
+            return record_problem(*fields)
 
         monkeypatch.setattr(model, "record_problem", counted)
         code, _, _ = run(capsys, "score", "--data", DEMO_DATA, "--spec", DEMO_SPEC)
         assert code == 0
-        assert checked == records
+        assert checked == [dataclasses.astuple(rec) for rec in records]
 
     def test_validation_failure_lists_findings(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -5,6 +5,7 @@ takes about as long as the rest of one test module.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from igei import metrics
 from igei.cli import main
-from igei.dataio import load_dataset, load_index_spec, load_score_table
+from igei.dataio import OBSERVATION_HEADER, load_dataset, load_index_spec, load_score_table
 from igei.errors import IgeiError, RecordError
 from igei.metrics import MetricKind
 from igei.model import (
@@ -154,9 +155,69 @@ def test_observation_record(kind, period, x_w, x_m, x_a, value):
         assert str(exc) == f"territory 'X', indicator 'J1', period {period}: {exc.problem}"
         return
     assert record.kind in MetricKind and type(record.period) is int
-    assert record_problem(record) is None
+    assert record_problem(*dataclasses.astuple(record)) is None
     levels = [v for v in (x_w, x_m, x_a, value) if v is not None]
     assert all(0.0 <= v < math.inf for v in levels)
+
+
+KNOWN_KINDS = {kind.value: kind for kind in MetricKind}
+KINDS = st.one_of(st.sampled_from(MetricKind), st.sampled_from(list(KNOWN_KINDS)),
+                  st.text(max_size=8))
+RECORD_FIELDS = st.fixed_dictionaries({
+    "territory": st.sampled_from(["X", ""]),
+    "indicator": st.sampled_from(["J1", ""]),
+    "period": st.one_of(st.integers(), st.floats(), st.booleans()),
+    "kind": KINDS,
+    "x_w": LEVELS, "x_m": LEVELS, "x_a": LEVELS, "value": LEVELS,
+})
+# valid records, so that dataclasses.replace is exercised too
+UNIT = st.floats(min_value=0.01, max_value=1.0)
+VALID_RECORD_FIELDS = st.fixed_dictionaries({
+    "territory": st.just("X"), "indicator": st.just("J1"), "period": st.integers(1900, 2100),
+}).flatmap(lambda key: st.one_of(
+    st.fixed_dictionaries({**{k: st.just(v) for k, v in key.items()},
+                           "kind": st.sampled_from([MetricKind.STANDARD, "standard"]),
+                           "x_w": UNIT, "x_m": UNIT, "x_a": st.none() | UNIT,
+                           "value": st.none()}),
+    st.fixed_dictionaries({**{k: st.just(v) for k, v in key.items()},
+                           "kind": st.sampled_from(["share", "ratio", "capped"]),
+                           "x_w": st.none(), "x_m": st.none(), "x_a": st.none(),
+                           "value": UNIT}),
+))
+
+
+def _rule(fields: dict) -> str | None:
+    """What record_problem says of ``fields``, with ``kind`` read as a record reads it."""
+    kind = fields["kind"]
+    return record_problem(**fields | {"kind": KNOWN_KINDS.get(kind, kind)})
+
+
+@FUZZ
+@given(fields=RECORD_FIELDS | VALID_RECORD_FIELDS, field=st.sampled_from(list(OBSERVATION_HEADER)),
+       new=st.one_of(LEVELS, KINDS, st.integers()))
+def test_record_refused_exactly_when_the_rule_finds_a_fault(fields, field, new):
+    problem = _rule(fields)
+    try:
+        record = ObservationRecord(**fields)
+    except RecordError as exc:
+        assert exc.problem == problem is not None
+        return
+    assert problem is None
+    assert {name: getattr(record, name) for name in fields} == fields | {
+        "kind": KNOWN_KINDS.get(fields["kind"], fields["kind"])
+    }
+    # dataclasses.replace builds a new record, so it checks the changed fields too
+    changed = fields | {field: new}
+    try:
+        problem = _rule(changed)
+    except TypeError:  # a level that does not compare with numbers
+        problem = "levels must be numbers or None"
+    try:
+        dataclasses.replace(record, **{field: new})
+    except RecordError as exc:
+        assert exc.problem == problem is not None
+    else:
+        assert problem is None
 
 
 # --- library constructors and numeric functions -----------------------------

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igei.dataio import load_penalized_reference
@@ -282,9 +282,51 @@ class TestPlainAndUniformWeighted:
             )
 
 
+# the kernel's range allowance, and floats just inside and outside it
+EPS = 1e-9
+EDGES = [0.0, -0.0, 100.0, 5e-324, -5e-324, 2.2250738585072014e-308, -EPS, 100.0 + EPS,
+         math.nextafter(-EPS, -math.inf), math.nextafter(100.0 + EPS, math.inf), 50.0]
+KERNEL_INPUTS = st.one_of(
+    st.floats(min_value=0.0, max_value=100.0),  # subnormals included
+    st.floats(min_value=-2 * EPS, max_value=2 * EPS),
+    st.floats(min_value=100.0 - 2 * EPS, max_value=100.0 + 2 * EPS),
+    st.sampled_from(EDGES),
+)
+
+
+def _in_range(v: float) -> bool:
+    return -EPS <= v <= 100.0 + EPS
+
+
 class TestFoldScores:
-    """The range check of the tree-aggregation kernel; its bit-identity with
-    ``penalized_mean`` is tested through ``aggregate_level``."""
+    """The tree-aggregation kernel: its range check, and its bit-identity with
+    ``penalized_mean`` (also tested through ``aggregate_level``)."""
+
+    @settings(max_examples=300)
+    @given(values=st.one_of(
+        st.lists(KERNEL_INPUTS, min_size=2, max_size=2),  # the two-child path
+        st.lists(KERNEL_INPUTS, min_size=1, max_size=6),
+    ))
+    def test_bit_identical_to_penalized_mean_or_refused(self, values):
+        bad = [v for v in values if not _in_range(v)]
+        if bad:
+            with pytest.raises(AggregationError) as info:
+                _fold_scores(values)
+            assert str(info.value) == f"scores must lie in [0, 100], got {bad[0]}"
+        else:
+            assert _fold_scores(values).hex() == penalized_mean(values).hex()
+
+    @given(values=st.lists(KERNEL_INPUTS, min_size=1, max_size=5), at=st.integers(0, 5))
+    def test_refuses_nan_anywhere(self, values, at):
+        values = [v if _in_range(v) else 50.0 for v in values]
+        values.insert(min(at, len(values)), math.nan)
+        with pytest.raises(AggregationError, match="got nan$"):
+            _fold_scores(values)
+
+    def test_zero_sum_of_two_is_positive_zero(self):
+        # fsum gives +0.0 for a zero sum, where -0.0 + -0.0 is -0.0
+        for values in ([-5e-324, -0.0], [-0.0, -5e-324], [-1e-10, 1e-10]):
+            assert _fold_scores(values).hex() == penalized_mean(values).hex()
 
     def test_names_first_value_out_of_range(self):
         with pytest.raises(AggregationError, match=r"got 101\.0$"):

@@ -3,13 +3,16 @@
 import dataclasses
 import gc
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from igei.cli import main
+from igei.errors import DataError
 from igei.dataio import OBSERVATION_HEADER, load_dataset, load_index_spec, load_score_table
 from igei.metrics import MetricKind
+from igei.model import Dataset, ObservationRecord
 from igei.pipeline import aggregate_scores, score_time_series
 
 TERRITORIES = 500
@@ -166,10 +169,11 @@ def test_observation_order_does_not_change_scores(capsys, observation_files, ser
     assert len(outputs[0].splitlines()) > TERRITORIES
 
 
-# Bytes a loaded record keeps, index included: slotted records that share
-# their names and period sit near 360 on CPython 3.11; a dict-backed record
-# with its own strings and period kept about 530.
-KEPT_BYTES_PER_RECORD = 430
+# Bytes a loaded record keeps, index included: with one index of per-pair
+# tuples, records that share their names and period sit near 237 on CPython
+# 3.11; a second index keyed by (territory, indicator, period) kept about
+# 330, and a dict-backed record with its own strings and period about 530.
+KEPT_BYTES_PER_RECORD = 280
 
 
 def test_loaded_records_are_lean(observation_files):
@@ -226,3 +230,34 @@ def test_unchanged_territory_keeps_its_scores(observation_files):
             after[terr], period=None
         )
         assert same == (terr == STEADY), terr
+
+
+LONG_SERIES = 20_000
+
+
+def test_long_series_is_indexed_in_linear_time(tmp_path):
+    """One pair over 20,000 shuffled periods: a scan of the pair's periods per
+    record would take minutes, the index a fraction of a second."""
+    periods = list(range(1, LONG_SERIES + 1))
+    random.Random(SEED).shuffle(periods)
+    records = [ObservationRecord("A", "G10", p, MetricKind.CAPPED, value=0.5) for p in periods]
+    start = time.perf_counter()
+    data = Dataset(records)
+    assert time.perf_counter() - start < 1.0
+    assert data.series("A", "G10") == tuple(records)
+    assert data.periods == tuple(range(1, LONG_SERIES + 1))
+    assert data.get("A", "G10", periods[-1]) is records[-1]
+
+    # the loader still names the row of a repeated period
+    lines = [",".join(OBSERVATION_HEADER)] + [f"A,G10,{p},capped,,,,0.5" for p in periods]
+    lines.insert(LONG_SERIES // 2 + 1, f"A,G10,{periods[7]},capped,,,,0.7")
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (
+        f"row {LONG_SERIES // 2 + 2}: duplicate observation for territory 'A', "
+        f"indicator 'G10', period {periods[7]}"
+    )
