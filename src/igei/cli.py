@@ -176,12 +176,12 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
                 for p, reps in by_period
             ]}
         if args.format == "csv":
-            # one untitled block per period, led by a period column
-            sections = []
+            # one table, led by a period column
+            rows = []
             for p, reps in by_period:
-                _, _, headers, rows = _ranking(reps.values(), tree)
-                sections.append(("", "", ["period"] + headers, [[str(p)] + r for r in rows]))
-            return 0, sections
+                _, _, headers, ranked = _ranking(reps.values(), tree)
+                rows += [[str(p)] + r for r in ranked]
+            return 0, [("", "", ["period"] + headers, rows)]
         return 0, [_ranking(reps.values(), tree, (f"period {p}", "")) for p, reps in by_period]
 
     refs = pipeline.resolve_references(dataset, specs, scope)

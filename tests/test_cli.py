@@ -99,6 +99,14 @@ class TestScore:
         assert [row[0] for row in rows] == ["territory", "A\nZ", "B"]
         assert rows[1] == ["A\nZ", "80.000", "80.00", "80.00"]
 
+    def test_time_series_csv_is_one_table(self, capsys):
+        code, out, _ = run(capsys, "score", *SERIES_ARGS, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert header[:3] == ["period", "territory", "index"]
+        assert [row[0] for row in rows] == ["2021"] * 3 + ["2022"] * 3 + ["2023"] * 3
+        assert all(len(row) == len(header) for row in rows)
+
     def test_each_record_checked_once(self, capsys, monkeypatch):
         records = load_observations(DEMO_DATA)
         checked = []
