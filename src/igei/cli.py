@@ -153,10 +153,13 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
     scope = _parse_scope(args.scope) or sorted(dataset.territories)
     validation = dataio.validate_dataset(dataset, specs, scope=scope)
     if not validation.ok:
+        keys = ["level", "code", "territory", "indicator", "message"]
         if args.format == "json":
-            keys = ("level", "code", "territory", "indicator", "message")
             findings = [{key: getattr(f, key) for key in keys} for f in validation.findings]
             return 1, {"findings": findings, "errors": len(validation.errors)}
+        if args.format == "csv":
+            return 1, [("", "", keys, [[getattr(f, key) for key in keys]
+                                       for f in validation.findings])]
         lines = [
             f"{f.level}: {f.code}: territory={f.territory!r} indicator={f.indicator!r}: "
             f"{f.message}"
@@ -275,6 +278,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Output]:
         checks = [{"name": name, "status": status, "detail": detail}
                   for name, status, detail in results]
         return exit_status, {"command": "verify", "checks": checks, "failures": failures}
+    if args.format == "csv":
+        return exit_status, [("", "", ["status", "check", "detail"],
+                              [[status, name, detail] for name, status, detail in results])]
     lines = [f"{status:<15} {name}: {detail}" for name, status, detail in results]
     lines.append(
         f"{len(results) - failures}/{len(results)} checks passed"

@@ -99,6 +99,22 @@ class TestScore:
         assert [row[0] for row in rows] == ["territory", "A\nZ", "B"]
         assert rows[1] == ["A\nZ", "80.000", "80.00", "80.00"]
 
+    def test_crlf_in_a_name_survives_a_csv_round_trip(self, capsys, tmp_path):
+        data = tmp_path / "crlf.csv"
+        data.write_bytes(
+            b"territory,indicator,period,kind,x_w,x_m,x_a,value\n"
+            b'"B\r\nY",G1,2023,standard,0.4,0.6,0.5,\n'
+            b"A,G1,2023,standard,0.1,0.3,0.2,\n"
+        )
+        assert load_observations(data)[0].territory == "B\r\nY"
+        out = tmp_path / "scores.csv"
+        code, _, _ = run(
+            capsys, "score", "--data", str(data), "--spec", DEMO_SPEC, "--format", "csv",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert load_score_table(out).territories == ("B\r\nY", "A")
+
     def test_time_series_csv_is_one_table(self, capsys):
         code, out, _ = run(capsys, "score", *SERIES_ARGS, "--format", "csv")
         assert code == 0
@@ -530,6 +546,8 @@ GOLDEN_RUNS = [
 ] + [
     (["score", *INVALID_ARGS, "--format", "table"], "invalid.txt", 1),
     (["score", *INVALID_ARGS, "--format", "json"], "invalid.json", 1),
+    (["verify", "--format", "csv"], "verify.csv", 0),
+    (["score", *INVALID_ARGS, "--format", "csv"], "invalid.csv", 1),
 ]
 
 
