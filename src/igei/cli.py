@@ -66,14 +66,10 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [
         max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)
     ]
-    def line(cells: list[str]) -> str:
-        # left-align the first (label) column, right-align numbers
-        return "  ".join(
-            cell.ljust(width) if i == 0 else cell.rjust(width)
-            for i, (cell, width) in enumerate(zip(cells, widths))
-        ).rstrip()
+    # left-align the first (label) column, right-align numbers
+    line = "  ".join([f"{{:<{widths[0]}}}"] + [f"{{:>{w}}}" for w in widths[1:]]).format
     rule = "  ".join("-" * w for w in widths)
-    return "\n".join([line(headers), rule] + [line(r) for r in rows]) + "\n"
+    return "\n".join([line(*headers).rstrip(), rule] + [line(*r).rstrip() for r in rows]) + "\n"
 
 
 def _render_csv(headers: list[str], rows: list[list[str]]) -> str:

@@ -133,7 +133,9 @@ def _fold_scores(values: list[float]) -> float:
 
     The aggregation kernel for every tree node: bit-identical to
     ``penalized_mean(values)`` on the values it accepts, with none of the
-    per-call unpacking. ``values`` is a non-empty list of floats.
+    per-call unpacking. ``values`` is a non-empty list of floats. The
+    range check reads the min and max the penalty needs, and one or two
+    children take :func:`_fold_two`.
     """
     if len(values) <= 2:
         return _fold_two(values[0], values[-1])
@@ -162,9 +164,9 @@ def _fold_two(a: float, b: float) -> float:
     A sum of two floats is correctly rounded, as ``fsum`` is; only the
     sign of a zero sum differs, and ``fsum`` gives +0.0.
     """
-    if not (-_SCORE_EPS <= a <= 100.0 + _SCORE_EPS and -_SCORE_EPS <= b <= 100.0 + _SCORE_EPS):
-        bad = b if -_SCORE_EPS <= a <= 100.0 + _SCORE_EPS else a
-        raise AggregationError(f"scores must lie in [0, 100], got {bad}")
+    a_ok = -_SCORE_EPS <= a <= 100.0 + _SCORE_EPS
+    if not (a_ok and -_SCORE_EPS <= b <= 100.0 + _SCORE_EPS):
+        raise AggregationError(f"scores must lie in [0, 100], got {b if a_ok else a}")
     ran = b - a if a < b else a - b
     if ran == 0.0:
         return a
