@@ -39,7 +39,7 @@ from igei.penalized import Polarity, _fold_scores
 # path (the metaclass defines __getattr__), and compute_indicator and _alpha
 # run per observation
 _NONE, _OWN_AVERAGE = CorrectionKind.NONE, CorrectionKind.OWN_AVERAGE
-_STANDARD, _SHARE, _CAPPED = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.CAPPED
+_STANDARD, _SHARE, _RATIO = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.RATIO
 _NEGATIVE = Polarity.NEGATIVE
 
 
@@ -56,18 +56,6 @@ class ReferenceLevels:
 
     maxima: Mapping[str, float]
     bases: Mapping[tuple[str, str, int], float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # per-leaf plans of compute_indicator, keyed by indicator id; not a
-        # field, so equality and repr see only the references
-        object.__setattr__(self, "_plans", {})
-
-
-def _leaf_plan(spec: IndicatorSpec, refs: ReferenceLevels) -> tuple:
-    """What scoring ``spec`` needs of its recipe and of ``refs``, read once:
-    (spec, metric, working scale, correction kind, reference maximum or None)."""
-    return (spec, spec.metric, _working_scale(spec.polarity), spec.correction.kind,
-            refs.maxima.get(spec.id))
 
 
 @dataclass(frozen=True)
@@ -177,13 +165,20 @@ def resolve_references(
     return ReferenceLevels(maxima=maxima, bases=bases)
 
 
-def _alpha(plan: tuple, obs: ObservationRecord, working_total: float | None,
-           refs: ReferenceLevels) -> float:
-    """Correction coefficient for one observation of a corrected indicator."""
-    spec, _, _, kind, reference = plan
+def _alpha(
+    spec: IndicatorSpec,
+    obs: ObservationRecord,
+    working_total: float | None,
+    refs: ReferenceLevels,
+) -> float | None:
+    """Correction coefficient for one observation; ``None`` when uncorrected."""
+    corr = spec.correction
+    if corr.kind is _NONE:
+        return None
+    reference = refs.maxima.get(spec.id)
     if reference is None:
         raise ScoringError(f"{spec.id}: references were not resolved for this indicator")
-    if kind is _OWN_AVERAGE:
+    if corr.kind is _OWN_AVERAGE:
         if working_total is None:
             raise ScoringError(
                 f"{spec.id}: observation for {obs.territory!r} lacks the total level "
@@ -204,16 +199,10 @@ def compute_indicator(
 ) -> float:
     """Score one observation according to its indicator recipe, on 0-100.
 
-    What depends only on the recipe and the references (the working
-    scale, the correction kind and the reference maximum) is read once
-    per indicator into a plan that ``refs`` keeps. A scalar formula's
-    refusal (say, an achievement above the reference maximum) is raised
-    as a :class:`ScoringError` naming the record.
+    A scalar formula's refusal (say, an achievement above the reference
+    maximum) is raised as a :class:`ScoringError` naming the record.
     """
-    plan = refs._plans.get(spec.id)
-    if plan is None or plan[0] is not spec:
-        plan = refs._plans[spec.id] = _leaf_plan(spec, refs)
-    _, metric, working, correction, _ = plan
+    metric = spec.metric
     if obs.kind is not metric:
         raise ScoringError(
             f"{spec.id}: expected a {metric.value} observation, "
@@ -221,16 +210,16 @@ def compute_indicator(
         )
     try:
         if metric is _STANDARD:
+            working = _working_scale(spec.polarity)
             total = None if obs.x_a is None else working(obs.x_a)
-            x_w, x_m = working(obs.x_w), working(obs.x_m)
-            alpha = None if correction is _NONE else _alpha(plan, obs, total, refs)
-            return score_standard(x_w, x_m, alpha)
-        if metric is _CAPPED:
-            return score_capped(obs.value)
-        alpha = None if correction is _NONE else _alpha(plan, obs, None, refs)
+            return score_standard(
+                working(obs.x_w), working(obs.x_m), _alpha(spec, obs, total, refs)
+            )
         if metric is _SHARE:
-            return score_share(obs.value, alpha)
-        return score_ratio(obs.value, alpha)
+            return score_share(obs.value, _alpha(spec, obs, None, refs))
+        if metric is _RATIO:
+            return score_ratio(obs.value, _alpha(spec, obs, None, refs))
+        return score_capped(obs.value)
     except MetricInputError as exc:
         raise ScoringError(
             f"territory {obs.territory!r}, indicator {spec.id!r}, "
