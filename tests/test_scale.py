@@ -9,8 +9,8 @@ import tracemalloc
 import pytest
 
 from igei.cli import main
-from igei.errors import DataError
 from igei.dataio import OBSERVATION_HEADER, load_dataset, load_index_spec, load_score_table
+from igei.errors import DataError
 from igei.metrics import MetricKind
 from igei.model import Dataset, ObservationRecord
 from igei.pipeline import aggregate_scores, score_time_series
