@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,12 @@ GOLDEN = Path(__file__).parent / "golden"
 DEMO_ARGS = ["--data", DEMO_DATA, "--spec", DEMO_SPEC]
 SERIES_ARGS = ["--data", str(GOLDEN / "series.csv"), "--spec", DEMO_SPEC, "--time-series"]
 INVALID_ARGS = ["--data", str(GOLDEN / "degenerate.csv"), "--spec", DEMO_SPEC]
+FORMATS = (("table", "txt"), ("csv", "csv"), ("json", "json"))
+# eight rows of SCORES; the scope names six of them, out of order
+SUBSET_ARGS = [
+    "--data", str(GOLDEN / "scores-subset.csv"), "--scope",
+    "Umbria,Lazio,Sardegna,Valle d'Aosta/Vallée d'Aoste,Campania,Trentino-Alto Adige/Südtirol",
+]
 
 
 def run(capsys, *argv):
@@ -478,6 +485,67 @@ class TestReport:
         assert len(doc["correlation"]["matrix"]) == 20
 
 
+class TestScoreTableShapes:
+    """``aggregate`` and ``report`` on header-only, partial and reordered tables."""
+
+    @staticmethod
+    def _write(tmp_path, indicators, territories=None):
+        """SCORES with only ``indicators``, in that order, and only ``territories``;
+        an indicator SCORES lacks gets a column of 50.000."""
+        table = load_score_table(SCORES)
+        lines = [",".join(("territory", *indicators))]
+        for terr in table.territories if territories is None else territories:
+            row = table.row(terr)
+            lines.append(",".join([terr] + [f"{row.get(ind, 50.0):.3f}" for ind in indicators]))
+        data = tmp_path / "scores.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(data)
+
+    def test_header_only_table(self, capsys, tmp_path):
+        _, tree = dataio.load_index_spec()
+        leaves = tree.leaf_ids()
+        data = self._write(tmp_path, leaves, territories=[])
+        assert run(capsys, "report", "--data", data) == (
+            1, "", "error: cannot summarize an empty sequence\n"
+        )
+        assert run(capsys, "aggregate", "--data", data, "--format", "json") == (
+            0, json.dumps({"command": "aggregate", "reports": []}, indent=2) + "\n", ""
+        )
+        header = ["territory", *leaves, *(dom.id for dom in tree.domains), "index"]
+        assert run(capsys, "aggregate", "--data", data, "--format", "csv") == (
+            0, ",".join(header) + "\n", ""
+        )
+        code, out, _ = run(capsys, "aggregate", "--data", data)
+        assert code == 0
+        assert out.split() == ["territory", "index", *(dom.id for dom in tree.domains)] + [
+            "-" * len(h) for h in ["territory", "index", *(dom.id for dom in tree.domains)]
+        ]
+
+    @pytest.mark.parametrize("command", ["aggregate", "report"])
+    def test_partial_table_names_the_first_territory(self, capsys, tmp_path, command):
+        _, tree = dataio.load_index_spec()
+        kept = [leaf for leaf in tree.leaf_ids() if leaf not in ("G3", "G17")]
+        territories = ["Molise", "Abruzzo", "Umbria"]
+        data = self._write(tmp_path, kept, territories)
+        assert run(capsys, command, "--data", data) == (
+            1, "", "error: partial report for 'Molise': missing scores for G3, G17\n"
+        )
+
+    @pytest.mark.parametrize("command", ["aggregate", "report"])
+    @pytest.mark.parametrize("fmt, ext", FORMATS)
+    def test_column_order_and_extra_columns_do_not_change_output(
+        self, capsys, tmp_path, command, fmt, ext
+    ):
+        _, tree = dataio.load_index_spec()
+        shuffled = list(tree.leaf_ids())
+        random.Random(7).shuffle(shuffled)
+        shuffled.insert(5, "X1")
+        data = self._write(tmp_path, shuffled)
+        code, out, err = run(capsys, command, "--data", data, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{command}.{ext}").read_text(encoding="utf-8")
+
+
 class TestVerify:
     def test_all_checks_pass_with_known_deviation(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -526,8 +594,6 @@ class TestVerify:
         assert first == second
 
 
-
-FORMATS = (("table", "txt"), ("csv", "csv"), ("json", "json"))
 GOLDEN_RUNS = [
     (["verify"], "verify.txt", 0),
     (["verify", "--format", "json"], "verify.json", 0),
@@ -548,6 +614,9 @@ GOLDEN_RUNS = [
     (["score", *INVALID_ARGS, "--format", "json"], "invalid.json", 1),
     (["verify", "--format", "csv"], "verify.csv", 0),
     (["score", *INVALID_ARGS, "--format", "csv"], "invalid.csv", 1),
+] + [
+    (["report", *SUBSET_ARGS, "--format", fmt], f"report-scope.{ext}", 0)
+    for fmt, ext in FORMATS
 ]
 
 
