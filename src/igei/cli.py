@@ -82,47 +82,64 @@ def _csv_cell(cell: str) -> str:
     return cell
 
 
-def _f2(v: float) -> str:
-    return f"{v:.2f}"
+_f2 = "{:.2f}".format
+_f3 = "{:.3f}".format
 
 
-def _f3(v: float) -> str:
-    return f"{v:.3f}"
+def _as_table(reports, tree) -> pipeline.TableReport:
+    """The column form of territory reports, in their order."""
+    reports = list(reports)
+    return pipeline.TableReport(
+        territories=[rep.territory for rep in reports],
+        indicator_scores={
+            leaf: [rep.indicator_scores[leaf] for rep in reports] for leaf in tree.leaf_ids()
+        },
+        subdomain_values={
+            key: [rep.subdomain_values[key] for rep in reports]
+            for _, subdomains in tree.fold_plan() for key, _ in subdomains
+        },
+        domain_values={
+            dom.id: [rep.domain_values[dom.id] for rep in reports] for dom in tree.domains
+        },
+        index=[rep.index for rep in reports],
+    )
 
 
-def _reports_json(reports) -> list[dict]:
-    """Reports best first, at full precision."""
+def _reports_json(table: pipeline.TableReport, period: int | None = None) -> list[dict]:
+    """Rows best first, at full precision."""
+    subdomains = [(f"{d}/{s}", col) for (d, s), col in table.subdomain_values.items()]
     docs = []
-    for rep in stats.rank_table(reports):
+    for i in stats.rank_order(table.index, table.territories):
         data = {
-            "territory": rep.territory,
-            "index": rep.index,
-            "domains": dict(rep.domain_values),
-            "subdomains": {f"{d}/{s}": v for (d, s), v in rep.subdomain_values.items()},
-            "indicators": dict(rep.indicator_scores),
+            "territory": table.territories[i],
+            "index": table.index[i],
+            "domains": {dom: col[i] for dom, col in table.domain_values.items()},
+            "subdomains": {name: col[i] for name, col in subdomains},
+            "indicators": {leaf: col[i] for leaf, col in table.indicator_scores.items()},
         }
-        if rep.period is not None:
-            data["period"] = rep.period
+        if period is not None:
+            data["period"] = period
         docs.append(data)
     return docs
 
 
-def _ranking(reports, tree, titles: tuple[str, str] = ("", ""), wide: bool = False) -> Section:
-    """Reports best first: index, then domains (2 dp); ``wide`` lists the
+def _ranking(
+    table: pipeline.TableReport, titles: tuple[str, str] = ("", ""), wide: bool = False
+) -> Section:
+    """Rows best first: index, then domains (2 dp); ``wide`` lists the
     indicators (3 dp) and domains before the index."""
-    domains = [dom.id for dom in tree.domains]
-    leaves = list(tree.leaf_ids()) if wide else []
-    headers = ["territory"] + (leaves + domains + ["index"] if wide else ["index"] + domains)
-    rows = []
-    for rep in stats.rank_table(reports):
-        values = [_f2(rep.domain_values[d]) for d in domains]
-        if wide:
-            scores = rep.indicator_scores
-            rows.append([rep.territory] + [_f3(scores[leaf]) for leaf in leaves]
-                        + values + [_f2(rep.index)])
-        else:
-            rows.append([rep.territory, _f2(rep.index)] + values)
-    return (*titles, headers, rows)
+    domains = [list(map(_f2, col)) for col in table.domain_values.values()]
+    index = list(map(_f2, table.index))
+    if wide:
+        leaves = [list(map(_f3, col)) for col in table.indicator_scores.values()]
+        headers = [*table.indicator_scores, *table.domain_values, "index"]
+        columns = [table.territories, *leaves, *domains, index]
+    else:
+        headers = ["index", *table.domain_values]
+        columns = [table.territories, index, *domains]
+    rows = list(map(list, zip(*columns)))
+    ranked = [rows[i] for i in stats.rank_order(table.index, table.territories)]
+    return (*titles, ["territory", *headers], ranked)
 
 
 def _parse_scope(arg: str | None) -> list[str] | None:
@@ -168,44 +185,43 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
         return 1, "\n".join(lines) + "\n"
 
     if args.time_series:
-        by_period = sorted(pipeline.score_time_series(dataset, specs, tree, scope=scope).items())
+        by_period = [
+            (p, _as_table(reps.values(), tree))
+            for p, reps in sorted(pipeline.score_time_series(dataset, specs, tree, scope=scope).items())
+        ]
         if args.format == "json":
             return 0, {"command": "score", "scope": scope, "periods": [
-                {"period": p, "reports": _reports_json(reps.values())}
-                for p, reps in by_period
+                {"period": p, "reports": _reports_json(table, p)} for p, table in by_period
             ]}
         if args.format == "csv":
             # one table, led by a period column
             rows = []
-            for p, reps in by_period:
-                _, _, headers, ranked = _ranking(reps.values(), tree)
+            for p, table in by_period:
+                _, _, headers, ranked = _ranking(table)
                 rows += [[str(p)] + r for r in ranked]
             return 0, [("", "", ["period"] + headers, rows)]
-        return 0, [_ranking(reps.values(), tree, (f"period {p}", "")) for p, reps in by_period]
+        return 0, [_ranking(table, (f"period {p}", "")) for p, table in by_period]
 
     refs = pipeline.resolve_references(dataset, specs, scope)
     reports = [
         pipeline.score_territory(terr, dataset, specs, tree, refs)
         for terr in dataset.territories
     ]
-    return 0, _ranked_output(args.format, reports, tree, command="score", scope=scope)
+    return 0, _ranked_output(args.format, _as_table(reports, tree), command="score", scope=scope)
 
 
 def cmd_aggregate(args: argparse.Namespace) -> tuple[int, Output]:
     _, tree = dataio.load_index_spec(args.spec)
     table = dataio.load_score_table(args.data, decimal_comma=args.decimal_comma)
-    reports = [
-        pipeline.aggregate_scores(tree, table.row(terr), terr)
-        for terr in table.territories
-    ]
-    return 0, _ranked_output(args.format, reports, tree, command="aggregate")
+    return 0, _ranked_output(args.format, pipeline.aggregate_table(tree, table),
+                             command="aggregate")
 
 
-def _ranked_output(fmt: str, reports, tree, **doc) -> Output:
+def _ranked_output(fmt: str, table: pipeline.TableReport, **doc) -> Output:
     """The JSON document, or one ranking: wide in CSV, narrow in a table."""
     if fmt == "json":
-        return {**doc, "reports": _reports_json(reports)}
-    return [_ranking(reports, tree, wide=fmt == "csv")]
+        return {**doc, "reports": _reports_json(table)}
+    return [_ranking(table, wide=fmt == "csv")]
 
 
 # --- report ----------------------------------------------------------------
@@ -216,21 +232,19 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
     table = dataio.load_score_table(args.data, decimal_comma=args.decimal_comma)
     # sorted, so that the JSON scope listing does not depend on row order
     scope = _parse_scope(args.scope) or sorted(table.territories)
-    known = set(table.territories)
-    unknown = [t for t in scope if t not in known]
+    row_of = {terr: i for i, terr in enumerate(table.territories)}
+    unknown = [t for t in scope if t not in row_of]
     if unknown:
         raise IgeiError(f"scope territories not in the data: {', '.join(unknown)}")
-    reports = {
-        terr: pipeline.aggregate_scores(tree, table.row(terr), terr)
-        for terr in table.territories
-    }
+    columns = pipeline.aggregate_table(tree, table)
 
+    # the scope's rows of each column, in scope order
+    in_scope = [row_of[t] for t in scope]
+    summary_columns = {
+        name: list(map(column.__getitem__, in_scope)) for name, column in
+        {"index": columns.index, **columns.domain_values, **columns.indicator_scores}.items()
+    }
     leaves = list(tree.leaf_ids())
-    summary_columns: dict[str, list[float]] = {"index": [reports[t].index for t in scope]}
-    for dom in tree.domains:
-        summary_columns[dom.id] = [reports[t].domain_values[dom.id] for t in scope]
-    for leaf in leaves:
-        summary_columns[leaf] = [reports[t].indicator_scores[leaf] for t in scope]
     summaries = {name: stats.descriptive_summary(vals)
                  for name, vals in summary_columns.items()}
     try:
@@ -249,12 +263,12 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
         return 0, {
             "command": "report",
             "scope": scope,
-            "ranking": _reports_json(reports.values()),
+            "ranking": _reports_json(columns),
             "summaries": {name: asdict(s) for name, s in summaries.items()},
             "correlation": {"indicators": leaves, "matrix": corr_matrix},
         }
     return 0, [
-        _ranking(reports.values(), tree, ("Ranking", "# ranking")),
+        _ranking(columns, ("Ranking", "# ranking")),
         ("Descriptive summaries", "# summaries",
          ["column"] + [f.name for f in fields(stats.DescriptiveSummary)],
          [[name] + list(map(_f2, asdict(s).values())) for name, s in summaries.items()]),

@@ -12,7 +12,7 @@ scoring is independent, deterministic, and side-effect free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from igei.errors import AggregationError, IgeiError, MetricInputError, ScoringError
 from igei.metrics import (
@@ -33,7 +33,10 @@ from igei.model import (
     as_dataset,
     external_source,
 )
-from igei.penalized import Polarity, _fold_scores
+from igei.penalized import Polarity, _fold_scores, _fold_two
+
+if TYPE_CHECKING:
+    from igei.dataio import ScoreTable
 
 # bound once: on CPython 3.11 a member read off its Enum class takes a slow
 # path (the metaclass defines __getattr__), and compute_indicator and _alpha
@@ -68,6 +71,21 @@ class TerritoryReport:
     domain_values: Mapping[str, float]
     index: float
     period: int | None = None
+
+
+@dataclass(frozen=True)
+class TableReport:
+    """The values of every tree node over a table of territories, one column each.
+
+    The fields mirror :class:`TerritoryReport`, with a column in place of
+    each value; position ``i`` of every column belongs to ``territories[i]``.
+    """
+
+    territories: Sequence[str]
+    indicator_scores: Mapping[str, Sequence[float]]
+    subdomain_values: Mapping[tuple[str, str], Sequence[float]]
+    domain_values: Mapping[str, Sequence[float]]
+    index: Sequence[float]
 
 
 def _working_scale(polarity: Polarity) -> Callable[[float], float]:
@@ -239,6 +257,31 @@ def aggregate_level(values: Iterable[float]) -> float:
     return _fold_scores(vals)
 
 
+def _fold_tree(tree: IndexTree, leaves: list, fold: Callable) -> tuple:
+    """Sub-domain values, domain values and the index, folded up from ``leaves``.
+
+    ``leaves`` holds one entry per tree leaf, in tree order: one
+    territory's scores with ``fold=_fold_scores``, or a table's leaf
+    columns with ``fold=_fold_columns``.
+    """
+    subdomain_values: dict = {}
+    domain_values: dict = {}
+    for dom_id, subdomains in tree.fold_plan():
+        children = []
+        for key, leaf_span in subdomains:
+            value = subdomain_values[key] = fold(leaves[leaf_span])
+            children.append(value)
+        domain_values[dom_id] = fold(children)
+    return subdomain_values, domain_values, fold(list(domain_values.values()))
+
+
+def _fold_columns(columns: list[list[float]]) -> list[float]:
+    """:func:`_fold_scores` of each row of equal-length ``columns``."""
+    if len(columns) <= 2:
+        return list(map(_fold_two, columns[0], columns[-1]))
+    return [_fold_scores(list(row)) for row in zip(*columns)]
+
+
 def aggregate_scores(
     tree: IndexTree,
     scores: Mapping[str, float],
@@ -261,15 +304,7 @@ def aggregate_scores(
             f"partial report for {territory!r}: missing scores for "
             f"{', '.join(missing)}"
         ) from None
-    subdomain_values: dict[tuple[str, str], float] = {}
-    domain_values: dict[str, float] = {}
-    for dom_id, subdomains in tree.fold_plan():
-        children = []
-        for key, leaf_span in subdomains:
-            value = subdomain_values[key] = _fold_scores(values[leaf_span])
-            children.append(value)
-        domain_values[dom_id] = _fold_scores(children)
-    index = _fold_scores(list(domain_values.values()))
+    subdomain_values, domain_values, index = _fold_tree(tree, values, _fold_scores)
     return TerritoryReport(
         territory=territory,
         indicator_scores=dict(zip(leaves, values)),
@@ -277,6 +312,36 @@ def aggregate_scores(
         domain_values=domain_values,
         index=index,
         period=period,
+    )
+
+
+def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
+    """Fold every row of a score table up the tree, one tree node at a time.
+
+    Row for row, the columns equal :func:`aggregate_scores` of
+    ``table.row(territory)`` bit for bit, as the kernels are the same.
+    Indicator columns outside the tree are ignored. A table that lacks a
+    leaf's column, or holds a score the kernel refuses, raises the error
+    that folding its rows one by one, in table order, raises first.
+    """
+    rows = [table.rows[terr] for terr in table.territories]
+    position = {ind: i for i, ind in enumerate(table.indicators)}
+    leaves = tree.leaf_ids()
+    try:
+        # a missing leaf fails on the first row: a table without rows folds
+        # to empty columns, as it does row by row
+        columns = [[row[position[leaf]] for row in rows] for leaf in leaves]
+        subdomain_values, domain_values, index = _fold_tree(tree, columns, _fold_columns)
+    except (KeyError, IgeiError):
+        for terr in table.territories:
+            aggregate_scores(tree, table.row(terr), terr)
+        raise
+    return TableReport(
+        territories=table.territories,
+        indicator_scores=dict(zip(leaves, columns)),
+        subdomain_values=subdomain_values,
+        domain_values=domain_values,
+        index=index,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 from igei.errors import StatisticsError
@@ -127,6 +127,14 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> dict[tuple[int, in
     return matrix
 
 
+def rank_order(index: Sequence[float], territories: Sequence[str]) -> list[int]:
+    """Row positions ordered by final index, best first; ties break alphabetically."""
+    keys = list(zip(map(neg, index), territories))
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def rank_table(reports: Iterable[TerritoryReport]) -> list[TerritoryReport]:
     """Order reports by final index, best first; ties break alphabetically."""
-    return sorted(reports, key=lambda r: (-r.index, r.territory))
+    reports = list(reports)
+    order = rank_order([r.index for r in reports], [r.territory for r in reports])
+    return [reports[i] for i in order]
