@@ -316,8 +316,8 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
 # --- index spec ------------------------------------------------------------
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """Safe loader that refuses a repeated mapping key; PyYAML keeps the last one."""
+class _UniqueKeys:
+    """Safe-loader mixin that refuses a repeated mapping key; PyYAML keeps the last one."""
 
     def construct_mapping(self, node, deep=False):
         keys = set()
@@ -340,6 +340,63 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
+class _PureLoader(_UniqueKeys, yaml.SafeLoader):
+    """PyYAML's own parser: the one whose errors a spec message quotes."""
+
+
+class _UniqueKeyLoader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser where PyYAML was built with it, about ten times faster."""
+
+
+# The pure parser recurses once per nesting level and runs out of Python stack
+# a few hundred levels down, where libyaml goes on: a deeper document is left
+# to the pure parser, so that it is refused as before.
+_FAST_NESTING = 100
+
+
+def _deeper_than(root, limit: int) -> bool:
+    """Whether collections nest more than ``limit`` levels deep, ``root`` the first.
+
+    Nodes are walked in document order and each counts once, where it
+    first appears: an alias repeats its anchor without nesting it again.
+    """
+    stack, seen = [(root, 0)], set()
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, yaml.ScalarNode) or id(node) in seen:
+            continue
+        if depth == limit:
+            return True
+        seen.add(id(node))
+        if isinstance(node, yaml.SequenceNode):
+            children = node.value
+        else:
+            children = [child for pair in node.value for child in pair]
+        stack.extend((child, depth + 1) for child in reversed(children))
+    return False
+
+
+def _parse_yaml(text: str):
+    """The YAML document in ``text``.
+
+    A document the fast loader refuses, or that nests too deep for the
+    pure one, is parsed again by :class:`_PureLoader`, so that a spec
+    error reads the same with or without libyaml.
+    """
+    loader = _UniqueKeyLoader(text)
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        if not _deeper_than(node, _FAST_NESTING):
+            return loader.construct_document(node)
+    except Exception:
+        pass  # the pure loader raises the error a spec message quotes
+    finally:
+        loader.dispose()
+    return yaml.load(text, Loader=_PureLoader)
+
+
 def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
     """Parse an index spec file; ``None`` loads the bundled default.
 
@@ -351,7 +408,7 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
         source = bundled_path(DEFAULT_SPEC_RESOURCE)
     with _open_text(source) as handle:
         try:
-            raw = yaml.load(handle, Loader=_UniqueKeyLoader)
+            raw = _parse_yaml(handle.read())
         except UnicodeDecodeError as exc:
             raise _not_utf8(source, exc) from None
         except yaml.YAMLError as exc:

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 from igei import dataio
 from igei.dataio import (
@@ -409,6 +414,64 @@ indicators:
 """
         specs, _ = load_index_spec(write(tmp_path, text, name="spec.yaml"))
         assert (specs["C"].metric, specs["C"].label) == (MetricKind.CAPPED, "Own")
+
+
+class TestSpecLoaders:
+    """libyaml parses the spec where PyYAML has it; the pure loader keeps the messages."""
+
+    def test_libyaml_parses_where_present(self):
+        assert issubclass(dataio._UniqueKeyLoader, yaml.CSafeLoader) == yaml.__with_libyaml__
+        assert issubclass(dataio._PureLoader, yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", ["igei_tree.yaml", "demo_tree.yaml"])
+    def test_both_loaders_give_equal_documents(self, name):
+        text = dataio.bundled_path(name).read_text(encoding="utf-8")
+        pure = yaml.load(text, Loader=dataio._PureLoader)
+        assert yaml.load(text, Loader=dataio._UniqueKeyLoader) == pure
+        assert dataio._parse_yaml(text) == pure
+
+    def test_both_loaders_refuse_a_duplicate_key(self, tmp_path):
+        text = "tree: []\nindicators:\n  C: {metric: capped}\n  C: {metric: share}\n"
+        for loader in (dataio._UniqueKeyLoader, dataio._PureLoader):
+            with pytest.raises(yaml.constructor.ConstructorError, match="duplicate key 'C'"):
+                yaml.load(text, Loader=loader)
+        path = write(tmp_path, text, name="spec.yaml")
+        with pytest.raises(SpecError) as info:
+            load_index_spec(path)
+        assert str(info.value) == (
+            f"{path}: malformed YAML at line 4, column 3: found duplicate key 'C'"
+        )
+
+    @pytest.mark.parametrize("depth", [150, 2000])
+    def test_deep_closed_nesting_reads_as_before(self, tmp_path, depth):
+        # libyaml parses 2,000 levels; the pure loader runs out of stack first
+        text = "tree: " + "[" * depth + "]" * depth + "\nindicators: {}\n"
+        path = write(tmp_path, text, name="spec.yaml")
+        with pytest.raises(SpecError) as info:
+            load_index_spec(path)
+        assert str(info.value) == (
+            "tree entry 1 is not a mapping, got a list" if depth == 150
+            else f"{path}: malformed YAML: nesting is too deep"
+        )
+
+    def test_aliases_are_walked_once(self):
+        # nine levels of ten aliases: a walk that followed each would take 10**9
+        # steps; each anchor nests two levels deep, where it first appears
+        lines = ["l0: &l0 [x]"] + [
+            f"l{k}: &l{k} [{', '.join([f'*l{k - 1}'] * 10)}]" for k in range(1, 9)
+        ]
+        node = yaml.compose("\n".join(lines), Loader=yaml.SafeLoader)
+        # not asserted on the node itself: its repr would expand every alias
+        assert [dataio._deeper_than(node, limit) for limit in (1, 2)] == [True, False]
+
+    def test_pure_loader_without_libyaml(self):
+        probe = (
+            "import yaml; del yaml.CSafeLoader; from igei import dataio; "
+            "assert dataio._UniqueKeyLoader.__mro__[2] is yaml.SafeLoader; "
+            "specs, tree = dataio.load_index_spec(); assert len(tree.leaf_ids()) == 20"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(dataio.__file__).parents[1]))
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 class TestMalformedSpecShapes:
