@@ -111,6 +111,21 @@ def _reader(handle: IO[str], decimal_comma: bool):
     return csv.reader(handle, delimiter=";" if decimal_comma else ",")
 
 
+def _plain(text: str) -> bool:
+    """Whether number text is ASCII without a '_': the spellings a table means.
+
+    ``float`` and ``int`` also read '_' digit groups and non-ASCII digits,
+    so '0_4' would load as 4.0 and '٣' as 3.
+    """
+    return text.isascii() and "_" not in text
+
+
+def _period(text: str) -> int:
+    if not _plain(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_number(
     cell: str, decimal_comma: bool, lineno: int, column: str
 ) -> float | None:
@@ -118,6 +133,8 @@ def _parse_number(
         return None
     text = cell.replace(",", ".") if decimal_comma else cell
     try:
+        if not _plain(cell):
+            raise ValueError(cell)
         value = float(text)
     except ValueError:
         raise DataError(f"row {lineno}: column {column!r} is not a number: {cell!r}")
@@ -166,7 +183,7 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
         # for the record to refuse
         shared: dict[str, str] = {}
         names = _Interned(lambda cell: shared.setdefault(cell.strip(), cell.strip()))
-        periods = _Interned(int)
+        periods = _Interned(_period)
         kinds = _Interned(lambda cell: _METRIC_KINDS.get(cell.strip(), cell.strip()))
         with _open_text(source, newline="") as handle:
             rows = enumerate(_reader(handle, decimal_comma), start=1)
@@ -190,6 +207,8 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
                             raise ValueError  # the per-cell path says why
                         territory, indicator, period, kind, x_w, x_m, x_a, value = row
                         period = periods[period]
+                        if not _plain(x_w + x_m + x_a + value):
+                            raise ValueError
                         x_w = float(x_w) if x_w else None
                         x_m = float(x_m) if x_m else None
                         x_a = float(x_a) if x_a else None
@@ -288,8 +307,9 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
         if territory in rows:
             raise DataError(f"row {lineno}: duplicate territory {territory!r}")
         try:
-            # a decimal comma takes the per-cell path
-            values = () if decimal_comma else tuple(map(float, cells))
+            # a decimal comma, or a cell that is not plain, takes the per-cell path
+            plain = not decimal_comma and _plain("".join(cells))
+            values = tuple(map(float, cells)) if plain else ()
         except ValueError:
             values = ()
         # min and max pass over a NaN that is not first; with both bounds
@@ -672,17 +692,25 @@ class PenalizedCase:
     geometric: float | None
 
 
+def _required_number(cell: str, lineno: int, column: str) -> float:
+    value = _parse_number(cell, False, lineno, column)
+    if value is None:
+        raise DataError(f"row {lineno}: column {column!r} is not a number: ''")
+    return value
+
+
 def load_penalized_reference(source=None) -> list[PenalizedCase]:
-    _, rows = _fixture_rows(source, "penalized_mean_reference.csv")
+    header, rows = _fixture_rows(source, "penalized_mean_reference.csv")
     cases: list[PenalizedCase] = []
-    for _, row in rows:
+    for lineno, row in rows:
         seq, mean, penalized, geometric = row
         cases.append(
             PenalizedCase(
-                values=tuple(float(v) for v in seq.split(";")),
-                mean=float(mean),
-                penalized=float(penalized),
-                geometric=float(geometric) if geometric else None,
+                values=tuple(_required_number(v.strip(), lineno, header[0])
+                             for v in seq.split(";")),
+                mean=_required_number(mean, lineno, header[1]),
+                penalized=_required_number(penalized, lineno, header[2]),
+                geometric=_parse_number(geometric, False, lineno, header[3]),
             )
         )
     return cases
@@ -690,5 +718,9 @@ def load_penalized_reference(source=None) -> list[PenalizedCase]:
 
 def load_demo_expected(source=None) -> dict[str, tuple[float, float]]:
     """Published (classic-variant, standard) score pairs for the demo countries."""
-    _, rows = _fixture_rows(source, "demo_countries_expected.csv")
-    return {row[0]: (float(row[1]), float(row[2])) for _, row in rows}
+    header, rows = _fixture_rows(source, "demo_countries_expected.csv")
+    return {
+        row[0]: (_required_number(row[1], lineno, header[1]),
+                 _required_number(row[2], lineno, header[2]))
+        for lineno, row in rows
+    }

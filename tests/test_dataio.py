@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from igei import dataio
 from igei.dataio import (
+    OBSERVATION_HEADER,
     load_correlation_reference,
     load_demo_expected,
     load_index_spec,
@@ -697,3 +700,100 @@ def test_empty_fixture_rejected(tmp_path, loader):
     with pytest.raises(DataError) as info:
         loader(path)
     assert str(info.value) == f"reference fixture {path} is empty"
+
+
+# --- numeric cells -------------------------------------------------------------
+
+# a three in the Arabic-Indic, fullwidth, Devanagari, Bengali and Thai scripts:
+# float() and int() read each as 3
+NON_ASCII_DIGITS = "٣３३৩๓"
+
+
+@st.composite
+def spoiled_numbers(draw):
+    """(plain number text, the same text with '_' between two digits or one
+    digit swapped for a non-ASCII one)."""
+    text = f"{draw(st.integers(0, 99))}.{draw(st.integers(0, 999)):03d}"
+    if draw(st.booleans()):
+        gaps = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+        i = draw(st.sampled_from(gaps))
+        return text, text[:i] + "_" + text[i:]
+    i = draw(st.sampled_from([i for i, ch in enumerate(text) if ch.isdigit()]))
+    return text, text[:i] + draw(st.sampled_from(NON_ASCII_DIGITS)) + text[i + 1:]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    number=spoiled_numbers(),
+    table=st.booleans(),
+    decimal_comma=st.booleans(),
+    column=st.sampled_from(["first", "second", "period"]),
+)
+def test_numbers_with_underscores_or_non_ascii_digits_are_refused(
+    tmp_path_factory, number, table, decimal_comma, column
+):
+    assume(not (table and column == "period"))
+    plain, spoiled = number
+    sep = ";" if decimal_comma else ","
+    if decimal_comma:
+        plain, spoiled = plain.replace(".", ","), spoiled.replace(".", ",")
+    if column == "period":
+        # a year: the digits of the number without its separator
+        plain, spoiled = (text.replace(",", "").replace(".", "") for text in (plain, spoiled))
+    path = tmp_path_factory.mktemp("cells") / "cells.csv"
+
+    def load(cell):
+        if table:
+            # a non-ASCII name is no number, and passes
+            cells = [cell, "7"] if column == "first" else ["7", cell]
+            lines = ["territory", "A", "B"], ["Südtirol", *cells]
+            reader = load_score_table
+        else:
+            period, x_w, x_m = "2023", "0.4", "0.6"
+            if decimal_comma:
+                x_w, x_m = "0,4", "0,6"
+            if column == "period":
+                period = cell
+            elif column == "first":
+                x_w = cell
+            else:
+                x_m = cell
+            lines = OBSERVATION_HEADER, ["Südtirol", "G1", period, "standard", x_w, x_m, "", ""]
+            reader = load_observations
+        path.write_text("\n".join(sep.join(line) for line in lines) + "\n", encoding="utf-8")
+        return reader(path, decimal_comma=decimal_comma)
+
+    with pytest.raises(DataError) as info:
+        load(spoiled)
+    if table:
+        name = "A" if column == "first" else "B"
+        assert str(info.value) == f"row 2: column {name!r} is not a number: {spoiled!r}"
+    elif column == "period":
+        assert str(info.value) == f"row 2: period is not an integer: {spoiled!r}"
+    else:
+        name = "x_w" if column == "first" else "x_m"
+        assert str(info.value) == f"row 2: column {name!r} is not a number: {spoiled!r}"
+    loaded = load(plain)
+    if table:
+        assert float(plain.replace(",", ".")) in loaded.rows["Südtirol"]
+    else:
+        assert loaded[0].territory == "Südtirol"
+
+
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        (load_penalized_reference, "sequence,mean,penalized,geometric\n1;2_0,1,1,\n",
+         "row 2: column 'sequence' is not a number: '2_0'"),
+        (load_penalized_reference, "sequence,mean,penalized,geometric\n1;2,1,٣,\n",
+         "row 2: column 'penalized' is not a number: '٣'"),
+        (load_demo_expected, "territory,score_gei,score\nA,1_2,3\n",
+         "row 2: column 'score_gei' is not a number: '1_2'"),
+        (load_demo_expected, "territory,score_gei,score\nA,12,\n",
+         "row 2: column 'score' is not a number: ''"),
+    ],
+)
+def test_fixture_numbers_are_plain(tmp_path, loader, text, message):
+    with pytest.raises(DataError) as info:
+        loader(write(tmp_path, text, name="fixture.csv"))
+    assert str(info.value) == message
