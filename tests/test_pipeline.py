@@ -1,12 +1,14 @@
 import dataclasses
+import math
 import random
+import struct
 from functools import partial
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from igei.dataio import load_observations, bundled_path, load_index_spec
+from igei.dataio import ScoreTable, load_observations, bundled_path, load_index_spec
 from igei.errors import AggregationError, DataError, RecordError, ScoringError, SpecError
 from igei.metrics import MetricKind
 from igei.model import (
@@ -24,6 +26,7 @@ from igei.pipeline import (
     ReferenceLevels,
     aggregate_level,
     aggregate_scores,
+    aggregate_table,
     compute_indicator,
     resolve_references,
     score_territory,
@@ -569,6 +572,106 @@ class TestAggregateScores:
         dom_vals = list(rep.domain_values.values())
         assert min(dom_vals) - 1e-9 <= rep.index <= max(dom_vals) + 1e-9
         assert 0.0 <= rep.index <= 100.0
+
+
+# at and just inside the kernel's [0, 100] tolerance
+EDGE_SCORES = st.sampled_from([0.0, 100.0, 100.0 - 1e-9, 100.0 + 1e-9, -1e-9, 1e-9])
+
+
+@st.composite
+def score_tables(draw, bad=None):
+    """(tree, table): a random tree whose nodes have one, two or more children,
+    and a table of its leaves in shuffled row and column order.
+
+    Rows mix any in-range score, the tolerance's edges and constant rows; a
+    ``bad`` strategy, when given, overwrites one or more cells.
+    """
+    leaf_ids = iter(f"L{k}" for k in range(1000))
+    tree = IndexTree(domains=[
+        Domain(id=f"d{d}", subdomains=[
+            SubDomain(id=f"s{s}", indicators=[
+                next(leaf_ids) for _ in range(draw(st.integers(1, 4)))
+            ])
+            for s in range(draw(st.integers(1, 3)))
+        ])
+        for d in range(draw(st.integers(1, 4)))
+    ])
+    leaves = list(tree.leaf_ids())
+    cell = st.one_of(SCORES, EDGE_SCORES)
+    row = st.one_of(
+        st.lists(cell, min_size=len(leaves), max_size=len(leaves)),
+        cell.map(lambda v: [v] * len(leaves)),
+    )
+    rows = draw(st.lists(row, min_size=0 if bad is None else 1, max_size=6))
+    if bad is not None:
+        cells = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(leaves) - 1), bad)
+        for r, c, value in draw(st.lists(cells, min_size=1, max_size=3)):
+            rows[r][c] = value
+    territories = [f"T{k}" for k in range(len(rows))]
+    order = draw(st.permutations(range(len(rows))))
+    columns = draw(st.permutations(range(len(leaves))))
+    table = ScoreTable(
+        territories=tuple(territories[i] for i in order),
+        indicators=tuple(leaves[j] for j in columns),
+        rows={territories[i]: tuple(rows[i][j] for j in columns) for i in order},
+    )
+    return tree, table
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+class TestAggregateTable:
+    @given(case=score_tables())
+    def test_equals_aggregate_scores_bit_for_bit(self, case):
+        tree, table = case
+        columns = aggregate_table(tree, table)
+        assert columns.territories == table.territories
+        for i, terr in enumerate(table.territories):
+            rep = aggregate_scores(tree, table.row(terr), terr)
+            for got, want in (
+                (columns.indicator_scores, rep.indicator_scores),
+                (columns.subdomain_values, rep.subdomain_values),
+                (columns.domain_values, rep.domain_values),
+            ):
+                assert list(got) == list(want)
+                assert [bits(col[i]) for col in got.values()] == list(map(bits, want.values()))
+            assert bits(columns.index[i]) == bits(rep.index)
+        assert all(
+            len(col) == len(table.territories)
+            for field in (columns.indicator_scores, columns.subdomain_values,
+                          columns.domain_values)
+            for col in field.values()
+        )
+
+    @given(case=score_tables(bad=st.sampled_from(
+        [math.nan, -1.0, -2e-9, 100.0 + 2e-9, 101.0, math.inf, -math.inf]
+    )))
+    def test_refuses_as_the_rows_would(self, case):
+        tree, table = case
+        with pytest.raises(AggregationError) as row_by_row:
+            for terr in table.territories:
+                aggregate_scores(tree, table.row(terr), terr)
+        with pytest.raises(AggregationError) as columnwise:
+            aggregate_table(tree, table)
+        assert str(columnwise.value) == str(row_by_row.value)
+
+    def test_missing_leaf_names_the_first_territory(self, default_spec, indicator_table):
+        _, tree = default_spec
+        kept = [i for i, ind in enumerate(indicator_table.indicators) if ind not in ("G9", "G2")]
+        table = ScoreTable(
+            territories=indicator_table.territories[::-1],
+            indicators=tuple(indicator_table.indicators[i] for i in kept),
+            rows={t: tuple(row[i] for i in kept) for t, row in indicator_table.rows.items()},
+        )
+        with pytest.raises(ScoringError) as info:
+            aggregate_table(tree, table)
+        assert str(info.value) == (
+            f"partial report for {table.territories[0]!r}: missing scores for G2, G9"
+        )
+        empty = aggregate_table(tree, dataclasses.replace(table, territories=(), rows={}))
+        assert empty.index == [] and all(col == [] for col in empty.domain_values.values())
 
 
 class TestIndexTree:
