@@ -185,10 +185,8 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
         return 1, "\n".join(lines) + "\n"
 
     if args.time_series:
-        by_period = [
-            (p, _as_table(reps.values(), tree))
-            for p, reps in sorted(pipeline.score_time_series(dataset, specs, tree, scope=scope).items())
-        ]
+        by_period = sorted(pipeline.score_time_series(dataset, specs, tree, scope=scope).items())
+        by_period = [(p, _as_table(reps.values(), tree)) for p, reps in by_period]
         if args.format == "json":
             return 0, {"command": "score", "scope": scope, "periods": [
                 {"period": p, "reports": _reports_json(table, p)} for p, table in by_period

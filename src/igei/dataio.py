@@ -91,7 +91,7 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
 
 
 def _rows(source, decimal_comma: bool) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, stripped cells) skipping comment and blank lines."""
+    """Yield (line number, cells as written) skipping comment and blank lines."""
     lineno = 0
     with _open_text(source, newline="") as handle:
         reader = enumerate(_reader(handle, decimal_comma), start=1)
@@ -100,7 +100,7 @@ def _rows(source, decimal_comma: bool) -> Iterator[tuple[int, list[str]]]:
                 # the cheap test first: most first cells hold no '#'
                 if not row or ("#" in row[0] and row[0].lstrip().startswith("#")):
                     continue
-                yield lineno, list(map(str.strip, row))
+                yield lineno, row
         except UnicodeDecodeError as exc:
             raise _not_utf8(source, exc) from None
         except csv.Error as exc:  # such as a cell above the csv module's size limit
@@ -291,6 +291,7 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
     rows: dict[str, tuple[float, ...]] = {}
     for lineno, row in _rows(source, decimal_comma):
         if header is None:
+            row = list(map(str.strip, row))
             if len(row) < 2 or row[0] != "territory":
                 raise DataError(
                     f"row {lineno}: score tables start with a 'territory' column"
@@ -303,7 +304,8 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
             raise DataError(
                 f"row {lineno}: expected {len(header) + 1} cells, got {len(row)}"
             )
-        territory, cells = row[0], row[1:]
+        # float() ignores the whitespace around a number; names are stripped
+        territory, cells = row[0].strip(), row[1:]
         if territory in rows:
             raise DataError(f"row {lineno}: duplicate territory {territory!r}")
         try:
@@ -318,7 +320,7 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
             # name the first bad cell, quoting it as written
             checked = []
             for ind, cell in zip(header, cells):
-                value = _parse_number(cell, decimal_comma, lineno, ind)
+                value = _parse_number(cell.strip(), decimal_comma, lineno, ind)
                 if value is None:
                     raise DataError(f"row {lineno}: missing score for {ind!r}")
                 if not 0.0 <= value <= 100.0:
@@ -642,10 +644,10 @@ def validate_dataset(
 def _fixture_rows(
     source, default: str
 ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """Header and remaining (line number, cells) of ``source``, or of a bundled file."""
+    """Header and remaining (line number, stripped cells) of ``source``, or of a bundled file."""
     if source is None:
         source = bundled_path(default)
-    rows = _rows(source, decimal_comma=False)
+    rows = ((lineno, list(map(str.strip, row))) for lineno, row in _rows(source, False))
     first = next(rows, None)
     if first is None:
         raise DataError(f"reference fixture {source} is empty")

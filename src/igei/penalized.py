@@ -128,12 +128,12 @@ def penalized_mean(seq: SequenceLike, polarity: Polarity = Polarity.POSITIVE) ->
     return m - penalty if polarity is Polarity.POSITIVE else m + penalty
 
 
-def _fold_scores(values: list[float]) -> float:
+def _fold_scores(values: Sequence[float]) -> float:
     """Positive-polarity penalized mean of 0-100 scores under uniform weights.
 
     The aggregation kernel for every tree node: bit-identical to
     ``penalized_mean(values)`` on the values it accepts, with none of the
-    per-call unpacking. ``values`` is a non-empty list of floats. The
+    per-call unpacking. ``values`` is a non-empty list or tuple of floats. The
     range check reads the min and max the penalty needs, and one or two
     children take :func:`_fold_two`.
     """

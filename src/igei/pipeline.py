@@ -275,11 +275,11 @@ def _fold_tree(tree: IndexTree, leaves: list, fold: Callable) -> tuple:
     return subdomain_values, domain_values, fold(list(domain_values.values()))
 
 
-def _fold_columns(columns: list[list[float]]) -> list[float]:
+def _fold_columns(columns: list[Sequence[float]]) -> list[float]:
     """:func:`_fold_scores` of each row of equal-length ``columns``."""
     if len(columns) <= 2:
         return list(map(_fold_two, columns[0], columns[-1]))
-    return [_fold_scores(list(row)) for row in zip(*columns)]
+    return list(map(_fold_scores, zip(*columns)))
 
 
 def aggregate_scores(
