@@ -51,9 +51,11 @@ from igei.penalized import (
 )
 from igei.pipeline import (
     ReferenceLevels,
+    TableReport,
     TerritoryReport,
     aggregate_level,
     aggregate_scores,
+    aggregate_table,
     compute_indicator,
     resolve_references,
     score_territory,
