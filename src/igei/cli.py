@@ -82,8 +82,12 @@ def _csv_cell(cell: str) -> str:
     return cell
 
 
-_f2 = "{:.2f}".format
-_f3 = "{:.3f}".format
+def _f2(v: float) -> str:
+    return f"{v:.2f}"
+
+
+def _f3(v: float) -> str:
+    return f"{v:.3f}"
 
 
 def _as_table(reports, tree) -> pipeline.TableReport:

@@ -5,7 +5,7 @@ import struct
 from functools import partial
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igei.dataio import ScoreTable, load_observations, bundled_path, load_index_spec
@@ -623,6 +623,7 @@ def bits(value):
 
 
 class TestAggregateTable:
+    @settings(deadline=None)
     @given(case=score_tables())
     def test_equals_aggregate_scores_bit_for_bit(self, case):
         tree, table = case
@@ -645,6 +646,7 @@ class TestAggregateTable:
             for col in field.values()
         )
 
+    @settings(deadline=None)
     @given(case=score_tables(bad=st.sampled_from(
         [math.nan, -1.0, -2e-9, 100.0 + 2e-9, 101.0, math.inf, -math.inf]
     )))
