@@ -10,6 +10,7 @@ from igei.pipeline import TerritoryReport
 from igei.stats import (
     correlation_matrix,
     descriptive_summary,
+    rank_order,
     rank_table,
 )
 
@@ -299,3 +300,12 @@ class TestRankTable:
         first = [r.territory for r in rank_table(reports)]
         second = [r.territory for r in rank_table(reversed(reports))]
         assert first == second == ["C", "A", "B", "D"]
+
+    def test_rank_order_gives_row_positions_with_the_same_rule(self):
+        # ties break by code point, so 'Zeta' precedes 'alpha'; -0.0 ties 0.0
+        index = [0.0, 50.0, 50.0, 75.0, -0.0, 50.0]
+        territories = ["Nil", "alpha", "Zeta", "Top", "Low", "Beta"]
+        assert rank_order(index, territories) == [3, 5, 2, 1, 4, 0]
+        ranked = rank_table(report_stub(t, v) for t, v in zip(territories, index))
+        assert [r.territory for r in ranked] == [territories[i] for i in [3, 5, 2, 1, 4, 0]]
+        assert rank_order([], []) == []
