@@ -401,21 +401,24 @@ def _deeper_than(root, limit: int) -> bool:
 def _parse_yaml(text: str):
     """The YAML document in ``text``.
 
-    A document the fast loader refuses, or that nests too deep for the
-    pure one, is parsed again by :class:`_PureLoader`, so that a spec
-    error reads the same with or without libyaml.
+    :class:`_PureLoader` parses a text that holds a tab, which PyYAML's
+    own scanner refuses in places where libyaml takes it, and parses
+    again a document the fast loader refuses or that nests too deep for
+    the pure one; so a spec loads, or fails with the same message, with
+    or without libyaml.
     """
-    loader = _UniqueKeyLoader(text)
-    try:
-        node = loader.get_single_node()
-        if node is None:
-            return None
-        if not _deeper_than(node, _FAST_NESTING):
-            return loader.construct_document(node)
-    except Exception:
-        pass  # the pure loader raises the error a spec message quotes
-    finally:
-        loader.dispose()
+    if "\t" not in text:
+        loader = _UniqueKeyLoader(text)
+        try:
+            node = loader.get_single_node()
+            if node is None:
+                return None
+            if not _deeper_than(node, _FAST_NESTING):
+                return loader.construct_document(node)
+        except Exception:
+            pass  # the pure loader raises the error a spec message quotes
+        finally:
+            loader.dispose()
     return yaml.load(text, Loader=_PureLoader)
 
 

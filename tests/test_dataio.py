@@ -458,6 +458,34 @@ class TestSpecLoaders:
             else f"{path}: malformed YAML: nesting is too deep"
         )
 
+    @pytest.mark.parametrize(
+        "entry, where",
+        [
+            ("[\t{domain: d, indicators: [C]}]", "line 1, column 8"),
+            ("[{domain: d,\tindicators: [C]}]", "line 1, column 19"),
+            ("[{domain: d, indicators: [C]}]\t", "line 1, column 37"),
+        ],
+    )
+    def test_tab_reads_as_before(self, tmp_path, entry, where):
+        # libyaml takes these tabs; PyYAML's own scanner refuses them
+        text = f"tree: {entry}\nindicators: {{C: {{metric: capped}}}}\n"
+        assert yaml.load(text, Loader=dataio._UniqueKeyLoader) is not None
+        path = write(tmp_path, text, name="spec.yaml")
+        with pytest.raises(SpecError) as info:
+            load_index_spec(path)
+        assert str(info.value) == (
+            f"{path}: malformed YAML at {where}: "
+            "found character '\\t' that cannot start any token"
+        )
+
+    def test_tab_in_a_quoted_label_loads(self, tmp_path):
+        text = (
+            "tree: [{domain: d, indicators: [C]}]\n"
+            "indicators: {C: {metric: capped, label: 'a\tb'}}\n"
+        )
+        specs, _ = load_index_spec(write(tmp_path, text, name="spec.yaml"))
+        assert specs["C"].label == "a\tb"
+
     def test_aliases_are_walked_once(self):
         # nine levels of ten aliases: a walk that followed each would take 10**9
         # steps; each anchor nests two levels deep, where it first appears
