@@ -372,7 +372,7 @@ class _UniqueKeyLoader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader
 
 # The pure parser recurses once per nesting level and runs out of Python stack
 # a few hundred levels down, where libyaml goes on: a deeper document is left
-# to the pure parser, so that it is refused as before.
+# to the pure parser, so that it is refused with the pure parser's message.
 _FAST_NESTING = 100
 
 
