@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from igei import dataio, pipeline, stats, verify
+from igei import dataio, pipeline, stats
 from igei.errors import IgeiError, StatisticsError
 
 
@@ -283,6 +283,8 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, Output]:
+    from igei import verify  # only verify and demo replay the bundled tables
+
     results = verify.run_verify_checks()
     failures = sum(1 for _, status, _ in results if status == verify.FAIL)
     exit_status = 1 if failures else 0
@@ -302,6 +304,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Output]:
 
 
 def cmd_demo(args: argparse.Namespace) -> tuple[int, Output]:
+    from igei import verify
+
     rows = [
         [rec.territory, f"{rec.x_w:g}", f"{rec.x_m:g}", f"{rec.x_a:g}",
          _f2(classic), _f2(standard)]
