@@ -58,6 +58,8 @@ from igei.pipeline import (
     aggregate_table,
     compute_indicator,
     resolve_references,
+    score_series_tables,
+    score_table,
     score_territory,
     score_time_series,
 )

@@ -90,25 +90,6 @@ def _f3(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _as_table(reports, tree) -> pipeline.TableReport:
-    """The column form of territory reports, in their order."""
-    reports = list(reports)
-    return pipeline.TableReport(
-        territories=[rep.territory for rep in reports],
-        indicator_scores={
-            leaf: [rep.indicator_scores[leaf] for rep in reports] for leaf in tree.leaf_ids()
-        },
-        subdomain_values={
-            key: [rep.subdomain_values[key] for rep in reports]
-            for _, subdomains in tree.fold_plan() for key, _ in subdomains
-        },
-        domain_values={
-            dom.id: [rep.domain_values[dom.id] for rep in reports] for dom in tree.domains
-        },
-        index=[rep.index for rep in reports],
-    )
-
-
 def _reports_json(table: pipeline.TableReport, period: int | None = None) -> list[dict]:
     """Rows best first, at full precision."""
     subdomains = [(f"{d}/{s}", col) for (d, s), col in table.subdomain_values.items()]
@@ -189,8 +170,7 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
         return 1, "\n".join(lines) + "\n"
 
     if args.time_series:
-        by_period = sorted(pipeline.score_time_series(dataset, specs, tree, scope=scope).items())
-        by_period = [(p, _as_table(reps.values(), tree)) for p, reps in by_period]
+        by_period = pipeline.score_series_tables(dataset, specs, tree, scope=scope).items()
         if args.format == "json":
             return 0, {"command": "score", "scope": scope, "periods": [
                 {"period": p, "reports": _reports_json(table, p)} for p, table in by_period
@@ -205,11 +185,8 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
         return 0, [_ranking(table, (f"period {p}", "")) for p, table in by_period]
 
     refs = pipeline.resolve_references(dataset, specs, scope)
-    reports = [
-        pipeline.score_territory(terr, dataset, specs, tree, refs)
-        for terr in dataset.territories
-    ]
-    return 0, _ranked_output(args.format, _as_table(reports, tree), command="score", scope=scope)
+    table = pipeline.score_table(dataset, specs, tree, refs)
+    return 0, _ranked_output(args.format, table, command="score", scope=scope)
 
 
 def cmd_aggregate(args: argparse.Namespace) -> tuple[int, Output]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from math import isnan
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -31,6 +32,7 @@ from igei.metrics import MetricKind
 from igei.model import (
     Correction,
     CorrectionKind,
+    Columns,
     Dataset,
     Domain,
     IndexTree,
@@ -40,6 +42,7 @@ from igei.model import (
     _shown,
     as_dataset,
     external_source,
+    record_problem,
 )
 from igei.penalized import Polarity
 
@@ -165,71 +168,180 @@ class _Interned(dict):
         return value
 
 
+def _cell_values() -> tuple[_Interned, _Interned]:
+    """Cell text -> name, and cell text -> period, for one file.
+
+    Equal names, and equal periods, are one object, whatever the
+    whitespace around them; a period cell that is not an integer raises
+    ValueError.
+    """
+    shared: dict[str, str] = {}
+    ints: dict[int, int] = {}
+
+    def period(cell: str) -> int:
+        value = _period(cell)
+        return ints.setdefault(value, value)
+
+    return _Interned(lambda cell: shared.setdefault(cell.strip(), cell.strip())), _Interned(period)
+
+
 def load_dataset(source, decimal_comma: bool = False) -> Dataset:
     """Read an observation file into a :class:`Dataset`, preserving input order.
 
     Raises :class:`DataError` naming the offending row for malformed
-    cells, for every record that :class:`ObservationRecord` refuses
+    cells, for every record that :class:`ObservationRecord` would refuse
     (unknown kinds, shape violations, out-of-bound values), and for
     duplicate (territory, indicator, period) keys.
+
+    Rows are gathered into one block of columns per indicator, checked a
+    column at a time. A file that fails any of those checks, or that the
+    block path does not read (a decimal comma, a cell it cannot convert),
+    is read again row by row, which names its first fault in file order.
     """
-    lineno = 0
+    if not decimal_comma:
+        try:
+            data = _load_blocks(source)
+        except (ValueError, csv.Error):  # a bad cell; UnicodeDecodeError is a ValueError
+            data = None
+        if data is not None:
+            return data
+    return _load_rows(source, decimal_comma)
+
+
+# rows read between two conversions to columns: the cells of at most this
+# many rows are held as text at once
+_CHUNK_ROWS = 4096
+
+
+def _load_blocks(source) -> Dataset | None:
+    """The dataset of a ``,``-separated file whose every check passes a column at a time.
+
+    None when a check fails; a cell that does not convert raises ValueError.
+    """
     width = len(OBSERVATION_HEADER)
-
-    def records() -> Iterator[ObservationRecord]:
-        nonlocal lineno
-        # one object per distinct territory or indicator name and period of this
-        # file, whatever the whitespace around it; an unknown kind stays text,
-        # for the record to refuse
-        shared: dict[str, str] = {}
-        names = _Interned(lambda cell: shared.setdefault(cell.strip(), cell.strip()))
-        periods = _Interned(_period)
-        kinds = _Interned(lambda cell: _METRIC_KINDS.get(cell.strip(), cell.strip()))
-        with _open_text(source, newline="") as handle:
-            rows = enumerate(_reader(handle, decimal_comma), start=1)
-            try:
-                for lineno, row in rows:
-                    if row and not row[0].lstrip().startswith("#"):
-                        break
-                else:
-                    raise DataError("observation file is empty")
-                header = tuple(map(str.strip, row))
-                if header != OBSERVATION_HEADER:
-                    raise DataError(
-                        f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
-                        f"got {','.join(header)}"
-                    )
-                for lineno, row in rows:
-                    if not row or ("#" in row[0] and row[0].lstrip().startswith("#")):
+    names, periods = _cell_values()
+    # territory names in order of first appearance
+    territories = _Interned(names.__getitem__)
+    # per indicator: the rows read since the last conversion, and its columns
+    groups: dict[str, list[list[str]]] = {}
+    columns: dict[str, list[list]] = {}
+    group_of = _Interned(lambda cell: groups.setdefault(names[cell], []))
+    order = []
+    with _open_text(source, newline="") as handle:
+        rows = _reader(handle, False)
+        for row in rows:
+            if row and not row[0].lstrip().startswith("#"):
+                break
+        else:
+            return None
+        if tuple(map(str.strip, row)) != OBSERVATION_HEADER:
+            return None
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            for row in chunk:
+                if len(row) != width or "#" in row[0]:
+                    if not row or row[0].lstrip().startswith("#"):
                         continue
-                    try:
-                        if decimal_comma or len(row) != width:
-                            raise ValueError  # the per-cell path says why
-                        territory, indicator, period, kind, x_w, x_m, x_a, value = row
-                        period = periods[period]
-                        if not _plain(x_w + x_m + x_a + value):
-                            raise ValueError
-                        x_w = float(x_w) if x_w else None
-                        x_m = float(x_m) if x_m else None
-                        x_a = float(x_a) if x_a else None
-                        value = float(value) if value else None
-                    except ValueError:
-                        territory, indicator, period, kind, x_w, x_m, x_a, value = (
-                            _parse_observation(lineno, row, decimal_comma, periods)
-                        )
-                    yield ObservationRecord(
-                        names[territory], names[indicator], period, kinds[kind],
-                        x_w, x_m, x_a, value,
-                    )
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(source, exc) from None
-            except csv.Error as exc:  # such as a cell above the csv module's size limit
-                raise DataError(f"row {lineno + 1}: {exc}") from None
+                    if len(row) != width:
+                        return None
+                # interned here, so that territories keep their order of first appearance
+                row[0] = territories[row[0]]
+                group = group_of[row[1]]
+                group.append(row)
+                order.append(group)
+            for indicator, group in groups.items():
+                if group:
+                    block = columns.setdefault(indicator, [[] for _ in Columns._fields])
+                    if not _extend_columns(block, group, periods):
+                        return None
+                    group.clear()
+    blocks = {}
+    for indicator, block in columns.items():
+        block = blocks[indicator] = Columns(*map(tuple, block))
+        if not block.well_formed() or len(set(zip(block.territory, block.period))) != len(
+            block.territory
+        ):
+            return None
+    if "" in names.values():
+        return None
+    indicator_of = {id(group): indicator for indicator, group in groups.items()}
+    return Dataset._from_columns(
+        blocks, dict.fromkeys(territories.values()),
+        list(map(indicator_of.__getitem__, map(id, order))),
+    )
 
-    try:
-        return Dataset(records())
-    except RecordError as exc:
-        raise DataError(f"row {lineno}: {exc.problem}") from None
+
+def _extend_columns(block: list[list], rows: list[list[str]], periods: _Interned) -> bool:
+    """Append the converted cells of one indicator's ``rows`` to its columns.
+
+    False for kind cells that name no kind, or several, and for a number
+    cell that is not plain; a cell that does not convert raises ValueError.
+    """
+    territory, _, period_cells, kind_cells, *level_cells = zip(*rows)
+    kinds = {_METRIC_KINDS.get(cell.strip()) for cell in set(kind_cells)}
+    if len(kinds) != 1 or None in kinds:
+        return False
+    n = len(rows)
+    block[0].extend(territory)
+    block[1].extend(map(periods.__getitem__, period_cells))
+    block[2].extend((kinds.pop(),) * n)
+    for cells, column in zip(level_cells, block[3:]):
+        blanks = cells.count("")
+        if blanks == n:
+            column.extend((None,) * n)
+            continue
+        if not _plain("".join(cells)):
+            return False
+        # float() reads the whitespace around a number, but not a blank cell
+        column.extend((float(c) if c else None for c in cells) if blanks else map(float, cells))
+    return True
+
+
+def _load_rows(source, decimal_comma: bool) -> Dataset:
+    """:func:`load_dataset` one row at a time: the first fault in file order, or the dataset."""
+    lineno = 0
+    names, periods = _cell_values()
+    rows: list[tuple] = []
+    keys: set[tuple[str, str, int]] = set()
+    with _open_text(source, newline="") as handle:
+        lines = enumerate(_reader(handle, decimal_comma), start=1)
+        try:
+            for lineno, row in lines:
+                if row and not row[0].lstrip().startswith("#"):
+                    break
+            else:
+                raise DataError("observation file is empty")
+            header = tuple(map(str.strip, row))
+            if header != OBSERVATION_HEADER:
+                raise DataError(
+                    f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
+                    f"got {','.join(header)}"
+                )
+            for lineno, row in lines:
+                if not row or ("#" in row[0] and row[0].lstrip().startswith("#")):
+                    continue
+                territory, indicator, period, kind, *levels = _parse_observation(
+                    lineno, row, decimal_comma, periods
+                )
+                fields = (names[territory], names[indicator], period,
+                          _METRIC_KINDS.get(kind, kind), *levels)
+                problem = record_problem(*fields)
+                if problem:
+                    raise DataError(f"row {lineno}: {problem}")
+                key = fields[:3]
+                if key in keys:
+                    raise DataError(
+                        f"row {lineno}: duplicate observation for territory {key[0]!r}, "
+                        f"indicator {key[1]!r}, period {key[2]}"
+                    )
+                keys.add(key)
+                rows.append(fields)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(source, exc) from None
+        except csv.Error as exc:  # such as a cell above the csv module's size limit
+            raise DataError(f"row {lineno + 1}: {exc}") from None
+    data = Dataset.__new__(Dataset)
+    data._fill(rows)
+    return data
 
 
 def load_observations(source, decimal_comma: bool = False) -> list[ObservationRecord]:
@@ -601,44 +713,67 @@ def validate_dataset(
     """
     data = as_dataset(records)
     findings: set[Finding] = set()
-
-    def add(level: str, code: str, rec_or_pair, message: str) -> None:
-        territory, indicator = (
-            rec_or_pair if isinstance(rec_or_pair, tuple)
-            else (rec_or_pair.territory, rec_or_pair.indicator)
-        )
-        findings.add(Finding(level, code, indicator, territory, message))
-
-    for rec in data:
-        spec = specs.get(rec.indicator)
+    for indicator in data.indicators:
+        block = data.columns(indicator)
+        spec = specs.get(indicator)
         if spec is None:
-            add("warning", "unknown-indicator", rec, "no recipe for this indicator")
-            continue
-        if rec.kind is not spec.metric:
-            add("error", "shape-mismatch", rec,
-                f"expected a {spec.metric.value} observation, got {rec.kind.value}")
-            continue
-        if rec.kind is _STANDARD:
-            if rec.x_a is None and spec.correction.kind is _OWN_AVERAGE:
-                add("error", "missing-total", rec,
-                    "own-average correction needs the x_a column")
-            if rec.x_w == 0 and rec.x_m == 0:
-                add("error", "degenerate", rec,
-                    "both gendered levels are zero; the gap is undefined")
-            if spec.polarity is _NEGATIVE:
-                for name in ("x_w", "x_m", "x_a"):
-                    v = getattr(rec, name)
-                    if v is not None and v > 1.0:
-                        add("error", "out-of-range", rec,
-                            f"negative-polarity indicators are rates; {name}={v} exceeds 1")
+            findings.update(
+                Finding("warning", "unknown-indicator", indicator, terr,
+                        "no recipe for this indicator")
+                for terr in set(block.territory)
+            )
+        elif not _clean_block(spec, block):
+            findings.update(_block_findings(spec, block))
 
     territories = list(scope) if scope is not None else sorted(data.territories)
-    for terr in territories:
-        for ind in specs:
-            if not data.series(terr, ind):
-                add("error", "missing-pair", (terr, ind), "no observation")
+    for ind in specs:
+        recorded = set(data.columns(ind).territory)
+        findings.update(
+            Finding("error", "missing-pair", ind, terr, "no observation")
+            for terr in territories if terr not in recorded
+        )
 
     return ValidationReport(findings=tuple(sorted(findings)))
+
+
+def _clean_block(spec: IndicatorSpec, block: Columns) -> bool:
+    """Whether no row of ``block`` has a finding, tested column by column."""
+    if block.kind.count(spec.metric) != len(block.kind):
+        return False
+    if spec.metric is not _STANDARD:
+        return True
+    if spec.correction.kind is _OWN_AVERAGE and None in block.x_a:
+        return False
+    if 0.0 in block.x_w and 0.0 in block.x_m:
+        return False
+    if spec.polarity is _NEGATIVE:
+        x_a = [v for v in block.x_a if v is not None]
+        return max(block.x_w) <= 1.0 and max(block.x_m) <= 1.0 and (not x_a or max(x_a) <= 1.0)
+    return True
+
+
+def _block_findings(spec: IndicatorSpec, block: Columns) -> Iterator[Finding]:
+    """The findings of each row of ``block``, one row at a time."""
+    ind = spec.id
+    for terr, kind, x_w, x_m, x_a in zip(block.territory, block.kind, block.x_w,
+                                          block.x_m, block.x_a):
+        if kind is not spec.metric:
+            yield Finding("error", "shape-mismatch", ind, terr,
+                          f"expected a {spec.metric.value} observation, got {kind.value}")
+            continue
+        if kind is not _STANDARD:
+            continue
+        if x_a is None and spec.correction.kind is _OWN_AVERAGE:
+            yield Finding("error", "missing-total", ind, terr,
+                          "own-average correction needs the x_a column")
+        if x_w == 0 and x_m == 0:
+            yield Finding("error", "degenerate", ind, terr,
+                          "both gendered levels are zero; the gap is undefined")
+        if spec.polarity is _NEGATIVE:
+            for name, v in (("x_w", x_w), ("x_m", x_m), ("x_a", x_a)):
+                if v is not None and v > 1.0:
+                    yield Finding("error", "out-of-range", ind, terr,
+                                  f"negative-polarity indicators are rates; {name}={v} exceeds 1")
 
 
 # --- bundled reference fixtures --------------------------------------------

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from igei.errors import DataError, RecordError, SpecError
 from igei.metrics import MetricKind
@@ -334,63 +336,162 @@ def _level_problem(levels) -> str:
             return f"{name} must be a finite number, got {v}"
 
 
-class Dataset:
-    """Immutable lookup over observation records keyed by territory/indicator/period.
+class Columns(NamedTuple):
+    """One indicator's observations, one tuple per record field, rows in input order."""
 
-    One index maps each (territory, indicator) pair to the tuple of its
-    records in input order. Construction raises :class:`RecordError` for a
-    repeated (territory, indicator, period) key, in time linear in the
-    records.
+    territory: tuple[str, ...]
+    period: tuple[int, ...]
+    kind: tuple[MetricKind, ...]
+    x_w: tuple[float | None, ...]
+    x_m: tuple[float | None, ...]
+    x_a: tuple[float | None, ...]
+    value: tuple[float | None, ...]
+
+    def well_formed(self) -> bool:
+        """Whether :func:`record_problem` passes every row, tested column by column.
+
+        Names and periods are not tested. A False answer can be cautious
+        (a sum past the float range): the caller then checks row by row.
+        """
+        n, kind = len(self.territory), self.kind[0]
+        if self.kind.count(kind) != n:
+            return False
+        if kind is _STANDARD:
+            if self.value.count(None) != n or None in self.x_w or None in self.x_m:
+                return False
+            x_a = self.x_a if None not in self.x_a else [v for v in self.x_a if v is not None]
+            return _finite(self.x_w, 0.0) and _finite(self.x_m, 0.0) and _finite(x_a, 0.0)
+        if kind.__class__ is not MetricKind or None in self.value:
+            return False
+        if (self.x_w.count(None), self.x_m.count(None), self.x_a.count(None)) != (n, n, n):
+            return False
+        if kind is _SHARE:
+            return _finite(self.value, 0.0) and max(self.value) <= 1.0
+        if kind is _RATIO:
+            return _finite(self.value, 0.0) and 0.0 not in self.value
+        return _finite(self.value, 0.0)
+
+
+def _finite(column, low: float) -> bool:
+    """Whether every level is finite and at least ``low``: a NaN makes the sum NaN."""
+    return not column or (low <= min(column) and sum(column) < _INF)
+
+
+_record_fields = attrgetter(*ObservationRecord.__slots__)
+
+
+class Dataset:
+    """Immutable observations, one block of :class:`Columns` per indicator.
+
+    ``Dataset(records)`` fills the blocks from records and raises
+    :class:`RecordError` for a repeated (territory, indicator, period)
+    key, in time linear in the records. Iteration, :meth:`series` and
+    :meth:`get` read records, built from the blocks on first use and
+    cached; the records given to ``Dataset(records)`` are kept as given.
     """
 
     def __init__(self, records: Iterable[ObservationRecord]):
-        # while building, a pair holds its first record, then a {period: record}
-        # dict in input order, which finds a repeated period in constant time
-        index: dict[tuple[str, str], ObservationRecord | dict | tuple] = {}
-        kept: list[ObservationRecord] = []
-        find, keep = index.get, kept.append
-        for rec in records:
-            pair = (rec.territory, rec.indicator)
-            entry = find(pair)
-            if entry is None:
-                index[pair] = rec
-            else:
-                if entry.__class__ is ObservationRecord:
-                    entry = index[pair] = {entry.period: entry}
-                period = rec.period
-                if period in entry:
-                    duplicate = (
-                        f"duplicate observation for territory {rec.territory!r}, "
-                        f"indicator {rec.indicator!r}, period {period}"
-                    )
-                    raise RecordError(duplicate, duplicate)
-                entry[period] = rec
-            keep(rec)
-        for pair, entry in index.items():
-            # in place, so each dict is freed once its tuple is made
-            index[pair] = (
-                (entry,) if entry.__class__ is ObservationRecord else tuple(entry.values())
-            )
-        self._index: dict[tuple[str, str], tuple[ObservationRecord, ...]] = index
-        self._records = tuple(kept)
-        # a name's first pair comes from its first record: first-appearance order
-        self.territories: tuple[str, ...] = tuple(dict.fromkeys(t for t, _ in index))
-        self.indicators: tuple[str, ...] = tuple(dict.fromkeys(i for _, i in index))
-        self.periods: tuple[int, ...] = tuple(sorted({rec.period for rec in kept}))
+        records = tuple(records)
+        self._fill(list(map(_record_fields, records)), records)
+
+    @classmethod
+    def _from_columns(
+        cls, blocks: dict[str, Columns], territories: Iterable[str], order: list[str]
+    ) -> "Dataset":
+        """A dataset of checked blocks; ``order`` names each input row's indicator."""
+        data = cls.__new__(cls)
+        data._set(blocks, tuple(territories), order, None)
+        return data
+
+    def _fill(self, rows: list[tuple], records: tuple | None = None) -> None:
+        """Fill the blocks from rows of the eight record fields, in input order.
+
+        Raises :class:`RecordError` naming the first row, in input order,
+        whose key an earlier row holds.
+        """
+        groups: dict[str, list[tuple]] = {}
+        for row in rows:
+            group = groups.get(row[1])
+            if group is None:
+                group = groups[row[1]] = []
+            group.append(row)
+        blocks = {}
+        for indicator, group in groups.items():
+            territory, _, period, *rest = zip(*group)
+            if len(set(zip(territory, period))) != len(group):
+                seen: set[tuple] = set()
+                for t, i, p, *_ in rows:
+                    if (t, i, p) in seen:
+                        duplicate = (
+                            f"duplicate observation for territory {t!r}, "
+                            f"indicator {i!r}, period {p}"
+                        )
+                        raise RecordError(duplicate, duplicate)
+                    seen.add((t, i, p))
+            blocks[indicator] = Columns(territory, period, *rest)
+        territories = dict.fromkeys(row[0] for row in rows)
+        order = None if records is not None else [row[1] for row in rows]
+        self._set(blocks, tuple(territories), order, records)
+
+    def _set(self, blocks, territories, order, records) -> None:
+        self._blocks: dict[str, Columns] = blocks
+        self._order: list[str] | None = order
+        self._records: tuple[ObservationRecord, ...] | None = records
+        self._series: dict[tuple[str, str], tuple[ObservationRecord, ...]] | None = None
+        self._row_indexes: dict[tuple[str, bool], dict] = {}
+        self.territories: tuple[str, ...] = territories
+        self.indicators: tuple[str, ...] = tuple(blocks)
+        self.periods: tuple[int, ...] = tuple(
+            sorted(set().union(*(block.period for block in blocks.values())))
+        )
+
+    def columns(self, indicator: str) -> Columns:
+        """The indicator's block; empty when it has no observation."""
+        return self._blocks.get(indicator, _NO_COLUMNS)
+
+    def _row_index(self, indicator: str, by_period: bool) -> dict:
+        """Row of each (territory, period) key of the indicator's block, cached.
+
+        Without ``by_period``, the row of each territory that has one
+        period of the indicator.
+        """
+        index = self._row_indexes.get((indicator, by_period))
+        if index is None:
+            block = self.columns(indicator)
+            keys = zip(block.territory, block.period) if by_period else block.territory
+            index = dict(zip(keys, range(len(block.territory))))
+            if len(index) != len(block.territory):
+                # only a territory can repeat: keys with their periods are unique
+                for territory, count in Counter(block.territory).items():
+                    if count > 1:
+                        del index[territory]
+            self._row_indexes[(indicator, by_period)] = index
+        return index
 
     def __iter__(self) -> Iterator[ObservationRecord]:
+        if self._records is None:
+            built = {
+                indicator: iter([
+                    ObservationRecord(t, indicator, p, k, w, m, a, v)
+                    for t, p, k, w, m, a, v in zip(*block)
+                ])
+                for indicator, block in self._blocks.items()
+            }
+            self._records = tuple(map(next, map(built.__getitem__, self._order)))
+            self._order = None
         return iter(self._records)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(block.territory) for block in self._blocks.values())
 
     def series(self, territory: str, indicator: str) -> tuple[ObservationRecord, ...]:
         """Every period's observation of one territory and indicator, in input order."""
-        return self._index.get((territory, indicator), ())
-
-    def series_lengths(self) -> set[int]:
-        """The distinct numbers of periods recorded per (territory, indicator) pair."""
-        return {len(series) for series in self._index.values()}
+        if self._series is None:
+            series: dict[tuple[str, str], list[ObservationRecord]] = {}
+            for rec in self:
+                series.setdefault((rec.territory, rec.indicator), []).append(rec)
+            self._series = {pair: tuple(recs) for pair, recs in series.items()}
+        return self._series.get((territory, indicator), ())
 
     def get(
         self, territory: str, indicator: str, period: int | None = None
@@ -414,6 +515,9 @@ class Dataset:
                 f"{indicator!r}; pass an explicit period or score as a time series"
             )
         return matches[0]
+
+
+_NO_COLUMNS = Columns((), (), (), (), (), (), ())
 
 
 def as_dataset(records: "Dataset | Iterable[ObservationRecord]") -> Dataset:

@@ -12,6 +12,7 @@ scoring is independent, deterministic, and side-effect free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from igei.errors import AggregationError, IgeiError, MetricInputError, ScoringError
@@ -25,6 +26,7 @@ from igei.metrics import (
     score_standard,
 )
 from igei.model import (
+    Columns,
     CorrectionKind,
     Dataset,
     IndexTree,
@@ -103,26 +105,6 @@ def _correction_source(
     return source.id, spec.correction.source_attr, source.polarity
 
 
-def _source_levels(
-    data: Dataset, territory: str, source_id: str, attr: str, polarity: Polarity
-) -> list[tuple[int, float]]:
-    """(period, working level) of one territory's correction variable, by period."""
-    working = _working_scale(polarity)
-    levels = []
-    try:
-        for rec in data.series(territory, source_id):
-            if (raw := getattr(rec, attr)) is not None:
-                levels.append((rec.period, working(raw)))
-    except MetricInputError as exc:  # a rate above 1 under negative polarity
-        raise ScoringError(
-            f"territory {rec.territory!r}, indicator {rec.indicator!r}, "
-            f"period {rec.period}: {exc}"
-        ) from None
-    if len(levels) > 1:
-        levels.sort()
-    return levels
-
-
 def resolve_references(
     dataset: Dataset | Iterable[ObservationRecord],
     specs: Mapping[str, IndicatorSpec],
@@ -136,8 +118,8 @@ def resolve_references(
     reference across the whole series). Correction base values are
     collected for every territory in the dataset, so territories outside
     the scope can still be scored against the scope's references.
-    Each territory's source observations come from the dataset's
-    per-pair index, so the cost is linear in the records.
+    Each correction reads its source indicator's columns once, so the
+    cost is linear in the records.
     """
     data = as_dataset(dataset)
     scope = list(scope)
@@ -146,29 +128,38 @@ def resolve_references(
     maxima: dict[str, float] = {}
     bases: dict[tuple[str, str, int], float] = {}
     for spec in specs.values():
-        if spec.correction.kind is CorrectionKind.NONE:
+        if spec.correction.kind is _NONE:
             continue
         source_id, attr, source_polarity = _correction_source(spec, specs)
-        external = spec.correction.kind is CorrectionKind.EXTERNAL
-        # external bases cover every territory, and the scope reads from them
-        levels_of = {
-            terr: _source_levels(data, terr, source_id, attr, source_polarity)
-            for terr in (data.territories if external else scope)
-        }
-        scope_values: list[float] = []
-        for terr in scope:
-            levels = levels_of.get(terr)
-            if not levels:
-                raise ScoringError(
-                    f"{spec.id}: no {attr} value of indicator {source_id!r} for "
-                    f"territory {terr!r}; dataset is incomplete"
-                )
-            if not time_mode and len(levels) > 1:
-                raise ScoringError(
-                    f"{spec.id}: territory {terr!r} has {len(levels)} periods for "
-                    f"indicator {source_id!r}; score as a time series"
-                )
-            scope_values.extend(level for _, level in levels)
+        external = spec.correction.kind is not _OWN_AVERAGE
+        block = data.columns(source_id)
+        levels = _column_levels(block, attr, source_polarity, scope, time_mode)
+        if levels is not None:
+            # every territory of the column has one level per period, scope included
+            in_scope = set(scope)
+            if len(in_scope) < len(data.territories):
+                scope_values = [v for t, v in zip(block.territory, levels) if t in in_scope]
+            else:
+                scope_values = levels
+        else:
+            # external bases cover every territory, and the scope reads from them
+            levels_of = _source_levels(
+                block, data.territories if external else scope, source_id, attr, source_polarity
+            )
+            scope_values = []
+            for terr in scope:
+                terr_levels = levels_of.get(terr)
+                if not terr_levels:
+                    raise ScoringError(
+                        f"{spec.id}: no {attr} value of indicator {source_id!r} for "
+                        f"territory {terr!r}; dataset is incomplete"
+                    )
+                if not time_mode and len(terr_levels) > 1:
+                    raise ScoringError(
+                        f"{spec.id}: territory {terr!r} has {len(terr_levels)} periods for "
+                        f"indicator {source_id!r}; score as a time series"
+                    )
+                scope_values.extend(level for _, level in terr_levels)
         reference = max(scope_values)
         if reference <= 0:
             raise ScoringError(
@@ -176,11 +167,53 @@ def resolve_references(
                 f"got {reference}"
             )
         maxima[spec.id] = reference
-        if external:
-            for terr, levels in levels_of.items():
-                for per, level in levels:
+        if not external:
+            continue
+        if levels is not None:
+            bases.update(zip(zip(repeat(spec.id), block.territory, block.period), levels))
+        else:
+            for terr, terr_levels in levels_of.items():
+                for per, level in terr_levels:
                     bases[(spec.id, terr, per)] = level
     return ReferenceLevels(maxima=maxima, bases=bases)
+
+
+def _column_levels(
+    block: Columns, attr: str, polarity: Polarity, scope: Sequence[str], time_mode: bool
+) -> tuple[float, ...] | None:
+    """The working level of each row of ``block``, when every row has one, every
+    scope territory is in it and, unless ``time_mode``, each territory once;
+    else None, and :func:`_source_levels` reads the block territory by territory."""
+    raws = getattr(block, attr)
+    territories = set(block.territory)
+    if None in raws or not territories.issuperset(scope) or (
+        not time_mode and len(territories) != len(raws)
+    ):
+        return None
+    try:
+        return tuple(map(_working_scale(polarity), raws))
+    except MetricInputError:
+        return None
+
+
+def _source_levels(
+    block: Columns, territories: Sequence[str], source_id: str, attr: str, polarity: Polarity
+) -> dict[str, list[tuple[int, float]]]:
+    """(period, working level) of each territory's correction variable, in input order."""
+    levels_of: dict[str, list] = {terr: [] for terr in territories}
+    for terr, per, raw in zip(block.territory, block.period, getattr(block, attr)):
+        if raw is not None and terr in levels_of:
+            levels_of[terr].append((per, raw))
+    working = _working_scale(polarity)
+    for terr, levels in levels_of.items():
+        for i, (per, raw) in enumerate(levels):
+            try:
+                levels[i] = (per, working(raw))
+            except MetricInputError as exc:  # a rate above 1 under negative polarity
+                raise ScoringError(
+                    f"territory {terr!r}, indicator {source_id!r}, period {per}: {exc}"
+                ) from None
+    return levels_of
 
 
 def _alpha(
@@ -353,8 +386,182 @@ def score_territory(
     refs: ReferenceLevels,
     period: int | None = None,
 ) -> TerritoryReport:
-    """Compute every indicator for one territory and aggregate to the final index."""
+    """Compute every indicator for one territory and aggregate to the final index.
+
+    ``period=None`` scores each leaf's one observation of the territory.
+    """
+    table = _walk(as_dataset(dataset), specs, tree, refs, (territory,), (period,))[0]
+    return _report(table, 0, period)
+
+
+def score_table(
+    dataset: Dataset | Iterable[ObservationRecord],
+    specs: Mapping[str, IndicatorSpec],
+    tree: IndexTree,
+    refs: ReferenceLevels,
+    period: int | None = None,
+) -> TableReport:
+    """:func:`score_territory` of every territory of the dataset, as columns.
+
+    Position ``i`` of every column belongs to ``dataset.territories[i]``.
+    """
     data = as_dataset(dataset)
+    return _walk(data, specs, tree, refs, data.territories, (period,))[0]
+
+
+def score_series_tables(
+    dataset: Dataset | Iterable[ObservationRecord],
+    specs: Mapping[str, IndicatorSpec],
+    tree: IndexTree,
+    scope: Sequence[str] | None = None,
+) -> dict[int, TableReport]:
+    """:func:`score_time_series`, with one :class:`TableReport` per period."""
+    data = as_dataset(dataset)
+    if not data.periods:
+        raise ScoringError("dataset has no observations")
+    width = len(data.periods)
+    blocks = list(map(data.columns, data.indicators))
+    # keys are unique, so a pair holds every period exactly when its
+    # indicator holds width rows per territory
+    if any(len(b.territory) != width * len(set(b.territory)) for b in blocks):
+        coverage: dict[int, set[tuple[str, str]]] = {p: set() for p in data.periods}
+        for ind, block in zip(data.indicators, blocks):
+            for terr, per in zip(block.territory, block.period):
+                coverage[per].add((terr, ind))
+        first = coverage[data.periods[0]]
+        differing = next(p for p, pairs in coverage.items() if pairs != first)
+        raise ScoringError(
+            f"inconsistent indicator coverage across periods (period {differing} "
+            f"differs from period {data.periods[0]})"
+        )
+    scope = list(scope) if scope is not None else list(data.territories)
+    refs = resolve_references(data, specs, scope, time_mode=True)
+    tables = _walk(data, specs, tree, refs, data.territories, data.periods)
+    return dict(zip(data.periods, tables))
+
+
+def score_time_series(
+    dataset: Dataset | Iterable[ObservationRecord],
+    specs: Mapping[str, IndicatorSpec],
+    tree: IndexTree,
+    scope: Sequence[str] | None = None,
+) -> dict[int, dict[str, TerritoryReport]]:
+    """Score every period against references frozen over the whole series.
+
+    The reference maximum for each indicator is taken across all scope
+    territories and all periods, so a territory's score trajectory
+    depends only on its own data: identical observations in two periods
+    yield identical scores no matter what other territories do.
+    """
+    return {
+        p: {terr: _report(table, i, p) for i, terr in enumerate(table.territories)}
+        for p, table in score_series_tables(dataset, specs, tree, scope).items()
+    }
+
+
+def _report(table: TableReport, i: int, period: int | None) -> TerritoryReport:
+    """Position ``i`` of every column of ``table``, as a territory report."""
+    return TerritoryReport(
+        territory=table.territories[i],
+        indicator_scores={leaf: col[i] for leaf, col in table.indicator_scores.items()},
+        subdomain_values={key: col[i] for key, col in table.subdomain_values.items()},
+        domain_values={dom: col[i] for dom, col in table.domain_values.items()},
+        index=table.index[i],
+        period=period,
+    )
+
+
+def _walk(
+    data: Dataset,
+    specs: Mapping[str, IndicatorSpec],
+    tree: IndexTree,
+    refs: ReferenceLevels,
+    territories: Sequence[str],
+    periods: Sequence[int | None],
+) -> list[TableReport]:
+    """Score and fold ``territories`` at each of ``periods``, one leaf column at a time.
+
+    Returns one table per period. A period of None reads each pair's one
+    observation. Each leaf's rows are scored by mapping the scalar
+    scorers over the leaf's columns, and each period's leaf columns are
+    folded by :func:`_fold_columns`. On a fault, territories are scored
+    one record at a time in period, territory and leaf order, so the
+    error raised is the first in that order.
+    """
+    leaves = tree.leaf_ids()
+    width = len(periods)
+    # the (territory, period) cells of the tables, periods innermost
+    by_period = periods[0] is not None
+    grid_territories = tuple(t for t in territories for _ in periods)
+    grid_periods = tuple(periods) * len(territories)
+    keys = list(zip(grid_territories, grid_periods)) if by_period else grid_territories
+    try:
+        columns = []
+        for leaf in leaves:
+            block = data.columns(leaf)
+            if block.territory != grid_territories or (by_period and block.period != grid_periods):
+                rows = list(map(data._row_index(leaf, by_period).__getitem__, keys))
+                block = Columns(*(list(map(column.__getitem__, rows)) for column in block))
+            columns.append(_score_column(specs[leaf], block, refs))
+        tables = []
+        for i in range(width):
+            leaf_columns = [column[i::width] for column in columns] if width > 1 else columns
+            subdomain_values, domain_values, index = _fold_tree(tree, leaf_columns, _fold_columns)
+            tables.append(TableReport(
+                territories=territories,
+                indicator_scores=dict(zip(leaves, leaf_columns)),
+                subdomain_values=subdomain_values,
+                domain_values=domain_values,
+                index=index,
+            ))
+    except (IgeiError, KeyError, TypeError):
+        for period in periods:
+            for terr in territories:
+                _score_records(terr, data, specs, tree, refs, period)
+        raise
+    return tables
+
+
+def _score_column(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -> list[float]:
+    """:func:`compute_indicator` of every row of ``block``, in row order.
+
+    Raises on the first row a scorer refuses; the message is the
+    record path's to give.
+    """
+    metric = spec.metric
+    if block.kind.count(metric) != len(block.kind):
+        raise ScoringError(f"{spec.id}: expected {metric.value} observations")
+    working = _working_scale(spec.polarity)
+    correction = spec.correction.kind
+    if correction is _NONE:
+        alphas = repeat(None)
+    else:
+        reference = refs.maxima[spec.id]
+        if correction is _OWN_AVERAGE:
+            sources = map(working, block.x_a)
+        else:
+            sources = map(refs.bases.__getitem__,
+                          zip(repeat(spec.id), block.territory, block.period))
+        alphas = map(correction_coefficient, sources, repeat(reference))
+    if metric is _STANDARD:
+        return list(map(score_standard, map(working, block.x_w), map(working, block.x_m),
+                        alphas))
+    if metric is _SHARE:
+        return list(map(score_share, block.value, alphas))
+    if metric is _RATIO:
+        return list(map(score_ratio, block.value, alphas))
+    return list(map(score_capped, block.value))
+
+
+def _score_records(
+    territory: str,
+    data: Dataset,
+    specs: Mapping[str, IndicatorSpec],
+    tree: IndexTree,
+    refs: ReferenceLevels,
+    period: int | None,
+) -> TerritoryReport:
+    """:func:`score_territory`, one record at a time: the walk's account of a fault."""
     scores: dict[str, float] = {}
     gaps: list[str] = []
     for leaf in tree.leaf_ids():
@@ -372,58 +579,3 @@ def score_territory(
             f"{', '.join(gaps)}"
         )
     return aggregate_scores(tree, scores, territory, period=period)
-
-
-def score_time_series(
-    dataset: Dataset | Iterable[ObservationRecord],
-    specs: Mapping[str, IndicatorSpec],
-    tree: IndexTree,
-    scope: Sequence[str] | None = None,
-) -> dict[int, dict[str, TerritoryReport]]:
-    """Score every period against references frozen over the whole series.
-
-    The reference maximum for each indicator is taken across all scope
-    territories and all periods, so a territory's score trajectory
-    depends only on its own data: identical observations in two periods
-    yield identical scores no matter what other territories do.
-    """
-    data = as_dataset(dataset)
-    if not data.periods:
-        raise ScoringError("dataset has no observations")
-    if data.series_lengths() != {len(data.periods)}:
-        # keys are unique, so some pair misses a period: name the first period
-        # whose coverage differs from the first period's
-        coverage: dict[int, set[tuple[str, str]]] = {p: set() for p in data.periods}
-        for r in data:
-            coverage[r.period].add((r.territory, r.indicator))
-        first = coverage[data.periods[0]]
-        differing = next(p for p, pairs in coverage.items() if pairs != first)
-        raise ScoringError(
-            f"inconsistent indicator coverage across periods (period {differing} "
-            f"differs from period {data.periods[0]})"
-        )
-    scope = list(scope) if scope is not None else list(data.territories)
-    refs = resolve_references(data, specs, scope, time_mode=True)
-    leaves = tree.leaf_ids()
-    reports: dict[int, dict[str, TerritoryReport]] = {p: {} for p in data.periods}
-    try:
-        # the coverage check proves one record per pair and period, so each
-        # territory's series are walked once per leaf, with no keyed lookups
-        for terr in data.territories:
-            scores: dict[int, dict[str, float]] = {p: {} for p in data.periods}
-            for leaf in leaves:
-                spec = specs.get(leaf)
-                if spec is None:
-                    raise ScoringError(f"no indicator spec for tree leaf {leaf!r}")
-                for obs in data.series(terr, leaf):
-                    scores[obs.period][leaf] = compute_indicator(spec, obs, refs)
-            for p, period_scores in scores.items():
-                reports[p][terr] = aggregate_scores(tree, period_scores, terr, period=p)
-    except IgeiError:
-        # name the first fault in period, territory and leaf order, as
-        # scoring period by period does
-        for p in data.periods:
-            for terr in data.territories:
-                score_territory(terr, data, specs, tree, refs, period=p)
-        raise
-    return reports

@@ -131,18 +131,22 @@ class TestScore:
         assert all(len(row) == len(header) for row in rows)
 
     def test_each_record_checked_once(self, capsys, monkeypatch):
-        records = load_observations(DEMO_DATA)
-        checked = []
-        record_problem = model.record_problem
+        # a clean file is checked a column at a time: one check per indicator
+        # block, no record built and no record checked on its own
+        territories = tuple(rec.territory for rec in load_observations(DEMO_DATA))
+        checked, built = [], []
+        well_formed = model.Columns.well_formed
 
-        def counted(*fields):
-            checked.append(fields)
-            return record_problem(*fields)
+        def counted(block):
+            checked.append(block.territory)
+            return well_formed(block)
 
-        monkeypatch.setattr(model, "record_problem", counted)
+        monkeypatch.setattr(model.Columns, "well_formed", counted)
+        monkeypatch.setattr(model, "record_problem", lambda *fields: built.append(fields))
         code, _, _ = run(capsys, "score", "--data", DEMO_DATA, "--spec", DEMO_SPEC)
         assert code == 0
-        assert checked == [dataclasses.astuple(rec) for rec in records]
+        assert checked == [territories]
+        assert built == []
 
     def test_validation_failure_lists_findings(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
