@@ -1,5 +1,8 @@
+import csv
+import io
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -826,3 +829,58 @@ def test_fixture_numbers_are_plain(tmp_path, loader, text, message):
     with pytest.raises(DataError) as info:
         loader(write(tmp_path, text, name="fixture.csv"))
     assert str(info.value) == message
+
+
+# The one grammar of a number cell, with the whitespace around it stripped:
+# ASCII digits, an optional sign, one decimal separator and an optional
+# exponent. The README's "Data formats" section gives the same regex.
+NUMBER = r"[+-]?([0-9]+([.][0-9]*)?|[.][0-9]+)([eE][+-]?[0-9]+)?"
+# text near the grammar: digits of other scripts, '_', both separators,
+# letters of nan and inf, and whitespace that str.strip() removes
+NEAR_NUMBERS = st.text(alphabet="0123456789+-.,eE_ \xa0٣３nafi", max_size=8)
+
+
+@st.composite
+def number_cells(draw, separator):
+    """A cell as written: a grammatical number or text near one, maybe padded."""
+    grammar = NUMBER.replace("[.]", f"[{separator}]")
+    text = draw(st.one_of(st.from_regex(grammar, fullmatch=True), NEAR_NUMBERS))
+    pad = st.sampled_from(["", " ", "\xa0"])
+    return draw(pad) + text + draw(pad)
+
+
+def _accepted(cell: str, separator: str, high: float) -> float | None:
+    """The value of a cell the grammar accepts inside [0, high], else None."""
+    text = cell.strip()
+    if not re.fullmatch(NUMBER.replace("[.]", f"[{separator}]"), text):
+        return None
+    value = float(text.replace(",", "."))
+    return value if 0.0 <= value <= high else None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data(), table=st.booleans(), decimal_comma=st.booleans())
+def test_a_number_cell_is_read_exactly_when_it_fits_the_grammar(
+    tmp_path_factory, data, table, decimal_comma
+):
+    separator = "," if decimal_comma else "."
+    cell = data.draw(number_cells(separator))
+    text = io.StringIO()
+    writer = csv.writer(text, delimiter=";" if decimal_comma else ",", lineterminator="\n")
+    if table:
+        writer.writerows([["territory", "J1"], ["A", cell]])
+    else:
+        writer.writerows([OBSERVATION_HEADER, ["A", "J1", "2023", "capped", "", "", "", cell]])
+    path = tmp_path_factory.mktemp("grammar") / "cells.csv"
+    path.write_text(text.getvalue(), encoding="utf-8")
+    # a score lies in [0, 100], a capped level in [0, inf)
+    expected = _accepted(cell, separator, 100.0 if table else sys.float_info.max)
+    try:
+        if table:
+            value = load_score_table(path, decimal_comma=decimal_comma).rows["A"][0]
+        else:
+            value = load_observations(path, decimal_comma=decimal_comma)[0].value
+    except DataError:
+        assert expected is None, cell
+    else:
+        assert expected is not None and repr(value) == repr(expected), cell
