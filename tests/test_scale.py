@@ -169,11 +169,12 @@ def test_observation_order_does_not_change_scores(capsys, observation_files, ser
     assert len(outputs[0].splitlines()) > TERRITORIES
 
 
-# Bytes a loaded record keeps, index included: with one index of per-pair
-# tuples, records that share their names and period sit near 237 on CPython
-# 3.11; a second index keyed by (territory, indicator, period) kept about
-# 330, and a dict-backed record with its own strings and period about 530.
-KEPT_BYTES_PER_RECORD = 280
+# Bytes a loaded record keeps: one block of columns per indicator, with shared
+# names and periods, sits near 127 on CPython 3.11. A record object per row
+# in one index of per-pair tuples kept about 237, a second index keyed by
+# (territory, indicator, period) about 330, and a dict-backed record with its
+# own strings and period about 530.
+KEPT_BYTES_PER_RECORD = 160
 
 
 def test_loaded_records_are_lean(observation_files):
@@ -237,6 +238,31 @@ def test_table_columns_are_lean(table_files):
         tracemalloc.stop()
     assert len(columns.index) == TERRITORIES
     assert kept / TERRITORIES < KEPT_BYTES_PER_TERRITORY
+
+
+@pytest.mark.parametrize("series", [False, True])
+def test_scoring_builds_no_record(capsys, monkeypatch, observation_files, series):
+    built = []
+    init = ObservationRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ObservationRecord, "__init__", counted)
+    argv = ["score", "--format", "json"] + (["--time-series"] if series else [])
+    path = observation_files["series" if series else "single"][1]
+    assert main(argv + ["--data", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > TERRITORIES
+    assert built == []
+    # records are built when asked for, once
+    data = load_dataset(path)
+    first = data.series(STEADY, "G1")
+    assert len(built) == len(data)
+    assert data.series(STEADY, "G1") is first
+    assert sorted(rec.period for rec in first) == list(PERIODS[:len(first)])
+    assert first[0] is next(rec for rec in data if rec.indicator == "G1" and rec.territory == STEADY)
+    assert len(built) == len(data)
 
 
 def test_unchanged_territory_keeps_its_scores(observation_files):
