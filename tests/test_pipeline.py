@@ -1143,3 +1143,152 @@ class TestScoreTimeSeries:
             ScoringError, match=r"period 2022 differs from period 2021"
         ):
             score_time_series(records, specs, tree)
+
+
+# --- the scoring walk against scoring one record at a time --------------------
+
+LEVEL_STEPS = st.integers(min_value=1, max_value=20).map(lambda k: k / 20)
+
+
+@st.composite
+def walk_cases(draw):
+    """Records of SYNTH_SPECS over 1-4 territories and 1-3 periods, in any
+    order, a scope, and now and then one fault: a negative-polarity rate
+    above 1, a missing leaf, or a pair that lacks a period."""
+    territories = [f"T{i}" for i in range(draw(st.integers(1, 4)))]
+    periods = list(range(2020, 2020 + draw(st.integers(1, 3))))
+    records = []
+    for terr in territories:
+        for period in periods:
+            records += [
+                obs_standard(terr, "J1", draw(LEVEL_STEPS), draw(LEVEL_STEPS),
+                             draw(LEVEL_STEPS), period=period),
+                obs_standard(terr, "J2", draw(LEVEL_STEPS), draw(LEVEL_STEPS),
+                             draw(LEVEL_STEPS), period=period),
+                obs_value(terr, "J3", MetricKind.SHARE, draw(LEVEL_STEPS), period=period),
+                obs_value(terr, "J4", MetricKind.RATIO, 2 * draw(LEVEL_STEPS), period=period),
+                obs_value(terr, "J5", MetricKind.CAPPED, 1.5 * draw(LEVEL_STEPS), period=period),
+            ]
+    fault = draw(st.sampled_from([None, None, "rate", "leaf", "period"]))
+    victim = draw(st.sampled_from(records))
+    if fault == "rate":
+        # one or two cells: which is first depends on the period, then the territory
+        cells = draw(st.lists(st.tuples(st.sampled_from(territories), st.sampled_from(periods)),
+                              min_size=1, max_size=2))
+        records = [
+            dataclasses.replace(rec, x_m=1.2)
+            if rec.indicator == "J2" and (rec.territory, rec.period) in cells else rec
+            for rec in records
+        ]
+    elif fault == "leaf":
+        records = [rec for rec in records
+                   if (rec.territory, rec.indicator) != (victim.territory, victim.indicator)]
+    elif fault == "period":
+        records.remove(victim)
+    # a scope short of every territory can leave an achievement above its reference
+    scope = draw(st.lists(st.sampled_from(territories), min_size=1, unique=True))
+    return draw(st.permutations(records)), scope
+
+
+def record_by_record(records, refs, territories, periods):
+    """TerritoryReports scored one record at a time, in period, territory and
+    leaf order, through compute_indicator and aggregate_scores."""
+    reports = {}
+    for period in periods:
+        for terr in territories:
+            matches = {}
+            for rec in records:
+                if rec.territory == terr and (period is None or rec.period == period):
+                    matches.setdefault(rec.indicator, []).append(rec)
+            scores, gaps = {}, []
+            for leaf in SYNTH_TREE.leaf_ids():
+                found = matches.get(leaf, [])
+                if len(found) > 1:
+                    raise DataError(
+                        f"multiple periods recorded for territory {terr!r}, indicator "
+                        f"{leaf!r}; pass an explicit period or score as a time series"
+                    )
+                if not found:
+                    gaps.append(leaf)
+                    continue
+                scores[leaf] = compute_indicator(SYNTH_SPECS[leaf], found[0], refs)
+            if gaps:
+                raise ScoringError(
+                    f"partial report for {terr!r}: missing observations for {', '.join(gaps)}"
+                )
+            reports[(period, terr)] = aggregate_scores(SYNTH_TREE, scores, terr, period=period)
+    return reports
+
+
+def outcome(call, *args, **kwargs):
+    """repr of the result, or the type and text of the IgeiError raised."""
+    try:
+        return repr(call(*args, **kwargs))
+    except (DataError, ScoringError, AggregationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestScoringWalk:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=walk_cases())
+    def test_score_territory_is_record_by_record(self, case):
+        records, scope = case
+        territories = list(dict.fromkeys(rec.territory for rec in records))
+        periods = sorted({rec.period for rec in records})
+        data = Dataset(records)
+        time_mode = len(periods) > 1
+        refs = outcome(resolve_references, data, SYNTH_SPECS, scope, time_mode=time_mode)
+        if isinstance(refs, tuple):
+            return
+        refs = resolve_references(data, SYNTH_SPECS, scope, time_mode=time_mode)
+        for period in periods + [None]:
+            for terr in territories + ["nowhere"]:
+                expected = outcome(
+                    lambda: record_by_record(records, refs, [terr], [period])[(period, terr)]
+                )
+                got = outcome(score_territory, terr, data, SYNTH_SPECS, SYNTH_TREE, refs,
+                              period=period)
+                assert got == expected, (terr, period)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=walk_cases())
+    def test_score_time_series_is_record_by_record(self, case):
+        records, scope = case
+        territories = list(dict.fromkeys(rec.territory for rec in records))
+        periods = sorted({rec.period for rec in records})
+        coverage = {p: {(r.territory, r.indicator) for r in records if r.period == p}
+                    for p in periods}
+        differing = next((p for p in periods if coverage[p] != coverage[periods[0]]), None)
+
+        def expected():
+            if differing is not None:
+                raise ScoringError(
+                    f"inconsistent indicator coverage across periods (period {differing} "
+                    f"differs from period {periods[0]})"
+                )
+            refs = resolve_references(records, SYNTH_SPECS, scope, time_mode=True)
+            reports = record_by_record(records, refs, territories, periods)
+            return {p: {t: reports[(p, t)] for t in territories} for p in periods}
+
+        assert outcome(score_time_series, records, SYNTH_SPECS, SYNTH_TREE, scope=scope) == (
+            outcome(expected)
+        )
+
+    def test_first_fault_is_first_in_period_then_territory_order(self):
+        # T0 fails in 2021 and T1 in 2020: scoring period by period meets T1 first
+        records = [
+            obs_standard(terr, "J1", 0.5, 0.5, 0.5, period=period)
+            for terr in ("T0", "T1") for period in (2020, 2021)
+        ]
+        records[1] = dataclasses.replace(records[1], x_m=1.2)
+        records[2] = dataclasses.replace(records[2], x_w=1.3)
+        specs = {"J1": spec_standard("J1", polarity=Polarity.NEGATIVE)}
+        tree = IndexTree(
+            domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)
+        )
+        with pytest.raises(ScoringError) as info:
+            score_time_series(records, specs, tree)
+        assert str(info.value) == (
+            "territory 'T1', indicator 'J1', period 2020: "
+            "polarity inversion is only defined for rates, got 1.3"
+        )
