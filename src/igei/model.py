@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -438,7 +437,6 @@ class Dataset:
         self._order: list[str] | None = order
         self._records: tuple[ObservationRecord, ...] | None = records
         self._series: dict[tuple[str, str], tuple[ObservationRecord, ...]] | None = None
-        self._row_indexes: dict[tuple[str, bool], dict] = {}
         self.territories: tuple[str, ...] = territories
         self.indicators: tuple[str, ...] = tuple(blocks)
         self.periods: tuple[int, ...] = tuple(
@@ -448,25 +446,6 @@ class Dataset:
     def columns(self, indicator: str) -> Columns:
         """The indicator's block; empty when it has no observation."""
         return self._blocks.get(indicator, _NO_COLUMNS)
-
-    def _row_index(self, indicator: str, by_period: bool) -> dict:
-        """Row of each (territory, period) key of the indicator's block, cached.
-
-        Without ``by_period``, the row of each territory that has one
-        period of the indicator.
-        """
-        index = self._row_indexes.get((indicator, by_period))
-        if index is None:
-            block = self.columns(indicator)
-            keys = zip(block.territory, block.period) if by_period else block.territory
-            index = dict(zip(keys, range(len(block.territory))))
-            if len(index) != len(block.territory):
-                # only a territory can repeat: keys with their periods are unique
-                for territory, count in Counter(block.territory).items():
-                    if count > 1:
-                        del index[territory]
-            self._row_indexes[(indicator, by_period)] = index
-        return index
 
     def __iter__(self) -> Iterator[ObservationRecord]:
         if self._records is None:

@@ -128,38 +128,29 @@ def resolve_references(
     maxima: dict[str, float] = {}
     bases: dict[tuple[str, str, int], float] = {}
     for spec in specs.values():
-        if spec.correction.kind is _NONE:
+        if spec.correction.kind is CorrectionKind.NONE:
             continue
         source_id, attr, source_polarity = _correction_source(spec, specs)
-        external = spec.correction.kind is not _OWN_AVERAGE
-        block = data.columns(source_id)
-        levels = _column_levels(block, attr, source_polarity, scope, time_mode)
-        if levels is not None:
-            # every territory of the column has one level per period, scope included
-            in_scope = set(scope)
-            if len(in_scope) < len(data.territories):
-                scope_values = [v for t, v in zip(block.territory, levels) if t in in_scope]
-            else:
-                scope_values = levels
-        else:
-            # external bases cover every territory, and the scope reads from them
-            levels_of = _source_levels(
-                block, data.territories if external else scope, source_id, attr, source_polarity
-            )
-            scope_values = []
-            for terr in scope:
-                terr_levels = levels_of.get(terr)
-                if not terr_levels:
-                    raise ScoringError(
-                        f"{spec.id}: no {attr} value of indicator {source_id!r} for "
-                        f"territory {terr!r}; dataset is incomplete"
-                    )
-                if not time_mode and len(terr_levels) > 1:
-                    raise ScoringError(
-                        f"{spec.id}: territory {terr!r} has {len(terr_levels)} periods for "
-                        f"indicator {source_id!r}; score as a time series"
-                    )
-                scope_values.extend(level for _, level in terr_levels)
+        external = spec.correction.kind is CorrectionKind.EXTERNAL
+        # external bases cover every territory, and the scope reads from them
+        levels_of = _source_levels(
+            data.columns(source_id), data.territories if external else scope,
+            source_id, attr, source_polarity,
+        )
+        scope_values: list[float] = []
+        for terr in scope:
+            levels = levels_of.get(terr)
+            if not levels:
+                raise ScoringError(
+                    f"{spec.id}: no {attr} value of indicator {source_id!r} for "
+                    f"territory {terr!r}; dataset is incomplete"
+                )
+            if not time_mode and len(levels) > 1:
+                raise ScoringError(
+                    f"{spec.id}: territory {terr!r} has {len(levels)} periods for "
+                    f"indicator {source_id!r}; score as a time series"
+                )
+            scope_values.extend(level for _, level in levels)
         reference = max(scope_values)
         if reference <= 0:
             raise ScoringError(
@@ -167,33 +158,11 @@ def resolve_references(
                 f"got {reference}"
             )
         maxima[spec.id] = reference
-        if not external:
-            continue
-        if levels is not None:
-            bases.update(zip(zip(repeat(spec.id), block.territory, block.period), levels))
-        else:
-            for terr, terr_levels in levels_of.items():
-                for per, level in terr_levels:
+        if external:
+            for terr, levels in levels_of.items():
+                for per, level in levels:
                     bases[(spec.id, terr, per)] = level
     return ReferenceLevels(maxima=maxima, bases=bases)
-
-
-def _column_levels(
-    block: Columns, attr: str, polarity: Polarity, scope: Sequence[str], time_mode: bool
-) -> tuple[float, ...] | None:
-    """The working level of each row of ``block``, when every row has one, every
-    scope territory is in it and, unless ``time_mode``, each territory once;
-    else None, and :func:`_source_levels` reads the block territory by territory."""
-    raws = getattr(block, attr)
-    territories = set(block.territory)
-    if None in raws or not territories.issuperset(scope) or (
-        not time_mode and len(territories) != len(raws)
-    ):
-        return None
-    try:
-        return tuple(map(_working_scale(polarity), raws))
-    except MetricInputError:
-        return None
 
 
 def _source_levels(
@@ -378,35 +347,17 @@ def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
     )
 
 
-def score_territory(
-    territory: str,
-    dataset: Dataset | Iterable[ObservationRecord],
-    specs: Mapping[str, IndicatorSpec],
-    tree: IndexTree,
-    refs: ReferenceLevels,
-    period: int | None = None,
-) -> TerritoryReport:
-    """Compute every indicator for one territory and aggregate to the final index.
-
-    ``period=None`` scores each leaf's one observation of the territory.
-    """
-    table = _walk(as_dataset(dataset), specs, tree, refs, (territory,), (period,))[0]
-    return _report(table, 0, period)
-
-
 def score_table(
     dataset: Dataset | Iterable[ObservationRecord],
     specs: Mapping[str, IndicatorSpec],
     tree: IndexTree,
     refs: ReferenceLevels,
-    period: int | None = None,
 ) -> TableReport:
     """:func:`score_territory` of every territory of the dataset, as columns.
 
     Position ``i`` of every column belongs to ``dataset.territories[i]``.
     """
-    data = as_dataset(dataset)
-    return _walk(data, specs, tree, refs, data.territories, (period,))[0]
+    return _walk(as_dataset(dataset), specs, tree, refs, (None,))[0]
 
 
 def score_series_tables(
@@ -436,7 +387,7 @@ def score_series_tables(
         )
     scope = list(scope) if scope is not None else list(data.territories)
     refs = resolve_references(data, specs, scope, time_mode=True)
-    tables = _walk(data, specs, tree, refs, data.territories, data.periods)
+    tables = _walk(data, specs, tree, refs, data.periods)
     return dict(zip(data.periods, tables))
 
 
@@ -476,18 +427,15 @@ def _walk(
     specs: Mapping[str, IndicatorSpec],
     tree: IndexTree,
     refs: ReferenceLevels,
-    territories: Sequence[str],
     periods: Sequence[int | None],
 ) -> list[TableReport]:
-    """Score and fold ``territories`` at each of ``periods``, one leaf column at a time.
+    """One table per period of every territory, scored and folded a leaf column at a time.
 
-    Returns one table per period. A period of None reads each pair's one
-    observation. Each leaf's rows are scored by mapping the scalar
-    scorers over the leaf's columns, and each period's leaf columns are
-    folded by :func:`_fold_columns`. On a fault, territories are scored
-    one record at a time in period, territory and leaf order, so the
-    error raised is the first in that order.
+    A period of None reads each pair's one observation. On a fault,
+    :func:`score_territory` replays the territories in period, territory
+    and leaf order, so the error raised is the first in that order.
     """
+    territories = data.territories
     leaves = tree.leaf_ids()
     width = len(periods)
     # the (territory, period) cells of the tables, periods innermost
@@ -500,7 +448,11 @@ def _walk(
         for leaf in leaves:
             block = data.columns(leaf)
             if block.territory != grid_territories or (by_period and block.period != grid_periods):
-                rows = list(map(data._row_index(leaf, by_period).__getitem__, keys))
+                row_of = dict(zip(zip(block.territory, block.period) if by_period
+                                  else block.territory, range(len(block.territory))))
+                if len(row_of) != len(block.territory):  # a pair with several periods
+                    raise KeyError(leaf)
+                rows = list(map(row_of.__getitem__, keys))
                 block = Columns(*(list(map(column.__getitem__, rows)) for column in block))
             columns.append(_score_column(specs[leaf], block, refs))
         tables = []
@@ -517,7 +469,7 @@ def _walk(
     except (IgeiError, KeyError, TypeError):
         for period in periods:
             for terr in territories:
-                _score_records(terr, data, specs, tree, refs, period)
+                score_territory(terr, data, specs, tree, refs, period)
         raise
     return tables
 
@@ -553,15 +505,19 @@ def _score_column(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) ->
     return list(map(score_capped, block.value))
 
 
-def _score_records(
+def score_territory(
     territory: str,
-    data: Dataset,
+    dataset: Dataset | Iterable[ObservationRecord],
     specs: Mapping[str, IndicatorSpec],
     tree: IndexTree,
     refs: ReferenceLevels,
-    period: int | None,
+    period: int | None = None,
 ) -> TerritoryReport:
-    """:func:`score_territory`, one record at a time: the walk's account of a fault."""
+    """Compute every indicator for one territory and aggregate to the final index.
+
+    Scores one record at a time, so the walk replays it to name a fault.
+    """
+    data = as_dataset(dataset)
     scores: dict[str, float] = {}
     gaps: list[str] = []
     for leaf in tree.leaf_ids():
