@@ -222,3 +222,37 @@ def test_loader_matches_the_row_reader(scratch, case):
     assert list(data.territories) == list(dict.fromkeys(rec.territory for rec in expected))
     assert list(data.indicators) == list(dict.fromkeys(rec.indicator for rec in expected))
     assert list(data.periods) == sorted({rec.period for rec in expected})
+
+
+@pytest.mark.parametrize("fault", [None, "x_w", "duplicate"])
+def test_a_long_file_matches_the_row_reader(tmp_path, fault):
+    # over 10,000 rows, read a few thousand at a time: every indicator's rows
+    # span several reads, and a fault in the last rows is still named
+    lines = [",".join(OBSERVATION_HEADER)]
+    for i in range(2600):
+        terr = f"T{i % 1300}"
+        period = 2020 + i // 1300
+        lines += [
+            f"{terr},J1,{period},standard,0.{i % 9 + 1},0.5,0.4,",
+            f"{terr},J2,{period},share,,,,0.{i % 7}",
+            f"# comment {i}" if i % 97 == 0 else "",
+            f"{terr},J3,{period},capped,,,,{i % 5}.5",
+        ]
+    if fault == "x_w":
+        lines[-4] = lines[-4].replace(",0.", ",-0.", 1)
+    elif fault == "duplicate":
+        lines.append(lines[1])
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        expected, _ = reference_load(text, False)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == str(exc) and fault
+        return
+    data = load_dataset(path)
+    assert fault is None
+    assert [repr(rec) for rec in data] == [repr(rec) for rec in expected]
+    assert list(data.territories) == [f"T{i}" for i in range(1300)]
