@@ -352,7 +352,10 @@ class Columns(NamedTuple):
         Names and periods are not tested. A False answer can be cautious
         (a sum past the float range): the caller then checks row by row.
         """
-        n, kind = len(self.territory), self.kind[0]
+        n = len(self.territory)
+        if not n:
+            return True
+        kind = self.kind[0]
         if self.kind.count(kind) != n:
             return False
         if kind is _STANDARD:
