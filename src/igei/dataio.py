@@ -27,7 +27,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
-from igei.errors import DataError, RecordError, SpecError
+from igei.errors import DataError, SpecError
 from igei.metrics import MetricKind
 from igei.model import (
     Correction,

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
