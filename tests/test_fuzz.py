@@ -11,7 +11,7 @@ import math
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from igei import metrics
@@ -20,6 +20,7 @@ from igei.dataio import OBSERVATION_HEADER, load_dataset, load_index_spec, load_
 from igei.errors import IgeiError, RecordError
 from igei.metrics import MetricKind
 from igei.model import (
+    Columns,
     Correction,
     CorrectionKind,
     Domain,
@@ -218,6 +219,31 @@ def test_record_refused_exactly_when_the_rule_finds_a_fault(fields, field, new):
         assert exc.problem == problem is not None
     else:
         assert problem is None
+
+
+# levels whose sums stay finite, so that the column rule has no cause for caution
+LEVEL = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0, 1.5, math.nan, math.inf, -math.inf]),
+                  st.floats(min_value=-1e300, max_value=1e300))
+
+
+# a row shaped as its kind, or not
+ROW_LEVELS = st.one_of(
+    st.tuples(LEVEL, LEVEL, LEVEL, LEVEL),
+    st.tuples(st.none(), st.none(), st.none(), LEVEL),
+    st.tuples(LEVEL, LEVEL, LEVEL, st.none()),
+)
+
+
+@FUZZ
+@given(rows=st.lists(ROW_LEVELS, min_size=1, max_size=3),
+       kind=st.one_of(st.sampled_from(MetricKind), st.sampled_from(["std", "share"])))
+@example(rows=[(None, None, None, 1.0)], kind="std")
+def test_the_column_rule_is_the_record_rule(rows, kind):
+    n = len(rows)
+    block = Columns(("X",) * n, (2023,) * n, (kind,) * n, *zip(*rows))
+    assert block.well_formed() == all(
+        record_problem("X", "J1", 2023, kind, *row) is None for row in rows
+    )
 
 
 # --- library constructors and numeric functions -----------------------------

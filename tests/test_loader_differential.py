@@ -112,8 +112,10 @@ SHAPES = {
     "standard": st.tuples(st.sampled_from(POSITIVE + ["0"]), st.sampled_from(POSITIVE),
                           st.sampled_from(POSITIVE + ["0", ""]), st.just("")),
     "share": st.tuples(st.just(""), st.just(""), st.just(""),
-                       st.sampled_from(["0.5", "0.25", "1", "0", " 0.4 "])),
-    "ratio": st.tuples(st.just(""), st.just(""), st.just(""), st.sampled_from(POSITIVE)),
+                       st.sampled_from(["0.5", "0.25", "1", "0", "-0", " 0.4 ", "1.5"])),
+    # a ratio of 0 and a share above 1 are refused; -0 is a level of 0
+    "ratio": st.tuples(st.just(""), st.just(""), st.just(""),
+                       st.sampled_from(POSITIVE + ["0", "-0"])),
     "capped": st.tuples(st.just(""), st.just(""), st.just(""),
                         st.sampled_from(POSITIVE + ["0"])),
 }
@@ -256,3 +258,48 @@ def test_a_long_file_matches_the_row_reader(tmp_path, fault):
     assert fault is None
     assert [repr(rec) for rec in data] == [repr(rec) for rec in expected]
     assert list(data.territories) == [f"T{i}" for i in range(1300)]
+
+
+@pytest.mark.parametrize("bad", [
+    "C,R,2023,ratio,,,,0",
+    "C,R,2023,ratio,,,,-0",
+    "C,S,2023,share,,,,1.5",
+    "C,S,2023,share,,,,nan",
+    "C,S,2023,share,,,,-0.25",
+    "C,K,2023,capped,,,,inf",
+    "C,K,2023,capped,,,,nan",
+    "C,K,2023,capped,0.5,,,1",
+    "C,K,2023,capped,,,,",
+    "C,W,2023,standard,0.5,nan,0.5,",
+    "C,W,2023,standard,0.5,0.5,1e400,",
+    "C,W,2023,standard,0.5,-1,,",
+    "C,W,2023,standard,0.5,,0.5,",
+    "C,W,2023,standard,0.5,0.5,0.5,1",
+    "C,W,2023,share,,,,0.5",
+    "C,W,2023,std,0.5,0.5,0.5,",
+    ",W,2023,standard,0.5,0.5,0.5,",
+    "A,W,2023,standard,0.5,0.5,0.5,",
+])
+def test_a_fault_in_a_clean_file_is_named(tmp_path, bad):
+    # the fault sits after valid rows of its indicator, so no column check
+    # can pass it over for being first; a share row among standard ones is
+    # no fault of the file, and loads
+    good = [
+        "A,R,2023,ratio,,,,0.5", "B,R,2023,ratio,,,,2",
+        "A,S,2023,share,,,,0.5", "B,S,2023,share,,,,1",
+        "A,K,2023,capped,,,,1.5", "B,K,2023,capped,,,,0",
+        "A,W,2023,standard,0.5,0.5,0.5,", "B,W,2023,standard,0,0.25,,",
+    ]
+    text = "\n".join([",".join(OBSERVATION_HEADER), *good, bad]) + "\n"
+    path = tmp_path / "obs.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        expected = [repr(rec) for rec in reference_load(text, False)[0]]
+    except DataError as exc:
+        expected = str(exc)
+    try:
+        got = [repr(rec) for rec in load_dataset(path)]
+    except DataError as exc:
+        got = str(exc)
+    assert got == expected
+
