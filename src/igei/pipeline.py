@@ -515,6 +515,9 @@ def _score_column(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) ->
         raise ScoringError(f"{spec.id}: expected {metric.value} observations")
     working = _working_scale(spec.polarity)
     correction = spec.correction.kind
+    if metric is _STANDARD and correction is not _OWN_AVERAGE:
+        # compute_indicator puts the total on the working scale whatever the correction
+        list(map(working, [total for total in block.x_a if total is not None]))
     if correction is _NONE:
         alphas = repeat(None)
     else:

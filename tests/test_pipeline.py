@@ -29,6 +29,7 @@ from igei.pipeline import (
     aggregate_table,
     compute_indicator,
     resolve_references,
+    score_table,
     score_territory,
     score_time_series,
 )
@@ -1154,7 +1155,15 @@ LEVEL_STEPS = st.integers(min_value=1, max_value=20).map(lambda k: k / 20)
 def walk_cases(draw):
     """Records of SYNTH_SPECS over 1-4 territories and 1-3 periods, in any
     order, a scope, and now and then one fault: a negative-polarity rate
-    above 1, a missing leaf, or a pair that lacks a period."""
+    above 1, a missing leaf, or a pair that lacks a period. The specs are
+    SYNTH_SPECS with the negative-polarity J2 corrected by its own average,
+    not at all, or by J1's total."""
+    correction = draw(st.sampled_from([
+        Correction("own_average"), Correction("none"),
+        Correction("external", indicator="J1", field="total"),
+    ]))
+    specs = {**SYNTH_SPECS,
+             "J2": spec_standard("J2", polarity=Polarity.NEGATIVE, correction=correction)}
     territories = [f"T{i}" for i in range(draw(st.integers(1, 4)))]
     periods = list(range(2020, 2020 + draw(st.integers(1, 3))))
     records = []
@@ -1175,8 +1184,10 @@ def walk_cases(draw):
         # one or two cells: which is first depends on the period, then the territory
         cells = draw(st.lists(st.tuples(st.sampled_from(territories), st.sampled_from(periods)),
                               min_size=1, max_size=2))
+        # a total above 1 fails whatever the correction: scoring puts it on the working scale
+        level = draw(st.sampled_from(["x_m", "x_a"]))
         records = [
-            dataclasses.replace(rec, x_m=1.2)
+            dataclasses.replace(rec, **{level: 1.2})
             if rec.indicator == "J2" and (rec.territory, rec.period) in cells else rec
             for rec in records
         ]
@@ -1187,10 +1198,22 @@ def walk_cases(draw):
         records.remove(victim)
     # a scope short of every territory can leave an achievement above its reference
     scope = draw(st.lists(st.sampled_from(territories), min_size=1, unique=True))
-    return draw(st.permutations(records)), scope
+    return draw(st.permutations(records)), scope, specs
 
 
-def record_by_record(records, refs, territories, periods):
+# a clean dataset but for a negative-polarity total above 1 on a leaf that is
+# not corrected by its own average: drawn cases rarely lack other faults
+TOTAL_FAULT_CASE = (
+    [obs_standard("T0", "J1", 0.5, 0.5, 0.5), obs_standard("T0", "J2", 0.5, 0.5, 1.2),
+     obs_value("T0", "J3", MetricKind.SHARE, 0.5), obs_value("T0", "J4", MetricKind.RATIO, 1.0),
+     obs_value("T0", "J5", MetricKind.CAPPED, 0.5)],
+    ["T0"],
+    {**SYNTH_SPECS, "J2": spec_standard("J2", polarity=Polarity.NEGATIVE,
+                                        correction=Correction("none"))},
+)
+
+
+def record_by_record(records, specs, refs, territories, periods):
     """TerritoryReports scored one record at a time, in period, territory and
     leaf order, through compute_indicator and aggregate_scores."""
     reports = {}
@@ -1211,13 +1234,32 @@ def record_by_record(records, refs, territories, periods):
                 if not found:
                     gaps.append(leaf)
                     continue
-                scores[leaf] = compute_indicator(SYNTH_SPECS[leaf], found[0], refs)
+                scores[leaf] = compute_indicator(specs[leaf], found[0], refs)
             if gaps:
                 raise ScoringError(
                     f"partial report for {terr!r}: missing observations for {', '.join(gaps)}"
                 )
             reports[(period, terr)] = aggregate_scores(SYNTH_TREE, scores, terr, period=period)
     return reports
+
+
+def as_columns(reports):
+    """The values of TerritoryReports or of a TableReport, one list per tree node."""
+    if isinstance(reports, list):
+        return {
+            "territories": [rep.territory for rep in reports],
+            "index": [rep.index for rep in reports],
+            **{node: [getattr(rep, field)[node] for rep in reports]
+               for field in ("indicator_scores", "subdomain_values", "domain_values")
+               for node in getattr(reports[0], field)},
+        }
+    return {
+        "territories": list(reports.territories),
+        "index": list(reports.index),
+        **{node: list(column)
+           for field in ("indicator_scores", "subdomain_values", "domain_values")
+           for node, column in getattr(reports, field).items()},
+    }
 
 
 def outcome(call, *args, **kwargs):
@@ -1231,29 +1273,40 @@ def outcome(call, *args, **kwargs):
 class TestScoringWalk:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(case=walk_cases())
+    @example(case=TOTAL_FAULT_CASE)
     def test_score_territory_is_record_by_record(self, case):
-        records, scope = case
+        records, scope, specs = case
         territories = list(dict.fromkeys(rec.territory for rec in records))
         periods = sorted({rec.period for rec in records})
         data = Dataset(records)
         time_mode = len(periods) > 1
-        refs = outcome(resolve_references, data, SYNTH_SPECS, scope, time_mode=time_mode)
+        refs = outcome(resolve_references, data, specs, scope, time_mode=time_mode)
         if isinstance(refs, tuple):
             return
-        refs = resolve_references(data, SYNTH_SPECS, scope, time_mode=time_mode)
+        refs = resolve_references(data, specs, scope, time_mode=time_mode)
         for period in periods + [None]:
             for terr in territories + ["nowhere"]:
                 expected = outcome(
-                    lambda: record_by_record(records, refs, [terr], [period])[(period, terr)]
+                    lambda: record_by_record(records, specs, refs, [terr], [period])[
+                        (period, terr)]
                 )
-                got = outcome(score_territory, terr, data, SYNTH_SPECS, SYNTH_TREE, refs,
+                got = outcome(score_territory, terr, data, specs, SYNTH_TREE, refs,
                               period=period)
                 assert got == expected, (terr, period)
+        if len(periods) == 1:
+            # score_table is the walk's one-period case
+            expected = outcome(lambda: as_columns(
+                list(record_by_record(records, specs, refs, territories, [None]).values())
+            ))
+            assert outcome(lambda: as_columns(score_table(data, specs, SYNTH_TREE, refs))) == (
+                expected
+            )
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(case=walk_cases())
+    @example(case=TOTAL_FAULT_CASE)
     def test_score_time_series_is_record_by_record(self, case):
-        records, scope = case
+        records, scope, specs = case
         territories = list(dict.fromkeys(rec.territory for rec in records))
         periods = sorted({rec.period for rec in records})
         coverage = {p: {(r.territory, r.indicator) for r in records if r.period == p}
@@ -1266,11 +1319,11 @@ class TestScoringWalk:
                     f"inconsistent indicator coverage across periods (period {differing} "
                     f"differs from period {periods[0]})"
                 )
-            refs = resolve_references(records, SYNTH_SPECS, scope, time_mode=True)
-            reports = record_by_record(records, refs, territories, periods)
+            refs = resolve_references(records, specs, scope, time_mode=True)
+            reports = record_by_record(records, specs, refs, territories, periods)
             return {p: {t: reports[(p, t)] for t in territories} for p in periods}
 
-        assert outcome(score_time_series, records, SYNTH_SPECS, SYNTH_TREE, scope=scope) == (
+        assert outcome(score_time_series, records, specs, SYNTH_TREE, scope=scope) == (
             outcome(expected)
         )
 
@@ -1292,3 +1345,25 @@ class TestScoringWalk:
             "territory 'T1', indicator 'J1', period 2020: "
             "polarity inversion is only defined for rates, got 1.3"
         )
+
+    @pytest.mark.parametrize("correction", [
+        Correction("none"), Correction("external", indicator="J0", field="women"),
+    ])
+    def test_a_total_above_one_fails_whatever_the_correction(self, correction):
+        records = [obs_standard(terr, ind, 0.5, 0.5, 0.5) for terr in ("T0", "T1")
+                   for ind in ("J0", "J1")]
+        records[3] = dataclasses.replace(records[3], x_a=1.2)
+        specs = {"J0": spec_standard("J0"),
+                 "J1": spec_standard("J1", polarity=Polarity.NEGATIVE, correction=correction)}
+        tree = IndexTree(
+            domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J0", "J1")),)),)
+        )
+        refs = resolve_references(records, specs, ["T0", "T1"])
+        message = ("territory 'T1', indicator 'J1', period 2023: "
+                   "polarity inversion is only defined for rates, got 1.2")
+        for score in (lambda: score_territory("T1", records, specs, tree, refs),
+                      lambda: score_table(records, specs, tree, refs),
+                      lambda: score_time_series(records, specs, tree)):
+            with pytest.raises(ScoringError) as info:
+                score()
+            assert str(info.value) == message
