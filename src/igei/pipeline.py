@@ -133,16 +133,6 @@ def resolve_references(
         source_id, attr, source_polarity = _correction_source(spec, specs)
         external = spec.correction.kind is CorrectionKind.EXTERNAL
         block = data.columns(source_id)
-        levels = _column_levels(block, attr, source_polarity, scope, time_mode)
-        if levels is not None:
-            # every territory has a level in each of its rows, the scope's included
-            in_scope = set(scope)
-            maxima[spec.id] = _reference(spec, levels if len(in_scope) == len(data.territories)
-                                         else [v for t, v in zip(block.territory, levels)
-                                               if t in in_scope])
-            if external:
-                bases.update(zip(zip(repeat(spec.id), block.territory, block.period), levels))
-            continue
         # external bases cover every territory, and the scope reads from them
         levels_of = _source_levels(
             block, data.territories if external else scope, source_id, attr, source_polarity
@@ -161,38 +151,18 @@ def resolve_references(
                     f"indicator {source_id!r}; score as a time series"
                 )
             scope_values.extend(level for _, level in levels)
-        maxima[spec.id] = _reference(spec, scope_values)
+        reference = max(scope_values)
+        if reference <= 0:
+            raise ScoringError(
+                f"{spec.id}: reference maximum must be strictly positive, "
+                f"got {reference}"
+            )
+        maxima[spec.id] = reference
         if external:
             for terr, levels in levels_of.items():
                 for per, level in levels:
                     bases[(spec.id, terr, per)] = level
     return ReferenceLevels(maxima=maxima, bases=bases)
-
-
-def _reference(spec: IndicatorSpec, scope_values: Sequence[float]) -> float:
-    reference = max(scope_values)
-    if reference <= 0:
-        raise ScoringError(
-            f"{spec.id}: reference maximum must be strictly positive, got {reference}"
-        )
-    return reference
-
-
-def _column_levels(
-    block: Columns, attr: str, polarity: Polarity, scope: Sequence[str], time_mode: bool
-) -> Sequence[float] | None:
-    """The working level of each row of ``block``, or None unless every row has one,
-    every scope territory has a row and, without ``time_mode``, only one."""
-    raws = getattr(block, attr)
-    territories = set(block.territory)
-    if None in raws or not territories.issuperset(scope) or (
-        not time_mode and len(territories) != len(raws)
-    ):
-        return None
-    try:
-        return list(map(_working_scale(polarity), raws))
-    except MetricInputError:  # the territory-by-territory path names the record
-        return None
 
 
 def _source_levels(
