@@ -722,7 +722,7 @@ def validate_dataset(
                         "no recipe for this indicator")
                 for terr in set(block.territory)
             )
-        elif not _clean_block(spec, block):
+        else:
             findings.update(_block_findings(spec, block))
 
     territories = list(scope) if scope is not None else sorted(data.territories)
@@ -736,40 +736,25 @@ def validate_dataset(
     return ValidationReport(findings=tuple(sorted(findings)))
 
 
-def _clean_block(spec: IndicatorSpec, block: Columns) -> bool:
-    """Whether no row of ``block`` has a finding, tested column by column."""
-    if block.kind.count(spec.metric) != len(block.kind):
-        return False
-    if spec.metric is not _STANDARD:
-        return True
-    if spec.correction.kind is _OWN_AVERAGE and None in block.x_a:
-        return False
-    if 0.0 in block.x_w and 0.0 in block.x_m:
-        return False
-    if spec.polarity is _NEGATIVE:
-        x_a = [v for v in block.x_a if v is not None]
-        return max(block.x_w) <= 1.0 and max(block.x_m) <= 1.0 and (not x_a or max(x_a) <= 1.0)
-    return True
-
-
 def _block_findings(spec: IndicatorSpec, block: Columns) -> Iterator[Finding]:
     """The findings of each row of ``block``, one row at a time."""
-    ind = spec.id
+    ind, metric = spec.id, spec.metric
+    own_average, negative = spec.correction.kind is _OWN_AVERAGE, spec.polarity is _NEGATIVE
     for terr, kind, x_w, x_m, x_a in zip(block.territory, block.kind, block.x_w,
                                           block.x_m, block.x_a):
-        if kind is not spec.metric:
+        if kind is not metric:
             yield Finding("error", "shape-mismatch", ind, terr,
-                          f"expected a {spec.metric.value} observation, got {kind.value}")
+                          f"expected a {metric.value} observation, got {kind.value}")
             continue
         if kind is not _STANDARD:
             continue
-        if x_a is None and spec.correction.kind is _OWN_AVERAGE:
+        if x_a is None and own_average:
             yield Finding("error", "missing-total", ind, terr,
                           "own-average correction needs the x_a column")
         if x_w == 0 and x_m == 0:
             yield Finding("error", "degenerate", ind, terr,
                           "both gendered levels are zero; the gap is undefined")
-        if spec.polarity is _NEGATIVE:
+        if negative:
             for name, v in (("x_w", x_w), ("x_m", x_m), ("x_a", x_a)):
                 if v is not None and v > 1.0:
                     yield Finding("error", "out-of-range", ind, terr,
