@@ -19,6 +19,7 @@ Lines starting with ``#`` are comments in all delimited formats.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
@@ -86,6 +87,20 @@ def _open_text(source, newline: str | None = None) -> IO[str]:
         return open(source, "r", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc.strerror or exc}") from None
+
+
+def _read_bytes(source) -> bytes:
+    """Every byte of a path or traversable, read once; failures are :class:`DataError`."""
+    try:
+        with source.open("rb") if hasattr(source, "open") else open(source, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {source}: {exc.strerror or exc}") from None
+
+
+def _utf8_lines(raw: bytes) -> IO[str]:
+    """``raw`` as delimited UTF-8 text, decoded as it is read."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
 
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
@@ -197,15 +212,17 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
     column at a time. A file that fails any of those checks, or that the
     block path does not read (a decimal comma, a cell it cannot convert),
     is read again row by row, which names its first fault in file order.
+    The file is read once, so a pipe serves both readings.
     """
+    raw = _read_bytes(source)
     if not decimal_comma:
         try:
-            data = _load_blocks(source)
+            data = _load_blocks(_utf8_lines(raw))
         except (ValueError, csv.Error):  # a bad cell; UnicodeDecodeError is a ValueError
             data = None
         if data is not None:
             return data
-    return _load_rows(source, decimal_comma)
+    return _load_rows(_utf8_lines(raw), source, decimal_comma)
 
 
 # rows read between two conversions to columns: the cells of at most this
@@ -213,7 +230,7 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
 _CHUNK_ROWS = 4096
 
 
-def _load_blocks(source) -> Dataset | None:
+def _load_blocks(handle: IO[str]) -> Dataset | None:
     """The dataset of a ``,``-separated file whose every check passes a column at a time.
 
     None when a check fails; a cell that does not convert raises ValueError.
@@ -227,7 +244,7 @@ def _load_blocks(source) -> Dataset | None:
     columns: dict[str, list[list]] = {}
     group_of = _Interned(lambda cell: groups.setdefault(names[cell], []))
     order = []
-    with _open_text(source, newline="") as handle:
+    with handle:
         rows = _reader(handle, False)
         for row in rows:
             if row and not row[0].lstrip().startswith("#"):
@@ -296,13 +313,14 @@ def _extend_columns(block: list[list], rows: list[list[str]], periods: _Interned
     return True
 
 
-def _load_rows(source, decimal_comma: bool) -> Dataset:
-    """:func:`load_dataset` one row at a time: the first fault in file order, or the dataset."""
+def _load_rows(handle: IO[str], source, decimal_comma: bool) -> Dataset:
+    """:func:`load_dataset` of ``source``, read from ``handle`` one row at a time:
+    the first fault in file order, or the dataset."""
     lineno = 0
     names, periods = _cell_values()
     rows: list[tuple] = []
     keys: set[tuple[str, str, int]] = set()
-    with _open_text(source, newline="") as handle:
+    with handle:
         lines = enumerate(_reader(handle, decimal_comma), start=1)
         try:
             for lineno, row in lines:

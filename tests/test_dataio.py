@@ -198,6 +198,31 @@ class TestLoadObservations:
         assert data.territories[0] is north.territory
         assert data.indicators[1] is north_g2.indicator
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("extra, outcome", [
+        # a share row among standard ones: the column blocks turn it down, and
+        # the row-by-row reading loads it
+        ("West,G1,2023,share,,,,0.4\n", 4),
+        ("South,G2,2023,share,,,,1.2\n", "row 5: share value 1.2 is outside [0, 1]"),
+    ])
+    def test_read_once_from_a_pipe(self, extra, outcome):
+        # as `igei score --data <(...)` passes it: a second open reads nothing
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, (GOOD_FILE + extra).encode())
+            os.close(write_end)
+            source = f"/dev/fd/{read_end}"
+            if isinstance(outcome, int):
+                data = dataio.load_dataset(source)
+                assert len(data) == outcome
+                assert data.get("West", "G1").kind is MetricKind.SHARE
+            else:
+                with pytest.raises(DataError) as info:
+                    dataio.load_dataset(source)
+                assert str(info.value) == outcome
+        finally:
+            os.close(read_end)
+
     def test_decimal_comma_flag(self, tmp_path):
         text = (
             "territory;indicator;period;kind;x_w;x_m;x_a;value\n"
