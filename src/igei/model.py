@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from igei.errors import DataError, RecordError, SpecError
@@ -380,6 +380,7 @@ def _finite(column, low: float) -> bool:
 
 
 _record_fields = attrgetter(*ObservationRecord.__slots__)
+_record_key = itemgetter(0, 1, 2)
 
 
 class Dataset:
@@ -394,7 +395,18 @@ class Dataset:
 
     def __init__(self, records: Iterable[ObservationRecord]):
         records = tuple(records)
-        self._fill(list(map(_record_fields, records)), records)
+        rows = list(map(_record_fields, records))
+        if len(set(map(_record_key, rows))) != len(rows):
+            seen: set[tuple] = set()
+            for key in map(_record_key, rows):
+                if key in seen:
+                    duplicate = (
+                        f"duplicate observation for territory {key[0]!r}, "
+                        f"indicator {key[1]!r}, period {key[2]}"
+                    )
+                    raise RecordError(duplicate, duplicate)
+                seen.add(key)
+        self._fill(rows, records)
 
     @classmethod
     def _from_columns(
@@ -408,28 +420,14 @@ class Dataset:
     def _fill(self, rows: list[tuple], records: tuple | None = None) -> None:
         """Fill the blocks from rows of the eight record fields, in input order.
 
-        Raises :class:`RecordError` naming the first row, in input order,
-        whose key an earlier row holds.
+        The rows' (territory, indicator, period) keys must be distinct.
         """
         groups: dict[str, list[tuple]] = {}
         for row in rows:
-            group = groups.get(row[1])
-            if group is None:
-                group = groups[row[1]] = []
-            group.append(row)
+            groups.setdefault(row[1], []).append(row)
         blocks = {}
         for indicator, group in groups.items():
             territory, _, period, *rest = zip(*group)
-            if len(set(zip(territory, period))) != len(group):
-                seen: set[tuple] = set()
-                for t, i, p, *_ in rows:
-                    if (t, i, p) in seen:
-                        duplicate = (
-                            f"duplicate observation for territory {t!r}, "
-                            f"indicator {i!r}, period {p}"
-                        )
-                        raise RecordError(duplicate, duplicate)
-                    seen.add((t, i, p))
             blocks[indicator] = Columns(territory, period, *rest)
         territories = dict.fromkeys(row[0] for row in rows)
         order = None if records is not None else [row[1] for row in rows]
