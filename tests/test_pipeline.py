@@ -1201,16 +1201,21 @@ def walk_cases(draw):
     return draw(st.permutations(records)), scope, specs
 
 
-# a clean dataset but for a negative-polarity total above 1 on a leaf that is
-# not corrected by its own average: drawn cases rarely lack other faults
-TOTAL_FAULT_CASE = (
-    [obs_standard("T0", "J1", 0.5, 0.5, 0.5), obs_standard("T0", "J2", 0.5, 0.5, 1.2),
-     obs_value("T0", "J3", MetricKind.SHARE, 0.5), obs_value("T0", "J4", MetricKind.RATIO, 1.0),
-     obs_value("T0", "J5", MetricKind.CAPPED, 0.5)],
-    ["T0"],
-    {**SYNTH_SPECS, "J2": spec_standard("J2", polarity=Polarity.NEGATIVE,
-                                        correction=Correction("none"))},
-)
+def total_fault_case(correction):
+    """A clean dataset but for a negative-polarity total above 1 on J2, corrected
+    by ``correction``: drawn cases rarely lack other faults."""
+    records = [
+        obs_standard("T0", "J1", 0.5, 0.5, 0.5), obs_standard("T0", "J2", 0.5, 0.5, 1.2),
+        obs_value("T0", "J3", MetricKind.SHARE, 0.5), obs_value("T0", "J4", MetricKind.RATIO, 1.0),
+        obs_value("T0", "J5", MetricKind.CAPPED, 0.5),
+    ]
+    specs = {**SYNTH_SPECS,
+             "J2": spec_standard("J2", polarity=Polarity.NEGATIVE, correction=correction)}
+    return records, ["T0"], specs
+
+
+TOTAL_FAULTS = [total_fault_case(Correction("none")),
+                total_fault_case(Correction("external", indicator="J1", field="total"))]
 
 
 def record_by_record(records, specs, refs, territories, periods):
@@ -1273,7 +1278,8 @@ def outcome(call, *args, **kwargs):
 class TestScoringWalk:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(case=walk_cases())
-    @example(case=TOTAL_FAULT_CASE)
+    @example(case=TOTAL_FAULTS[0])
+    @example(case=TOTAL_FAULTS[1])
     def test_score_territory_is_record_by_record(self, case):
         records, scope, specs = case
         territories = list(dict.fromkeys(rec.territory for rec in records))
@@ -1304,7 +1310,8 @@ class TestScoringWalk:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(case=walk_cases())
-    @example(case=TOTAL_FAULT_CASE)
+    @example(case=TOTAL_FAULTS[0])
+    @example(case=TOTAL_FAULTS[1])
     def test_score_time_series_is_record_by_record(self, case):
         records, scope, specs = case
         territories = list(dict.fromkeys(rec.territory for rec in records))
@@ -1345,25 +1352,3 @@ class TestScoringWalk:
             "territory 'T1', indicator 'J1', period 2020: "
             "polarity inversion is only defined for rates, got 1.3"
         )
-
-    @pytest.mark.parametrize("correction", [
-        Correction("none"), Correction("external", indicator="J0", field="women"),
-    ])
-    def test_a_total_above_one_fails_whatever_the_correction(self, correction):
-        records = [obs_standard(terr, ind, 0.5, 0.5, 0.5) for terr in ("T0", "T1")
-                   for ind in ("J0", "J1")]
-        records[3] = dataclasses.replace(records[3], x_a=1.2)
-        specs = {"J0": spec_standard("J0"),
-                 "J1": spec_standard("J1", polarity=Polarity.NEGATIVE, correction=correction)}
-        tree = IndexTree(
-            domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J0", "J1")),)),)
-        )
-        refs = resolve_references(records, specs, ["T0", "T1"])
-        message = ("territory 'T1', indicator 'J1', period 2023: "
-                   "polarity inversion is only defined for rates, got 1.2")
-        for score in (lambda: score_territory("T1", records, specs, tree, refs),
-                      lambda: score_table(records, specs, tree, refs),
-                      lambda: score_time_series(records, specs, tree)):
-            with pytest.raises(ScoringError) as info:
-                score()
-            assert str(info.value) == message
