@@ -1,4 +1,4 @@
-"""``load_dataset`` against a plain row-by-row reader, on generated observation files.
+"""``load_dataset`` and ``load_score_table`` against plain row-by-row readers, on generated files.
 
 The reader below reads one row at a time and builds each record with
 :class:`ObservationRecord`, whose constructor runs ``record_problem``.
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from igei.dataio import OBSERVATION_HEADER, load_dataset
+from igei.dataio import OBSERVATION_HEADER, ScoreTable, load_dataset, load_score_table
 from igei.errors import DataError, RecordError
 from igei.metrics import MetricKind
 from igei.model import ObservationRecord
@@ -303,3 +303,160 @@ def test_a_fault_in_a_clean_file_is_named(tmp_path, bad):
         got = str(exc)
     assert got == expected
 
+
+
+# --- score tables --------------------------------------------------------------
+
+
+def reference_table(text: str, decimal_comma: bool) -> ScoreTable:
+    """The score table of ``text``, read and checked one row and one cell at a time."""
+    rows = csv.reader(io.StringIO(text, newline=""), delimiter=";" if decimal_comma else ",")
+    header, table = None, {}
+    for lineno, row in enumerate(rows, start=1):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        if header is None:
+            cells = [cell.strip() for cell in row]
+            if len(cells) < 2 or cells[0] != "territory":
+                raise DataError(f"row {lineno}: score tables start with a 'territory' column")
+            header = cells[1:]
+            if len(set(header)) != len(header):
+                raise DataError(f"row {lineno}: duplicate indicator columns")
+            continue
+        if len(row) != len(header) + 1:
+            raise DataError(f"row {lineno}: expected {len(header) + 1} cells, got {len(row)}")
+        territory = row[0].strip()
+        if territory in table:
+            raise DataError(f"row {lineno}: duplicate territory {territory!r}")
+        values = []
+        for indicator, cell in zip(header, row[1:]):
+            value = _number(cell.strip(), decimal_comma, lineno, indicator)
+            if value is None:
+                raise DataError(f"row {lineno}: missing score for {indicator!r}")
+            if not 0.0 <= value <= 100.0:
+                raise DataError(
+                    f"row {lineno}: score {value} for {indicator!r} is outside [0, 100]"
+                )
+            values.append(value)
+        table[territory] = tuple(values)
+    if header is None:
+        raise DataError("score table is empty")
+    return ScoreTable(territories=tuple(table), indicators=tuple(header), rows=table)
+
+
+TABLE_NAMES = ["A", "B", " A", "B ", "Å", "C", "D", "", "#x", "a#b"]
+TABLE_INDICATORS = ["J1", "J2", "J3", " J1", "J2 ", "territory", "Ĵ4"]
+SCORES = ["50", "0", "100", "-0", " 12.5 ", "1e1", "100.0", "0.000", "99.999", "3.", ".75",
+          "+7", "  0", "100 "]
+BAD_SCORES = ["", " ", "nan", "NaN", "inf", "-inf", "100.5", "100.0001", "-1", "-0.5", "1e400",
+              "1_0", "٣", "\xa05", "abc", "1.2.3", "1,5", "0,5", "1.5,", '"', 'a"b', "#"]
+
+
+@st.composite
+def table_line(draw, separator, width, clean):
+    """One line of a score table: a row of ``width`` cells, maybe spoiled, or a comment."""
+    shapes = ["valid"] * 6 + ["comment", "blank"]
+    if not clean:
+        shapes += ["edited"] * 3 + ["short", "long"]
+    shape = draw(st.sampled_from(shapes))
+    if shape == "comment":
+        return draw(st.sampled_from(["# note", "  # indented note", "#", "#,1,2"]))
+    if shape == "blank":
+        return ""
+    # a repeated name now and then; the pool of T<k> names rarely repeats
+    name = st.one_of(st.integers(0, 99).map("T{}".format), st.sampled_from(TABLE_NAMES[:8]))
+    cells = [draw(name)] + [
+        draw(st.sampled_from(SCORES)) for _ in range(width)
+    ]
+    if shape == "edited":
+        for _ in range(draw(st.integers(1, 2))):
+            column = draw(st.integers(0, width))
+            cells[column] = draw(st.sampled_from(BAD_SCORES + TABLE_NAMES))
+    elif shape == "short":
+        cells = cells[:draw(st.integers(1, width))]
+    elif shape == "long":
+        cells = cells + [draw(st.sampled_from(SCORES + BAD_SCORES))]
+    if separator == ";":
+        # the decimal comma: 12.5 is written 12,5, or now and then by mistake 12.5
+        slip = not clean and draw(st.integers(0, 4)) == 0
+        cells = [cells[0]] + [cell if slip and draw(st.booleans()) else cell.replace(".", ",")
+                              for cell in cells[1:]]
+    quoted = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return separator.join(
+        '"' + cell.replace('"', '""') + '"' if quote else cell
+        for cell, quote in zip(cells, quoted)
+    )
+
+
+@st.composite
+def score_table_file(draw):
+    decimal_comma = draw(st.booleans())
+    separator = ";" if decimal_comma else ","
+    # now and then a repeated column: ' J1' repeats 'J1' once stripped
+    repeats = draw(st.integers(0, 5)) == 0
+    pool = TABLE_INDICATORS if repeats else [i for i in TABLE_INDICATORS if i == i.strip()]
+    indicators = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                               unique=not repeats))
+    header = separator.join(["territory", *indicators])
+    head = draw(st.sampled_from([[header]] * 30 + [
+        ["# lead comment", "", header],
+        [" " + header.replace("territory", " territory ")],
+        [header.replace("territory", "territories")],
+        [header.replace("territory", '"territory"')],
+        ["territory"],
+        [],
+    ]))
+    # a third of the files hold only valid rows, blank lines and comments
+    clean = draw(st.sampled_from([True, False, False]))
+    body = draw(st.lists(table_line(separator, len(indicators), clean), max_size=10))
+    ending = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return "\n".join(head + body) + ending, decimal_comma
+
+
+def _table_outcome(load):
+    """repr of the loaded table, so that -0.0 and row order count; or the message."""
+    try:
+        return repr(load())
+    except DataError as exc:
+        return str(exc)
+
+
+@DIFFERENTIAL
+@given(case=score_table_file())
+def test_score_table_loader_matches_the_row_reader(scratch, case):
+    text, decimal_comma = case
+    path = scratch / "scores.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _table_outcome(lambda: load_score_table(path, decimal_comma=decimal_comma)) == (
+        _table_outcome(lambda: reference_table(text, decimal_comma))
+    )
+
+
+@pytest.mark.parametrize("decimal_comma", [False, True])
+@pytest.mark.parametrize("fault", [None, "score", "nan", "missing", "duplicate", "short"])
+def test_a_long_score_table_matches_the_row_reader(tmp_path, decimal_comma, fault):
+    # thousands of rows, read a chunk at a time: a fault in the last rows is
+    # still named, and a duplicate territory is found across chunks
+    separator = ";" if decimal_comma else ","
+    lines = [separator.join(["territory", "J1", "J2", "J3"])]
+    for i in range(4000):
+        cells = [f"T{i}", f"{i % 100}.5", f"{(7 * i) % 101}", f"{i % 3}.25"]
+        lines.append(f"# comment {i}" if i % 97 == 0 else separator.join(cells))
+    if fault == "score":
+        lines[-2] = separator.join(["T3998 ", "1", "2", "100.5"])
+    elif fault == "nan":
+        lines[-1] = separator.join(["T4000", "1", "nan", "2"])
+    elif fault == "missing":
+        lines.append(separator.join(["T4001", "1", "", "2"]))
+    elif fault == "duplicate":
+        lines.append(lines[2])
+    elif fault == "short":
+        lines.append(separator.join(["T4001", "1"]))
+    text = "\n".join(lines) + "\n"
+    if decimal_comma:
+        text = text.replace(".", ",")
+    path = tmp_path / "scores.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = _table_outcome(lambda: reference_table(text, decimal_comma))
+    assert expected.startswith("ScoreTable(") == (fault is None)
+    assert _table_outcome(lambda: load_score_table(path, decimal_comma=decimal_comma)) == expected
