@@ -22,7 +22,7 @@ import csv
 import io
 from dataclasses import dataclass
 from importlib import resources
-from itertools import islice
+from itertools import islice, repeat
 from math import isnan
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -108,10 +108,16 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
     return DataError(f"{source} is not UTF-8 text: {exc.reason} ({bad!r})")
 
 
-def _rows(source, decimal_comma: bool) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, cells as written) skipping comment and blank lines."""
+def _rows(
+    source, decimal_comma: bool, handle: IO[str] | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, cells as written) skipping comment and blank lines.
+
+    Reads ``handle`` when given, else opens ``source``; ``source`` names
+    the file in messages.
+    """
     lineno = 0
-    with _open_text(source, newline="") as handle:
+    with handle or _open_text(source, newline="") as handle:
         reader = enumerate(_reader(handle, decimal_comma), start=1)
         try:
             for lineno, row in reader:
@@ -416,10 +422,84 @@ class ScoreTable:
 
 
 def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
-    """Read a wide indicator-score table (header: territory + indicator ids)."""
+    """Read a wide indicator-score table (header: territory + indicator ids).
+
+    Rows are read a chunk at a time and checked a column at a time. A
+    table that fails a check is read again row by row, which names its
+    first fault in file order. The file is read once, so a pipe serves
+    both readings.
+    """
+    raw = _read_bytes(source)
+    try:
+        table = _table_columns(_utf8_lines(raw), decimal_comma)
+    except (ValueError, csv.Error):  # a bad cell; UnicodeDecodeError is a ValueError
+        table = None
+    if table is not None:
+        return table
+    return _table_rows(_utf8_lines(raw), source, decimal_comma)
+
+
+# rows of a score table read between two conversions to columns
+_TABLE_CHUNK_ROWS = 256
+
+
+def _table_columns(handle: IO[str], decimal_comma: bool) -> ScoreTable | None:
+    """The score table of ``handle`` when every check passes a column at a time.
+
+    None when a check fails; a cell that does not convert raises ValueError.
+    """
+    with handle:
+        rows = _reader(handle, decimal_comma)
+        for row in rows:
+            if row and not row[0].lstrip().startswith("#"):
+                break
+        else:
+            return None
+        header = list(map(str.strip, row))
+        indicators = header[1:]
+        if header[0] != "territory" or not indicators or len(set(indicators)) != len(indicators):
+            return None
+        width = len(header)
+        names: list[str] = []
+        columns: list[list[float]] = [[] for _ in indicators]
+        while chunk := list(islice(rows, _TABLE_CHUNK_ROWS)):
+            cells = list(zip(*chunk)) if set(map(len, chunk)) == {width} else []
+            # the cheap test first: most first cells hold no '#'
+            if not cells or "#" in "".join(cells[0]):
+                chunk = [row for row in chunk if row and not row[0].lstrip().startswith("#")]
+                if not chunk:
+                    continue
+                if set(map(len, chunk)) != {width}:
+                    return None
+                cells = list(zip(*chunk))
+            names += map(str.strip, cells[0])
+            for column, text in zip(columns, cells[1:]):
+                joined = "".join(text)
+                if not _plain(joined) or (decimal_comma and "." in joined):
+                    return None
+                if decimal_comma:
+                    text = map(str.replace, text, repeat(","), repeat("."))
+                # float() reads the whitespace around a number, but not a blank cell
+                column += map(float, text)
+    # min and max pass over a NaN that is not first; with both bounds met,
+    # the sum is NaN exactly when some score is
+    for column in columns:
+        if names and not (0.0 <= min(column) <= max(column) <= 100.0 and not isnan(sum(column))):
+            return None
+    if len(set(names)) != len(names):
+        return None
+    return ScoreTable(
+        territories=tuple(names), indicators=tuple(indicators),
+        rows=dict(zip(names, zip(*columns))),
+    )
+
+
+def _table_rows(handle: IO[str], source, decimal_comma: bool) -> ScoreTable:
+    """:func:`load_score_table` of ``source``, read from ``handle`` one row and
+    one cell at a time: the first fault in file order, or the table."""
     header: list[str] | None = None
     rows: dict[str, tuple[float, ...]] = {}
-    for lineno, row in _rows(source, decimal_comma):
+    for lineno, row in _rows(source, decimal_comma, handle):
         if header is None:
             row = list(map(str.strip, row))
             if len(row) < 2 or row[0] != "territory":
@@ -434,32 +514,21 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
             raise DataError(
                 f"row {lineno}: expected {len(header) + 1} cells, got {len(row)}"
             )
-        # float() ignores the whitespace around a number; names are stripped
-        territory, cells = row[0].strip(), row[1:]
+        territory = row[0].strip()
         if territory in rows:
             raise DataError(f"row {lineno}: duplicate territory {territory!r}")
-        try:
-            # a decimal comma, or a cell that is not plain, takes the per-cell path
-            plain = not decimal_comma and _plain("".join(cells))
-            values = tuple(map(float, cells)) if plain else ()
-        except ValueError:
-            values = ()
-        # min and max pass over a NaN that is not first; with both bounds
-        # met, the sum is NaN exactly when some score is
-        if not values or not 0.0 <= min(values) <= max(values) <= 100.0 or isnan(sum(values)):
-            # name the first bad cell, quoting it as written
-            checked = []
-            for ind, cell in zip(header, cells):
-                value = _parse_number(cell.strip(), decimal_comma, lineno, ind)
-                if value is None:
-                    raise DataError(f"row {lineno}: missing score for {ind!r}")
-                if not 0.0 <= value <= 100.0:
-                    raise DataError(
-                        f"row {lineno}: score {value} for {ind!r} is outside [0, 100]"
-                    )
-                checked.append(value)
-            values = tuple(checked)
-        rows[territory] = values
+        # name the first bad cell, quoting it as written
+        values = []
+        for ind, cell in zip(header, row[1:]):
+            value = _parse_number(cell.strip(), decimal_comma, lineno, ind)
+            if value is None:
+                raise DataError(f"row {lineno}: missing score for {ind!r}")
+            if not 0.0 <= value <= 100.0:
+                raise DataError(
+                    f"row {lineno}: score {value} for {ind!r} is outside [0, 100]"
+                )
+            values.append(value)
+        rows[territory] = tuple(values)
     if header is None:
         raise DataError("score table is empty")
     return ScoreTable(territories=tuple(rows), indicators=tuple(header), rows=rows)

@@ -326,13 +326,13 @@ def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
     leaf's column, or holds a score the kernel refuses, raises the error
     that folding its rows one by one, in table order, raises first.
     """
-    rows = [table.rows[terr] for terr in table.territories]
-    position = {ind: i for i, ind in enumerate(table.indicators)}
+    rows = list(map(table.rows.__getitem__, table.territories))
     leaves = tree.leaf_ids()
     try:
         # a missing leaf fails on the first row: a table without rows folds
         # to empty columns, as it does row by row
-        columns = [[row[position[leaf]] for row in rows] for leaf in leaves]
+        by_indicator = dict(zip(table.indicators, zip(*rows)) if rows else zip(leaves, repeat(())))
+        columns = list(map(by_indicator.__getitem__, leaves))
         subdomain_values, domain_values, index = _fold_tree(tree, columns, _fold_columns)
     except (KeyError, IgeiError):
         for terr in table.territories:
