@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import fsum, isnan
+from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from igei.errors import AggregationError, IgeiError, MetricInputError, ScoringError
@@ -35,7 +37,7 @@ from igei.model import (
     as_dataset,
     external_source,
 )
-from igei.penalized import Polarity, _fold_scores, _fold_two
+from igei.penalized import RANGE_TOLERANCE, _SCORE_EPS, Polarity, _fold_scores, _fold_two
 
 if TYPE_CHECKING:
     from igei.dataio import ScoreTable
@@ -278,10 +280,35 @@ def _fold_tree(tree: IndexTree, leaves: list, fold: Callable) -> tuple:
 
 
 def _fold_columns(columns: list[Sequence[float]]) -> list[float]:
-    """:func:`_fold_scores` of each row of equal-length ``columns``."""
-    if len(columns) <= 2:
-        return list(map(_fold_two, columns[0], columns[-1]))
-    return list(map(_fold_scores, zip(*columns)))
+    """:func:`_fold_scores` of each row of equal-length ``columns``, bit for bit.
+
+    One child gives a copy of its column and three or more take a column
+    kernel, once every score is inside the kernel's range; a table with a
+    score outside it is folded row by row, which raises the first row's error.
+    """
+    if len(columns) == 2:
+        return list(map(_fold_two, columns[0], columns[1]))
+    if not all(map(_in_range, columns)):
+        return list(map(_fold_scores, zip(*columns)))
+    if len(columns) == 1:
+        return list(columns[0])
+    # _fold_scores' sums and products, a column (or a row's fsum) at a time
+    p = 1.0 / len(columns)
+    means = list(map(fsum, zip(*[list(map(mul, repeat(p), col)) for col in columns])))
+    ranges = map(sub, map(max, zip(*columns)), map(min, zip(*columns)))
+    squares = [list(map(mul, repeat(p), map(pow, map(sub, col, means), repeat(2))))
+               for col in columns]
+    return [
+        first if ran == 0.0 else m if ran <= RANGE_TOLERANCE else m - v / (2.0 * ran)
+        for first, m, v, ran in zip(columns[0], means, map(fsum, zip(*squares)), ranges)
+    ]
+
+
+def _in_range(column: Sequence[float]) -> bool:
+    """Whether every score lies in the kernel's [0, 100] range: a NaN makes the sum NaN."""
+    return not column or (
+        -_SCORE_EPS <= min(column) and max(column) <= 100.0 + _SCORE_EPS and not isnan(sum(column))
+    )
 
 
 def aggregate_scores(
