@@ -209,25 +209,20 @@ def _ranked_output(fmt: str, table: pipeline.TableReport, **doc) -> Output:
 def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
     _, tree = dataio.load_index_spec(args.spec)
     table = dataio.load_score_table(args.data, decimal_comma=args.decimal_comma)
-    # sorted, so that the JSON scope listing does not depend on row order
-    scope = _parse_scope(args.scope) or sorted(table.territories)
-    row_of = {terr: i for i, terr in enumerate(table.territories)}
-    unknown = [t for t in scope if t not in row_of]
+    scope = _parse_scope(args.scope)
+    unknown = [t for t in scope or () if t not in table.rows]
     if unknown:
         raise IgeiError(f"scope territories not in the data: {', '.join(unknown)}")
     columns = pipeline.aggregate_table(tree, table)
-
-    # the scope's rows of each column, in scope order
-    in_scope = [row_of[t] for t in scope]
-    summary_columns = {
-        name: list(map(column.__getitem__, in_scope)) for name, column in
-        {"index": columns.index, **columns.domain_values, **columns.indicator_scores}.items()
-    }
+    named = {"index": columns.index, **columns.domain_values, **columns.indicator_scores}
+    if scope and len(scope) < len(table.territories):
+        # the scope's rows, in table order: no statistic depends on the order
+        in_scope = set(scope)
+        rows = [i for i, terr in enumerate(table.territories) if terr in in_scope]
+        named = {name: list(map(column.__getitem__, rows)) for name, column in named.items()}
     leaves = list(tree.leaf_ids())
-    summaries = {name: stats.descriptive_summary(vals)
-                 for name, vals in summary_columns.items()}
     try:
-        corr = stats.correlation_matrix([summary_columns[leaf] for leaf in leaves])
+        summaries, corr = stats.report_statistics(named, leaves)
     except StatisticsError as exc:
         if not exc.positions:
             raise
@@ -241,7 +236,8 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
     if args.format == "json":
         return 0, {
             "command": "report",
-            "scope": scope,
+            # sorted, so that the JSON scope listing does not depend on row order
+            "scope": scope or sorted(table.territories),
             "ranking": _reports_json(columns),
             "summaries": {name: asdict(s) for name, s in summaries.items()},
             "correlation": {"indicators": leaves, "matrix": corr_matrix},

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul, neg
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import mul, neg, sub
+from typing import Iterable, Mapping, Sequence
 
 from igei.errors import StatisticsError
 from igei.penalized import _finite_fsum
@@ -52,7 +53,17 @@ def descriptive_summary(values: Iterable[float]) -> DescriptiveSummary:
     ``sd`` is the population standard deviation and needs at least two
     values; ``cv = sd / mean`` is undefined (None) when the mean is zero.
     """
-    ordered = sorted(map(float, values))
+    return _summarize(list(map(float, values)))[0]
+
+
+def _summarize(column: Sequence[float]) -> tuple[DescriptiveSummary, list[float] | None, float]:
+    """The summary of a column of floats, its values centred on the mean in
+    column order (None for a constant column), and their sum of squares.
+
+    The column is sorted once and summed once; every result is independent
+    of the row order.
+    """
+    ordered = sorted(column)
     n = len(ordered)
     if n == 0:
         raise StatisticsError("cannot summarize an empty sequence")
@@ -61,17 +72,18 @@ def descriptive_summary(values: Iterable[float]) -> DescriptiveSummary:
     if ordered[0] == ordered[-1]:
         # constant: fsum(x) / n can miss x by an ulp, which would put the
         # mean outside [min, max] and give a spurious nonzero sd
-        mean, variance = ordered[0], 0.0
+        mean, centred, squares = ordered[0], None, 0.0
     else:
         mean = total / n
-        deviations = [v - mean for v in ordered]
-        squares = map(mul, deviations, deviations)
-        variance = _finite_fsum(squares, "the sum of squared deviations", StatisticsError) / n
-    sd = math.sqrt(variance) if n >= 2 else None
+        centred = list(map(sub, column, repeat(mean)))
+        squares = _finite_fsum(
+            map(mul, centred, centred), "the sum of squared deviations", StatisticsError
+        )
+    sd = math.sqrt(squares / n) if n >= 2 else None
     cv = sd / mean if sd is not None and mean != 0 else None
     if cv is not None and not -math.inf < cv < math.inf:
         raise StatisticsError(f"the coefficient of variation sd / mean = {sd} / {mean} overflows")
-    return DescriptiveSummary(
+    summary = DescriptiveSummary(
         mean=mean,
         sd=sd,
         cv=cv,
@@ -81,6 +93,7 @@ def descriptive_summary(values: Iterable[float]) -> DescriptiveSummary:
         p75=_quantile(ordered, 0.75),
         max=ordered[-1],
     )
+    return summary, centred, squares
 
 
 def correlation_matrix(columns: Sequence[Sequence[float]]) -> dict[tuple[int, int], float]:
@@ -98,19 +111,61 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> dict[tuple[int, in
     n = lengths.pop()
     if n < 3:
         raise StatisticsError("need at least three observations per column")
-    centred, norms, constant = [], [], []
+    centred, norms = [], []
     for i, col in enumerate(columns):
         # one sum per column: NaN and inf leave it non-finite
         mean = _finite_fsum(col, f"column {i}'s sum", StatisticsError) / n
         if min(col) == max(col):  # its centred values need not be exactly zero
-            constant.append(i)
+            centred.append(None)
             continue
-        centred.append([v - mean for v in col])
+        centred.append(list(map(sub, col, repeat(mean))))
         squares = map(mul, centred[-1], centred[-1])
-        norm = math.sqrt(_finite_fsum(squares, f"column {i}'s sum of squares", StatisticsError))
-        if norm < _MIN_NORM:
-            raise StatisticsError(f"column {i} varies too little to correlate")
-        norms.append(norm)
+        norms.append(_norm(
+            _finite_fsum(squares, f"column {i}'s sum of squares", StatisticsError), i
+        ))
+    return _pearson(centred, norms)
+
+
+def report_statistics(
+    columns: Mapping[str, Sequence[float]], correlated: Sequence[str]
+) -> tuple[dict[str, DescriptiveSummary], dict[tuple[int, int], float]]:
+    """:func:`descriptive_summary` of every column of floats, and
+    :func:`correlation_matrix` of the ``correlated`` ones, in that order.
+
+    Bit for bit the same values and errors; each column is sorted and
+    summed once, and each correlated column is centred once.
+    """
+    summaries, moments = {}, {}
+    for name, column in columns.items():
+        summaries[name], *moment = _summarize(column)
+        if name in correlated:
+            moments[name] = moment
+    if len(correlated) < 2:
+        raise StatisticsError("need at least two columns to correlate")
+    if len(columns[correlated[0]]) < 3:
+        raise StatisticsError("need at least three observations per column")
+    centred, norms = [], []
+    for i, name in enumerate(correlated):
+        column_centred, squares = moments[name]
+        centred.append(column_centred)
+        if column_centred is not None:
+            norms.append(_norm(squares, i))
+    return summaries, _pearson(centred, norms)
+
+
+def _norm(squares: float, position: int) -> float:
+    """The root of a column's sum of squares, refused when a product of two would underflow."""
+    norm = math.sqrt(squares)
+    if norm < _MIN_NORM:
+        raise StatisticsError(f"column {position} varies too little to correlate")
+    return norm
+
+
+def _pearson(
+    centred: Sequence[list[float] | None], norms: Sequence[float]
+) -> dict[tuple[int, int], float]:
+    """The correlation matrix of centred columns (None for a constant one) and their norms."""
+    constant = [i for i, column in enumerate(centred) if column is None]
     if constant:
         error = StatisticsError(
             f"correlation is undefined for constant columns "
