@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
+from operator import itemgetter
 from pathlib import Path
 
 from igei import dataio, pipeline, stats
@@ -73,7 +74,13 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _render_csv(headers: list[str], rows: list[list[str]]) -> str:
-    return "\n".join(",".join(map(_csv_cell, row)) for row in [headers, *rows]) + "\n"
+    lines = [headers, *rows]
+    text = "\n".join(map(",".join, lines))
+    # a cell holds a ',', '"' or line break only where the joined text shows one
+    if ('"' in text or "\r" in text or text.count("\n") >= len(lines)
+            or text.count(",") > sum(map(len, lines)) - len(lines)):
+        text = "\n".join(",".join(map(_csv_cell, row)) for row in lines)
+    return text + "\n"
 
 
 def _csv_cell(cell: str) -> str:
@@ -82,12 +89,8 @@ def _csv_cell(cell: str) -> str:
     return cell
 
 
-def _f2(v: float) -> str:
-    return f"{v:.2f}"
-
-
-def _f3(v: float) -> str:
-    return f"{v:.3f}"
+_f2 = "{:.2f}".format
+_f3 = "{:.3f}".format
 
 
 def _reports_json(table: pipeline.TableReport, period: int | None = None) -> list[dict]:
@@ -113,18 +116,19 @@ def _ranking(
 ) -> Section:
     """Rows best first: index, then domains (2 dp); ``wide`` lists the
     indicators (3 dp) and domains before the index."""
-    domains = [list(map(_f2, col)) for col in table.domain_values.values()]
-    index = list(map(_f2, table.index))
+    order = stats.rank_order(table.index, table.territories)
+    # each column's values in rank order
+    ranked = itemgetter(*order) if len(order) > 1 else lambda col: [col[i] for i in order]
+    domains = [map(_f2, ranked(col)) for col in table.domain_values.values()]
+    index = map(_f2, ranked(table.index))
     if wide:
-        leaves = [list(map(_f3, col)) for col in table.indicator_scores.values()]
+        leaves = [map(_f3, ranked(col)) for col in table.indicator_scores.values()]
         headers = [*table.indicator_scores, *table.domain_values, "index"]
-        columns = [table.territories, *leaves, *domains, index]
+        columns = [ranked(table.territories), *leaves, *domains, index]
     else:
         headers = ["index", *table.domain_values]
-        columns = [table.territories, index, *domains]
-    rows = list(map(list, zip(*columns)))
-    ranked = [rows[i] for i in stats.rank_order(table.index, table.territories)]
-    return (*titles, ["territory", *headers], ranked)
+        columns = [ranked(table.territories), index, *domains]
+    return (*titles, ["territory", *headers], list(zip(*columns)))
 
 
 def _parse_scope(arg: str | None) -> list[str] | None:
@@ -180,7 +184,7 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
             rows = []
             for p, table in by_period:
                 _, _, headers, ranked = _ranking(table)
-                rows += [[str(p)] + r for r in ranked]
+                rows += [[str(p), *r] for r in ranked]
             return 0, [("", "", ["period"] + headers, rows)]
         return 0, [_ranking(table, (f"period {p}", "")) for p, table in by_period]
 
