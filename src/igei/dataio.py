@@ -216,18 +216,17 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
 
     Rows are gathered into one block of columns per indicator, checked a
     column at a time. A file that fails any of those checks, or that the
-    block path does not read (a decimal comma, a cell it cannot convert),
-    is read again row by row, which names its first fault in file order.
-    The file is read once, so a pipe serves both readings.
+    block path does not read (a cell it cannot convert), is read again row
+    by row, which names its first fault in file order. The file is read
+    once, so a pipe serves both readings.
     """
     raw = _read_bytes(source)
-    if not decimal_comma:
-        try:
-            data = _load_blocks(_utf8_lines(raw))
-        except (ValueError, csv.Error):  # a bad cell; UnicodeDecodeError is a ValueError
-            data = None
-        if data is not None:
-            return data
+    try:
+        data = _load_blocks(_utf8_lines(raw), decimal_comma)
+    except (ValueError, csv.Error):  # a bad cell; UnicodeDecodeError is a ValueError
+        data = None
+    if data is not None:
+        return data
     return _load_rows(_utf8_lines(raw), source, decimal_comma)
 
 
@@ -236,8 +235,8 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
 _CHUNK_ROWS = 4096
 
 
-def _load_blocks(handle: IO[str]) -> Dataset | None:
-    """The dataset of a ``,``-separated file whose every check passes a column at a time.
+def _load_blocks(handle: IO[str], decimal_comma: bool) -> Dataset | None:
+    """The dataset of a file whose every check passes a column at a time.
 
     None when a check fails; a cell that does not convert raises ValueError.
     """
@@ -251,7 +250,7 @@ def _load_blocks(handle: IO[str]) -> Dataset | None:
     group_of = _Interned(lambda cell: groups.setdefault(names[cell], []))
     order = []
     with handle:
-        rows = _reader(handle, False)
+        rows = _reader(handle, decimal_comma)
         for row in rows:
             if row and not row[0].lstrip().startswith("#"):
                 break
@@ -274,7 +273,7 @@ def _load_blocks(handle: IO[str]) -> Dataset | None:
             for indicator, group in groups.items():
                 if group:
                     block = columns.setdefault(indicator, [[] for _ in Columns._fields])
-                    if not _extend_columns(block, group, periods):
+                    if not _extend_columns(block, group, periods, decimal_comma):
                         return None
                     group.clear()
     blocks = {}
@@ -293,11 +292,14 @@ def _load_blocks(handle: IO[str]) -> Dataset | None:
     )
 
 
-def _extend_columns(block: list[list], rows: list[list[str]], periods: _Interned) -> bool:
+def _extend_columns(
+    block: list[list], rows: list[list[str]], periods: _Interned, decimal_comma: bool
+) -> bool:
     """Append the converted cells of one indicator's ``rows`` to its columns.
 
-    False for kind cells that name no kind, or several, and for a number
-    cell that is not plain; a cell that does not convert raises ValueError.
+    False for kind cells that name no kind, or several, for a number cell
+    that is not plain, and for a '.' where ',' is the decimal separator; a
+    cell that does not convert raises ValueError.
     """
     territory, _, period_cells, kind_cells, *level_cells = zip(*rows)
     kinds = {_METRIC_KINDS.get(cell.strip()) for cell in set(kind_cells)}
@@ -312,8 +314,11 @@ def _extend_columns(block: list[list], rows: list[list[str]], periods: _Interned
         if blanks == n:
             column.extend((None,) * n)
             continue
-        if not _plain("".join(cells)):
+        joined = "".join(cells)
+        if not _plain(joined) or (decimal_comma and "." in joined):
             return False
+        if decimal_comma:
+            cells = list(map(str.replace, cells, repeat(","), repeat(".")))
         # float() reads the whitespace around a number, but not a blank cell
         column.extend((float(c) if c else None for c in cells) if blanks else map(float, cells))
     return True
