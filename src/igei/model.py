@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from igei.errors import DataError, RecordError, SpecError
 from igei.metrics import MetricKind
@@ -390,7 +390,8 @@ class Dataset:
     :class:`RecordError` for a repeated (territory, indicator, period)
     key, in time linear in the records. Iteration, :meth:`series` and
     :meth:`get` read records, built from the blocks on first use and
-    cached; the records given to ``Dataset(records)`` are kept as given.
+    cached (a series builds only its own); the records given to
+    ``Dataset(records)`` are kept as given.
     """
 
     def __init__(self, records: Iterable[ObservationRecord]):
@@ -437,7 +438,10 @@ class Dataset:
         self._blocks: dict[str, Columns] = blocks
         self._order: list[str] | None = order
         self._records: tuple[ObservationRecord, ...] | None = records
-        self._series: dict[tuple[str, str], tuple[ObservationRecord, ...]] | None = None
+        # per indicator: each territory's row positions in the block, replaced
+        # by the pair's records once they are built
+        self._index: dict[str, dict[str, list[int] | tuple[ObservationRecord, ...]]] = {}
+        self._grouped: dict[str, list[ObservationRecord]] | None = None
         self.territories: tuple[str, ...] = territories
         self.indicators: tuple[str, ...] = tuple(blocks)
         self.periods: tuple[int, ...] = tuple(
@@ -465,13 +469,31 @@ class Dataset:
         return sum(len(block.territory) for block in self._blocks.values())
 
     def series(self, territory: str, indicator: str) -> tuple[ObservationRecord, ...]:
-        """Every period's observation of one territory and indicator, in input order."""
-        if self._series is None:
-            series: dict[tuple[str, str], list[ObservationRecord]] = {}
-            for rec in self:
-                series.setdefault((rec.territory, rec.indicator), []).append(rec)
-            self._series = {pair: tuple(recs) for pair, recs in series.items()}
-        return self._series.get((territory, indicator), ())
+        """Every period's observation of one territory and indicator, in input order.
+
+        Builds only this pair's records, found through a row index kept per
+        block; once the dataset holds records, returns those.
+        """
+        index = self._index.get(indicator)
+        if index is None:
+            index = self._index[indicator] = {}
+            for row, terr in enumerate(self.columns(indicator).territory):
+                index.setdefault(terr, []).append(row)
+        found = index.get(territory, ())
+        if found.__class__ is list:
+            found = index[territory] = tuple(map(self._record_at(indicator), found))
+        return found
+
+    def _record_at(self, indicator: str) -> Callable[[int], ObservationRecord]:
+        """The record of a row position in the indicator's block."""
+        if self._records is None:
+            t, p, k, w, m, a, v = self._blocks[indicator]
+            return lambda i: ObservationRecord(t[i], indicator, p[i], k[i], w[i], m[i], a[i], v[i])
+        if self._grouped is None:
+            self._grouped = {}
+            for rec in self._records:
+                self._grouped.setdefault(rec.indicator, []).append(rec)
+        return self._grouped[indicator].__getitem__
 
     def get(
         self, territory: str, indicator: str, period: int | None = None

@@ -13,7 +13,13 @@ from igei.dataio import OBSERVATION_HEADER, load_dataset, load_index_spec, load_
 from igei.errors import DataError
 from igei.metrics import MetricKind
 from igei.model import Dataset, ObservationRecord
-from igei.pipeline import aggregate_scores, aggregate_table, score_time_series
+from igei.pipeline import (
+    aggregate_scores,
+    aggregate_table,
+    resolve_references,
+    score_territory,
+    score_time_series,
+)
 
 TERRITORIES = 500
 SEED = 20231
@@ -255,14 +261,37 @@ def test_scoring_builds_no_record(capsys, monkeypatch, observation_files, series
     assert main(argv + ["--data", path]) == 0
     assert len(capsys.readouterr().out.splitlines()) > TERRITORIES
     assert built == []
-    # records are built when asked for, once
+    # records are built when asked for, once: a series builds only its pair's
     data = load_dataset(path)
     first = data.series(STEADY, "G1")
-    assert len(built) == len(data)
+    assert len(built) == len(first)
     assert data.series(STEADY, "G1") is first
     assert sorted(rec.period for rec in first) == list(PERIODS[:len(first)])
-    assert first[0] is next(rec for rec in data if rec.indicator == "G1" and rec.territory == STEADY)
-    assert len(built) == len(data)
+    assert first[0] == next(rec for rec in data if rec.indicator == "G1" and rec.territory == STEADY)
+    assert len(built) == len(first) + len(data)
+    # once iterated, the dataset's series are its records
+    second = data.series(STEADY, "G2")
+    assert second[0] is next(rec for rec in data if rec.indicator == "G2" and rec.territory == STEADY)
+    assert len(built) == len(first) + len(data)
+
+
+def test_scoring_one_territory_builds_only_its_records(monkeypatch, observation_files):
+    built = []
+    init = ObservationRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    specs, tree = load_index_spec()
+    data = load_dataset(observation_files["series"][1])
+    refs = resolve_references(data, specs, data.territories, time_mode=True)
+    monkeypatch.setattr(ObservationRecord, "__init__", counted)
+    report = score_territory(STEADY, data, specs, tree, refs, period=PERIODS[0])
+    own = sum(len(data.series(STEADY, leaf)) for leaf in tree.leaf_ids())
+    assert report.territory == STEADY
+    assert 0 < len(built) == own < len(data)
+    assert {args[0] for args in built} == {STEADY}
 
 
 def test_unchanged_territory_keeps_its_scores(observation_files):
