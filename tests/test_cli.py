@@ -471,6 +471,23 @@ class TestReport:
         assert (code, out) == (1, "")
         assert err == "error: correlation is undefined for constant indicator columns (G10)\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("scope", [None, 17])
+    def test_row_order_changes_no_byte(self, capsys, tmp_path, region_names, fmt, scope):
+        # every statistic ignores the row order, and the ranking sorts; a
+        # scope listed in the same order names the same rows in either table
+        lines = Path(SCORES).read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("territory"))
+        body = lines[header + 1:]
+        random.Random(scope).shuffle(body)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join(lines[:header + 1] + body) + "\n", encoding="utf-8")
+        argv = ["report", "--format", fmt]
+        if scope:
+            argv += ["--scope", ",".join(random.Random(scope).sample(region_names, scope))]
+        outputs = [run(capsys, *argv, "--data", data) for data in (SCORES, str(shuffled))]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
     def test_unknown_scope_territory(self, capsys):
         code, _, err = run(capsys, "report", "--data", SCORES, "--scope", "Atlantis")
         assert code == 1

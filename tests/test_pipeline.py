@@ -21,9 +21,10 @@ from igei.model import (
     ObservationRecord,
     SubDomain,
 )
-from igei.penalized import Polarity, WeightedSequence, penalized_mean
+from igei.penalized import _SCORE_EPS, Polarity, WeightedSequence, _fold_scores, penalized_mean
 from igei.pipeline import (
     ReferenceLevels,
+    _fold_columns,
     aggregate_level,
     aggregate_scores,
     aggregate_table,
@@ -762,6 +763,52 @@ class TestAggregateTable:
         )
         empty = aggregate_table(tree, dataclasses.replace(table, territories=(), rows={}))
         assert empty.index == [] and all(col == [] for col in empty.domain_values.values())
+
+
+# cells at the kernel's edges: both zeros, the range's ends and its tolerance
+EDGE_CELLS = st.sampled_from([-0.0, 0.0, 100.0, -_SCORE_EPS, 100.0 + _SCORE_EPS, 1e-9])
+BAD_CELLS = st.sampled_from([math.nan, -1.0, -2e-9, 100.0 + 2e-9, 101.0, math.inf, -math.inf])
+
+
+@st.composite
+def fold_columns(draw, bad=False):
+    """1 to 7 equal-length columns; rows mix any scores, edges, ties and
+    constant rows, and with ``bad`` one to three cells the kernel refuses."""
+    width = draw(st.integers(1, 7))
+    cell = st.one_of(SCORES, EDGE_CELLS)
+    row = st.one_of(
+        st.lists(cell, min_size=width, max_size=width),
+        cell.map(lambda v: [v] * width),
+        st.lists(cell, min_size=1, max_size=2).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=width, max_size=width)
+        ),
+    )
+    rows = draw(st.lists(row, min_size=1 if bad else 0, max_size=8))
+    if bad:
+        cells = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, width - 1), BAD_CELLS)
+        for r, c, value in draw(st.lists(cells, min_size=1, max_size=3)):
+            rows[r][c] = value
+    return [[row[j] for row in rows] for j in range(width)]
+
+
+class TestFoldColumns:
+    @settings(deadline=None)
+    @given(columns=fold_columns())
+    def test_equals_the_row_kernel_bit_for_bit(self, columns):
+        expected = list(map(_fold_scores, zip(*columns)))
+        assert list(map(bits, _fold_columns(columns))) == list(map(bits, expected))
+
+    @settings(deadline=None)
+    @given(columns=fold_columns(bad=True))
+    # a NaN after the first row: min and max pass over it
+    @example(columns=[[50.0, math.nan]])
+    @example(columns=[[50.0, 50.0], [50.0, math.nan], [1.0, 2.0]])
+    def test_refuses_as_the_row_kernel(self, columns):
+        with pytest.raises(AggregationError) as row_by_row:
+            list(map(_fold_scores, zip(*columns)))
+        with pytest.raises(AggregationError) as columnwise:
+            _fold_columns(columns)
+        assert str(columnwise.value) == str(row_by_row.value)
 
 
 class TestIndexTree:

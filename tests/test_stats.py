@@ -12,6 +12,7 @@ from igei.stats import (
     descriptive_summary,
     rank_order,
     rank_table,
+    report_statistics,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -227,6 +228,57 @@ class TestCorrelationMatrix:
 scores = st.floats(min_value=0.0, max_value=100.0)
 # two-decimal scores, the precision of the published tables
 table_scores = st.integers(min_value=0, max_value=10_000).map(lambda v: v / 100)
+
+
+# scores at any float and on a coarse grid, so ties and constant columns occur
+score = st.one_of(st.floats(min_value=0, max_value=100), st.integers(0, 20).map(lambda k: k * 5.0))
+
+
+@st.composite
+def report_columns(draw):
+    """(named columns, correlated names): an index column and 2-5 indicator
+    columns of 3 to 12 rows (now and then fewer), and now and then a constant one."""
+    n = draw(st.sampled_from([1, 2] + [*range(3, 13)] * 3))
+    names = ["index"] + [f"L{j}" for j in range(draw(st.integers(2, 5)))]
+    named = {name: draw(st.lists(score, min_size=n, max_size=n)) for name in names}
+    if draw(st.integers(0, 5)) == 0:
+        named[draw(st.sampled_from(names))] = [draw(score)] * n
+    return named, names[1:]
+
+
+def report_outcome(named, correlated, statistics=report_statistics):
+    """repr of the summaries and matrix, so that every bit counts; or the error."""
+    try:
+        summaries, matrix = statistics(named, correlated)
+    except StatisticsError as exc:
+        return str(exc), exc.positions
+    return repr(summaries), repr(matrix)
+
+
+def one_by_one(named, correlated):
+    summaries = {name: descriptive_summary(column) for name, column in named.items()}
+    return summaries, correlation_matrix([named[name] for name in correlated])
+
+
+class TestReportStatistics:
+    @given(case=report_columns())
+    def test_equals_the_public_functions_bit_for_bit(self, case):
+        named, correlated = case
+        assert report_outcome(named, correlated) == report_outcome(
+            named, correlated, one_by_one
+        )
+
+    @given(case=report_columns(), data=st.data())
+    def test_row_order_and_scope_subsets_change_no_bit(self, case, data):
+        named, correlated = case
+        n = len(named["index"])
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        picked = {name: [column[i] for i in rows] for name, column in named.items()}
+        in_order = {name: [column[i] for i in sorted(rows)] for name, column in named.items()}
+        assert report_outcome(picked, correlated) == report_outcome(in_order, correlated)
+        assert report_outcome(picked, correlated, one_by_one) == report_outcome(
+            in_order, correlated
+        )
 
 
 class TestAgainstNumpy:
