@@ -108,14 +108,9 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
     return DataError(f"{source} is not UTF-8 text: {exc.reason} ({bad!r})")
 
 
-def _rows(
-    source, decimal_comma: bool, handle: IO[str] | None = None
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, cells as written) skipping comment and blank lines.
-
-    Reads ``handle`` when given, else opens ``source``; ``source`` names
-    the file in messages.
-    """
+def _rows(source, decimal_comma: bool, handle: IO[str] | None = None) -> Iterator:
+    """Yield (line number, cells as written) of ``handle``, or else of ``source``,
+    skipping comment and blank lines."""
     lineno = 0
     with handle or _open_text(source, newline="") as handle:
         reader = enumerate(_reader(handle, decimal_comma), start=1)
@@ -215,19 +210,25 @@ def load_dataset(source, decimal_comma: bool = False) -> Dataset:
     duplicate (territory, indicator, period) keys.
 
     Rows are gathered into one block of columns per indicator, checked a
-    column at a time. A file that fails any of those checks, or that the
-    block path does not read (a cell it cannot convert), is read again row
-    by row, which names its first fault in file order. The file is read
-    once, so a pipe serves both readings.
+    column at a time (see :func:`_read_twice`).
+    """
+    return _read_twice(source, decimal_comma, _load_blocks, _load_rows)
+
+
+def _read_twice(source, decimal_comma: bool, columns, rows):
+    """``columns`` of the file's text, or when one of its checks fails ``rows``.
+
+    ``columns`` returns None when a check fails, and raises ValueError for
+    a cell it cannot convert; ``rows`` reads the text again one row at a
+    time and names the first fault in file order. The file is read once,
+    so a pipe serves both readings.
     """
     raw = _read_bytes(source)
     try:
-        data = _load_blocks(_utf8_lines(raw), decimal_comma)
+        data = columns(_utf8_lines(raw), decimal_comma)
     except (ValueError, csv.Error):  # a bad cell; UnicodeDecodeError is a ValueError
         data = None
-    if data is not None:
-        return data
-    return _load_rows(_utf8_lines(raw), source, decimal_comma)
+    return rows(_utf8_lines(raw), source, decimal_comma) if data is None else data
 
 
 # rows read between two conversions to columns: the cells of at most this
@@ -429,19 +430,10 @@ class ScoreTable:
 def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
     """Read a wide indicator-score table (header: territory + indicator ids).
 
-    Rows are read a chunk at a time and checked a column at a time. A
-    table that fails a check is read again row by row, which names its
-    first fault in file order. The file is read once, so a pipe serves
-    both readings.
+    Rows are read a chunk at a time and checked a column at a time (see
+    :func:`_read_twice`).
     """
-    raw = _read_bytes(source)
-    try:
-        table = _table_columns(_utf8_lines(raw), decimal_comma)
-    except (ValueError, csv.Error):  # a bad cell; UnicodeDecodeError is a ValueError
-        table = None
-    if table is not None:
-        return table
-    return _table_rows(_utf8_lines(raw), source, decimal_comma)
+    return _read_twice(source, decimal_comma, _table_columns, _table_rows)
 
 
 # rows of a score table read between two conversions to columns

@@ -149,9 +149,9 @@ def resolve_references(
         try:
             levels = list(map(working, raw))
         except MetricInputError:
-            # named as a walk territory by territory would meet it
-            owners = data.territories if external else scope
-            rank = {terr: i for i, terr in enumerate(dict.fromkeys(owners))}
+            # the first fault a walk territory by territory meets
+            rank = {terr: i for i, terr in enumerate(dict.fromkeys(
+                data.territories if external else scope))}
             for i in sorted(range(len(raw)), key=lambda i: rank[territories[i]]):
                 try:
                     working(raw[i])
@@ -162,11 +162,19 @@ def resolve_references(
                     ) from None
             raise
         scope_rows = list(map(in_scope.__contains__, territories))
-        held_in_scope = list(compress(territories, scope_rows))
-        if len(set(held_in_scope)) != len(in_scope) or (
-            not time_mode and len(held_in_scope) != len(in_scope)
-        ):
-            raise _coverage_fault(spec.id, source_id, attr, scope, held_in_scope, time_mode)
+        counts = Counter(compress(territories, scope_rows))
+        if len(counts) != len(in_scope) or not time_mode and counts.total() != len(in_scope):
+            # the first territory, in scope order, with no level or several
+            terr = next(t for t in scope if not counts[t] or not time_mode and counts[t] > 1)
+            if not counts[terr]:
+                raise ScoringError(
+                    f"{spec.id}: no {attr} value of indicator {source_id!r} for "
+                    f"territory {terr!r}; dataset is incomplete"
+                )
+            raise ScoringError(
+                f"{spec.id}: territory {terr!r} has {counts[terr]} periods for "
+                f"indicator {source_id!r}; score as a time series"
+            )
         reference = max(compress(levels, scope_rows))
         if reference <= 0:
             raise ScoringError(
@@ -177,26 +185,6 @@ def resolve_references(
         if external:
             bases.update(zip(zip(repeat(spec.id), territories, periods), levels))
     return ReferenceLevels(maxima=maxima, bases=bases)
-
-
-def _coverage_fault(
-    indicator: str, source_id: str, attr: str, scope: Sequence[str], held: Iterable[str],
-    time_mode: bool,
-) -> ScoringError:
-    """The error for the first scope territory, in scope order, without a level
-    of the source or, outside ``time_mode``, with several."""
-    counts = Counter(held)
-    for terr in scope:
-        if not counts[terr]:
-            return ScoringError(
-                f"{indicator}: no {attr} value of indicator {source_id!r} for "
-                f"territory {terr!r}; dataset is incomplete"
-            )
-        if not time_mode and counts[terr] > 1:
-            return ScoringError(
-                f"{indicator}: territory {terr!r} has {counts[terr]} periods for "
-                f"indicator {source_id!r}; score as a time series"
-            )
 
 
 def _alpha(

@@ -277,9 +277,8 @@ def oracle_references(records, specs, scope, time_mode):
 
 
 def walk_references(records, specs, scope, time_mode):
-    """resolve_references read a territory at a time, as it was written before
-    its column pass: territories in the dataset's (external) or the scope's
-    order, each one's rows in input order."""
+    """resolve_references as a walk a territory at a time: territories in the
+    dataset's (external) or the scope's order, each one's rows in input order."""
     attrs = {"total": "x_a", "women": "x_w", "men": "x_m"}
     territories = list(dict.fromkeys(rec.territory for rec in records))
     maxima, bases = {}, {}
