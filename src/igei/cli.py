@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from operator import itemgetter
 from pathlib import Path
 
 from igei import dataio, pipeline, stats
@@ -89,8 +88,12 @@ def _csv_cell(cell: str) -> str:
     return cell
 
 
-_f2 = "{:.2f}".format
-_f3 = "{:.3f}".format
+def _f2(v: float) -> str:
+    return f"{v:.2f}"
+
+
+def _f3(v: float) -> str:
+    return f"{v:.3f}"
 
 
 def _reports_json(table: pipeline.TableReport, period: int | None = None) -> list[dict]:
@@ -118,7 +121,7 @@ def _ranking(
     indicators (3 dp) and domains before the index."""
     order = stats.rank_order(table.index, table.territories)
     # each column's values in rank order
-    ranked = itemgetter(*order) if len(order) > 1 else lambda col: [col[i] for i in order]
+    ranked = lambda col: map(col.__getitem__, order)  # noqa: E731
     domains = [map(_f2, ranked(col)) for col in table.domain_values.values()]
     index = map(_f2, ranked(table.index))
     if wide:

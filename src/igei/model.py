@@ -438,10 +438,11 @@ class Dataset:
         self._blocks: dict[str, Columns] = blocks
         self._order: list[str] | None = order
         self._records: tuple[ObservationRecord, ...] | None = records
+        # per indicator: its records by block row, None where not built yet
+        self._built: dict[str, list[ObservationRecord | None]] = {}
         # per indicator: each territory's row positions in the block, replaced
         # by the pair's records once they are built
         self._index: dict[str, dict[str, list[int] | tuple[ObservationRecord, ...]]] = {}
-        self._grouped: dict[str, list[ObservationRecord]] | None = None
         self.territories: tuple[str, ...] = territories
         self.indicators: tuple[str, ...] = tuple(blocks)
         self.periods: tuple[int, ...] = tuple(
@@ -454,13 +455,14 @@ class Dataset:
 
     def __iter__(self) -> Iterator[ObservationRecord]:
         if self._records is None:
-            built = {
-                indicator: iter([
-                    ObservationRecord(t, indicator, p, k, w, m, a, v)
-                    for t, p, k, w, m, a, v in zip(*block)
-                ])
-                for indicator, block in self._blocks.items()
-            }
+            built = {}
+            for indicator, block in self._blocks.items():
+                cache = self._cache(indicator)
+                cache[:] = [
+                    ObservationRecord(t, indicator, p, k, w, m, a, v) if rec is None else rec
+                    for rec, t, p, k, w, m, a, v in zip(cache, *block)
+                ]
+                built[indicator] = iter(cache)
             self._records = tuple(map(next, map(built.__getitem__, self._order)))
             self._order = None
         return iter(self._records)
@@ -472,7 +474,7 @@ class Dataset:
         """Every period's observation of one territory and indicator, in input order.
 
         Builds only this pair's records, found through a row index kept per
-        block; once the dataset holds records, returns those.
+        block; a record is built once, whether by a series or by iteration.
         """
         index = self._index.get(indicator)
         if index is None:
@@ -484,16 +486,28 @@ class Dataset:
             found = index[territory] = tuple(map(self._record_at(indicator), found))
         return found
 
+    def _cache(self, indicator: str) -> list[ObservationRecord | None]:
+        """The indicator's records by block row, ``None`` where not built yet."""
+        if indicator not in self._built:
+            if self._records is None:
+                self._built[indicator] = [None] * len(self._blocks[indicator].territory)
+            else:
+                for rec in self._records:
+                    self._built.setdefault(rec.indicator, []).append(rec)
+        return self._built[indicator]
+
     def _record_at(self, indicator: str) -> Callable[[int], ObservationRecord]:
-        """The record of a row position in the indicator's block."""
-        if self._records is None:
-            t, p, k, w, m, a, v = self._blocks[indicator]
-            return lambda i: ObservationRecord(t[i], indicator, p[i], k[i], w[i], m[i], a[i], v[i])
-        if self._grouped is None:
-            self._grouped = {}
-            for rec in self._records:
-                self._grouped.setdefault(rec.indicator, []).append(rec)
-        return self._grouped[indicator].__getitem__
+        """The record of a row position in the indicator's block, built at most once."""
+        cache = self._cache(indicator)
+        t, p, k, w, m, a, v = self._blocks[indicator]
+
+        def record(i: int) -> ObservationRecord:
+            rec = cache[i]
+            if rec is None:
+                rec = cache[i] = ObservationRecord(
+                    t[i], indicator, p[i], k[i], w[i], m[i], a[i], v[i])
+            return rec
+        return record
 
     def get(
         self, territory: str, indicator: str, period: int | None = None

@@ -12,10 +12,9 @@ scoring is independent, deterministic, and side-effect free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import Counter
-from itertools import compress, repeat
+from itertools import repeat
 from math import fsum, isnan
-from operator import and_, is_not, mul, sub
+from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from igei.errors import AggregationError, IgeiError, MetricInputError, ScoringError
@@ -121,14 +120,13 @@ def resolve_references(
     reference across the whole series). Correction base values are
     collected for every territory in the dataset, so territories outside
     the scope can still be scored against the scope's references.
-    Each correction reads its source indicator's columns once, a column
-    at a time, so the cost is linear in the records.
+    Each correction reads its source indicator's columns once, so the
+    cost is linear in the records.
     """
     data = as_dataset(dataset)
     scope = list(scope)
     if not scope:
         raise ScoringError("territory scope is empty")
-    in_scope = set(scope)
     maxima: dict[str, float] = {}
     bases: dict[tuple[str, str, int], float] = {}
     for spec in specs.values():
@@ -137,45 +135,25 @@ def resolve_references(
         source_id, attr, source_polarity = _correction_source(spec, specs)
         external = spec.correction.kind is CorrectionKind.EXTERNAL
         block = data.columns(source_id)
-        # the rows with a level: every territory's for an external
-        # correction, as its bases cover them all, else the scope's
-        held = list(map(is_not, getattr(block, attr), repeat(None)))
-        if not external:
-            held = list(map(and_, held, map(in_scope.__contains__, block.territory)))
-        territories = list(compress(block.territory, held))
-        periods = list(compress(block.period, held))
-        raw = list(compress(getattr(block, attr), held))
-        working = _working_scale(source_polarity)
-        try:
-            levels = list(map(working, raw))
-        except MetricInputError:
-            # the first fault a walk territory by territory meets
-            rank = {terr: i for i, terr in enumerate(dict.fromkeys(
-                data.territories if external else scope))}
-            for i in sorted(range(len(raw)), key=lambda i: rank[territories[i]]):
-                try:
-                    working(raw[i])
-                except MetricInputError as exc:
-                    raise ScoringError(
-                        f"territory {territories[i]!r}, indicator {source_id!r}, "
-                        f"period {periods[i]}: {exc}"
-                    ) from None
-            raise
-        scope_rows = list(map(in_scope.__contains__, territories))
-        counts = Counter(compress(territories, scope_rows))
-        if len(counts) != len(in_scope) or not time_mode and counts.total() != len(in_scope):
-            # the first territory, in scope order, with no level or several
-            terr = next(t for t in scope if not counts[t] or not time_mode and counts[t] > 1)
-            if not counts[terr]:
+        # external bases cover every territory, and the scope reads from them
+        levels_of = _source_levels(
+            block, data.territories if external else scope, source_id, attr, source_polarity
+        )
+        scope_values: list[float] = []
+        for terr in scope:
+            levels = levels_of.get(terr)
+            if not levels:
                 raise ScoringError(
                     f"{spec.id}: no {attr} value of indicator {source_id!r} for "
                     f"territory {terr!r}; dataset is incomplete"
                 )
-            raise ScoringError(
-                f"{spec.id}: territory {terr!r} has {counts[terr]} periods for "
-                f"indicator {source_id!r}; score as a time series"
-            )
-        reference = max(compress(levels, scope_rows))
+            if not time_mode and len(levels) > 1:
+                raise ScoringError(
+                    f"{spec.id}: territory {terr!r} has {len(levels)} periods for "
+                    f"indicator {source_id!r}; score as a time series"
+                )
+            scope_values.extend(level for _, level in levels)
+        reference = max(scope_values)
         if reference <= 0:
             raise ScoringError(
                 f"{spec.id}: reference maximum must be strictly positive, "
@@ -183,8 +161,30 @@ def resolve_references(
             )
         maxima[spec.id] = reference
         if external:
-            bases.update(zip(zip(repeat(spec.id), territories, periods), levels))
+            for terr, levels in levels_of.items():
+                for per, level in levels:
+                    bases[(spec.id, terr, per)] = level
     return ReferenceLevels(maxima=maxima, bases=bases)
+
+
+def _source_levels(
+    block: Columns, territories: Sequence[str], source_id: str, attr: str, polarity: Polarity
+) -> dict[str, list[tuple[int, float]]]:
+    """(period, working level) of each territory's correction variable, in input order."""
+    levels_of: dict[str, list] = {terr: [] for terr in territories}
+    for terr, per, raw in zip(block.territory, block.period, getattr(block, attr)):
+        if raw is not None and terr in levels_of:
+            levels_of[terr].append((per, raw))
+    working = _working_scale(polarity)
+    for terr, levels in levels_of.items():
+        for i, (per, raw) in enumerate(levels):
+            try:
+                levels[i] = (per, working(raw))
+            except MetricInputError as exc:  # a rate above 1 under negative polarity
+                raise ScoringError(
+                    f"territory {terr!r}, indicator {source_id!r}, period {per}: {exc}"
+                ) from None
+    return levels_of
 
 
 def _alpha(
