@@ -167,6 +167,11 @@ def _fold_two(a: float, b: float) -> float:
     a_ok = -_SCORE_EPS <= a <= 100.0 + _SCORE_EPS
     if not (a_ok and -_SCORE_EPS <= b <= 100.0 + _SCORE_EPS):
         raise AggregationError(f"scores must lie in [0, 100], got {b if a_ok else a}")
+    return _pair_mean(a, b)
+
+
+def _pair_mean(a: float, b: float) -> float:
+    """:func:`_fold_two`'s formula, for two scores it accepts."""
     ran = b - a if a < b else a - b
     if ran == 0.0:
         return a

@@ -37,7 +37,7 @@ from igei.model import (
     as_dataset,
     external_source,
 )
-from igei.penalized import RANGE_TOLERANCE, _SCORE_EPS, Polarity, _fold_scores, _fold_two
+from igei.penalized import RANGE_TOLERANCE, _SCORE_EPS, Polarity, _fold_scores, _pair_mean
 
 if TYPE_CHECKING:
     from igei.dataio import ScoreTable
@@ -282,16 +282,15 @@ def _fold_tree(tree: IndexTree, leaves: list, fold: Callable) -> tuple:
 def _fold_columns(columns: list[Sequence[float]]) -> list[float]:
     """:func:`_fold_scores` of each row of equal-length ``columns``, bit for bit.
 
-    One child gives a copy of its column and three or more take a column
-    kernel, once every score is inside the kernel's range; a table with a
-    score outside it is folded row by row, which raises the first row's error.
+    Once every score is inside the kernel's range, one child gives a copy
+    of its column, two map the two-score formula and three or more take a
+    column kernel; a table with a score outside it is folded row by row,
+    which raises the first row's error.
     """
-    if len(columns) == 2:
-        return list(map(_fold_two, columns[0], columns[1]))
-    if not all(map(_in_range, columns)):
+    if not all(_within(col, -_SCORE_EPS, 100.0 + _SCORE_EPS) for col in columns):
         return list(map(_fold_scores, zip(*columns)))
-    if len(columns) == 1:
-        return list(columns[0])
+    if len(columns) <= 2:
+        return list(map(_pair_mean, *columns)) if len(columns) == 2 else list(columns[0])
     # _fold_scores' sums and products, a column (or a row's fsum) at a time
     p = 1.0 / len(columns)
     means = list(map(fsum, zip(*[list(map(mul, repeat(p), col)) for col in columns])))
@@ -304,11 +303,9 @@ def _fold_columns(columns: list[Sequence[float]]) -> list[float]:
     ]
 
 
-def _in_range(column: Sequence[float]) -> bool:
-    """Whether every score lies in the kernel's [0, 100] range: a NaN makes the sum NaN."""
-    return not column or (
-        -_SCORE_EPS <= min(column) and max(column) <= 100.0 + _SCORE_EPS and not isnan(sum(column))
-    )
+def _within(column: Sequence[float], low: float, high: float) -> bool:
+    """Whether every value of ``column`` lies in [low, high]: a NaN makes the sum NaN."""
+    return not column or (low <= min(column) and max(column) <= high and not isnan(sum(column)))
 
 
 def aggregate_scores(
