@@ -52,10 +52,14 @@ def gap_metric(x_w: float, x_m: float) -> float:
     """
     if not (0.0 <= x_w <= _HALF_MAX and 0.0 <= x_m <= _HALF_MAX):
         raise MetricInputError(f"levels must lie in [0, {_HALF_MAX!r}], got ({x_w}, {x_m})")
-    total = x_w + x_m
-    if total == 0:
+    if x_w + x_m == 0:
         raise DegenerateInputError("gender gap is undefined when both levels are zero")
-    return abs(x_w - x_m) / total
+    return _gap(x_w, x_m)
+
+
+def _gap(x_w: float, x_m: float) -> float:
+    """:func:`gap_metric`'s formula, for levels it accepts."""
+    return abs(x_w - x_m) / (x_w + x_m)
 
 
 def gei_gap_metric(x_w: float, x_a: float) -> float:
@@ -85,6 +89,11 @@ def correction_coefficient(x_a: float, x_ref: float) -> float:
     softening the shadow the top performer casts on weak territories.
     """
     _check_achievement(x_a, x_ref)
+    return _correction(x_a, x_ref)
+
+
+def _correction(x_a: float, x_ref: float) -> float:
+    """:func:`correction_coefficient`'s formula, for levels it accepts."""
     return 2.0 * x_a / (x_ref + x_a)
 
 
@@ -113,8 +122,13 @@ def score_standard(x_w: float, x_m: float, correction: float | None = None) -> f
     ``correction * (1 - gap_metric(x_w, x_m)) * 100``. The achievement-corrected
     score passes ``correction_coefficient(x_a, x_ref)``.
     """
-    gamma = gap_metric(x_w, x_m)
-    return _factor(correction) * (1.0 - gamma) * 100.0
+    gap_metric(x_w, x_m)
+    return _standard(x_w, x_m, _factor(correction))
+
+
+def _standard(x_w: float, x_m: float, factor: float) -> float:
+    """:func:`score_standard`'s formula, for levels it accepts and a factor in [0, 1]."""
+    return factor * (1.0 - _gap(x_w, x_m)) * 100.0
 
 
 def score_gei(x_w: float, x_a: float, x_ref: float) -> float:
@@ -147,6 +161,11 @@ def invert_polarity(x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise MetricInputError(f"polarity inversion is only defined for rates, got {x}")
+    return _invert(x)
+
+
+def _invert(x: float) -> float:
+    """:func:`invert_polarity`'s formula, for a rate in [0, 1]."""
     return 1.0 - x
 
 
@@ -159,7 +178,12 @@ def score_share(share: float, correction: float | None = None) -> float:
     """
     if not 0.0 <= share <= 1.0:
         raise MetricInputError(f"share must lie in [0, 1], got {share}")
-    return _factor(correction) * (1.0 - abs(1.0 - 2.0 * share)) * 100.0
+    return _share(share, _factor(correction))
+
+
+def _share(share: float, factor: float) -> float:
+    """:func:`score_share`'s formula, for a share in [0, 1] and a factor in [0, 1]."""
+    return factor * (1.0 - abs(1.0 - 2.0 * share)) * 100.0
 
 
 def score_ratio(ratio: float, correction: float | None = None) -> float:
@@ -172,7 +196,12 @@ def score_ratio(ratio: float, correction: float | None = None) -> float:
     """
     if not 0.0 < ratio < _INF:
         raise MetricInputError(f"ratio must be finite and positive, got {ratio}")
-    return _factor(correction) * (1.0 - abs(ratio - 1.0) / (ratio + 1.0)) * 100.0
+    return _ratio(ratio, _factor(correction))
+
+
+def _ratio(ratio: float, factor: float) -> float:
+    """:func:`score_ratio`'s formula, for a finite positive ratio and a factor in [0, 1]."""
+    return factor * (1.0 - abs(ratio - 1.0) / (ratio + 1.0)) * 100.0
 
 
 def _factor(correction: float | None) -> float:
@@ -188,4 +217,9 @@ def score_capped(value: float) -> float:
     """Score a coverage ratio as ``min(1, value) * 100``, with no correction."""
     if not 0.0 <= value < _INF:
         raise MetricInputError(f"coverage ratio must be finite and non-negative, got {value}")
+    return _capped(value)
+
+
+def _capped(value: float) -> float:
+    """:func:`score_capped`'s formula, for a finite non-negative ratio."""
     return min(1.0, value) * 100.0

@@ -19,7 +19,14 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from igei.errors import AggregationError, IgeiError, MetricInputError, ScoringError
 from igei.metrics import (
+    _HALF_MAX,
     MetricKind,
+    _capped,
+    _correction,
+    _invert,
+    _ratio,
+    _share,
+    _standard,
     correction_coefficient,
     invert_polarity,
     score_capped,
@@ -501,12 +508,75 @@ def _walk(
 def _score_column(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -> list[float]:
     """:func:`compute_indicator` of every row of ``block``, in row order.
 
-    Raises on the first row a scorer refuses; the message is the
-    record path's to give.
+    Maps the scorers' formulas once a test of each column shows that no
+    row can be refused; otherwise scores row by row, which raises on the
+    first row a scorer refuses. The message is the record path's to give.
     """
     metric = spec.metric
     if block.kind.count(metric) != len(block.kind):
         raise ScoringError(f"{spec.id}: expected {metric.value} observations")
+    scores = _column_scores(spec, block, refs)
+    return _row_scores(spec, block, refs) if scores is None else scores
+
+
+def _column_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -> list | None:
+    """The scores of every row through the formulas alone; None unless a test of
+    each column (min, max and ``in``) shows that no scalar scorer refuses a row.
+
+    Each row of a dataset block has passed the record rule: its levels are
+    finite and non-negative, a share lies in [0, 1] and a ratio above 0. The
+    tests check what the scorers add to that rule, and a correction base,
+    which ``refs`` may hold as any number.
+    """
+    negative, correction = spec.polarity is _NEGATIVE, spec.correction.kind
+    if correction is _NONE:
+        factors = repeat(1.0)
+    else:
+        reference = refs.maxima.get(spec.id)
+        if reference is None or not 0.0 < reference <= _HALF_MAX:
+            return None
+        if correction is _OWN_AVERAGE:
+            sources = _working_levels(block.x_a, negative)
+            if sources is None or (sources and max(sources) > reference):
+                return None
+        else:
+            sources = list(map(refs.bases.get, zip(repeat(spec.id), block.territory, block.period)))
+            if None in sources or not _within(sources, 0.0, reference):
+                return None
+        # 2a / (r + a) with 0 <= a <= r rounds to at most 1: _factor passes it
+        factors = list(map(_correction, sources, repeat(reference)))
+    if spec.metric is _STANDARD:
+        x_w, x_m = _working_levels(block.x_w, negative), _working_levels(block.x_m, negative)
+        if x_w is None or x_m is None or (0.0 in x_w and 0.0 in x_m):
+            return None
+        # compute_indicator puts the total on the working scale whatever the correction
+        totals = block.x_a if None not in block.x_a else [v for v in block.x_a if v is not None]
+        if negative and totals and max(totals) > 1.0:
+            return None
+        if x_w and (max(x_w) > _HALF_MAX or max(x_m) > _HALF_MAX):
+            return None
+        return list(map(_standard, x_w, x_m, factors))
+    if spec.metric is _SHARE:
+        return list(map(_share, block.value, factors))
+    if spec.metric is _RATIO:
+        return list(map(_ratio, block.value, factors))
+    return list(map(_capped, block.value))
+
+
+def _working_levels(column: Sequence[float | None], negative: bool) -> list[float] | None:
+    """``column`` on the working scale; None if it lacks a level, or if a
+    negative-polarity level is above 1."""
+    if None in column:
+        return None
+    if not negative:
+        return list(map(float, column))
+    return None if column and max(column) > 1.0 else list(map(_invert, column))
+
+
+def _row_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -> list[float]:
+    """:func:`compute_indicator` of every row of ``block``, through the checked
+    scalar scorers; raises on the first row one refuses."""
+    metric = spec.metric
     working = _working_scale(spec.polarity)
     correction = spec.correction.kind
     if metric is _STANDARD and correction is not _OWN_AVERAGE:
