@@ -12,7 +12,7 @@ scoring is independent, deterministic, and side-effect free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from math import fsum, isnan
 from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -128,12 +128,20 @@ def resolve_references(
     collected for every territory in the dataset, so territories outside
     the scope can still be scored against the scope's references.
     Each correction reads its source indicator's columns once, so the
-    cost is linear in the records.
+    cost is linear in the records: a column that holds every territory's
+    level in every period, each one valid on the working scale, gives its
+    maximum with one ``max``; any other is read territory by territory,
+    which raises on a fault.
     """
     data = as_dataset(dataset)
     scope = list(scope)
     if not scope:
         raise ScoringError("territory scope is empty")
+    in_scope = set(scope)
+    # a full column then holds each scope territory once per period
+    fits = in_scope.issubset(data.territories) and (time_mode or len(data.periods) == 1)
+    full = len(data.periods) * len(data.territories)
+    everywhere = len(in_scope) == len(data.territories)
     maxima: dict[str, float] = {}
     bases: dict[tuple[str, str, int], float] = {}
     for spec in specs.values():
@@ -142,36 +150,55 @@ def resolve_references(
         source_id, attr, source_polarity = _correction_source(spec, specs)
         external = spec.correction.kind is CorrectionKind.EXTERNAL
         block = data.columns(source_id)
-        # external bases cover every territory, and the scope reads from them
-        levels_of = _source_levels(
-            block, data.territories if external else scope, source_id, attr, source_polarity
-        )
-        scope_values: list[float] = []
-        for terr in scope:
-            levels = levels_of.get(terr)
-            if not levels:
-                raise ScoringError(
-                    f"{spec.id}: no {attr} value of indicator {source_id!r} for "
-                    f"territory {terr!r}; dataset is incomplete"
-                )
-            if not time_mode and len(levels) > 1:
-                raise ScoringError(
-                    f"{spec.id}: territory {terr!r} has {len(levels)} periods for "
-                    f"indicator {source_id!r}; score as a time series"
-                )
-            scope_values.extend(level for _, level in levels)
-        reference = max(scope_values)
-        if reference <= 0:
-            raise ScoringError(
-                f"{spec.id}: reference maximum must be strictly positive, "
-                f"got {reference}"
+        levels = None
+        if fits and len(block.territory) == full:
+            levels = _working_levels(getattr(block, attr), source_polarity is _NEGATIVE)
+        if levels and (reference := max(levels if everywhere else compress(
+                levels, map(in_scope.__contains__, block.territory)))) > 0:
+            maxima[spec.id] = reference
+            if external:
+                bases.update(zip(zip(repeat(spec.id), block.territory, block.period), levels))
+        else:
+            maxima[spec.id] = _row_reference(
+                spec, block, data.territories if external else scope, scope, time_mode,
+                source_id, attr, source_polarity, bases if external else None,
             )
-        maxima[spec.id] = reference
-        if external:
-            for terr, levels in levels_of.items():
-                for per, level in levels:
-                    bases[(spec.id, terr, per)] = level
     return ReferenceLevels(maxima=maxima, bases=bases)
+
+
+def _row_reference(
+    spec: IndicatorSpec, block: Columns, territories: Sequence[str], scope: list[str],
+    time_mode: bool, source_id: str, attr: str, polarity: Polarity, bases: dict | None,
+) -> float:
+    """The reference maximum of one correction, read territory by territory;
+    fills ``bases`` with every territory's levels when given one."""
+    # external bases cover every territory, and the scope reads from them
+    levels_of = _source_levels(block, territories, source_id, attr, polarity)
+    scope_values: list[float] = []
+    for terr in scope:
+        levels = levels_of.get(terr)
+        if not levels:
+            raise ScoringError(
+                f"{spec.id}: no {attr} value of indicator {source_id!r} for "
+                f"territory {terr!r}; dataset is incomplete"
+            )
+        if not time_mode and len(levels) > 1:
+            raise ScoringError(
+                f"{spec.id}: territory {terr!r} has {len(levels)} periods for "
+                f"indicator {source_id!r}; score as a time series"
+            )
+        scope_values.extend(level for _, level in levels)
+    reference = max(scope_values)
+    if reference <= 0:
+        raise ScoringError(
+            f"{spec.id}: reference maximum must be strictly positive, "
+            f"got {reference}"
+        )
+    if bases is not None:
+        for terr, levels in levels_of.items():
+            for per, level in levels:
+                bases[(spec.id, terr, per)] = level
+    return reference
 
 
 def _source_levels(
