@@ -806,18 +806,40 @@ def validate_dataset(
                         "no recipe for this indicator")
                 for terr in set(block.territory)
             )
-        else:
+        elif not _block_clean(spec, block):
             findings.update(_block_findings(spec, block))
 
     territories = list(scope) if scope is not None else sorted(data.territories)
+    # a block with every territory in every period lacks no pair of a known territory
+    known = scope is None or set(territories).issubset(data.territories)
+    full = len(data.periods) * len(data.territories)
     for ind in specs:
-        recorded = set(data.columns(ind).territory)
+        block = data.columns(ind)
+        if known and len(block.territory) == full:
+            continue
+        recorded = set(block.territory)
         findings.update(
             Finding("error", "missing-pair", ind, terr, "no observation")
             for terr in territories if terr not in recorded
         )
 
     return ValidationReport(findings=tuple(sorted(findings)))
+
+
+def _block_clean(spec: IndicatorSpec, block: Columns) -> bool:
+    """Whether :func:`_block_findings` yields nothing for ``block``, tested a
+    column at a time (a False answer can be cautious)."""
+    if block.kind.count(spec.metric) != len(block.kind):
+        return False
+    if spec.metric is not _STANDARD or not block.kind:
+        return True
+    x_w, x_m, x_a = block.x_w, block.x_m, block.x_a
+    if (spec.correction.kind is _OWN_AVERAGE and None in x_a) or (0.0 in x_w and 0.0 in x_m):
+        return False
+    if spec.polarity is not _NEGATIVE:
+        return True
+    totals = x_a if None not in x_a else [v for v in x_a if v is not None] or [0.0]
+    return max(x_w) <= 1.0 and max(x_m) <= 1.0 and max(totals) <= 1.0
 
 
 def _block_findings(spec: IndicatorSpec, block: Columns) -> Iterator[Finding]:
