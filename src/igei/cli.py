@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from igei import dataio, pipeline, stats
-from igei.errors import IgeiError, StatisticsError
+from igei.errors import IgeiError, ScoringError, StatisticsError
 
 
 # --- output ---------------------------------------------------------------
@@ -156,6 +156,8 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
     dataset = dataio.load_dataset(args.data, decimal_comma=args.decimal_comma)
     # sorted, so that the JSON scope listing does not depend on row order
     scope = _parse_scope(args.scope) or sorted(dataset.territories)
+    if not scope:  # no --scope, and no observation to take one from
+        raise ScoringError("dataset has no observations")
     validation = dataio.validate_dataset(dataset, specs, scope=scope)
     if not validation.ok:
         keys = ["level", "code", "territory", "indicator", "message"]

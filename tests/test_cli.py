@@ -266,6 +266,17 @@ class TestBadInput:
         "A,C,2023,capped,,,,0.5\n"
     )
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("series", [False, True])
+    def test_header_only_observations(self, capsys, tmp_path, fmt, series):
+        # without --scope there is no territory to score: both modes name the
+        # empty file, not an option the user never passed
+        data = tmp_path / "obs.csv"
+        data.write_text("territory,indicator,period,kind,x_w,x_m,x_a,value\n", encoding="utf-8")
+        argv = ["score", "--data", str(data), "--spec", DEMO_SPEC, "--format", fmt]
+        code, out, err = run(capsys, *argv, *(["--time-series"] if series else []))
+        assert (code, out, err) == (1, "", "error: dataset has no observations\n")
+
     def test_non_finite_value(self, capsys, tmp_path):
         data = self.CAPPED_DATA + "B,C,2023,capped,,,,nan\n"
         err = self._score(capsys, tmp_path, self.CAPPED_SPEC, data)
