@@ -148,32 +148,35 @@ def resolve_references(
         if spec.correction.kind is CorrectionKind.NONE:
             continue
         source_id, attr, source_polarity = _correction_source(spec, specs)
-        external = spec.correction.kind is CorrectionKind.EXTERNAL
         block = data.columns(source_id)
         levels = None
         if fits and len(block.territory) == full:
             levels = _working_levels(getattr(block, attr), source_polarity is _NEGATIVE)
-        if levels and (reference := max(levels if everywhere else compress(
-                levels, map(in_scope.__contains__, block.territory)))) > 0:
-            maxima[spec.id] = reference
-            if external:
-                bases.update(zip(zip(repeat(spec.id), block.territory, block.period), levels))
-        else:
-            maxima[spec.id] = _row_reference(
-                spec, block, data.territories if external else scope, scope, time_mode,
-                source_id, attr, source_polarity, bases if external else None,
-            )
+        if levels:
+            reference = max(levels if everywhere else
+                            compress(levels, map(in_scope.__contains__, block.territory)))
+        if not levels or not reference > 0:
+            maxima[spec.id] = _row_reference(spec, specs, data, scope, time_mode, bases)
+            continue
+        maxima[spec.id] = reference
+        if spec.correction.kind is CorrectionKind.EXTERNAL:
+            bases.update(zip(zip(repeat(spec.id), block.territory, block.period), levels))
     return ReferenceLevels(maxima=maxima, bases=bases)
 
 
 def _row_reference(
-    spec: IndicatorSpec, block: Columns, territories: Sequence[str], scope: list[str],
-    time_mode: bool, source_id: str, attr: str, polarity: Polarity, bases: dict | None,
+    spec: IndicatorSpec, specs: Mapping[str, IndicatorSpec], data: Dataset,
+    scope: list[str], time_mode: bool, bases: dict[tuple[str, str, int], float],
 ) -> float:
-    """The reference maximum of one correction, read territory by territory;
-    fills ``bases`` with every territory's levels when given one."""
+    """One correction's reference maximum, read territory by territory, which
+    raises on a fault; an external correction's levels go into ``bases``."""
+    source_id, attr, source_polarity = _correction_source(spec, specs)
+    external = spec.correction.kind is CorrectionKind.EXTERNAL
     # external bases cover every territory, and the scope reads from them
-    levels_of = _source_levels(block, territories, source_id, attr, polarity)
+    levels_of = _source_levels(
+        data.columns(source_id), data.territories if external else scope, source_id, attr,
+        source_polarity,
+    )
     scope_values: list[float] = []
     for terr in scope:
         levels = levels_of.get(terr)
@@ -194,7 +197,7 @@ def _row_reference(
             f"{spec.id}: reference maximum must be strictly positive, "
             f"got {reference}"
         )
-    if bases is not None:
+    if external:
         for terr, levels in levels_of.items():
             for per, level in levels:
                 bases[(spec.id, terr, per)] = level
