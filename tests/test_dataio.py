@@ -1,15 +1,17 @@
 import csv
 import io
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from igei import dataio
@@ -26,7 +28,7 @@ from igei.dataio import (
 )
 from igei.errors import DataError, SpecError
 from igei.metrics import MetricKind, correction_coefficient, score_standard
-from igei.model import Dataset, ObservationRecord
+from igei.model import Correction, Dataset, IndicatorSpec, ObservationRecord
 from igei.penalized import Polarity
 
 GOOD_FILE = """territory,indicator,period,kind,x_w,x_m,x_a,value
@@ -580,7 +582,75 @@ class TestMalformedSpecShapes:
             load_index_spec(write(tmp_path, text, name="spec.yaml"))
 
 
+ULP_ABOVE_ONE = math.nextafter(1.0, 2.0)
+# N: a negative-polarity rate; P: corrected by its own total; Q: uncorrected
+EDGE_SPECS = {
+    "N": IndicatorSpec(id="N", label="N", metric=MetricKind.STANDARD,
+                       polarity=Polarity.NEGATIVE, correction=Correction("own_average")),
+    "P": IndicatorSpec(id="P", label="P", metric=MetricKind.STANDARD,
+                       correction=Correction("own_average")),
+    "Q": IndicatorSpec(id="Q", label="Q", metric=MetricKind.STANDARD),
+}
+EDGE_LEVELS = st.sampled_from([0.0, 0.5, 1.0, ULP_ABOVE_ONE, 2.0])
+
+
+@st.composite
+def validation_cases(draw):
+    """Records of EDGE_SPECS over 1-4 territories with levels at the column
+    tests' edges, now and then a missing total, a share or no record, and a
+    scope that may name a territory without records."""
+    territories = [f"T{i}" for i in range(draw(st.integers(1, 4)))]
+    records = []
+    for terr in territories:
+        for ind in EDGE_SPECS:
+            if draw(st.integers(0, 19)) == 0:
+                continue
+            if draw(st.integers(0, 9)) == 0:
+                records.append(ObservationRecord(terr, ind, 2023, MetricKind.SHARE, value=0.5))
+            else:
+                total = draw(st.one_of(st.none(), EDGE_LEVELS))
+                records.append(ObservationRecord(terr, ind, 2023, MetricKind.STANDARD,
+                                                 draw(EDGE_LEVELS), draw(EDGE_LEVELS), total))
+    scope = draw(st.one_of(st.none(), st.lists(st.sampled_from(territories + ["Z"]),
+                                               min_size=1, unique=True)))
+    return records, scope
+
+
+def edge_block(ind, *rows):
+    """Clean records of ``ind`` for A and B, then ``rows`` of (x_w, x_m, x_a) for C, D, ..."""
+    levels = [(0.2, 0.3, 0.25), (0.4, 0.5, 0.45), *rows]
+    return [ObservationRecord(chr(ord("A") + i), ind, 2023, MetricKind.STANDARD, *row)
+            for i, row in enumerate(levels)]
+
+
 class TestValidateDataset:
+    @settings(deadline=None)
+    @given(case=validation_cases())
+    # each edge in the block's last row: a negative-polarity rate (or total) of
+    # exactly 1 and one ulp above it, both levels zero, a missing total, and
+    # zeros in two different rows, which the column test cannot tell apart
+    @example(case=(edge_block("N", (0.5, 1.0, 1.0)), None))
+    @example(case=(edge_block("N", (0.5, ULP_ABOVE_ONE, 0.8)), None))
+    @example(case=(edge_block("N", (0.5, 0.6, ULP_ABOVE_ONE)), None))
+    @example(case=(edge_block("Q", (0.5, 0.6, ULP_ABOVE_ONE)) + edge_block("N", (1.0, 0.6, None)),
+                   None))
+    @example(case=(edge_block("P", (0.0, 0.0, 0.1)), None))
+    @example(case=(edge_block("P", (0.2, 0.3, None)), None))
+    @example(case=(edge_block("Q", (0.0, 0.3, None), (0.3, 0.0, None)), None))
+    def test_column_tests_find_what_the_rows_find(self, case):
+        records, scope = case
+        with mock.patch.object(dataio, "_block_clean", return_value=False):
+            expected = validate_dataset(records, EDGE_SPECS, scope)
+        report = validate_dataset(records, EDGE_SPECS, scope)
+        assert report == expected
+        # a full block lacks no pair of the scope's known territories
+        territories = scope if scope is not None else {rec.territory for rec in records}
+        recorded = {(rec.indicator, rec.territory) for rec in records}
+        assert {(f.indicator, f.territory) for f in report.errors if f.code == "missing-pair"} == {
+            (ind, terr) for ind in EDGE_SPECS for terr in territories
+            if (ind, terr) not in recorded
+        }
+
     @pytest.fixture()
     def demo(self):
         specs, _ = load_index_spec(dataio.bundled_path("demo_tree.yaml"))

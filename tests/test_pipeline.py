@@ -263,6 +263,9 @@ def oracle_references(records, specs, scope, time_mode):
             raw = getattr(rec, attr)
             if rec.indicator == source.id and raw is not None:
                 negative = source.polarity is Polarity.NEGATIVE
+                # an external correction reads every territory's level, the others the scope's
+                if negative and raw > 1.0 and (corr.kind == "external" or rec.territory in scope):
+                    raise ScoringError(f"{spec.id}: {rec.territory}: rate above 1")
                 found[(rec.territory, rec.period)] = 1.0 - raw if negative else raw
         for terr in scope:
             n_periods = sum(1 for t, _ in found if t == terr)
@@ -300,8 +303,52 @@ def resolution_cases(draw):
     return records, scope, draw(st.booleans())
 
 
+ULP_ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
+def resolution_edge(scope, **changes):
+    """S1 and S2 observations of T0 and T1, T1's rows last, with the levels
+    ``T1_S2={"x_m": ...}`` names replaced (``T1_S2=None`` drops the record);
+    resolved in one period."""
+    records = [
+        obs_standard("T0", "S1", 0.4, 0.6, 0.5), obs_standard("T0", "S2", 0.3, 0.5, 0.4),
+        obs_standard("T1", "S1", 0.5, 0.7, 0.6), obs_standard("T1", "S2", 0.2, 0.4, 0.3),
+    ]
+    records = [dataclasses.replace(rec, **changes.get(key, {}))
+               for rec in records if (key := f"{rec.territory}_{rec.indicator}") not in changes
+               or changes[key] is not None]
+    return records, scope, False
+
+
+# the column tests' edges: a negative-polarity rate of exactly 1 and one ulp
+# above it, read for the scope (S2's total) or for every territory (S2's men,
+# which EM borrows); a None total outside a strict-subset scope, where S1
+# falls back and returns and ET lacks the territory's base; a source record
+# missing in the scope and out of it
+RESOLUTION_EDGES = [
+    resolution_edge(["T0", "T1"], T1_S1=None),
+    resolution_edge(["T0"], T1_S1=None),
+    resolution_edge(["T0", "T1"], T1_S2={"x_m": 1.0, "x_a": 1.0}),
+    resolution_edge(["T0", "T1"], T1_S2={"x_a": ULP_ABOVE_ONE}),
+    resolution_edge(["T0"], T1_S2={"x_m": ULP_ABOVE_ONE}),
+    resolution_edge(["T0"], T1_S2={"x_a": ULP_ABOVE_ONE}),
+    resolution_edge(["T0"], T1_S1={"x_a": None}),
+    resolution_edge(["T0", "T1"], T1_S1={"x_a": None}),
+]
+
+
+def with_examples(cases):
+    """Run a ``case`` property test on each of ``cases`` as well."""
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return decorate
+
+
 class TestResolveReferencesOracle:
     @given(case=resolution_cases())
+    @with_examples(RESOLUTION_EDGES)
     def test_matches_brute_force_scan(self, case):
         records, scope, time_mode = case
         try:
@@ -707,6 +754,9 @@ def fold_columns(draw, bad=False):
 class TestFoldColumns:
     @settings(deadline=None)
     @given(columns=fold_columns())
+    # two children at the range's ends, exactly
+    @example(columns=[[50.0, 100.0 + _SCORE_EPS], [1.0, -_SCORE_EPS]])
+    @example(columns=[[100.0 + _SCORE_EPS, 0.0, 7.5], [-_SCORE_EPS, 100.0, 7.5]])
     def test_equals_the_row_kernel_bit_for_bit(self, columns):
         expected = list(map(_fold_scores, zip(*columns)))
         assert list(map(bits, _fold_columns(columns))) == list(map(bits, expected))
@@ -716,6 +766,9 @@ class TestFoldColumns:
     # a NaN after the first row: min and max pass over it
     @example(columns=[[50.0, math.nan]])
     @example(columns=[[50.0, 50.0], [50.0, math.nan], [1.0, 2.0]])
+    # two children: a NaN in the last row, and one ulp past the range's end
+    @example(columns=[[50.0, 60.0, 70.0], [1.0, 2.0, math.nan]])
+    @example(columns=[[50.0, 60.0], [1.0, math.nextafter(100.0 + _SCORE_EPS, 200.0)]])
     def test_refuses_as_the_row_kernel(self, columns):
         with pytest.raises(AggregationError) as row_by_row:
             list(map(_fold_scores, zip(*columns)))
@@ -1265,6 +1318,41 @@ TOTAL_FAULTS = [total_fault_case(Correction("none")),
                 total_fault_case(Correction("external", indicator="J1", field="total"))]
 
 
+def walk_edge(scope=("T0", "T1"), j1=Correction("own_average"), **changes):
+    """A clean dataset of SYNTH_SPECS (J1 corrected by ``j1``) over T0 and T1,
+    T1's rows last in every block, with the levels ``T1_J2={"x_m": ...}``
+    names replaced."""
+    records = []
+    for terr, step in (("T0", 0.0), ("T1", 0.1)):
+        records += [
+            obs_standard(terr, "J1", 0.4 + step, 0.6, 0.5 + step),
+            obs_standard(terr, "J2", 0.3, 0.5 - step, 0.4),
+            obs_value(terr, "J3", MetricKind.SHARE, 0.4 + step),
+            obs_value(terr, "J4", MetricKind.RATIO, 0.8 + step),
+            obs_value(terr, "J5", MetricKind.CAPPED, 0.7 + step),
+        ]
+    records = [dataclasses.replace(rec, **changes.get(f"{rec.territory}_{rec.indicator}", {}))
+               for rec in records]
+    return records, list(scope), {**SYNTH_SPECS, "J1": spec_standard("J1", correction=j1)}
+
+
+# the column tests' edges, each in T1's rows: out of the scope, a total and a
+# women's level exactly equal to the scope's reference, and a total one ulp
+# above it; a negative-polarity rate of exactly 1 and one ulp above it; both
+# levels zero, on the raw and on the working scale; a missing total outside
+# the scope, which J3 borrows, with J1 corrected by it and with J1 uncorrected
+WALK_EDGES = [
+    walk_edge(["T0"], T1_J1={"x_w": 0.4, "x_a": 0.5}),
+    walk_edge(["T0"], T1_J1={"x_w": 0.4, "x_a": math.nextafter(0.5, 1.0)}),
+    walk_edge(T1_J2={"x_m": 1.0}),
+    walk_edge(T1_J2={"x_m": ULP_ABOVE_ONE}),
+    walk_edge(T1_J1={"x_w": 0.0, "x_m": 0.0}),
+    walk_edge(T1_J2={"x_w": 1.0, "x_m": 1.0}),
+    walk_edge(["T0"], T1_J1={"x_a": None}),
+    walk_edge(["T0"], j1=Correction("none"), T1_J1={"x_a": None}),
+]
+
+
 def record_by_record(records, specs, refs, territories, periods):
     """TerritoryReports scored one record at a time, in period, territory and
     leaf order, through compute_indicator and aggregate_scores."""
@@ -1327,6 +1415,7 @@ class TestScoringWalk:
     @given(case=walk_cases())
     @example(case=TOTAL_FAULTS[0])
     @example(case=TOTAL_FAULTS[1])
+    @with_examples(WALK_EDGES)
     def test_score_territory_is_record_by_record(self, case):
         records, scope, specs = case
         territories = list(dict.fromkeys(rec.territory for rec in records))
@@ -1359,6 +1448,7 @@ class TestScoringWalk:
     @given(case=walk_cases())
     @example(case=TOTAL_FAULTS[0])
     @example(case=TOTAL_FAULTS[1])
+    @with_examples(WALK_EDGES)
     def test_score_time_series_is_record_by_record(self, case):
         records, scope, specs = case
         territories = list(dict.fromkeys(rec.territory for rec in records))

@@ -5,18 +5,29 @@ import gc
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from igei import dataio, pipeline
 from igei.cli import main
-from igei.dataio import OBSERVATION_HEADER, load_dataset, load_index_spec, load_score_table
+from igei.dataio import (
+    OBSERVATION_HEADER,
+    bundled_path,
+    load_dataset,
+    load_index_spec,
+    load_score_table,
+)
 from igei.errors import DataError
 from igei.metrics import MetricKind
-from igei.model import Dataset, ObservationRecord
+from igei.model import CorrectionKind, Dataset, ObservationRecord
+from igei.penalized import Polarity
 from igei.pipeline import (
     aggregate_scores,
     aggregate_table,
     resolve_references,
+    score_series_tables,
+    score_table,
     score_territory,
     score_time_series,
 )
@@ -337,3 +348,162 @@ def test_long_series_is_indexed_in_linear_time(tmp_path):
         f"row {LONG_SERIES // 2 + 2}: duplicate observation for territory 'A', "
         f"indicator 'G10', period {periods[7]}"
     )
+
+
+# --- column tests: the per-row paths run only where a column fails its test --
+
+# each per-row path of igei score, with what names its block in the call
+FALLBACKS = (
+    (dataio, "_block_findings", lambda spec, block: spec.id),
+    (pipeline, "_row_reference", lambda spec, *rest: spec.id),
+    (pipeline, "_row_scores", lambda spec, block, refs: spec.id),
+    (pipeline, "_fold_scores", lambda values: "row"),
+)
+
+
+def count_fallbacks(monkeypatch) -> dict[str, list[str]]:
+    """Record each call of a per-row path, by name, as the id of its block."""
+    calls: dict[str, list[str]] = {}
+    for module, name, block_of in FALLBACKS:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _block_of=block_of, _original=original):
+            calls.setdefault(_name, []).append(_block_of(*args))
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+BENCH_TERRITORIES = 300
+
+
+def bench_rows(rng, territories, periods, blank_totals=True):
+    """Observation rows of the bundled tree, as the benchmark writes them: an
+    indicator corrected by another's total, or not at all, leaves its own
+    total blank in half the rows."""
+    specs, _ = load_index_spec()
+    rows = []
+    for terr in territories:
+        for period in periods:
+            for ind, spec in specs.items():
+                cells = observation_cells(spec, rng)
+                if (blank_totals and spec.metric is MetricKind.STANDARD
+                        and spec.correction.kind is not CorrectionKind.OWN_AVERAGE
+                        and rng.random() < 0.5):
+                    cells[2] = ""
+                rows.append(",".join([terr, ind, str(period), spec.metric.value] + cells))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def bench_files(tmp_path_factory):
+    """Bench-shaped files of BENCH_TERRITORIES territories: one period, two periods."""
+    rng = random.Random(SEED + 2)
+    names = [f"Region {i:05d}" for i in range(BENCH_TERRITORIES)]
+    directory = tmp_path_factory.mktemp("bench-shaped")
+    files = {}
+    for name, periods in (("single", PERIODS[:1]), ("series", PERIODS)):
+        path = directory / f"{name}.csv"
+        lines = [",".join(OBSERVATION_HEADER)] + bench_rows(rng, names, periods)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("source", ["demo", "single", "series"])
+def test_clean_files_take_no_per_row_path(capsys, monkeypatch, bench_files, source):
+    if source == "demo":
+        argv = ["score", "--data", str(bundled_path("demo_countries.csv")),
+                "--spec", str(bundled_path("demo_tree.yaml"))]
+    else:
+        argv = ["score", "--data", bench_files[source]] + (
+            ["--time-series"] if source == "series" else [])
+    calls = count_fallbacks(monkeypatch)
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out
+    assert calls == {}
+
+
+def with_cells(path, tmp_path, changes):
+    """A copy of the observation file at ``path`` with the cells ``changes``
+    maps (territory, indicator) to, given as {column name: text}."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    for i, line in enumerate(lines[1:], 1):
+        cells = line.split(",")
+        for column, text in changes.get((cells[0], cells[1]), {}).items():
+            cells[header.index(column)] = text
+        lines[i] = ",".join(cells)
+    copy = tmp_path / "changed.csv"
+    copy.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(copy)
+
+
+def test_only_the_faulting_block_takes_the_per_row_path(capsys, monkeypatch, tmp_path,
+                                                        bench_files):
+    # a negative-polarity rate above 1: validation names it, scoring never starts
+    path = with_cells(bench_files["single"], tmp_path, {("Region 00003", "G2"): {"x_m": "1.2"}})
+    calls = count_fallbacks(monkeypatch)
+    assert main(["score", "--data", path]) == 1
+    assert "out-of-range" in capsys.readouterr().out
+    assert calls == {"_block_findings": ["G2"]}
+
+    # zeros in two rows of one column each: the column tests cannot tell them
+    # from a row with both levels zero, so that block alone goes row by row
+    path = with_cells(bench_files["single"], tmp_path, {("Region 00003", "G4"): {"x_w": "0"},
+                                                         ("Region 00005", "G4"): {"x_m": "0"}})
+    calls.clear()
+    assert main(["score", "--data", path, "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == BENCH_TERRITORIES + 1
+    assert calls == {"_block_findings": ["G4"], "_row_scores": ["G4"]}
+
+
+def subset_scope(data, specs):
+    """Every third territory, and each territory that holds the largest or the
+    smallest level of a standard indicator's column, so every out-of-scope
+    achievement stays within the scope's references."""
+    scope = set(data.territories[::3])
+    for ind, spec in specs.items():
+        block = data.columns(ind)
+        for column in (block.x_w, block.x_m, block.x_a):
+            rows = [(v, t) for v, t in zip(column, block.territory) if v is not None]
+            if rows:
+                scope.update((min(rows)[1], max(rows)[1]))
+    assert len(scope) < len(data.territories)
+    return sorted(scope)
+
+
+def columns_of(report):
+    """repr of every node value of a TerritoryReport, by node."""
+    return {**{leaf: repr(v) for leaf, v in report.indicator_scores.items()},
+            **{key: repr(v) for key, v in report.subdomain_values.items()},
+            **{dom: repr(v) for dom, v in report.domain_values.items()},
+            "index": repr(report.index)}
+
+
+def row_of(table, i):
+    """repr of position ``i`` of every column of a TableReport, by node."""
+    return {**{leaf: repr(col[i]) for leaf, col in table.indicator_scores.items()},
+            **{key: repr(col[i]) for key, col in table.subdomain_values.items()},
+            **{dom: repr(col[i]) for dom, col in table.domain_values.items()},
+            "index": repr(table.index[i])}
+
+
+@pytest.mark.parametrize("series", [False, True])
+def test_strict_subset_scope_matches_score_territory(monkeypatch, bench_files, series):
+    specs, tree = load_index_spec()
+    data = load_dataset(bench_files["series" if series else "single"])
+    scope = subset_scope(data, specs)
+    calls = count_fallbacks(monkeypatch)
+    refs = resolve_references(data, specs, scope, time_mode=series)
+    tables = (score_series_tables(data, specs, tree, scope) if series
+              else {None: score_table(data, specs, tree, refs)})
+    # the subset branch of the column path read every reference
+    assert calls == {}
+    # every territory, in the scope or out of it, against the scope's references
+    for period, table in tables.items():
+        assert table.territories == data.territories
+        for i, terr in enumerate(data.territories):
+            report = score_territory(terr, data, specs, tree, refs, period)
+            assert row_of(table, i) == columns_of(report), (terr, period)
