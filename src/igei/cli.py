@@ -16,9 +16,7 @@ indicator tables), and JSON output carries full precision.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from igei import dataio, pipeline, stats
@@ -49,6 +47,8 @@ def _emit(text: str, out: str | None) -> None:
 def _render(fmt: str, output: Output) -> str:
     """The one place that turns a command's output into text in ``fmt``."""
     if isinstance(output, dict):
+        import json  # only JSON output needs it: table and CSV runs skip the import
+
         return json.dumps(output, indent=2) + "\n"
     if isinstance(output, str):
         return output
@@ -248,14 +248,14 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
             # sorted, so that the JSON scope listing does not depend on row order
             "scope": scope or sorted(table.territories),
             "ranking": _reports_json(columns),
-            "summaries": {name: asdict(s) for name, s in summaries.items()},
+            "summaries": {name: s._asdict() for name, s in summaries.items()},
             "correlation": {"indicators": leaves, "matrix": corr_matrix},
         }
     return 0, [
         _ranking(columns, ("Ranking", "# ranking")),
         ("Descriptive summaries", "# summaries",
-         ["column"] + [f.name for f in fields(stats.DescriptiveSummary)],
-         [[name] + list(map(_f2, asdict(s).values())) for name, s in summaries.items()]),
+         ["column", *stats.DescriptiveSummary._fields],
+         [[name] + list(map(_f2, s._asdict().values())) for name, s in summaries.items()]),
         ("Correlation matrix", "# correlation", ["indicator"] + leaves,
          [[leaf] + [_f2(v) for v in row] for leaf, row in zip(leaves, corr_matrix)]),
     ]

@@ -1,4 +1,4 @@
-"""Loading, validation, and serialization of datasets, index specs, and fixtures.
+"""Loading and validation of datasets, index specs and score tables.
 
 File formats:
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from importlib import resources
 from itertools import islice, repeat
 from math import isnan
@@ -28,6 +27,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
+from igei._frozen import Frozen
 from igei.errors import DataError, SpecError
 from igei.metrics import MetricKind
 from igei.model import (
@@ -407,17 +407,16 @@ def _parse_observation(
 # --- score tables ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+class ScoreTable(Frozen):
     """Wide table of 0-100 indicator scores, one row per territory.
 
     ``rows`` maps each territory to its scores in ``indicators`` order;
     read them through :meth:`row` and :meth:`column`.
     """
 
-    territories: tuple[str, ...]
-    indicators: tuple[str, ...]
-    rows: Mapping[str, tuple[float, ...]]
+    def __init__(self, territories: tuple[str, ...], indicators: tuple[str, ...],
+                 rows: Mapping[str, tuple[float, ...]]) -> None:
+        self._store(territories, indicators, rows)
 
     def row(self, territory: str) -> dict[str, float]:
         return dict(zip(self.indicators, self.rows[territory]))
@@ -754,20 +753,19 @@ def _parse_correction(ind_id: str, raw) -> Correction:
 # --- dataset validation ----------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Finding:
+class Finding(Frozen, order=True):
     """One validation finding; error-level findings block scoring."""
 
-    level: str
-    code: str
-    indicator: str
-    territory: str
-    message: str
+    def __init__(self, level: str, code: str, indicator: str, territory: str,
+                 message: str) -> None:
+        self._store(level, code, indicator, territory, message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
+class ValidationReport(Frozen):
+    """The findings of :func:`validate_dataset`, sorted."""
+
+    def __init__(self, findings: tuple[Finding, ...]) -> None:
+        self._store(findings)
 
     @property
     def ok(self) -> bool:
@@ -865,93 +863,3 @@ def _block_findings(spec: IndicatorSpec, block: Columns) -> Iterator[Finding]:
                 if v is not None and v > 1.0:
                     yield Finding("error", "out-of-range", ind, terr,
                                   f"negative-polarity indicators are rates; {name}={v} exceeds 1")
-
-
-# --- bundled reference fixtures --------------------------------------------
-
-
-def _fixture_rows(
-    source, default: str
-) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """Header and remaining (line number, stripped cells) of ``source``, or of a bundled file."""
-    if source is None:
-        source = bundled_path(default)
-    rows = ((lineno, list(map(str.strip, row))) for lineno, row in _rows(source, False))
-    first = next(rows, None)
-    if first is None:
-        raise DataError(f"reference fixture {source} is empty")
-    return first[1], rows
-
-
-def load_reference_table(source=None) -> dict[str, dict[str, float]]:
-    """Published numeric rows keyed by their first cell, then by column name.
-
-    The default source holds the final-index and domain values per
-    territory; the summary fixtures hold one descriptive-statistics row
-    per column.
-    """
-    header, rows = _fixture_rows(source, "regional_index_2023.csv")
-    out: dict[str, dict[str, float]] = {}
-    for lineno, row in rows:
-        out[row[0]] = {
-            col: _parse_number(cell, False, lineno, col) or 0.0
-            for col, cell in zip(header[1:], row[1:])
-        }
-    return out
-
-
-def load_correlation_reference(source=None) -> dict[tuple[str, str], float]:
-    """Published correlation cells keyed by (row indicator, column indicator)."""
-    header, rows = _fixture_rows(source, "indicator_correlation_2023.csv")
-    out: dict[tuple[str, str], float] = {}
-    for lineno, row in rows:
-        for col, cell in zip(header[1:], row[1:]):
-            if cell:
-                value = _parse_number(cell, False, lineno, col)
-                if value is not None:
-                    out[(row[0], col)] = value
-    return out
-
-
-@dataclass(frozen=True)
-class PenalizedCase:
-    """One reference sequence with its published mean comparisons."""
-
-    values: tuple[float, ...]
-    mean: float
-    penalized: float
-    geometric: float | None
-
-
-def _required_number(cell: str, lineno: int, column: str) -> float:
-    value = _parse_number(cell, False, lineno, column)
-    if value is None:
-        raise DataError(f"row {lineno}: column {column!r} is not a number: ''")
-    return value
-
-
-def load_penalized_reference(source=None) -> list[PenalizedCase]:
-    header, rows = _fixture_rows(source, "penalized_mean_reference.csv")
-    cases: list[PenalizedCase] = []
-    for lineno, row in rows:
-        seq, mean, penalized, geometric = row
-        cases.append(
-            PenalizedCase(
-                values=tuple(_required_number(v.strip(), lineno, header[0])
-                             for v in seq.split(";")),
-                mean=_required_number(mean, lineno, header[1]),
-                penalized=_required_number(penalized, lineno, header[2]),
-                geometric=_parse_number(geometric, False, lineno, header[3]),
-            )
-        )
-    return cases
-
-
-def load_demo_expected(source=None) -> dict[str, tuple[float, float]]:
-    """Published (classic-variant, standard) score pairs for the demo countries."""
-    header, rows = _fixture_rows(source, "demo_countries_expected.csv")
-    return {
-        row[0]: (_required_number(row[1], lineno, header[1]),
-                 _required_number(row[2], lineno, header[2]))
-        for lineno, row in rows
-    }

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
+from igei._frozen import Frozen
 from igei.errors import DataError, RecordError, SpecError
 from igei.metrics import MetricKind
 from igei.penalized import Polarity
@@ -62,30 +62,26 @@ _FIELD_ATTRS = {"total": "x_a", "women": "x_w", "men": "x_m"}
 CORRECTION_FIELDS = tuple(_FIELD_ATTRS)
 
 
-@dataclass(frozen=True)
-class Correction:
+class Correction(Frozen):
     """How an indicator's achievement correction is sourced.
 
     ``kind`` may be given as a :class:`CorrectionKind` or as its value.
     """
 
-    kind: CorrectionKind
-    indicator: str | None = None
-    field: str = "total"
-
-    def __post_init__(self) -> None:
-        kind = _member(CorrectionKind, self.kind, "correction kind")
-        object.__setattr__(self, "kind", kind)
+    def __init__(self, kind: CorrectionKind | str, indicator: str | None = None,
+                 field: str = "total") -> None:
+        kind = _member(CorrectionKind, kind, "correction kind")
         if kind is CorrectionKind.EXTERNAL:
-            if not isinstance(self.indicator, str) or not self.indicator:
+            if not isinstance(indicator, str) or not indicator:
                 raise SpecError("external correction requires a source indicator id")
-            if self.field not in CORRECTION_FIELDS:
+            if field not in CORRECTION_FIELDS:
                 raise SpecError(
                     f"external correction field must be one of {CORRECTION_FIELDS}, "
-                    f"got {_shown(self.field)}"
+                    f"got {_shown(field)}"
                 )
-        elif self.indicator is not None:
+        elif indicator is not None:
             raise SpecError(f"{kind.value!r} correction takes no source indicator")
+        self._store(kind, indicator, field)
 
     @property
     def source_attr(self) -> str:
@@ -96,40 +92,35 @@ class Correction:
 NO_CORRECTION = Correction(CorrectionKind.NONE)
 
 
-@dataclass(frozen=True)
-class IndicatorSpec:
+class IndicatorSpec(Frozen):
     """Recipe for one indicator: metric kind, polarity, correction; the tree places it.
 
     Checked when built; ``metric`` and ``polarity`` may be given as values.
     """
 
-    id: str
-    label: str
-    metric: MetricKind
-    polarity: Polarity = Polarity.POSITIVE
-    correction: Correction = NO_CORRECTION
-
-    def __post_init__(self) -> None:
-        _check_id(self.id, "indicator")
-        owner = f"indicator {self.id!r}: "
-        object.__setattr__(self, "metric", _member(MetricKind, self.metric, "metric kind", owner))
-        object.__setattr__(self, "polarity", _member(Polarity, self.polarity, "polarity", owner))
-        if not isinstance(self.correction, Correction):
-            raise SpecError(f"{owner}correction must be a Correction, "
-                            f"got {_shown(self.correction)}")
-        if self.polarity is Polarity.NEGATIVE and self.metric is not MetricKind.STANDARD:
+    def __init__(self, id: str, label: str, metric: MetricKind | str,
+                 polarity: Polarity | str = Polarity.POSITIVE,
+                 correction: Correction = NO_CORRECTION) -> None:
+        _check_id(id, "indicator")
+        owner = f"indicator {id!r}: "
+        metric = _member(MetricKind, metric, "metric kind", owner)
+        polarity = _member(Polarity, polarity, "polarity", owner)
+        if not isinstance(correction, Correction):
+            raise SpecError(f"{owner}correction must be a Correction, got {_shown(correction)}")
+        if polarity is Polarity.NEGATIVE and metric is not MetricKind.STANDARD:
             raise SpecError(
-                f"{self.id}: negative polarity is only defined for standard-metric "
+                f"{id}: negative polarity is only defined for standard-metric "
                 f"(rate-valued) indicators"
             )
-        kind = self.correction.kind
-        if kind is CorrectionKind.OWN_AVERAGE and self.metric is not MetricKind.STANDARD:
+        kind = correction.kind
+        if kind is CorrectionKind.OWN_AVERAGE and metric is not MetricKind.STANDARD:
             raise SpecError(
-                f"{self.id}: own-average correction needs a total-population level, "
+                f"{id}: own-average correction needs a total-population level, "
                 f"which only standard observations carry"
             )
-        if self.metric is MetricKind.CAPPED and kind is not CorrectionKind.NONE:
-            raise SpecError(f"{self.id}: capped indicators take no correction")
+        if metric is MetricKind.CAPPED and kind is not CorrectionKind.NONE:
+            raise SpecError(f"{id}: capped indicators take no correction")
+        self._store(id, label, metric, polarity, correction)
 
 
 def external_source(
@@ -163,41 +154,33 @@ def _refuse_repeats(ids: Iterable[str], what: str) -> None:
         seen.add(i)
 
 
-@dataclass(frozen=True)
-class SubDomain:
-    id: str
-    indicators: tuple[str, ...]
+class SubDomain(Frozen):
+    """A named group of indicator ids, the leaves of the tree."""
 
-    def __post_init__(self) -> None:
-        _check_id(self.id, "sub-domain")
-        owner = f"sub-domain {self.id!r}"
-        indicators = _tuple_of(self.indicators, str, owner, "indicators", "indicator ids")
-        object.__setattr__(self, "indicators", indicators)
+    def __init__(self, id: str, indicators: tuple[str, ...]) -> None:
+        _check_id(id, "sub-domain")
+        owner = f"sub-domain {id!r}"
+        self._store(id, _tuple_of(indicators, str, owner, "indicators", "indicator ids"))
 
 
-@dataclass(frozen=True)
-class Domain:
-    id: str
-    subdomains: tuple[SubDomain, ...]
+class Domain(Frozen):
+    """A named group of sub-domains."""
 
-    def __post_init__(self) -> None:
-        _check_id(self.id, "domain")
-        owner = f"domain {self.id!r}"
-        subs = _tuple_of(self.subdomains, SubDomain, owner, "sub-domains", "SubDomain objects")
+    def __init__(self, id: str, subdomains: tuple[SubDomain, ...]) -> None:
+        _check_id(id, "domain")
+        owner = f"domain {id!r}"
+        subs = _tuple_of(subdomains, SubDomain, owner, "sub-domains", "SubDomain objects")
         _refuse_repeats((sub.id for sub in subs), f"{owner}: sub-domain")
-        object.__setattr__(self, "subdomains", subs)
+        self._store(id, subs)
 
 
-@dataclass(frozen=True)
-class IndexTree:
+class IndexTree(Frozen):
     """The aggregation hierarchy: index -> domains -> sub-domains -> indicators."""
 
-    domains: tuple[Domain, ...]
-
-    def __post_init__(self) -> None:
-        domains = _tuple_of(self.domains, Domain, "index tree", "domains", "Domain objects")
+    def __init__(self, domains: tuple[Domain, ...]) -> None:
+        domains = _tuple_of(domains, Domain, "index tree", "domains", "Domain objects")
         _refuse_repeats((dom.id for dom in domains), "domain")
-        object.__setattr__(self, "domains", domains)
+        self._store(domains)
         leaves = tuple(ind for dom in domains for sub in dom.subdomains for ind in sub.indicators)
         _refuse_repeats(leaves, "indicator")
         # not fields: equality, hashing and repr see only the domains
@@ -227,8 +210,7 @@ class IndexTree:
         return self._fold_plan
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ObservationRecord:
+class ObservationRecord(Frozen):
     """One raw measurement for a territory and indicator.
 
     Valid by construction: building a record whose fields
@@ -240,19 +222,13 @@ class ObservationRecord:
     territory and indicator name and one ``int`` per period.
     """
 
-    territory: str
-    indicator: str
-    period: int
-    kind: MetricKind
-    x_w: float | None = None
-    x_m: float | None = None
-    x_a: float | None = None
-    value: float | None = None
+    __slots__ = ("territory", "indicator", "period", "kind", "x_w", "x_m", "x_a", "value")
 
-    def __init__(self, territory, indicator, period, kind,
-                 x_w=None, x_m=None, x_a=None, value=None) -> None:
+    def __init__(self, territory: str, indicator: str, period: int, kind: MetricKind | str,
+                 x_w: float | None = None, x_m: float | None = None,
+                 x_a: float | None = None, value: float | None = None) -> None:
         # checked on the arguments, then stored through the slot descriptors,
-        # which a frozen dataclass's __setattr__ does not guard
+        # which the frozen __setattr__ does not guard
         if kind.__class__ is not MetricKind:
             try:
                 kind = MetricKind(kind)
@@ -379,6 +355,10 @@ def _finite(column, low: float) -> bool:
     return not column or (low <= min(column) and sum(column) < _INF)
 
 
+def _floats(column: tuple) -> tuple:
+    return tuple(v if v is None or v.__class__ is float else float(v) for v in column)
+
+
 _record_fields = attrgetter(*ObservationRecord.__slots__)
 _record_key = itemgetter(0, 1, 2)
 
@@ -421,15 +401,16 @@ class Dataset:
     def _fill(self, rows: list[tuple], records: tuple | None = None) -> None:
         """Fill the blocks from rows of the eight record fields, in input order.
 
-        The rows' (territory, indicator, period) keys must be distinct.
+        The rows' (territory, indicator, period) keys must be distinct. Levels
+        are stored as floats, as the loader stores them: a record may hold an ``int``.
         """
         groups: dict[str, list[tuple]] = {}
         for row in rows:
             groups.setdefault(row[1], []).append(row)
         blocks = {}
         for indicator, group in groups.items():
-            territory, _, period, *rest = zip(*group)
-            blocks[indicator] = Columns(territory, period, *rest)
+            territory, _, period, kind, *levels = zip(*group)
+            blocks[indicator] = Columns(territory, period, kind, *map(_floats, levels))
         territories = dict.fromkeys(row[0] for row in rows)
         order = None if records is not None else [row[1] for row in rows]
         self._set(blocks, tuple(territories), order, records)

@@ -12,10 +12,10 @@ the AM-GM inequality).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
 
+from igei._frozen import Frozen
 from igei.errors import AggregationError
 
 # Weights must sum to 1 within this tolerance.
@@ -36,12 +36,8 @@ class Polarity(Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class WeightedSequence:
+class WeightedSequence(Frozen):
     """Non-empty finite reals with finite, non-negative weights summing to one (default 1/n)."""
-
-    values: tuple[float, ...]
-    weights: tuple[float, ...]
 
     def __init__(self, values: Iterable[float], weights: Iterable[float] | None = None):
         vals = tuple(float(v) for v in values)
@@ -61,8 +57,7 @@ class WeightedSequence:
             if not all(map(math.isfinite, xs)):
                 position = next(i for i, x in enumerate(xs, 1) if not math.isfinite(x))
                 raise AggregationError(f"{what} {position} is not finite: {xs[position - 1]}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "weights", w)
+        self._store(vals, w)
 
     def __len__(self) -> int:
         return len(self.values)

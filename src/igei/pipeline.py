@@ -11,12 +11,12 @@ scoring is independent, deterministic, and side-effect free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from math import fsum, isnan
 from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
+from igei._frozen import Frozen
 from igei.errors import AggregationError, IgeiError, MetricInputError, ScoringError
 from igei.metrics import (
     _HALF_MAX,
@@ -57,46 +57,43 @@ _STANDARD, _SHARE, _RATIO = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.RA
 _NEGATIVE = Polarity.NEGATIVE
 
 
-@dataclass(frozen=True)
-class ReferenceLevels:
+class ReferenceLevels(Frozen):
     """Resolved scoring references.
 
     ``maxima`` maps an indicator id to its reference maximum on the
     working (polarity-adjusted) scale; ``bases`` maps
     ``(indicator, territory, period)`` to the externally sourced
     correction value for indicators whose correction borrows another
-    indicator's variable.
+    indicator's variable; it defaults to a new empty dict.
     """
 
-    maxima: Mapping[str, float]
-    bases: Mapping[tuple[str, str, int], float] = field(default_factory=dict)
+    def __init__(self, maxima: Mapping[str, float],
+                 bases: Mapping[tuple[str, str, int], float] | None = None) -> None:
+        self._store(maxima, {} if bases is None else bases)
 
 
-@dataclass(frozen=True)
-class TerritoryReport:
+class TerritoryReport(Frozen):
     """All computed values for one territory, from leaves to the final index."""
 
-    territory: str
-    indicator_scores: Mapping[str, float]
-    subdomain_values: Mapping[tuple[str, str], float]
-    domain_values: Mapping[str, float]
-    index: float
-    period: int | None = None
+    def __init__(self, territory: str, indicator_scores: Mapping[str, float],
+                 subdomain_values: Mapping[tuple[str, str], float],
+                 domain_values: Mapping[str, float], index: float,
+                 period: int | None = None) -> None:
+        self._store(territory, indicator_scores, subdomain_values, domain_values, index, period)
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(Frozen):
     """The values of every tree node over a table of territories, one column each.
 
     The fields mirror :class:`TerritoryReport`, with a column in place of
     each value; position ``i`` of every column belongs to ``territories[i]``.
     """
 
-    territories: Sequence[str]
-    indicator_scores: Mapping[str, Sequence[float]]
-    subdomain_values: Mapping[tuple[str, str], Sequence[float]]
-    domain_values: Mapping[str, Sequence[float]]
-    index: Sequence[float]
+    def __init__(self, territories: Sequence[str],
+                 indicator_scores: Mapping[str, Sequence[float]],
+                 subdomain_values: Mapping[tuple[str, str], Sequence[float]],
+                 domain_values: Mapping[str, Sequence[float]], index: Sequence[float]) -> None:
+        self._store(territories, indicator_scores, subdomain_values, domain_values, index)
 
 
 def _working_scale(polarity: Polarity) -> Callable[[float], float]:
@@ -593,13 +590,13 @@ def _column_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -
     return list(map(_capped, block.value))
 
 
-def _working_levels(column: Sequence[float | None], negative: bool) -> list[float] | None:
-    """``column`` on the working scale; None if it lacks a level, or if a
-    negative-polarity level is above 1."""
+def _working_levels(column: Sequence[float | None], negative: bool) -> Sequence[float] | None:
+    """``column`` of floats on the working scale; None if it lacks a level, or
+    if a negative-polarity level is above 1."""
     if None in column:
         return None
     if not negative:
-        return list(map(float, column))
+        return column
     return None if column and max(column) > 1.0 else list(map(_invert, column))
 
 

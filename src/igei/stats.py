@@ -9,11 +9,11 @@ quantiles by linear interpolation between order statistics at position
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
+from igei._frozen import Frozen
 from igei.errors import StatisticsError
 from igei.penalized import _finite_fsum
 from igei.pipeline import TerritoryReport
@@ -22,18 +22,12 @@ from igei.pipeline import TerritoryReport
 _MIN_NORM = 1.5e-154
 
 
-@dataclass(frozen=True)
-class DescriptiveSummary:
+class DescriptiveSummary(Frozen):
     """Location, spread, and quartiles of one score column."""
 
-    mean: float
-    sd: float | None
-    cv: float | None
-    min: float
-    p25: float
-    p50: float
-    p75: float
-    max: float
+    def __init__(self, mean: float, sd: float | None, cv: float | None, min: float,
+                 p25: float, p50: float, p75: float, max: float) -> None:
+        self._store(mean, sd, cv, min, p25, p50, p75, max)
 
 
 def _quantile(ordered: Sequence[float], q: float) -> float:

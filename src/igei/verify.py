@@ -1,16 +1,20 @@
 """Replay of the bundled 2023 reference tables, one (status, detail) check each.
 
+The loaders of the published fixtures live here too, since only this
+replay reads them.
+
 ``KNOWN-DEVIATION`` marks a published column that the documented formula
 does not reproduce: it is reported, never papered over.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from functools import cache
+from typing import Iterator
 
 from igei import dataio, metrics, penalized, pipeline, stats
-from igei.errors import IgeiError
+from igei._frozen import Frozen
+from igei.errors import DataError, IgeiError
 from igei.model import ObservationRecord
 
 PASS = "PASS"
@@ -21,6 +25,94 @@ KNOWN_DEVIATION = "KNOWN-DEVIATION"
 # regions: the national aggregate and the region whose two autonomous
 # provinces are already counted.
 AGGREGATE_TERRITORIES = ("Italia", "Trentino-Alto Adige/Südtirol")
+
+
+# --- bundled reference fixtures --------------------------------------------
+
+
+def _fixture_rows(
+    source, default: str
+) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Header and remaining (line number, stripped cells) of ``source``, or of a bundled file."""
+    if source is None:
+        source = dataio.bundled_path(default)
+    rows = ((lineno, list(map(str.strip, row))) for lineno, row in dataio._rows(source, False))
+    first = next(rows, None)
+    if first is None:
+        raise DataError(f"reference fixture {source} is empty")
+    return first[1], rows
+
+
+def load_reference_table(source=None) -> dict[str, dict[str, float]]:
+    """Published numeric rows keyed by their first cell, then by column name.
+
+    The default source holds the final-index and domain values per
+    territory; the summary fixtures hold one descriptive-statistics row
+    per column.
+    """
+    header, rows = _fixture_rows(source, "regional_index_2023.csv")
+    out: dict[str, dict[str, float]] = {}
+    for lineno, row in rows:
+        out[row[0]] = {
+            col: dataio._parse_number(cell, False, lineno, col) or 0.0
+            for col, cell in zip(header[1:], row[1:])
+        }
+    return out
+
+
+def load_correlation_reference(source=None) -> dict[tuple[str, str], float]:
+    """Published correlation cells keyed by (row indicator, column indicator)."""
+    header, rows = _fixture_rows(source, "indicator_correlation_2023.csv")
+    out: dict[tuple[str, str], float] = {}
+    for lineno, row in rows:
+        for col, cell in zip(header[1:], row[1:]):
+            if cell:
+                value = dataio._parse_number(cell, False, lineno, col)
+                if value is not None:
+                    out[(row[0], col)] = value
+    return out
+
+
+class PenalizedCase(Frozen):
+    """One reference sequence with its published mean comparisons."""
+
+    def __init__(self, values: tuple[float, ...], mean: float, penalized: float,
+                 geometric: float | None) -> None:
+        self._store(values, mean, penalized, geometric)
+
+
+def _required_number(cell: str, lineno: int, column: str) -> float:
+    value = dataio._parse_number(cell, False, lineno, column)
+    if value is None:
+        raise DataError(f"row {lineno}: column {column!r} is not a number: ''")
+    return value
+
+
+def load_penalized_reference(source=None) -> list[PenalizedCase]:
+    header, rows = _fixture_rows(source, "penalized_mean_reference.csv")
+    cases: list[PenalizedCase] = []
+    for lineno, row in rows:
+        seq, mean, penalized, geometric = row
+        cases.append(
+            PenalizedCase(
+                values=tuple(_required_number(v.strip(), lineno, header[0])
+                             for v in seq.split(";")),
+                mean=_required_number(mean, lineno, header[1]),
+                penalized=_required_number(penalized, lineno, header[2]),
+                geometric=dataio._parse_number(geometric, False, lineno, header[3]),
+            )
+        )
+    return cases
+
+
+def load_demo_expected(source=None) -> dict[str, tuple[float, float]]:
+    """Published (classic-variant, standard) score pairs for the demo countries."""
+    header, rows = _fixture_rows(source, "demo_countries_expected.csv")
+    return {
+        row[0]: (_required_number(row[1], lineno, header[1]),
+                 _required_number(row[2], lineno, header[2]))
+        for lineno, row in rows
+    }
 
 
 @cache
@@ -41,7 +133,7 @@ def demo_scores() -> list[tuple[ObservationRecord, float, float]]:
 
 
 def _check_demo_scores() -> tuple[str, str]:
-    expected = dataio.load_demo_expected()
+    expected = load_demo_expected()
     max_delta = 0.0
     for rec, got_gei, got_std in demo_scores():
         exp_gei, exp_std = expected[rec.territory]
@@ -52,7 +144,7 @@ def _check_demo_scores() -> tuple[str, str]:
 
 def _check_penalized_reference() -> tuple[str, str]:
     max_delta = 0.0
-    for case in dataio.load_penalized_reference():
+    for case in load_penalized_reference():
         max_delta = max(
             max_delta,
             abs(penalized.weighted_mean(case.values) - case.mean),
@@ -76,7 +168,7 @@ def _check_penalized_reference() -> tuple[str, str]:
 def _check_domain_aggregation() -> tuple[str, str]:
     _, tree = _bundled(dataio.load_index_spec)
     table = _bundled(dataio.load_score_table, "indicator_scores_2023.csv")
-    reference = _bundled(dataio.load_reference_table)
+    reference = _bundled(load_reference_table)
     max_delta = 0.0
     for terr in table.territories:
         rep = pipeline.aggregate_scores(tree, table.row(terr), terr)
@@ -89,7 +181,7 @@ def _check_domain_aggregation() -> tuple[str, str]:
 
 def _check_final_index() -> tuple[str, str]:
     _, tree = _bundled(dataio.load_index_spec)
-    reference = _bundled(dataio.load_reference_table)
+    reference = _bundled(load_reference_table)
     domains = [dom.id for dom in tree.domains]
     deltas = {
         terr: pipeline.aggregate_level([vals[d] for d in domains]) - vals["index"]
@@ -126,13 +218,13 @@ def _region_scores() -> tuple[list[str], dict[str, list[float]]]:
 
 
 def _summary_delta(summary: stats.DescriptiveSummary, expected: dict[str, float]) -> float:
-    computed = asdict(summary)
+    computed = summary._asdict()
     return max(abs(computed[stat] - val) for stat, val in expected.items())
 
 
 def _check_index_summaries() -> tuple[str, str]:
-    reference = _bundled(dataio.load_reference_table)
-    published = dataio.load_reference_table(
+    reference = _bundled(load_reference_table)
+    published = load_reference_table(
         dataio.bundled_path("index_summary_2023.csv")
     )
     regions = _regions(reference)
@@ -151,7 +243,7 @@ def _check_index_summaries() -> tuple[str, str]:
 
 
 def _check_indicator_summaries() -> tuple[str, str]:
-    published = dataio.load_reference_table(
+    published = load_reference_table(
         dataio.bundled_path("indicator_summary_2023.csv")
     )
     max_delta = max(
@@ -164,7 +256,7 @@ def _check_indicator_summaries() -> tuple[str, str]:
 
 def _check_correlations() -> tuple[str, str]:
     regions, columns = _region_scores()
-    published = dataio.load_correlation_reference()
+    published = load_correlation_reference()
     corr = stats.correlation_matrix(list(columns.values()))
     pos = {ind: i for i, ind in enumerate(columns)}
     max_delta = max(

@@ -16,7 +16,7 @@ def indicator_table():
 
 @pytest.fixture(scope="session")
 def index_reference():
-    return dataio.load_reference_table()
+    return verify.load_reference_table()
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,7 @@ def test_01_five_country_replay():
     specs, tree = dataio.load_index_spec(dataio.bundled_path("demo_tree.yaml"))
     records = dataio.load_observations(dataio.bundled_path("demo_countries.csv"))
     dataset = Dataset(records)
-    expected = dataio.load_demo_expected()
+    expected = verify.load_demo_expected()
     refs = pipeline.resolve_references(dataset, specs, dataset.territories)
     x_ref = max(r.x_a for r in records)
     max_delta = 0.0
@@ -53,7 +53,7 @@ def test_01_five_country_replay():
 
 
 def test_02_penalized_mean_table_replay():
-    cases = dataio.load_penalized_reference()
+    cases = verify.load_penalized_reference()
     assert len(cases) == 5
     assert len(cases[0].values) == 10  # ten-element reading of the first row
     checked = 0

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import igei
-from igei import dataio, model
+from igei import dataio, model, verify
 from igei.cli import main
 from igei.dataio import bundled_path, load_observations, load_score_table
 
@@ -603,14 +603,15 @@ class TestVerify:
 
     def test_each_bundled_file_read_once(self, capsys, monkeypatch):
         reads = []
-        for name in ("load_index_spec", "load_score_table", "load_reference_table"):
-            loader = getattr(dataio, name)
+        for module, name in ((dataio, "load_index_spec"), (dataio, "load_score_table"),
+                             (verify, "load_reference_table")):
+            loader = getattr(module, name)
 
             def counted(source=None, *args, _loader=loader, **kwargs):
                 reads.append((_loader.__name__, str(source)))
                 return _loader(source, *args, **kwargs)
 
-            monkeypatch.setattr(dataio, name, counted)
+            monkeypatch.setattr(module, name, counted)
         for _ in range(2):
             reads.clear()
             code, _, _ = run(capsys, "verify")
@@ -665,9 +666,13 @@ class TestGoldenOutput:
 
 
 class TestStartup:
-    def test_import_leaves_numpy_unloaded(self):
-        # numpy is a test-only dependency; every CLI start would pay for it
-        probe = "import sys, igei.cli; sys.exit('numpy' in sys.modules)"
+    def test_import_leaves_unneeded_modules_unloaded(self):
+        # every CLI start would pay for these: numpy is a test-only dependency,
+        # dataclasses pulls in inspect, json serves only JSON output, and
+        # igei.verify only verify and demo
+        unneeded = ["numpy", "dataclasses", "inspect", "json", "igei.verify"]
+        probe = f"import sys, igei.cli; print(*sorted({{*{unneeded!r}}} & sys.modules.keys()))"
         env = dict(os.environ, PYTHONPATH=str(Path(igei.__file__).parents[1]))
-        result = subprocess.run([sys.executable, "-c", probe], env=env)
-        assert result.returncode == 0
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "\n", "")

@@ -17,12 +17,8 @@ from hypothesis import strategies as st
 from igei import dataio
 from igei.dataio import (
     OBSERVATION_HEADER,
-    load_correlation_reference,
-    load_demo_expected,
     load_index_spec,
     load_observations,
-    load_penalized_reference,
-    load_reference_table,
     load_score_table,
     validate_dataset,
 )
@@ -30,6 +26,12 @@ from igei.errors import DataError, SpecError
 from igei.metrics import MetricKind, correction_coefficient, score_standard
 from igei.model import Correction, Dataset, IndicatorSpec, ObservationRecord
 from igei.penalized import Polarity
+from igei.verify import (
+    load_correlation_reference,
+    load_demo_expected,
+    load_penalized_reference,
+    load_reference_table,
+)
 
 GOOD_FILE = """territory,indicator,period,kind,x_w,x_m,x_a,value
 North,G1,2023,standard,0.4,0.6,0.5,

@@ -5,7 +5,6 @@ takes about as long as the rest of one test module.
 """
 
 import contextlib
-import dataclasses
 import io
 import math
 
@@ -156,7 +155,7 @@ def test_observation_record(kind, period, x_w, x_m, x_a, value):
         assert str(exc) == f"territory 'X', indicator 'J1', period {period}: {exc.problem}"
         return
     assert record.kind in MetricKind and type(record.period) is int
-    assert record_problem(*dataclasses.astuple(record)) is None
+    assert record_problem(*record._asdict().values()) is None
     levels = [v for v in (x_w, x_m, x_a, value) if v is not None]
     assert all(0.0 <= v < math.inf for v in levels)
 
@@ -171,7 +170,7 @@ RECORD_FIELDS = st.fixed_dictionaries({
     "kind": KINDS,
     "x_w": LEVELS, "x_m": LEVELS, "x_a": LEVELS, "value": LEVELS,
 })
-# valid records, so that dataclasses.replace is exercised too
+# valid records, so that _replace is exercised too
 UNIT = st.floats(min_value=0.01, max_value=1.0)
 VALID_RECORD_FIELDS = st.fixed_dictionaries({
     "territory": st.just("X"), "indicator": st.just("J1"), "period": st.integers(1900, 2100),
@@ -207,14 +206,14 @@ def test_record_refused_exactly_when_the_rule_finds_a_fault(fields, field, new):
     assert {name: getattr(record, name) for name in fields} == fields | {
         "kind": KNOWN_KINDS.get(fields["kind"], fields["kind"])
     }
-    # dataclasses.replace builds a new record, so it checks the changed fields too
+    # _replace builds a new record, so it checks the changed fields too
     changed = fields | {field: new}
     try:
         problem = _rule(changed)
     except TypeError:  # a level that does not compare with numbers
         problem = "levels must be numbers or None"
     try:
-        dataclasses.replace(record, **{field: new})
+        record._replace(**{field: new})
     except RecordError as exc:
         assert exc.problem == problem is not None
     else:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igei.dataio import load_penalized_reference
 from igei.errors import AggregationError
 from igei.penalized import (
     Polarity,
@@ -15,6 +14,7 @@ from igei.penalized import (
     penalized_mean,
     weighted_mean,
 )
+from igei.verify import load_penalized_reference
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 

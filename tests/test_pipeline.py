@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import struct
@@ -314,7 +313,7 @@ def resolution_edge(scope, **changes):
         obs_standard("T0", "S1", 0.4, 0.6, 0.5), obs_standard("T0", "S2", 0.3, 0.5, 0.4),
         obs_standard("T1", "S1", 0.5, 0.7, 0.6), obs_standard("T1", "S2", 0.2, 0.4, 0.3),
     ]
-    records = [dataclasses.replace(rec, **changes.get(key, {}))
+    records = [rec._replace(**changes.get(key, {}))
                for rec in records if (key := f"{rec.territory}_{rec.indicator}") not in changes
                or changes[key] is not None]
     return records, scope, False
@@ -721,7 +720,7 @@ class TestAggregateTable:
         assert str(info.value) == (
             f"partial report for {table.territories[0]!r}: missing scores for G2, G9"
         )
-        empty = aggregate_table(tree, dataclasses.replace(table, territories=(), rows={}))
+        empty = aggregate_table(tree, table._replace(territories=(), rows={}))
         assert empty.index == [] and all(col == [] for col in empty.domain_values.values())
 
 
@@ -792,9 +791,9 @@ class TestIndexTree:
         twin = IndexTree(domains=SYNTH_TREE.domains)
         assert twin == SYNTH_TREE and hash(twin) == hash(SYNTH_TREE)
         assert repr(twin) == f"IndexTree(domains={SYNTH_TREE.domains!r})"
-        assert [f.name for f in dataclasses.fields(IndexTree)] == ["domains"]
+        assert IndexTree._fields == ("domains",)
         assert twin != IndexTree(domains=SYNTH_TREE.domains[:1])
-        pruned = dataclasses.replace(SYNTH_TREE, domains=SYNTH_TREE.domains[1:])
+        pruned = SYNTH_TREE._replace(domains=SYNTH_TREE.domains[1:])
         assert pruned.leaf_ids() == ("J4", "J5")
 
 
@@ -993,10 +992,10 @@ class TestObservationRecord:
 
     def test_replace_and_frozen(self):
         record = obs_standard("X", "J1", 0.4, 0.6)
-        moved = dataclasses.replace(record, period=2024)
+        moved = record._replace(period=2024)
         assert moved.period == 2024 and record.period == 2023
-        assert dataclasses.replace(moved, period=2023) == record
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert moved._replace(period=2023) == record
+        with pytest.raises(AttributeError, match="cannot assign to field 'x_w'"):
             record.x_w = 0.5
 
 
@@ -1037,7 +1036,7 @@ class TestDatasetBoundary:
         "record, problem",
         [
             (
-                partial(dataclasses.replace, obs_standard("X", "J1", 0.4, 0.6), value=0.5),
+                partial(obs_standard("X", "J1", 0.4, 0.6)._replace, value=0.5),
                 "standard observations take no single value",
             ),
             (
@@ -1045,9 +1044,7 @@ class TestDatasetBoundary:
                 "standard observations need both x_w and x_m",
             ),
             (
-                partial(
-                    dataclasses.replace, obs_value("X", "J1", MetricKind.SHARE, 0.5), x_a=0.5
-                ),
+                partial(obs_value("X", "J1", MetricKind.SHARE, 0.5)._replace, x_a=0.5),
                 "share observations take only the value column",
             ),
             (
@@ -1287,7 +1284,7 @@ def walk_cases(draw):
         # a total above 1 fails whatever the correction: scoring puts it on the working scale
         level = draw(st.sampled_from(["x_m", "x_a"]))
         records = [
-            dataclasses.replace(rec, **{level: 1.2})
+            rec._replace(**{level: 1.2})
             if rec.indicator == "J2" and (rec.territory, rec.period) in cells else rec
             for rec in records
         ]
@@ -1331,7 +1328,7 @@ def walk_edge(scope=("T0", "T1"), j1=Correction("own_average"), **changes):
             obs_value(terr, "J4", MetricKind.RATIO, 0.8 + step),
             obs_value(terr, "J5", MetricKind.CAPPED, 0.7 + step),
         ]
-    records = [dataclasses.replace(rec, **changes.get(f"{rec.territory}_{rec.indicator}", {}))
+    records = [rec._replace(**changes.get(f"{rec.territory}_{rec.indicator}", {}))
                for rec in records]
     return records, list(scope), {**SYNTH_SPECS, "J1": spec_standard("J1", correction=j1)}
 
@@ -1471,14 +1468,44 @@ class TestScoringWalk:
             outcome(expected)
         )
 
+    def test_int_levels_score_as_their_floats(self):
+        # a record may hold int levels; its Dataset stores them as floats once
+        levels = {"J1": ((2, 3, 5), (7, 3, 4)), "J2": ((0, 1, 1), (1, 0, 0)),
+                  "J3": (1, 0), "J4": (2, 1), "J5": (1, 3)}
+        ints = [
+            obs_standard(terr, ind, *level, period=period) if isinstance(level, tuple)
+            else obs_value(terr, ind, SYNTH_SPECS[ind].metric, level, period=period)
+            for period in (2022, 2023) for ind, pair in levels.items()
+            for terr, level in zip(("X", "Y"), pair)
+        ]
+        floats = [rec._replace(**{name: float(v) for name in ("x_w", "x_m", "x_a", "value")
+                                  if (v := getattr(rec, name)) is not None})
+                  for rec in ints]
+        assert type(ints[0].x_w) is int and ints == floats
+        data = Dataset(ints)
+        for ind in levels:
+            block = data.columns(ind)
+            assert {type(v) for col in block[3:] for v in col} <= {float, type(None)}
+        assert type(next(iter(data)).x_w) is int  # the records are kept as given
+        for period in (2022, 2023):
+            in_period = [rec for rec in ints if rec.period == period]
+            refs = resolve_references(Dataset(in_period), SYNTH_SPECS, ["X", "Y"])
+            assert repr(refs) == repr(resolve_references(
+                Dataset([rec for rec in floats if rec.period == period]), SYNTH_SPECS, ["X", "Y"]))
+            expected = record_by_record(in_period, SYNTH_SPECS, refs, ["X", "Y"], [None])
+            table = score_table(Dataset(in_period), SYNTH_SPECS, SYNTH_TREE, refs)
+            assert repr(as_columns(table)) == repr(as_columns(list(expected.values())))
+        assert repr(score_time_series(ints, SYNTH_SPECS, SYNTH_TREE)) == repr(
+            score_time_series(floats, SYNTH_SPECS, SYNTH_TREE))
+
     def test_first_fault_is_first_in_period_then_territory_order(self):
         # T0 fails in 2021 and T1 in 2020: scoring period by period meets T1 first
         records = [
             obs_standard(terr, "J1", 0.5, 0.5, 0.5, period=period)
             for terr in ("T0", "T1") for period in (2020, 2021)
         ]
-        records[1] = dataclasses.replace(records[1], x_m=1.2)
-        records[2] = dataclasses.replace(records[2], x_w=1.3)
+        records[1] = records[1]._replace(x_m=1.2)
+        records[2] = records[2]._replace(x_w=1.3)
         specs = {"J1": spec_standard("J1", polarity=Polarity.NEGATIVE)}
         tree = IndexTree(
             domains=(Domain(id="d1", subdomains=(SubDomain(id="s1", indicators=("J1",)),)),)

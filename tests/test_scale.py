@@ -1,6 +1,5 @@
 """Invariants on seeded tables of 500 territories, not only the bundled 21."""
 
-import dataclasses
 import gc
 import random
 import time
@@ -313,9 +312,7 @@ def test_unchanged_territory_keeps_its_scores(observation_files):
     before, after = (by_period[p] for p in PERIODS)
     assert len(before) == TERRITORIES
     for terr, report in before.items():
-        same = dataclasses.replace(report, period=None) == dataclasses.replace(
-            after[terr], period=None
-        )
+        same = report._replace(period=None) == after[terr]._replace(period=None)
         assert same == (terr == STEADY), terr
 
 
