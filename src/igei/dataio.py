@@ -21,8 +21,9 @@ from __future__ import annotations
 import csv
 import io
 from importlib import resources
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import isnan
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import yaml
@@ -113,7 +114,7 @@ def _rows(source, decimal_comma: bool, handle: IO[str] | None = None) -> Iterato
     skipping comment and blank lines."""
     lineno = 0
     with handle or _open_text(source, newline="") as handle:
-        reader = enumerate(_reader(handle, decimal_comma), start=1)
+        reader = enumerate(csv.reader(handle, delimiter=";" if decimal_comma else ","), start=1)
         try:
             for lineno, row in reader:
                 # the cheap test first: most first cells hold no '#'
@@ -124,10 +125,6 @@ def _rows(source, decimal_comma: bool, handle: IO[str] | None = None) -> Iterato
             raise _not_utf8(source, exc) from None
         except csv.Error as exc:  # such as a cell above the csv module's size limit
             raise DataError(f"row {lineno + 1}: {exc}") from None
-
-
-def _reader(handle: IO[str], decimal_comma: bool):
-    return csv.reader(handle, delimiter=";" if decimal_comma else ",")
 
 
 def _plain(text: str) -> bool:
@@ -231,9 +228,42 @@ def _read_twice(source, decimal_comma: bool, columns, rows):
     return rows(_utf8_lines(raw), source, decimal_comma) if data is None else data
 
 
-# rows read between two conversions to columns: the cells of at most this
-# many rows are held as text at once
-_CHUNK_ROWS = 4096
+# characters of text cut into cells at a time, before each chunk is extended
+# to a line end: the cells of about this much text are held at once
+_CHUNK_CHARS = 1 << 16
+
+
+def _cell_chunks(handle: IO[str], decimal_comma: bool) -> Iterator[list[str]]:
+    """Yield the header row's cells, then each chunk's other rows as one flat list.
+
+    Comment and blank lines are dropped; a row not as wide as the header raises
+    ValueError. A chunk, extended to a line end, is cut with ``str.split`` when
+    it holds no '"' or '\\r' and is too short for a cell past the csv module's
+    size limit; else ``csv.reader`` reads it.
+    """
+    delimiter, width = ";" if decimal_comma else ",", 0
+    while text := handle.read(_CHUNK_CHARS):
+        text += handle.readline()
+        if split := '"' not in text and "\r" not in text and len(text) <= csv.field_size_limit():
+            rows = text.rstrip("\n").split("\n")
+            if "#" in text or "\n\n" in text or text[0] == "\n":
+                rows = [line for line in rows if line and not line.lstrip().startswith("#")]
+        else:
+            # no more rows than the chunk has lines: the reader reads on past
+            # them only to end a row, as where a quoted cell runs on
+            lines = io.StringIO(text, newline="").readlines()
+            rows = islice(csv.reader(chain(lines, iter(handle.readline, "")),
+                                     delimiter=delimiter), len(lines))
+            rows = [row for row in rows if row and not row[0].lstrip().startswith("#")]
+        if rows and not width:
+            header = rows.pop(0).split(delimiter) if split else rows.pop(0)
+            width = len(header)
+            yield header
+        widths = set(map(str.count, rows, repeat(delimiter))) if split else set(map(len, rows))
+        if widths - {width - 1 if split else width}:
+            raise ValueError("a row not as wide as the header")
+        if rows:
+            yield delimiter.join(rows).split(delimiter) if split else [*chain.from_iterable(rows)]
 
 
 def _load_blocks(handle: IO[str], decimal_comma: bool) -> Dataset | None:
@@ -245,38 +275,22 @@ def _load_blocks(handle: IO[str], decimal_comma: bool) -> Dataset | None:
     names, periods = _cell_values()
     # territory names in order of first appearance
     territories = _Interned(names.__getitem__)
-    # per indicator: the rows read since the last conversion, and its columns
-    groups: dict[str, list[list[str]]] = {}
     columns: dict[str, list[list]] = {}
-    group_of = _Interned(lambda cell: groups.setdefault(names[cell], []))
-    order = []
+    order: list[str] = []
     with handle:
-        rows = _reader(handle, decimal_comma)
-        for row in rows:
-            if row and not row[0].lstrip().startswith("#"):
-                break
-        else:
+        chunks = _cell_chunks(handle, decimal_comma)
+        if tuple(map(str.strip, next(chunks, ()))) != OBSERVATION_HEADER:
             return None
-        if tuple(map(str.strip, row)) != OBSERVATION_HEADER:
-            return None
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            for row in chunk:
-                if len(row) != width or "#" in row[0]:
-                    if not row or row[0].lstrip().startswith("#"):
-                        continue
-                    if len(row) != width:
-                        return None
-                # interned here, so that territories keep their order of first appearance
-                row[0] = territories[row[0]]
-                group = group_of[row[1]]
-                group.append(row)
-                order.append(group)
-            for indicator, group in groups.items():
-                if group:
-                    block = columns.setdefault(indicator, [[] for _ in Columns._fields])
-                    if not _extend_columns(block, group, periods, decimal_comma):
-                        return None
-                    group.clear()
+        for cells in chunks:
+            chunk = [cells[k::width] for k in range(width)]
+            # interned here, so that territories keep their order of first appearance
+            chunk[0] = list(map(territories.__getitem__, chunk[0]))
+            indicators = list(map(names.__getitem__, chunk.pop(1)))
+            order += indicators
+            for indicator, take in _row_pickers(indicators).items():
+                block = columns.setdefault(indicator, [[] for _ in Columns._fields])
+                if not _extend_columns(block, list(map(take, chunk)), periods, decimal_comma):
+                    return None
     blocks = {}
     for indicator, block in columns.items():
         block = blocks[indicator] = Columns(*map(tuple, block))
@@ -286,27 +300,36 @@ def _load_blocks(handle: IO[str], decimal_comma: bool) -> Dataset | None:
             return None
     if "" in names.values():
         return None
-    indicator_of = {id(group): indicator for indicator, group in groups.items()}
-    return Dataset._from_columns(
-        blocks, dict.fromkeys(territories.values()),
-        list(map(indicator_of.__getitem__, map(id, order))),
-    )
+    return Dataset._from_columns(blocks, dict.fromkeys(territories.values()), order)
 
 
-def _extend_columns(
-    block: list[list], rows: list[list[str]], periods: _Interned, decimal_comma: bool
-) -> bool:
-    """Append the converted cells of one indicator's ``rows`` to its columns.
+def _row_pickers(indicators: list[str]) -> dict[str, itemgetter]:
+    """Per indicator, in order of first appearance, an itemgetter of its rows in a chunk column."""
+    m = len(set(indicators))
+    if indicators[m:] == indicators[:-m]:
+        # each indicator every m-th row, as in a file ordered by territory and period
+        return {ind: itemgetter(slice(j, None, m)) for j, ind in enumerate(indicators[:m])}
+    rows: dict[str, list[int]] = {}
+    for i, indicator in enumerate(indicators):
+        rows.setdefault(indicator, []).append(i)
+    # one row is a slice, as itemgetter of one position gives a cell, not a tuple
+    return {ind: itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+            for ind, at in rows.items()}
+
+
+def _extend_columns(block: list[list], part: list[Sequence[str]], periods: _Interned,
+                    decimal_comma: bool) -> bool:
+    """Append one indicator's cells, ``part`` a column per Columns field, to its columns.
 
     False for kind cells that name no kind, or several, for a number cell
     that is not plain, and for a '.' where ',' is the decimal separator; a
     cell that does not convert raises ValueError.
     """
-    territory, _, period_cells, kind_cells, *level_cells = zip(*rows)
+    territory, period_cells, kind_cells, *level_cells = part
     kinds = {_METRIC_KINDS.get(cell.strip()) for cell in set(kind_cells)}
     if len(kinds) != 1 or None in kinds:
         return False
-    n = len(rows)
+    n = len(territory)
     block[0].extend(territory)
     block[1].extend(map(periods.__getitem__, period_cells))
     block[2].extend((kinds.pop(),) * n)
@@ -328,47 +351,37 @@ def _extend_columns(
 def _load_rows(handle: IO[str], source, decimal_comma: bool) -> Dataset:
     """:func:`load_dataset` of ``source``, read from ``handle`` one row at a time:
     the first fault in file order, or the dataset."""
-    lineno = 0
     names, periods = _cell_values()
     rows: list[tuple] = []
     keys: set[tuple[str, str, int]] = set()
-    with handle:
-        lines = enumerate(_reader(handle, decimal_comma), start=1)
-        try:
-            for lineno, row in lines:
-                if row and not row[0].lstrip().startswith("#"):
-                    break
-            else:
-                raise DataError("observation file is empty")
-            header = tuple(map(str.strip, row))
-            if header != OBSERVATION_HEADER:
-                raise DataError(
-                    f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
-                    f"got {','.join(header)}"
-                )
-            for lineno, row in lines:
-                if not row or ("#" in row[0] and row[0].lstrip().startswith("#")):
-                    continue
-                territory, indicator, period, kind, *levels = _parse_observation(
-                    lineno, row, decimal_comma, periods
-                )
-                fields = (names[territory], names[indicator], period,
-                          _METRIC_KINDS.get(kind, kind), *levels)
-                problem = record_problem(*fields)
-                if problem:
-                    raise DataError(f"row {lineno}: {problem}")
-                key = fields[:3]
-                if key in keys:
-                    raise DataError(
-                        f"row {lineno}: duplicate observation for territory {key[0]!r}, "
-                        f"indicator {key[1]!r}, period {key[2]}"
-                    )
-                keys.add(key)
-                rows.append(fields)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(source, exc) from None
-        except csv.Error as exc:  # such as a cell above the csv module's size limit
-            raise DataError(f"row {lineno + 1}: {exc}") from None
+    lines = _rows(source, decimal_comma, handle)
+    for lineno, row in lines:
+        header = tuple(map(str.strip, row))
+        if header != OBSERVATION_HEADER:
+            raise DataError(
+                f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
+                f"got {','.join(header)}"
+            )
+        break
+    else:
+        raise DataError("observation file is empty")
+    for lineno, row in lines:
+        territory, indicator, period, kind, *levels = _parse_observation(
+            lineno, row, decimal_comma, periods
+        )
+        fields = (names[territory], names[indicator], period,
+                  _METRIC_KINDS.get(kind, kind), *levels)
+        problem = record_problem(*fields)
+        if problem:
+            raise DataError(f"row {lineno}: {problem}")
+        key = fields[:3]
+        if key in keys:
+            raise DataError(
+                f"row {lineno}: duplicate observation for territory {key[0]!r}, "
+                f"indicator {key[1]!r}, period {key[2]}"
+            )
+        keys.add(key)
+        rows.append(fields)
     data = Dataset.__new__(Dataset)
     data._fill(rows)
     return data
@@ -435,41 +448,24 @@ def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
     return _read_twice(source, decimal_comma, _table_columns, _table_rows)
 
 
-# rows of a score table read between two conversions to columns
-_TABLE_CHUNK_ROWS = 256
-
-
 def _table_columns(handle: IO[str], decimal_comma: bool) -> ScoreTable | None:
     """The score table of ``handle`` when every check passes a column at a time.
 
     None when a check fails; a cell that does not convert raises ValueError.
     """
     with handle:
-        rows = _reader(handle, decimal_comma)
-        for row in rows:
-            if row and not row[0].lstrip().startswith("#"):
-                break
-        else:
-            return None
-        header = list(map(str.strip, row))
+        chunks = _cell_chunks(handle, decimal_comma)
+        header = list(map(str.strip, next(chunks, [""])))
         indicators = header[1:]
         if header[0] != "territory" or not indicators or len(set(indicators)) != len(indicators):
             return None
         width = len(header)
         names: list[str] = []
         columns: list[list[float]] = [[] for _ in indicators]
-        while chunk := list(islice(rows, _TABLE_CHUNK_ROWS)):
-            cells = list(zip(*chunk)) if set(map(len, chunk)) == {width} else []
-            # the cheap test first: most first cells hold no '#'
-            if not cells or "#" in "".join(cells[0]):
-                chunk = [row for row in chunk if row and not row[0].lstrip().startswith("#")]
-                if not chunk:
-                    continue
-                if set(map(len, chunk)) != {width}:
-                    return None
-                cells = list(zip(*chunk))
-            names += map(str.strip, cells[0])
-            for column, text in zip(columns, cells[1:]):
+        for cells in chunks:
+            names += map(str.strip, cells[::width])
+            for k, column in enumerate(columns, 1):
+                text = cells[k::width]
                 joined = "".join(text)
                 if not _plain(joined) or (decimal_comma and "." in joined):
                     return None

@@ -262,7 +262,8 @@ class ObservationRecord(Frozen):
 # bound once: on CPython 3.11 a member read off its Enum class takes a slow
 # path (the metaclass defines __getattr__), and record_problem runs per record
 _STANDARD, _SHARE, _RATIO = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.RATIO
-_INF = math.inf
+# a finite level is at most _MAX: an int past the float range is below inf
+_INF, _MAX = math.inf, math.nextafter(math.inf, 0.0)
 
 
 def record_problem(
@@ -283,7 +284,7 @@ def record_problem(
             return "standard observations take no single value"
         if x_w is None or x_m is None:
             return "standard observations need both x_w and x_m"
-        if 0.0 <= x_w < _INF and 0.0 <= x_m < _INF and (x_a is None or 0.0 <= x_a < _INF):
+        if 0.0 <= x_w <= _MAX and 0.0 <= x_m <= _MAX and (x_a is None or 0.0 <= x_a <= _MAX):
             return None
         return _level_problem((("x_w", x_w), ("x_m", x_m), ("x_a", x_a)))
     if kind.__class__ is not MetricKind:
@@ -297,7 +298,7 @@ def record_problem(
         return f"share value {value} is outside [0, 1]"
     if kind is _RATIO and value <= 0:
         return f"ratio value {value} must be positive"
-    if 0.0 <= value < _INF:
+    if 0.0 <= value <= _MAX:
         return None
     return _level_problem((("value", value),))
 
@@ -305,9 +306,11 @@ def record_problem(
 def _level_problem(levels) -> str:
     """The first (name, level) pair that is negative or not finite, as a problem."""
     for name, v in levels:
-        if v is not None and not 0.0 <= v < _INF:
+        if v is not None and not 0.0 <= v <= _MAX:
             if v < 0:
                 return f"{name} must be non-negative, got {v}"
+            if isinstance(v, int):
+                return f"{name} must be a finite number, got an integer past the float range"
             return f"{name} must be a finite number, got {v}"
 
 

@@ -765,6 +765,13 @@ class TestScoreTable:
         with pytest.raises(DataError, match="outside"):
             load_score_table(write(tmp_path, text))
 
+    def test_oversized_cell_names_row(self, tmp_path):
+        # the cell reads as 50.0: only the csv module's size limit refuses it
+        text = "territory,G1,G2\nX,50,50\n# note\nY,1," + "0" * 200_000 + "50\nZ,2,3\n"
+        with pytest.raises(DataError) as info:
+            load_score_table(write(tmp_path, text))
+        assert str(info.value) == "row 4: field larger than field limit (131072)"
+
     def test_decimal_comma_flag(self, tmp_path):
         table = load_score_table(write(tmp_path, "territory;G1;G2\nX;50,5;1\n"),
                                  decimal_comma=True)

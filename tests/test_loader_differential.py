@@ -9,11 +9,13 @@ reader's first message and row number.
 
 import csv
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from igei import dataio
 from igei.dataio import OBSERVATION_HEADER, ScoreTable, load_dataset, load_score_table
 from igei.errors import DataError, RecordError
 from igei.metrics import MetricKind
@@ -202,6 +204,10 @@ def scratch(tmp_path_factory):
 @DIFFERENTIAL
 @given(case=observation_file())
 def test_loader_matches_the_row_reader(scratch, case):
+    check_observations(scratch, case)
+
+
+def check_observations(scratch, case):
     text, decimal_comma = case
     path = scratch / "obs.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -424,6 +430,10 @@ def _table_outcome(load):
 @DIFFERENTIAL
 @given(case=score_table_file())
 def test_score_table_loader_matches_the_row_reader(scratch, case):
+    check_score_table(scratch, case)
+
+
+def check_score_table(scratch, case):
     text, decimal_comma = case
     path = scratch / "scores.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -460,3 +470,94 @@ def test_a_long_score_table_matches_the_row_reader(tmp_path, decimal_comma, faul
     expected = _table_outcome(lambda: reference_table(text, decimal_comma))
     assert expected.startswith("ScoreTable(") == (fault is None)
     assert _table_outcome(lambda: load_score_table(path, decimal_comma=decimal_comma)) == expected
+
+
+# --- chunk boundaries ------------------------------------------------------------
+# The column loaders cut the text into chunks of about dataio._CHUNK_CHARS
+# characters, each extended to a line end, and a chunk read by csv.reader
+# further to the end of a quoted cell. With chunks of a few characters, every
+# line end is a chunk boundary.
+
+SMALL_CHUNKS = settings(DIFFERENTIAL, max_examples=200)
+
+
+@SMALL_CHUNKS
+@given(case=observation_file(), size=st.integers(1, 40))
+def test_small_chunks_match_the_row_reader(scratch, case, size):
+    with mock.patch.object(dataio, "_CHUNK_CHARS", size):
+        check_observations(scratch, case)
+
+
+@SMALL_CHUNKS
+@given(case=score_table_file(), size=st.integers(1, 40))
+def test_small_score_table_chunks_match_the_row_reader(scratch, case, size):
+    with mock.patch.object(dataio, "_CHUNK_CHARS", size):
+        check_score_table(scratch, case)
+
+
+HEADER = ",".join(OBSERVATION_HEADER)
+# clean files that the column loaders read whole at every chunk size: a
+# quoted cell holding CRLF, a '"' inside an unquoted name, comment and blank
+# lines, CRLF line ends
+BOUNDARY_CASES = {
+    "quoted CRLF in a cell": (
+        load_dataset, reference_load, "_load_rows",
+        HEADER + '\nA,J1,2023,standard,0.5,0.25,,\n"North\r\nEast",J1,2023,standard,'
+        '"0.5","1",,\n"B ""b""",J2,2024,capped,,,,"2"\nC,J1,2023,standard,1,2,3,\n',
+    ),
+    "a quote inside an unquoted name": (
+        load_dataset, reference_load, "_load_rows",
+        HEADER + '\nA"x,J1,2023,share,,,,0.5\nB,J1,2023,share,,,,"1"\nC,J1,2023,share,,,,0\n',
+    ),
+    "comment and blank lines": (
+        load_dataset, reference_load, "_load_rows",
+        "# lead\n\n" + HEADER + "\nA,J1,2023,share,,,,0.5\n# note\n\n  # indented\n"
+        "B,J1,2023,share,,,,1\n\n\nA,J2,2023,ratio,,,,2\n#\n",
+    ),
+    "CRLF line ends": (
+        load_dataset, reference_load, "_load_rows",
+        HEADER.replace(",", ' , ') + "\r\nA,J1,2023,share,,,,0.5\r\n\r\n# note\r\n"
+        "B,J1,2023,share,,,,1\r\n",
+    ),
+    "score table, quoted CRLF in a name": (
+        load_score_table, reference_table, "_table_rows",
+        'territory,J1,"J2"\n# note\nA,1,2\n"B\r\nb",3,"4"\n\n"C, c",5.5,100\nD,0,7\n',
+    ),
+    "score table, CRLF line ends": (
+        load_score_table, reference_table, "_table_rows",
+        "# lead\r\n territory ,J1,J2\r\nA,1,2\r\n#\r\n\r\nB,3,4\r\nC,5,6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+def test_every_chunk_boundary_stays_on_the_column_path(tmp_path, monkeypatch, case):
+    load, reference, row_path, text = BOUNDARY_CASES[case]
+    path = tmp_path / "boundary.csv"
+    path.write_bytes(text.encode("utf-8"))
+    # the reference raises for a file that does not load
+    expected = reference(text, False)
+    expected = repr(expected if load is load_score_table else expected[0])
+
+    def refused(*args):
+        raise AssertionError("the column loader refused a clean file")
+
+    monkeypatch.setattr(dataio, row_path, refused)
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
+        loaded = load(path)
+        assert repr(loaded if load is load_score_table else list(loaded)) == expected, size
+
+
+def test_a_stray_quote_at_every_chunk_size(tmp_path, monkeypatch):
+    # the '"' in 'A"x' is text, and Z's quoted cell '5\n0' runs on into the
+    # next line: a reader that stopped at a chunk's last line would load Z's
+    # score as 5 and a territory '0"'
+    text = 'territory,J1\nA"x,1\nZ,"5\n0",2\n'
+    expected = _table_outcome(lambda: reference_table(text, False))
+    assert expected == "row 3: expected 2 cells, got 3"
+    path = tmp_path / "scores.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
+        assert _table_outcome(lambda: load_score_table(path)) == expected, size

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import sys
 from functools import partial
 
 import pytest
@@ -1075,12 +1076,29 @@ class TestDatasetBoundary:
                 partial(obs_value, "X", "J1", MetricKind.CAPPED, float("nan")),
                 "value must be a finite number, got nan",
             ),
+            # an int compares exactly: 10**400 is below inf, but no float
+            (
+                partial(obs_standard, "X", "J1", 10**400, 1),
+                "x_w must be a finite number, got an integer past the float range",
+            ),
+            (
+                partial(obs_value, "X", "J1", MetricKind.RATIO, 10**400),
+                "value must be a finite number, got an integer past the float range",
+            ),
         ],
     )
     def test_refused_record_names_its_key(self, record, problem):
         with pytest.raises(DataError) as info:
             record()
         assert str(info.value) == f"territory 'X', indicator 'J1', period 2023: {problem}"
+
+    def test_int_level_past_the_float_range_is_a_record_error(self):
+        # it used to build, and Dataset then raised a bare OverflowError
+        with pytest.raises(RecordError) as info:
+            Dataset([ObservationRecord("X", "J1", 2023, "standard", 10**400, 1)])
+        assert info.value.problem.startswith("x_w must be a finite number")
+        largest = ObservationRecord("X", "J1", 2023, "standard", int(sys.float_info.max), 1)
+        assert Dataset([largest]).columns("J1").x_w == (sys.float_info.max,)
 
     def test_series_cannot_be_mutated(self):
         data = Dataset(SYNTH_RECORDS)

@@ -349,8 +349,11 @@ def test_long_series_is_indexed_in_linear_time(tmp_path):
 
 # --- column tests: the per-row paths run only where a column fails its test --
 
-# each per-row path of igei score, with what names its block in the call
+# each per-row path of igei score and igei report, with what names its block
+# in the call
 FALLBACKS = (
+    (dataio, "_load_rows", lambda handle, source, decimal_comma: "file"),
+    (dataio, "_table_rows", lambda handle, source, decimal_comma: "file"),
     (dataio, "_block_findings", lambda spec, block: spec.id),
     (pipeline, "_row_reference", lambda spec, *rest: spec.id),
     (pipeline, "_row_scores", lambda spec, block, refs: spec.id),
@@ -393,29 +396,44 @@ def bench_rows(rng, territories, periods, blank_totals=True):
     return rows
 
 
+def quoted(line: str) -> str:
+    """A line of comma-separated cells with every cell quoted, as R's write.csv
+    quotes names."""
+    return ",".join(f'"{cell}"' for cell in line.split(","))
+
+
 @pytest.fixture(scope="module")
 def bench_files(tmp_path_factory):
-    """Bench-shaped files of BENCH_TERRITORIES territories: one period, two periods."""
+    """Bench-shaped files of BENCH_TERRITORIES territories: one period, two
+    periods, and each written with CRLF line ends and with every cell quoted."""
     rng = random.Random(SEED + 2)
     names = [f"Region {i:05d}" for i in range(BENCH_TERRITORIES)]
     directory = tmp_path_factory.mktemp("bench-shaped")
     files = {}
     for name, periods in (("single", PERIODS[:1]), ("series", PERIODS)):
-        path = directory / f"{name}.csv"
         lines = [",".join(OBSERVATION_HEADER)] + bench_rows(rng, names, periods)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        files[name] = str(path)
+        for variant, text in (
+            (name, "\n".join(lines) + "\n"),
+            (f"{name}-crlf", "\r\n".join(lines) + "\r\n"),
+            (f"{name}-quoted", "\n".join(map(quoted, lines)) + "\n"),
+        ):
+            path = directory / f"{variant}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            files[variant] = str(path)
     return files
 
 
-@pytest.mark.parametrize("source", ["demo", "single", "series"])
+@pytest.mark.parametrize("source", ["demo", "single", "series", "single-crlf", "series-crlf",
+                                    "single-quoted", "series-quoted", "report"])
 def test_clean_files_take_no_per_row_path(capsys, monkeypatch, bench_files, source):
     if source == "demo":
         argv = ["score", "--data", str(bundled_path("demo_countries.csv")),
                 "--spec", str(bundled_path("demo_tree.yaml"))]
+    elif source == "report":
+        argv = ["report", "--data", str(bundled_path("indicator_scores_2023.csv"))]
     else:
         argv = ["score", "--data", bench_files[source]] + (
-            ["--time-series"] if source == "series" else [])
+            ["--time-series"] if source.startswith("series") else [])
     calls = count_fallbacks(monkeypatch)
     assert main(argv + ["--format", "json"]) == 0
     assert capsys.readouterr().out
