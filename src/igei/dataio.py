@@ -20,13 +20,10 @@ from __future__ import annotations
 
 import csv
 import io
-from importlib import resources
 from itertools import chain, islice, repeat
 from math import isnan
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, Sequence
-
-import yaml
 
 from igei._frozen import Frozen
 from igei.errors import DataError, SpecError
@@ -73,6 +70,8 @@ _NEGATIVE = Polarity.NEGATIVE
 
 def bundled_path(name: str):
     """Traversable path of a bundled data file."""
+    from importlib import resources  # only verify, demo and the tests ask for one
+
     return resources.files("igei").joinpath("data", name)
 
 
@@ -529,125 +528,34 @@ def _table_rows(handle: IO[str], source, decimal_comma: bool) -> ScoreTable:
 # --- index spec ------------------------------------------------------------
 
 
-class _UniqueKeys:
-    """Safe-loader mixin that refuses a repeated mapping key; PyYAML keeps the last one."""
-
-    def construct_mapping(self, node, deep=False):
-        keys = set()
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue  # ``<<`` keys may repeat; the base class merges them
-            key = self.construct_object(key_node, deep=deep)
-            try:
-                repeated = key in keys
-            except TypeError:  # unhashable: the base class reports it
-                continue
-            if repeated:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping",
-                    node.start_mark,
-                    f"found duplicate key {key!r}",
-                    key_node.start_mark,
-                )
-            keys.add(key)
-        return super().construct_mapping(node, deep=deep)
-
-
-class _PureLoader(_UniqueKeys, yaml.SafeLoader):
-    """PyYAML's own parser: the one whose errors a spec message quotes."""
-
-
-class _UniqueKeyLoader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """libyaml's parser where PyYAML was built with it, about ten times faster."""
-
-
-# The pure parser recurses once per nesting level and runs out of Python stack
-# a few hundred levels down, where libyaml goes on: a deeper document is left
-# to the pure parser, so that it is refused with the pure parser's message.
-_FAST_NESTING = 100
-
-
-def _deeper_than(root, limit: int) -> bool:
-    """Whether collections nest more than ``limit`` levels deep, ``root`` the first.
-
-    Nodes are walked in document order and each counts once, where it
-    first appears: an alias repeats its anchor without nesting it again.
-    """
-    stack, seen = [(root, 0)], set()
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, yaml.ScalarNode) or id(node) in seen:
-            continue
-        if depth == limit:
-            return True
-        seen.add(id(node))
-        if isinstance(node, yaml.SequenceNode):
-            children = node.value
-        else:
-            children = [child for pair in node.value for child in pair]
-        stack.extend((child, depth + 1) for child in reversed(children))
-    return False
-
-
-def _parse_yaml(text: str):
-    """The YAML document in ``text``.
-
-    :class:`_PureLoader` parses a text that holds a tab, which PyYAML's
-    own scanner refuses in places where libyaml takes it, and parses
-    again a document the fast loader refuses or that nests too deep for
-    the pure one; so a spec loads, or fails with the same message, with
-    or without libyaml.
-    """
-    if "\t" not in text:
-        loader = _UniqueKeyLoader(text)
-        try:
-            node = loader.get_single_node()
-            if node is None:
-                return None
-            if not _deeper_than(node, _FAST_NESTING):
-                return loader.construct_document(node)
-        except Exception:
-            pass  # the pure loader raises the error a spec message quotes
-        finally:
-            loader.dispose()
-    return yaml.load(text, Loader=_PureLoader)
-
-
 def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
     """Parse an index spec file; ``None`` loads the bundled default.
+
+    The default is served from :mod:`igei._bundled_spec`, a snapshot of
+    ``igei_tree.yaml``, so that only a spec file imports PyYAML.
 
     Returns the indicator recipes keyed by id and the aggregation tree.
     Placement (domain, sub-domain) lives only in the tree, so indicator
     entries declare only their scoring recipe.
     """
     if source is None:
-        source = bundled_path(DEFAULT_SPEC_RESOURCE)
+        from igei._bundled_spec import document
+
+        return _spec_from_document(document())
+    from igei._spec_yaml import parse_spec  # PyYAML: only a spec file needs it
+
     with _open_text(source) as handle:
         try:
-            raw = _parse_yaml(handle.read())
+            text = handle.read()
         except UnicodeDecodeError as exc:
             raise _not_utf8(source, exc) from None
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            if mark is not None:
-                where = f" at line {mark.line + 1}, column {mark.column + 1}"
-            elif isinstance(exc, yaml.reader.ReaderError):
-                # a control character: the reader knows only its position
-                where = f" at position {exc.position}"
-            else:
-                where = ""
-            # PyYAML's own text repeats the location on further lines
-            problem = getattr(exc, "problem", None) or str(exc).split("\n", 1)[0]
-            raise SpecError(f"{source}: malformed YAML{where}: {problem}") from None
-        except RecursionError:
-            raise SpecError(f"{source}: malformed YAML: nesting is too deep") from None
-        except Exception as exc:
-            # PyYAML's scalar constructors raise bare errors for a value they
-            # cannot build: ValueError for 2023-13-45, IndexError for !!float ''
-            raise SpecError(
-                f"{source}: malformed YAML: cannot construct a value "
-                f"({type(exc).__name__}: {str(exc)[:80]})"
-            ) from None
+        except OSError as exc:  # such as EIO, from a file that opens but cannot be read
+            raise DataError(f"cannot read {source}: {exc.strerror or exc}") from None
+    return _spec_from_document(parse_spec(text, source))
+
+
+def _spec_from_document(raw) -> tuple[dict[str, IndicatorSpec], IndexTree]:
+    """The recipes and tree of a spec document, as PyYAML reads it, checked."""
     if not isinstance(raw, dict):
         raise SpecError("index spec must be a mapping")
     for key in ("tree", "indicators"):
@@ -694,12 +602,14 @@ def load_index_spec(source=None) -> tuple[dict[str, IndicatorSpec], IndexTree]:
             raise SpecError(f"indicator {ind_id!r} does not appear in the tree")
         if not isinstance(fields, dict) or "metric" not in fields:
             raise SpecError(f"indicator {ind_id!r} needs at least a metric kind")
-        if fields.get("period") is not None and not isinstance(fields["period"], int):
-            period = _shown(fields["period"])
-            raise SpecError(f"indicator {ind_id!r}: period must be an integer year, got {period}")
+        period = fields.get("period")
+        if period is not None and period.__class__ is not int:  # a bool too, as records say
+            raise SpecError(
+                f"indicator {ind_id!r}: period must be an integer year, got {_shown(period)}"
+            )
         label = fields.get("label", ind_id)
-        if isinstance(label, (list, dict, set)):
-            # str() would expand every YAML alias inside it
+        if label is None or isinstance(label, (list, dict, set)):
+            # str() would expand every YAML alias in a collection, and label null 'None'
             raise SpecError(f"indicator {ind_id!r}: label must be text, got {_shown(label)}")
         specs[ind_id] = IndicatorSpec(
             id=ind_id,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import igei
-from igei import dataio, model, verify
+from igei import cli, dataio, model, verify
 from igei.cli import main
 from igei.dataio import bundled_path, load_observations, load_score_table
 
@@ -373,8 +376,23 @@ class TestBadInput:
             ),
             # True == 1, so a one-domain tree used to accept it
             ("domain_count: true\n" + CAPPED_SPEC, "domain_count must be an integer, got True"),
+            # YAML's true and yes are bools, and a bool is an int
+            (
+                CAPPED_SPEC.replace("capped}", "capped, period: true}"),
+                "indicator 'C': period must be an integer year, got True",
+            ),
+            (
+                CAPPED_SPEC.replace("capped}", "capped, period: yes}"),
+                "indicator 'C': period must be an integer year, got True",
+            ),
+            # str(None) would label the indicator 'None'
+            (
+                CAPPED_SPEC.replace("capped}", "capped, label: null}"),
+                "indicator 'C': label must be text, got None",
+            ),
         ],
-        ids=["correction-kind", "correction-field", "domain-count"],
+        ids=["correction-kind", "correction-field", "domain-count", "period-true",
+             "period-yes", "label-null"],
     )
     def test_spec_value_refused(self, capsys, tmp_path, spec_text, message):
         spec = tmp_path / "spec.yaml"
@@ -669,10 +687,49 @@ class TestStartup:
     def test_import_leaves_unneeded_modules_unloaded(self):
         # every CLI start would pay for these: numpy is a test-only dependency,
         # dataclasses pulls in inspect, json serves only JSON output, and
-        # igei.verify only verify and demo
-        unneeded = ["numpy", "dataclasses", "inspect", "json", "igei.verify"]
+        # igei.verify only verify and demo, and yaml only a spec file
+        unneeded = ["numpy", "dataclasses", "inspect", "json", "igei.verify", "yaml"]
         probe = f"import sys, igei.cli; print(*sorted({{*{unneeded!r}}} & sys.modules.keys()))"
         env = dict(os.environ, PYTHONPATH=str(Path(igei.__file__).parents[1]))
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True)
         assert (result.returncode, result.stdout, result.stderr) == (0, "\n", "")
+
+    @staticmethod
+    def _without_site(*args: str) -> subprocess.CompletedProcess:
+        # -S: no site module, so no site-packages (PyYAML among them) and no
+        # .pth file that imports a module before igei does
+        env = dict(os.environ, PYTHONPATH=str(Path(igei.__file__).parents[1]),
+                   PYTHONIOENCODING="utf-8")
+        return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True)
+
+    def test_import_without_site_loads_no_yaml_or_resources(self):
+        unneeded = ["yaml", "importlib.resources"]
+        result = self._without_site(
+            "-c", f"import sys, igei.cli; print(*sorted({{*{unneeded!r}}} & sys.modules.keys()))"
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, b"\n", b"")
+
+    def test_report_without_site_reads_the_bundled_spec(self, capsys):
+        argv = ["report", "--data", SCORES, "--format", "csv"]
+        assert main(argv) == 0
+        result = self._without_site("-m", "igei.cli", *argv)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+class TestNumberCells:
+    @given(st.floats())
+    @example(-0.0)
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(5e-324)
+    @example(2.2250738585072009e-308)
+    @example(sys.float_info.max)
+    @example(-1.7976931348623155e308)
+    @example(0.005)
+    @example(0.0005)
+    def test_cells_read_as_format_writes_them(self, x):
+        assert cli._f2(x) == f"{x:.2f}"
+        assert cli._f3(x) == f"{x:.3f}"

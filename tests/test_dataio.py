@@ -1,5 +1,7 @@
 import csv
+import errno
 import io
+import json
 import math
 import os
 import random
@@ -14,7 +16,7 @@ import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from igei import dataio
+from igei import _bundled_spec, _spec_yaml, dataio
 from igei.dataio import (
     OBSERVATION_HEADER,
     load_index_spec,
@@ -287,6 +289,29 @@ class TestLoadIndexSpec:
             "indicator 'C': period must be an integer year, got '2023'"
         )
 
+    def test_read_failure_is_a_data_error(self):
+        class Unreadable:
+            def open(self, *args, **kwargs):
+                handle = io.StringIO()
+                handle.read = mock.Mock(side_effect=OSError(errno.EIO, "Input/output error"))
+                return handle
+
+            def __str__(self):
+                return "spec.yaml"
+
+        with pytest.raises(DataError) as info:
+            load_index_spec(Unreadable())
+        assert str(info.value) == "cannot read spec.yaml: Input/output error"
+
+    def test_null_label_is_refused(self, tmp_path):
+        text = (
+            "tree:\n  - domain: d\n    indicators: [C]\n"
+            "indicators:\n  C: {metric: capped, label: null}\n"
+        )
+        with pytest.raises(SpecError) as info:
+            load_index_spec(write(tmp_path, text, name="spec.yaml"))
+        assert str(info.value) == "indicator 'C': label must be text, got None"
+
     @pytest.mark.parametrize(
         "tree, message",
         [
@@ -456,19 +481,19 @@ class TestSpecLoaders:
 
     def test_libyaml_parses_where_present(self):
         libyaml = getattr(yaml, "CSafeLoader", ())
-        assert issubclass(dataio._UniqueKeyLoader, libyaml) == yaml.__with_libyaml__
-        assert issubclass(dataio._PureLoader, yaml.SafeLoader)
+        assert issubclass(_spec_yaml._UniqueKeyLoader, libyaml) == yaml.__with_libyaml__
+        assert issubclass(_spec_yaml._PureLoader, yaml.SafeLoader)
 
     @pytest.mark.parametrize("name", ["igei_tree.yaml", "demo_tree.yaml"])
     def test_both_loaders_give_equal_documents(self, name):
         text = dataio.bundled_path(name).read_text(encoding="utf-8")
-        pure = yaml.load(text, Loader=dataio._PureLoader)
-        assert yaml.load(text, Loader=dataio._UniqueKeyLoader) == pure
-        assert dataio._parse_yaml(text) == pure
+        pure = yaml.load(text, Loader=_spec_yaml._PureLoader)
+        assert yaml.load(text, Loader=_spec_yaml._UniqueKeyLoader) == pure
+        assert _spec_yaml._parse_yaml(text) == pure
 
     def test_both_loaders_refuse_a_duplicate_key(self, tmp_path):
         text = "tree: []\nindicators:\n  C: {metric: capped}\n  C: {metric: share}\n"
-        for loader in (dataio._UniqueKeyLoader, dataio._PureLoader):
+        for loader in (_spec_yaml._UniqueKeyLoader, _spec_yaml._PureLoader):
             with pytest.raises(yaml.constructor.ConstructorError, match="duplicate key 'C'"):
                 yaml.load(text, Loader=loader)
         path = write(tmp_path, text, name="spec.yaml")
@@ -501,7 +526,7 @@ class TestSpecLoaders:
     def test_tab_reads_as_before(self, tmp_path, entry, where):
         # libyaml takes these tabs; PyYAML's own scanner refuses them
         text = f"tree: {entry}\nindicators: {{C: {{metric: capped}}}}\n"
-        assert yaml.load(text, Loader=dataio._UniqueKeyLoader) is not None
+        assert yaml.load(text, Loader=_spec_yaml._UniqueKeyLoader) is not None
         path = write(tmp_path, text, name="spec.yaml")
         with pytest.raises(SpecError) as info:
             load_index_spec(path)
@@ -526,16 +551,51 @@ class TestSpecLoaders:
         ]
         node = yaml.compose("\n".join(lines), Loader=yaml.SafeLoader)
         # not asserted on the node itself: its repr would expand every alias
-        assert [dataio._deeper_than(node, limit) for limit in (1, 2)] == [True, False]
+        assert [_spec_yaml._deeper_than(node, limit) for limit in (1, 2)] == [True, False]
 
     def test_pure_loader_without_libyaml(self):
         probe = (
-            "import yaml; del yaml.CSafeLoader; from igei import dataio; "
-            "assert dataio._UniqueKeyLoader.__mro__[2] is yaml.SafeLoader; "
-            "specs, tree = dataio.load_index_spec(); assert len(tree.leaf_ids()) == 20"
+            "import yaml; del yaml.CSafeLoader; from igei import _spec_yaml, dataio; "
+            "assert _spec_yaml._UniqueKeyLoader.__mro__[2] is yaml.SafeLoader; "
+            "specs, tree = dataio.load_index_spec(dataio.bundled_path('igei_tree.yaml')); "
+            "assert len(tree.leaf_ids()) == 20"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(dataio.__file__).parents[1]))
         assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+class TestBundledSpec:
+    """The default spec is served from a snapshot pinned to ``igei_tree.yaml``."""
+
+    @pytest.mark.parametrize("loader", ["_UniqueKeyLoader", "_PureLoader", "_parse_yaml"])
+    def test_snapshot_is_the_yaml_document(self, loader):
+        text = dataio.bundled_path("igei_tree.yaml").read_text(encoding="utf-8")
+        if loader == "_parse_yaml":
+            parsed = _spec_yaml._parse_yaml(text)
+        else:
+            parsed = yaml.load(text, Loader=getattr(_spec_yaml, loader))
+        # json text, as dict == ignores the order of keys
+        assert json.dumps(_bundled_spec.document()) == json.dumps(parsed)
+
+    def test_snapshot_is_as_its_generator_writes_it(self):
+        text = dataio.bundled_path("igei_tree.yaml").read_text(encoding="utf-8")
+        written = Path(_bundled_spec.__file__).read_text(encoding="utf-8")
+        assert _spec_yaml.snapshot_source(text) == written
+
+    def test_each_call_gives_a_new_document(self):
+        first = _bundled_spec.document()
+        first["tree"][0]["domain"] = "changed"
+        first["indicators"]["G1"]["metric"] = "share"
+        assert _bundled_spec.document()["tree"][0]["domain"] == "work"
+        assert load_index_spec()[0]["G1"].metric is MetricKind.STANDARD
+
+    def test_default_spec_is_the_file_spec(self):
+        specs, tree = load_index_spec()
+        file_specs, file_tree = load_index_spec(dataio.bundled_path("igei_tree.yaml"))
+        # repr lists every field of every value, in order
+        assert repr(list(specs.items())) == repr(list(file_specs.items()))
+        assert repr(tree) == repr(file_tree)
+        assert (list(specs.items()), tree) == (list(file_specs.items()), file_tree)
 
 
 class TestMalformedSpecShapes:
