@@ -216,7 +216,8 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
     _, tree = dataio.load_index_spec(args.spec)
     table = dataio.load_score_table(args.data, decimal_comma=args.decimal_comma)
     scope = _parse_scope(args.scope)
-    unknown = [t for t in scope or () if t not in table.rows]
+    known = set(table.territories)
+    unknown = [t for t in scope or () if t not in known]
     if unknown:
         raise IgeiError(f"scope territories not in the data: {', '.join(unknown)}")
     columns = pipeline.aggregate_table(tree, table)

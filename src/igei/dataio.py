@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import cached_property
 from itertools import chain, islice, repeat
-from math import isnan
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from igei._frozen import Frozen
 from igei.errors import DataError, SpecError
-from igei.metrics import MetricKind
+from igei.metrics import MetricKind, _all_rates, _some_degenerate, _within
 from igei.model import (
     Correction,
     CorrectionKind,
@@ -422,20 +422,31 @@ def _parse_observation(
 class ScoreTable(Frozen):
     """Wide table of 0-100 indicator scores, one row per territory.
 
-    ``rows`` maps each territory to its scores in ``indicators`` order;
-    read them through :meth:`row` and :meth:`column`.
+    ``columns`` holds one tuple of scores per indicator, in ``indicators``
+    order, with position ``i`` of each belonging to ``territories[i]``
+    (any other shape is a :class:`DataError`); read them through
+    :meth:`row` and :meth:`column`.
     """
 
     def __init__(self, territories: tuple[str, ...], indicators: tuple[str, ...],
-                 rows: Mapping[str, tuple[float, ...]]) -> None:
-        self._store(territories, indicators, rows)
+                 columns: tuple[tuple[float, ...], ...]) -> None:
+        if len(columns) != len(indicators) or any(len(c) != len(territories) for c in columns):
+            raise DataError("a score table needs one column per indicator, one score per territory")
+        self._store(territories, indicators, columns)
 
     def row(self, territory: str) -> dict[str, float]:
-        return dict(zip(self.indicators, self.rows[territory]))
+        return self._row_at(self._positions[territory])
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each territory's row position, built on the first :meth:`row`."""
+        return {terr: i for i, terr in enumerate(self.territories)}
+
+    def _row_at(self, i: int) -> dict[str, float]:
+        return {ind: column[i] for ind, column in zip(self.indicators, self.columns)}
 
     def column(self, indicator: str) -> list[float]:
-        position = self.indicators.index(indicator)
-        return [self.rows[terr][position] for terr in self.territories]
+        return list(self.columns[self.indicators.index(indicator)])
 
 
 def load_score_table(source, decimal_comma: bool = False) -> ScoreTable:
@@ -472,24 +483,17 @@ def _table_columns(handle: IO[str], decimal_comma: bool) -> ScoreTable | None:
                     text = map(str.replace, text, repeat(","), repeat("."))
                 # float() reads the whitespace around a number, but not a blank cell
                 column += map(float, text)
-    # min and max pass over a NaN that is not first; with both bounds met,
-    # the sum is NaN exactly when some score is
-    for column in columns:
-        if names and not (0.0 <= min(column) <= max(column) <= 100.0 and not isnan(sum(column))):
-            return None
-    if len(set(names)) != len(names):
+    if len(set(names)) != len(names) or not all(_within(col, 0.0, 100.0) for col in columns):
         return None
-    return ScoreTable(
-        territories=tuple(names), indicators=tuple(indicators),
-        rows=dict(zip(names, zip(*columns))),
-    )
+    return ScoreTable(territories=tuple(names), indicators=tuple(indicators),
+                      columns=tuple(map(tuple, columns)))
 
 
 def _table_rows(handle: IO[str], source, decimal_comma: bool) -> ScoreTable:
     """:func:`load_score_table` of ``source``, read from ``handle`` one row and
     one cell at a time: the first fault in file order, or the table."""
     header: list[str] | None = None
-    rows: dict[str, tuple[float, ...]] = {}
+    names: dict[str, None] = {}
     for lineno, row in _rows(source, decimal_comma, handle):
         if header is None:
             row = list(map(str.strip, row))
@@ -500,17 +504,18 @@ def _table_rows(handle: IO[str], source, decimal_comma: bool) -> ScoreTable:
             header = row[1:]
             if len(set(header)) != len(header):
                 raise DataError(f"row {lineno}: duplicate indicator columns")
+            columns: list[list[float]] = [[] for _ in header]
             continue
         if len(row) != len(header) + 1:
             raise DataError(
                 f"row {lineno}: expected {len(header) + 1} cells, got {len(row)}"
             )
         territory = row[0].strip()
-        if territory in rows:
+        if territory in names:
             raise DataError(f"row {lineno}: duplicate territory {territory!r}")
+        names[territory] = None
         # name the first bad cell, quoting it as written
-        values = []
-        for ind, cell in zip(header, row[1:]):
+        for ind, cell, column in zip(header, row[1:], columns):
             value = _parse_number(cell.strip(), decimal_comma, lineno, ind)
             if value is None:
                 raise DataError(f"row {lineno}: missing score for {ind!r}")
@@ -518,11 +523,11 @@ def _table_rows(handle: IO[str], source, decimal_comma: bool) -> ScoreTable:
                 raise DataError(
                     f"row {lineno}: score {value} for {ind!r} is outside [0, 100]"
                 )
-            values.append(value)
-        rows[territory] = tuple(values)
+            column.append(value)
     if header is None:
         raise DataError("score table is empty")
-    return ScoreTable(territories=tuple(rows), indicators=tuple(header), rows=rows)
+    return ScoreTable(territories=tuple(names), indicators=tuple(header),
+                      columns=tuple(map(tuple, columns)))
 
 
 # --- index spec ------------------------------------------------------------
@@ -608,12 +613,11 @@ def _spec_from_document(raw) -> tuple[dict[str, IndicatorSpec], IndexTree]:
                 f"indicator {ind_id!r}: period must be an integer year, got {_shown(period)}"
             )
         label = fields.get("label", ind_id)
-        if label is None or isinstance(label, (list, dict, set)):
-            # str() would expand every YAML alias in a collection, and label null 'None'
+        if label.__class__ is not str:  # null, true, 5 and a collection are no text
             raise SpecError(f"indicator {ind_id!r}: label must be text, got {_shown(label)}")
         specs[ind_id] = IndicatorSpec(
             id=ind_id,
-            label=str(label),
+            label=label,
             metric=fields["metric"],
             polarity=fields.get("polarity", "positive"),
             correction=_parse_correction(ind_id, fields.get("correction", "none")),
@@ -732,18 +736,15 @@ def validate_dataset(
 
 def _block_clean(spec: IndicatorSpec, block: Columns) -> bool:
     """Whether :func:`_block_findings` yields nothing for ``block``, tested a
-    column at a time (a False answer can be cautious)."""
+    column at a time."""
     if block.kind.count(spec.metric) != len(block.kind):
         return False
-    if spec.metric is not _STANDARD or not block.kind:
+    if spec.metric is not _STANDARD:
         return True
     x_w, x_m, x_a = block.x_w, block.x_m, block.x_a
-    if (spec.correction.kind is _OWN_AVERAGE and None in x_a) or (0.0 in x_w and 0.0 in x_m):
+    if (spec.correction.kind is _OWN_AVERAGE and None in x_a) or _some_degenerate(x_w, x_m):
         return False
-    if spec.polarity is not _NEGATIVE:
-        return True
-    totals = x_a if None not in x_a else [v for v in x_a if v is not None] or [0.0]
-    return max(x_w) <= 1.0 and max(x_m) <= 1.0 and max(totals) <= 1.0
+    return spec.polarity is not _NEGATIVE or all(map(_all_rates, (x_w, x_m, x_a)))
 
 
 def _block_findings(spec: IndicatorSpec, block: Columns) -> Iterator[Finding]:

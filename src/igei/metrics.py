@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import sys
 from enum import Enum
+from math import isnan
+from operator import add
+from typing import Sequence
 
 from igei.errors import (
     DegenerateInputError,
@@ -60,6 +63,12 @@ def gap_metric(x_w: float, x_m: float) -> float:
 def _gap(x_w: float, x_m: float) -> float:
     """:func:`gap_metric`'s formula, for levels it accepts."""
     return abs(x_w - x_m) / (x_w + x_m)
+
+
+def _some_degenerate(x_w: Sequence[float], x_m: Sequence[float]) -> bool:
+    """Whether some row of two columns of non-negative levels has both levels
+    zero, which :func:`gap_metric` refuses: its sum alone is then 0.0."""
+    return 0.0 in x_w and 0.0 in x_m and 0.0 in map(add, x_w, x_m)
 
 
 def gei_gap_metric(x_w: float, x_a: float) -> float:
@@ -167,6 +176,19 @@ def invert_polarity(x: float) -> float:
 def _invert(x: float) -> float:
     """:func:`invert_polarity`'s formula, for a rate in [0, 1]."""
     return 1.0 - x
+
+
+def _all_rates(levels: Sequence[float | None]) -> bool:
+    """Whether :func:`invert_polarity` accepts every non-negative level of a
+    column, skipping blanks (None)."""
+    if None in levels:
+        levels = [v for v in levels if v is not None]
+    return not levels or max(levels) <= 1.0
+
+
+def _within(column: Sequence[float], low: float, high: float) -> bool:
+    """Whether every value of ``column`` lies in [low, high]: a NaN makes the sum NaN."""
+    return not column or (low <= min(column) and max(column) <= high and not isnan(sum(column)))
 
 
 def score_share(share: float, correction: float | None = None) -> float:

@@ -12,7 +12,7 @@ scoring is independent, deterministic, and side-effect free.
 from __future__ import annotations
 
 from itertools import compress, repeat
-from math import fsum, isnan
+from math import fsum
 from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -21,12 +21,15 @@ from igei.errors import AggregationError, IgeiError, MetricInputError, ScoringEr
 from igei.metrics import (
     _HALF_MAX,
     MetricKind,
+    _all_rates,
     _capped,
     _correction,
     _invert,
     _ratio,
     _share,
+    _some_degenerate,
     _standard,
+    _within,
     correction_coefficient,
     invert_polarity,
     score_capped,
@@ -153,7 +156,8 @@ def resolve_references(
             reference = max(levels if everywhere else
                             compress(levels, map(in_scope.__contains__, block.territory)))
         if not levels or not reference > 0:
-            maxima[spec.id] = _row_reference(spec, specs, data, scope, time_mode, bases)
+            maxima[spec.id] = _row_reference(spec, (source_id, attr, source_polarity), data,
+                                             scope, time_mode, bases)
             continue
         maxima[spec.id] = reference
         if spec.correction.kind is CorrectionKind.EXTERNAL:
@@ -162,18 +166,31 @@ def resolve_references(
 
 
 def _row_reference(
-    spec: IndicatorSpec, specs: Mapping[str, IndicatorSpec], data: Dataset,
+    spec: IndicatorSpec, source: tuple[str, str, Polarity], data: Dataset,
     scope: list[str], time_mode: bool, bases: dict[tuple[str, str, int], float],
 ) -> float:
     """One correction's reference maximum, read territory by territory, which
-    raises on a fault; an external correction's levels go into ``bases``."""
-    source_id, attr, source_polarity = _correction_source(spec, specs)
+    raises on a fault; an external correction's levels go into ``bases``.
+    ``source`` is its :func:`_correction_source`."""
+    source_id, attr, source_polarity = source
     external = spec.correction.kind is CorrectionKind.EXTERNAL
     # external bases cover every territory, and the scope reads from them
-    levels_of = _source_levels(
-        data.columns(source_id), data.territories if external else scope, source_id, attr,
-        source_polarity,
-    )
+    levels_of: dict[str, list] = {terr: [] for terr in (data.territories if external else scope)}
+    block = data.columns(source_id)
+    # (period, level) in input order, then put on the working scale territory
+    # by territory, so that a fault is named in territory order
+    for terr, per, raw in zip(block.territory, block.period, getattr(block, attr)):
+        if raw is not None and terr in levels_of:
+            levels_of[terr].append((per, raw))
+    working = _working_scale(source_polarity)
+    for terr, levels in levels_of.items():
+        for i, (per, raw) in enumerate(levels):
+            try:
+                levels[i] = (per, working(raw))
+            except MetricInputError as exc:  # a rate above 1 under negative polarity
+                raise ScoringError(
+                    f"territory {terr!r}, indicator {source_id!r}, period {per}: {exc}"
+                ) from None
     scope_values: list[float] = []
     for terr in scope:
         levels = levels_of.get(terr)
@@ -199,26 +216,6 @@ def _row_reference(
             for per, level in levels:
                 bases[(spec.id, terr, per)] = level
     return reference
-
-
-def _source_levels(
-    block: Columns, territories: Sequence[str], source_id: str, attr: str, polarity: Polarity
-) -> dict[str, list[tuple[int, float]]]:
-    """(period, working level) of each territory's correction variable, in input order."""
-    levels_of: dict[str, list] = {terr: [] for terr in territories}
-    for terr, per, raw in zip(block.territory, block.period, getattr(block, attr)):
-        if raw is not None and terr in levels_of:
-            levels_of[terr].append((per, raw))
-    working = _working_scale(polarity)
-    for terr, levels in levels_of.items():
-        for i, (per, raw) in enumerate(levels):
-            try:
-                levels[i] = (per, working(raw))
-            except MetricInputError as exc:  # a rate above 1 under negative polarity
-                raise ScoringError(
-                    f"territory {terr!r}, indicator {source_id!r}, period {per}: {exc}"
-                ) from None
-    return levels_of
 
 
 def _alpha(
@@ -296,7 +293,8 @@ def aggregate_level(values: Iterable[float]) -> float:
 
 
 def _fold_tree(tree: IndexTree, leaves: list, fold: Callable) -> tuple:
-    """Sub-domain values, domain values and the index, folded up from ``leaves``.
+    """Sub-domain values, domain values and the index, folded up from ``leaves``:
+    the last three fields of a report, in order.
 
     ``leaves`` holds one entry per tree leaf, in tree order: one
     territory's scores with ``fold=_fold_scores``, or a table's leaf
@@ -318,11 +316,11 @@ def _fold_columns(columns: list[Sequence[float]]) -> list[float]:
 
     Once every score is inside the kernel's range, one child gives a copy
     of its column, two map the two-score formula and three or more take a
-    column kernel; a table with a score outside it is folded row by row,
-    which raises the first row's error.
+    column kernel. A score outside it raises an :class:`AggregationError`
+    that names no row: the callers replay the rows to name the first fault.
     """
     if not all(_within(col, -_SCORE_EPS, 100.0 + _SCORE_EPS) for col in columns):
-        return list(map(_fold_scores, zip(*columns)))
+        raise AggregationError("a column holds a score outside [0, 100]")
     if len(columns) <= 2:
         return list(map(_pair_mean, *columns)) if len(columns) == 2 else list(columns[0])
     # _fold_scores' sums and products, a column (or a row's fsum) at a time
@@ -335,11 +333,6 @@ def _fold_columns(columns: list[Sequence[float]]) -> list[float]:
         first if ran == 0.0 else m if ran <= RANGE_TOLERANCE else m - v / (2.0 * ran)
         for first, m, v, ran in zip(columns[0], means, map(fsum, zip(*squares)), ranges)
     ]
-
-
-def _within(column: Sequence[float], low: float, high: float) -> bool:
-    """Whether every value of ``column`` lies in [low, high]: a NaN makes the sum NaN."""
-    return not column or (low <= min(column) and max(column) <= high and not isnan(sum(column)))
 
 
 def aggregate_scores(
@@ -364,15 +357,8 @@ def aggregate_scores(
             f"partial report for {territory!r}: missing scores for "
             f"{', '.join(missing)}"
         ) from None
-    subdomain_values, domain_values, index = _fold_tree(tree, values, _fold_scores)
-    return TerritoryReport(
-        territory=territory,
-        indicator_scores=dict(zip(leaves, values)),
-        subdomain_values=subdomain_values,
-        domain_values=domain_values,
-        index=index,
-        period=period,
-    )
+    return TerritoryReport(territory, dict(zip(leaves, values)),
+                           *_fold_tree(tree, values, _fold_scores), period=period)
 
 
 def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
@@ -384,25 +370,19 @@ def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
     leaf's column, or holds a score the kernel refuses, raises the error
     that folding its rows one by one, in table order, raises first.
     """
-    rows = list(map(table.rows.__getitem__, table.territories))
     leaves = tree.leaf_ids()
     try:
         # a missing leaf fails on the first row: a table without rows folds
         # to empty columns, as it does row by row
-        by_indicator = dict(zip(table.indicators, zip(*rows)) if rows else zip(leaves, repeat(())))
+        by_indicator = (dict(zip(table.indicators, table.columns)) if table.territories
+                        else dict.fromkeys(leaves, ()))
         columns = list(map(by_indicator.__getitem__, leaves))
-        subdomain_values, domain_values, index = _fold_tree(tree, columns, _fold_columns)
+        folded = _fold_tree(tree, columns, _fold_columns)
     except (KeyError, IgeiError):
-        for terr in table.territories:
-            aggregate_scores(tree, table.row(terr), terr)
+        for i, terr in enumerate(table.territories):
+            aggregate_scores(tree, table._row_at(i), terr)
         raise
-    return TableReport(
-        territories=table.territories,
-        indicator_scores=dict(zip(leaves, columns)),
-        subdomain_values=subdomain_values,
-        domain_values=domain_values,
-        index=index,
-    )
+    return TableReport(table.territories, dict(zip(leaves, columns)), *folded)
 
 
 def score_table(
@@ -512,18 +492,15 @@ def _walk(
                     raise KeyError(leaf)
                 rows = list(map(row_of.__getitem__, keys))
                 block = Columns(*(list(map(column.__getitem__, rows)) for column in block))
-            columns.append(_score_column(specs[leaf], block, refs))
+            scores = _column_scores(specs[leaf], block, refs)
+            if scores is None:
+                raise ScoringError(f"{leaf}: the column tests refused a block that scores")
+            columns.append(scores)
         tables = []
         for i in range(width):
             leaf_columns = [column[i::width] for column in columns] if width > 1 else columns
-            subdomain_values, domain_values, index = _fold_tree(tree, leaf_columns, _fold_columns)
-            tables.append(TableReport(
-                territories=territories,
-                indicator_scores=dict(zip(leaves, leaf_columns)),
-                subdomain_values=subdomain_values,
-                domain_values=domain_values,
-                index=index,
-            ))
+            tables.append(TableReport(territories, dict(zip(leaves, leaf_columns)),
+                                      *_fold_tree(tree, leaf_columns, _fold_columns)))
     except (IgeiError, KeyError, TypeError):
         for period in periods:
             for terr in territories:
@@ -532,30 +509,24 @@ def _walk(
     return tables
 
 
-def _score_column(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -> list[float]:
-    """:func:`compute_indicator` of every row of ``block``, in row order.
-
-    Maps the scorers' formulas once a test of each column shows that no
-    row can be refused; otherwise scores row by row, which raises on the
-    first row a scorer refuses. The message is the record path's to give.
-    """
-    metric = spec.metric
-    if block.kind.count(metric) != len(block.kind):
-        raise ScoringError(f"{spec.id}: expected {metric.value} observations")
-    scores = _column_scores(spec, block, refs)
-    return _row_scores(spec, block, refs) if scores is None else scores
-
-
 def _column_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -> list | None:
-    """The scores of every row through the formulas alone; None unless a test of
-    each column (min, max and ``in``) shows that no scalar scorer refuses a row.
+    """:func:`compute_indicator` of every row of ``block``, in row order, through
+    the formulas alone; None exactly when it would refuse some row, as a test
+    of each column (counts, min, max and ``in``) shows.
 
     Each row of a dataset block has passed the record rule: its levels are
     finite and non-negative, a share lies in [0, 1] and a ratio above 0. The
     tests check what the scorers add to that rule, and a correction base,
     which ``refs`` may hold as any number.
     """
+    if not block.kind:
+        return []
+    if block.kind.count(spec.metric) != len(block.kind):
+        return None
     negative, correction = spec.polarity is _NEGATIVE, spec.correction.kind
+    # compute_indicator puts the total on the working scale whatever the correction
+    if negative and not all(map(_all_rates, (block.x_w, block.x_m, block.x_a))):
+        return None
     if correction is _NONE:
         factors = repeat(1.0)
     else:
@@ -564,7 +535,7 @@ def _column_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -
             return None
         if correction is _OWN_AVERAGE:
             sources = _working_levels(block.x_a, negative)
-            if sources is None or (sources and max(sources) > reference):
+            if sources is None or max(sources) > reference:
                 return None
         else:
             sources = list(map(refs.bases.get, zip(repeat(spec.id), block.territory, block.period)))
@@ -574,13 +545,7 @@ def _column_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -
         factors = list(map(_correction, sources, repeat(reference)))
     if spec.metric is _STANDARD:
         x_w, x_m = _working_levels(block.x_w, negative), _working_levels(block.x_m, negative)
-        if x_w is None or x_m is None or (0.0 in x_w and 0.0 in x_m):
-            return None
-        # compute_indicator puts the total on the working scale whatever the correction
-        totals = block.x_a if None not in block.x_a else [v for v in block.x_a if v is not None]
-        if negative and totals and max(totals) > 1.0:
-            return None
-        if x_w and (max(x_w) > _HALF_MAX or max(x_m) > _HALF_MAX):
+        if _some_degenerate(x_w, x_m) or max(x_w) > _HALF_MAX or max(x_m) > _HALF_MAX:
             return None
         return list(map(_standard, x_w, x_m, factors))
     if spec.metric is _SHARE:
@@ -597,36 +562,7 @@ def _working_levels(column: Sequence[float | None], negative: bool) -> Sequence[
         return None
     if not negative:
         return column
-    return None if column and max(column) > 1.0 else list(map(_invert, column))
-
-
-def _row_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -> list[float]:
-    """:func:`compute_indicator` of every row of ``block``, through the checked
-    scalar scorers; raises on the first row one refuses."""
-    metric = spec.metric
-    working = _working_scale(spec.polarity)
-    correction = spec.correction.kind
-    if metric is _STANDARD and correction is not _OWN_AVERAGE:
-        # compute_indicator puts the total on the working scale whatever the correction
-        list(map(working, [total for total in block.x_a if total is not None]))
-    if correction is _NONE:
-        alphas = repeat(None)
-    else:
-        reference = refs.maxima[spec.id]
-        if correction is _OWN_AVERAGE:
-            sources = map(working, block.x_a)
-        else:
-            sources = map(refs.bases.__getitem__,
-                          zip(repeat(spec.id), block.territory, block.period))
-        alphas = map(correction_coefficient, sources, repeat(reference))
-    if metric is _STANDARD:
-        return list(map(score_standard, map(working, block.x_w), map(working, block.x_m),
-                        alphas))
-    if metric is _SHARE:
-        return list(map(score_share, block.value, alphas))
-    if metric is _RATIO:
-        return list(map(score_ratio, block.value, alphas))
-    return list(map(score_capped, block.value))
+    return list(map(_invert, column)) if _all_rates(column) else None
 
 
 def score_territory(

@@ -390,9 +390,22 @@ class TestBadInput:
                 CAPPED_SPEC.replace("capped}", "capped, label: null}"),
                 "indicator 'C': label must be text, got None",
             ),
+            # and str() of any other scalar would label it too
+            (
+                CAPPED_SPEC.replace("capped}", "capped, label: true}"),
+                "indicator 'C': label must be text, got True",
+            ),
+            (
+                CAPPED_SPEC.replace("capped}", "capped, label: 5}"),
+                "indicator 'C': label must be text, got 5",
+            ),
+            (
+                CAPPED_SPEC.replace("capped}", "capped, label: 1.5}"),
+                "indicator 'C': label must be text, got 1.5",
+            ),
         ],
         ids=["correction-kind", "correction-field", "domain-count", "period-true",
-             "period-yes", "label-null"],
+             "period-yes", "label-null", "label-true", "label-int", "label-float"],
     )
     def test_spec_value_refused(self, capsys, tmp_path, spec_text, message):
         spec = tmp_path / "spec.yaml"

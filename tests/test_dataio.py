@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from igei import _bundled_spec, _spec_yaml, dataio
 from igei.dataio import (
     OBSERVATION_HEADER,
+    ScoreTable,
     load_index_spec,
     load_observations,
     load_score_table,
@@ -819,6 +820,21 @@ class TestScoreTable:
         assert len(row) == 20
         col = indicator_table.column("G10")
         assert len(col) == 23
+        position = indicator_table.territories.index("Basilicata")
+        assert type(col) is list and col[position] == row["G10"]
+        with pytest.raises(KeyError):
+            indicator_table.row("Atlantis")
+        with pytest.raises(ValueError):
+            indicator_table.column("G99")
+
+    @pytest.mark.parametrize("columns", [((50.0,),), ((50.0,), (1.0, 2.0)), ((50.0,), (1.0,))])
+    def test_shape_checked_when_built(self, columns):
+        # two territories and two indicators: a short column would fold to a short index
+        with pytest.raises(DataError) as info:
+            ScoreTable(("X", "Y"), ("G1", "G2"), columns)
+        assert str(info.value) == (
+            "a score table needs one column per indicator, one score per territory"
+        )
 
     def test_out_of_range_score_rejected(self, tmp_path):
         text = "territory,G1\nX,101\n"
@@ -971,7 +987,7 @@ def test_numbers_with_underscores_or_non_ascii_digits_are_refused(
         assert str(info.value) == f"row 2: column {name!r} is not a number: {spoiled!r}"
     loaded = load(plain)
     if table:
-        assert float(plain.replace(",", ".")) in loaded.rows["Südtirol"]
+        assert float(plain.replace(",", ".")) in loaded.row("Südtirol").values()
     else:
         assert loaded[0].territory == "Südtirol"
 
@@ -1041,7 +1057,7 @@ def test_a_number_cell_is_read_exactly_when_it_fits_the_grammar(
     expected = _accepted(cell, separator, 100.0 if table else sys.float_info.max)
     try:
         if table:
-            value = load_score_table(path, decimal_comma=decimal_comma).rows["A"][0]
+            value = load_score_table(path, decimal_comma=decimal_comma).columns[0][0]
         else:
             value = load_observations(path, decimal_comma=decimal_comma)[0].value
     except DataError:

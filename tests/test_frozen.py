@@ -87,9 +87,9 @@ CASES = [
      [DescriptiveSummary(1.0, 0.5, 0.5, 0.0, 0.25, 0.5, 0.75, 2.0),
       DescriptiveSummary(0.0, None, None, 0.0, 0.0, 0.0, 0.0, 0.0)],
      {"cv": None}),
-    (ScoreTable, ("territories", "indicators", "rows"), {},
-     [ScoreTable(("X",), ("J1",), {"X": (50.0,)}), ScoreTable((), ("J1",), {})],
-     {"territories": (), "rows": {}}),
+    (ScoreTable, ("territories", "indicators", "columns"), {},
+     [ScoreTable(("X",), ("J1",), ((50.0,),)), ScoreTable((), ("J1",), ((),))],
+     {"territories": (), "columns": ((),)}),
     (Finding, ("level", "code", "indicator", "territory", "message"), {"order": True},
      FINDINGS, {"territory": "W"}),
     (ValidationReport, ("findings",), {},

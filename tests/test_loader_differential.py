@@ -347,7 +347,8 @@ def reference_table(text: str, decimal_comma: bool) -> ScoreTable:
         table[territory] = tuple(values)
     if header is None:
         raise DataError("score table is empty")
-    return ScoreTable(territories=tuple(table), indicators=tuple(header), rows=table)
+    columns = tuple(tuple(row[k] for row in table.values()) for k in range(len(header)))
+    return ScoreTable(territories=tuple(table), indicators=tuple(header), columns=columns)
 
 
 TABLE_NAMES = ["A", "B", " A", "B ", "Å", "C", "D", "", "#x", "a#b"]

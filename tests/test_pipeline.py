@@ -8,9 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igei.dataio import ScoreTable, load_observations, bundled_path, load_index_spec
+from igei.dataio import (
+    ScoreTable,
+    _block_clean,
+    _block_findings,
+    bundled_path,
+    load_index_spec,
+    load_observations,
+)
 from igei.errors import AggregationError, DataError, RecordError, ScoringError, SpecError
-from igei.metrics import MetricKind
+from igei.metrics import _HALF_MAX, MetricKind
 from igei.model import (
     Correction,
     CorrectionKind,
@@ -24,6 +31,7 @@ from igei.model import (
 from igei.penalized import _SCORE_EPS, Polarity, WeightedSequence, _fold_scores, penalized_mean
 from igei.pipeline import (
     ReferenceLevels,
+    _column_scores,
     _fold_columns,
     aggregate_level,
     aggregate_scores,
@@ -662,7 +670,7 @@ def score_tables(draw, bad=None):
     table = ScoreTable(
         territories=tuple(territories[i] for i in order),
         indicators=tuple(leaves[j] for j in columns),
-        rows={territories[i]: tuple(rows[i][j] for j in columns) for i in order},
+        columns=tuple(tuple(rows[i][j] for i in order) for j in columns),
     )
     return tree, table
 
@@ -714,14 +722,15 @@ class TestAggregateTable:
         table = ScoreTable(
             territories=indicator_table.territories[::-1],
             indicators=tuple(indicator_table.indicators[i] for i in kept),
-            rows={t: tuple(row[i] for i in kept) for t, row in indicator_table.rows.items()},
+            columns=tuple(indicator_table.columns[i][::-1] for i in kept),
         )
         with pytest.raises(ScoringError) as info:
             aggregate_table(tree, table)
         assert str(info.value) == (
             f"partial report for {table.territories[0]!r}: missing scores for G2, G9"
         )
-        empty = aggregate_table(tree, table._replace(territories=(), rows={}))
+        empty = aggregate_table(tree, table._replace(territories=(),
+                                                     columns=tuple(() for _ in kept)))
         assert empty.index == [] and all(col == [] for col in empty.domain_values.values())
 
 
@@ -769,12 +778,13 @@ class TestFoldColumns:
     # two children: a NaN in the last row, and one ulp past the range's end
     @example(columns=[[50.0, 60.0, 70.0], [1.0, 2.0, math.nan]])
     @example(columns=[[50.0, 60.0], [1.0, math.nextafter(100.0 + _SCORE_EPS, 200.0)]])
-    def test_refuses_as_the_row_kernel(self, columns):
-        with pytest.raises(AggregationError) as row_by_row:
+    def test_raises_on_every_bad_column(self, columns):
+        # the row that holds the fault is named by the callers' replay, as
+        # TestAggregateTable.test_refuses_as_the_rows_would pins
+        with pytest.raises(AggregationError):
             list(map(_fold_scores, zip(*columns)))
-        with pytest.raises(AggregationError) as columnwise:
+        with pytest.raises(AggregationError):
             _fold_columns(columns)
-        assert str(columnwise.value) == str(row_by_row.value)
 
 
 class TestIndexTree:
@@ -1534,3 +1544,141 @@ class TestScoringWalk:
             "territory 'T1', indicator 'J1', period 2020: "
             "polarity inversion is only defined for rates, got 1.3"
         )
+
+    def test_empty_dataset_scores_to_an_empty_table(self, default_spec):
+        specs, tree = default_spec
+        refs = ReferenceLevels({ind: 1.0 for ind in specs})
+        resolved = score_table(Dataset([]), specs, tree, refs)
+        assert resolved.territories == () and resolved.index == []
+        assert score_table(Dataset([]), specs, tree, ReferenceLevels({})) == resolved
+
+
+# --- the column tests against the scalar checks they stand for ----------------
+
+PAST_HALF_MAX = math.nextafter(_HALF_MAX, math.inf)
+# levels at the tests' edges: both zeros, a rate of exactly 1 and one ulp above
+# it, half the float range and one ulp past it, and the largest float
+EDGE_LEVELS = st.sampled_from([0.0, -0.0, 1.0, ULP_ABOVE_ONE, 3.0, _HALF_MAX, PAST_HALF_MAX,
+                               sys.float_info.max])
+# references and correction bases, which refs may hold as any number or lack
+REFERENCES = st.one_of(
+    st.sampled_from([None, math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 5e-324, 0.25, 1.0,
+                     ULP_ABOVE_ONE, _HALF_MAX, PAST_HALF_MAX]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+RATES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+OWN = Correction("own_average")
+EXTERNAL = Correction("external", indicator="S", field="total")
+CLEAN_VALUES = {
+    MetricKind.STANDARD: RATES,
+    MetricKind.SHARE: RATES,
+    MetricKind.RATIO: st.sampled_from([5e-324, 0.5, 1.0, 3.0, sys.float_info.max]),
+    MetricKind.CAPPED: st.sampled_from([0.0, 0.5, 1.0, 3.0, sys.float_info.max]),
+}
+
+
+def block_record(i, kind, draw):
+    """The fields of record ``i`` of a block, of ``kind``, with clean levels."""
+    fields = {"territory": f"T{i}", "indicator": "K", "period": 2020 + i % 2, "kind": kind}
+    if kind is MetricKind.STANDARD:
+        fields.update(x_w=draw(RATES), x_m=draw(RATES), x_a=draw(RATES))
+    else:
+        fields.update(value=draw(CLEAN_VALUES[kind]))
+    return fields
+
+
+@st.composite
+def scored_blocks(draw):
+    """A spec of any kind, polarity and correction, its block of 1-5 records
+    and refs, clean at first (every level a rate, the reference 1) and then
+    spoiled 0-2 times: a record of another kind, a level at an edge or
+    missing, or a reference or base anywhere or missing."""
+    metric = draw(st.sampled_from(list(MetricKind)))
+    standard = metric is MetricKind.STANDARD
+    polarity = draw(st.sampled_from(list(Polarity))) if standard else Polarity.POSITIVE
+    corrections = [Correction("none")]
+    if metric is not MetricKind.CAPPED:
+        corrections.append(EXTERNAL)
+    if standard:
+        corrections.append(OWN)
+    spec = IndicatorSpec(id="K", label="K", metric=metric, polarity=polarity,
+                         correction=draw(st.sampled_from(corrections)))
+    rows = [block_record(i, metric, draw) for i in range(draw(st.integers(1, 5)))]
+    maxima = {"K": 1.0}
+    bases = {("K", row["territory"], row["period"]): draw(RATES) for row in rows}
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 2]))):
+        spoil = draw(st.sampled_from(["kind", "level", "level", "reference", "base"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if spoil == "kind":
+            rows[i] = block_record(i, draw(st.sampled_from(list(MetricKind))), draw)
+        elif spoil == "level" and rows[i]["kind"] is MetricKind.STANDARD:
+            name = draw(st.sampled_from(["x_w", "x_m", "x_a"]))
+            rows[i][name] = draw(st.one_of(EDGE_LEVELS, st.none()) if name == "x_a"
+                                 else EDGE_LEVELS)
+        elif spoil in ("reference", "base"):
+            key = "K" if spoil == "reference" else ("K", rows[i]["territory"], rows[i]["period"])
+            store = maxima if spoil == "reference" else bases
+            store[key] = draw(REFERENCES)
+            if store[key] is None:
+                del store[key]
+    return spec, [ObservationRecord(**row) for row in rows], ReferenceLevels(maxima, bases)
+
+
+def standard_case(levels, polarity=Polarity.POSITIVE, correction=Correction("none"), **refs):
+    """A standard spec's block of (x_w, x_m, x_a) rows, and its refs."""
+    records = [obs_standard(f"T{i}", "K", *row) for i, row in enumerate(levels)]
+    return spec_standard("K", polarity, correction), records, ReferenceLevels(**refs)
+
+
+# zeros in two different rows, which every scorer accepts, and in one row,
+# which it refuses, on the raw scale and on the working scale of a
+# negative-polarity rate; then one edge of each other test: a total above the
+# reference or missing, a negative-polarity rate one ulp above 1, a level or a
+# reference past half the float range, and a NaN base after a clean one, which
+# min and max pass over
+BLOCK_EDGES = [
+    standard_case([(0.0, 0.5, None), (0.5, 0.0, None)], maxima={}),
+    standard_case([(0.5, 0.5, None), (0.0, -0.0, None)], maxima={}),
+    standard_case([(1.0, 0.5, 0.5), (0.5, 1.0, 0.5)], Polarity.NEGATIVE, OWN, maxima={"K": 0.5}),
+    standard_case([(0.5, 0.5, 0.5), (1.0, 1.0, 0.5)], Polarity.NEGATIVE, OWN, maxima={"K": 0.5}),
+    standard_case([(0.5, 0.5, 1.0), (0.5, 0.5, 3.0)], correction=OWN, maxima={"K": 1.0}),
+    standard_case([(0.5, 0.5, 1.0), (0.5, 0.5, None)], correction=OWN, maxima={"K": 1.0}),
+    standard_case([(0.5, 0.5, None), (0.5, ULP_ABOVE_ONE, None)], Polarity.NEGATIVE, maxima={}),
+    standard_case([(ULP_ABOVE_ONE, 0.5, None)], Polarity.NEGATIVE, maxima={}),
+    standard_case([(0.5, 0.5, ULP_ABOVE_ONE)], Polarity.NEGATIVE, maxima={}),
+    standard_case([(0.5, 0.5, None), (PAST_HALF_MAX, 0.5, None)], maxima={}),
+    standard_case([(0.5, 0.5, 0.5)], correction=OWN, maxima={"K": PAST_HALF_MAX}),
+    standard_case([(0.5, 0.5, None)] * 2, correction=EXTERNAL, maxima={"K": 1.0},
+                  bases={("K", "T0", 2023): 0.5, ("K", "T1", 2023): math.nan}),
+]
+
+
+def refuses(spec, records, refs):
+    """Whether compute_indicator refuses some record."""
+    for rec in records:
+        try:
+            compute_indicator(spec, rec, refs)
+        except ScoringError:
+            return True
+    return False
+
+
+class TestColumnTestsAreExact:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=800)
+    @given(case=scored_blocks())
+    @with_examples(BLOCK_EDGES)
+    def test_column_scores_refuse_exactly_when_a_row_would(self, case):
+        spec, records, refs = case
+        scores = _column_scores(spec, Dataset(records).columns("K"), refs)
+        assert (scores is None) == refuses(spec, records, refs)
+        if scores is not None:
+            expected = [compute_indicator(spec, rec, refs) for rec in records]
+            assert list(map(bits, scores)) == list(map(bits, expected))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=800)
+    @given(case=scored_blocks())
+    @with_examples(BLOCK_EDGES)
+    def test_block_clean_exactly_when_no_row_has_a_finding(self, case):
+        spec, records, _ = case
+        block = Dataset(records).columns("K")
+        assert _block_clean(spec, block) == (next(_block_findings(spec, block), None) is None)

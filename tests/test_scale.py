@@ -350,13 +350,13 @@ def test_long_series_is_indexed_in_linear_time(tmp_path):
 # --- column tests: the per-row paths run only where a column fails its test --
 
 # each per-row path of igei score and igei report, with what names its block
-# in the call
+# (or, for the scoring walk's replay, its territory) in the call
 FALLBACKS = (
     (dataio, "_load_rows", lambda handle, source, decimal_comma: "file"),
     (dataio, "_table_rows", lambda handle, source, decimal_comma: "file"),
     (dataio, "_block_findings", lambda spec, block: spec.id),
     (pipeline, "_row_reference", lambda spec, *rest: spec.id),
-    (pipeline, "_row_scores", lambda spec, block, refs: spec.id),
+    (pipeline, "score_territory", lambda territory, *rest: territory),
     (pipeline, "_fold_scores", lambda values: "row"),
 )
 
@@ -464,14 +464,23 @@ def test_only_the_faulting_block_takes_the_per_row_path(capsys, monkeypatch, tmp
     assert "out-of-range" in capsys.readouterr().out
     assert calls == {"_block_findings": ["G2"]}
 
-    # zeros in two rows of one column each: the column tests cannot tell them
-    # from a row with both levels zero, so that block alone goes row by row
+    # zeros in two rows of one column each: no row has both levels zero, so
+    # every column test passes
     path = with_cells(bench_files["single"], tmp_path, {("Region 00003", "G4"): {"x_w": "0"},
                                                          ("Region 00005", "G4"): {"x_m": "0"}})
     calls.clear()
     assert main(["score", "--data", path, "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == BENCH_TERRITORIES + 1
-    assert calls == {"_block_findings": ["G4"], "_row_scores": ["G4"]}
+    assert calls == {}
+
+    # a row with both levels zero: validation names it, scoring never starts
+    path = with_cells(bench_files["single"], tmp_path,
+                      {("Region 00003", "G4"): {"x_w": "0", "x_m": "0"}})
+    calls.clear()
+    assert main(["score", "--data", path]) == 1
+    out = capsys.readouterr().out
+    assert "degenerate" in out and "Region 00003" in out
+    assert calls == {"_block_findings": ["G4"]}
 
 
 def subset_scope(data, specs):
