@@ -27,11 +27,15 @@ from igei.errors import IgeiError, ScoringError, StatisticsError
 #
 # A command returns its exit status and its output, which is one of: a JSON
 # document (a dict), finished text (a str), or a list of sections
-# ``(table title, csv title, headers, rows)``. Only ``main`` renders and
-# writes it.
+# ``(table title, csv title, headers, formats, rows)``: one %-format per
+# column (``_TEXT``, ``_F2`` or ``_F3``) and rows of raw values, as tuples.
+# Only ``main`` renders and writes it.
 
-Section = tuple[str, str, list[str], list[list[str]]]
+Section = tuple[str, str, list[str], list[str], list[tuple]]
 Output = dict | str | list[Section]
+
+# the text of a cell as written, and of f"{v:.2f}" and f"{v:.3f}"
+_TEXT, _F2, _F3 = "%s", "%.2f", "%.3f"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -55,14 +59,15 @@ def _render(fmt: str, output: Output) -> str:
     as_csv = fmt == "csv"
     render = _render_csv if as_csv else _render_table
     blocks = []
-    for table_title, csv_title, headers, rows in output:
+    for table_title, csv_title, headers, formats, rows in output:
         title = csv_title if as_csv else table_title
-        block = render(headers, rows).rstrip("\n")
+        block = render(headers, formats, rows).rstrip("\n")
         blocks.append(f"{title}\n{block}" if title else block)
     return "\n\n".join(blocks) + "\n"
 
 
-def _render_table(headers: list[str], rows: list[list[str]]) -> str:
+def _render_table(headers: list[str], formats: list[str], rows: list[tuple]) -> str:
+    rows = [list(map(str.__mod__, formats, row)) for row in rows]
     widths = [
         max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)
     ]
@@ -72,25 +77,21 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([line(*headers).rstrip(), rule] + [line(*r).rstrip() for r in rows]) + "\n"
 
 
-def _render_csv(headers: list[str], rows: list[list[str]]) -> str:
-    lines = [headers, *rows]
-    text = "\n".join(map(",".join, lines))
-    # a cell holds a ',', '"' or line break only where the joined text shows one
-    if ('"' in text or "\r" in text or text.count("\n") >= len(lines)
-            or text.count(",") > sum(map(len, lines)) - len(lines)):
-        text = "\n".join(",".join(map(_csv_cell, row)) for row in lines)
-    return text + "\n"
+def _render_csv(headers: list[str], formats: list[str], rows: list[tuple]) -> str:
+    """One %-format per row; only a text cell can hold a ',', '"' or line break."""
+    for k, fmt in enumerate(formats):
+        if fmt == _TEXT and _quoted("".join([row[k] for row in rows])):
+            rows = [(*row[:k], _csv_cell(row[k]), *row[k + 1:]) for row in rows]
+    line = ",".join(formats).__mod__
+    return "\n".join([",".join(map(_csv_cell, headers)), *map(line, rows)]) + "\n"
+
+
+def _quoted(text: str) -> bool:
+    return "," in text or '"' in text or "\n" in text or "\r" in text
 
 
 def _csv_cell(cell: str) -> str:
-    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
-# the text of f"{v:.2f}" and f"{v:.3f}", from a bound method: no Python frame per cell
-_f2 = "%.2f".__mod__
-_f3 = "%.3f".__mod__
+    return '"' + cell.replace('"', '""') + '"' if _quoted(cell) else cell
 
 
 def _reports_json(table: pipeline.TableReport, period: int | None = None) -> list[dict]:
@@ -119,16 +120,18 @@ def _ranking(
     order = stats.rank_order(table.index, table.territories)
     # each column's values in rank order
     ranked = lambda col: map(col.__getitem__, order)  # noqa: E731
-    domains = [map(_f2, ranked(col)) for col in table.domain_values.values()]
-    index = map(_f2, ranked(table.index))
+    domains = [ranked(col) for col in table.domain_values.values()]
+    index = ranked(table.index)
     if wide:
-        leaves = [map(_f3, ranked(col)) for col in table.indicator_scores.values()]
+        leaves = [ranked(col) for col in table.indicator_scores.values()]
         headers = [*table.indicator_scores, *table.domain_values, "index"]
+        formats = [_F3] * len(leaves) + [_F2] * (len(domains) + 1)
         columns = [ranked(table.territories), *leaves, *domains, index]
     else:
         headers = ["index", *table.domain_values]
+        formats = [_F2] * len(headers)
         columns = [ranked(table.territories), index, *domains]
-    return (*titles, ["territory", *headers], list(zip(*columns)))
+    return (*titles, ["territory", *headers], [_TEXT, *formats], list(zip(*columns)))
 
 
 def _parse_scope(arg: str | None) -> list[str] | None:
@@ -162,8 +165,8 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
             findings = [{key: getattr(f, key) for key in keys} for f in validation.findings]
             return 1, {"findings": findings, "errors": len(validation.errors)}
         if args.format == "csv":
-            return 1, [("", "", keys, [[getattr(f, key) for key in keys]
-                                       for f in validation.findings])]
+            return 1, [("", "", keys, [_TEXT] * len(keys),
+                         [tuple(getattr(f, key) for key in keys) for f in validation.findings])]
         lines = [
             f"{f.level}: {f.code}: territory={f.territory!r} indicator={f.indicator!r}: "
             f"{f.message}"
@@ -185,9 +188,10 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
             # one table, led by a period column
             rows = []
             for p, table in by_period:
-                _, _, headers, ranked = _ranking(table)
-                rows += [[str(p), *r] for r in ranked]
-            return 0, [("", "", ["period"] + headers, rows)]
+                _, _, headers, formats, ranked = _ranking(table)
+                period = str(p)
+                rows += [(period, *r) for r in ranked]
+            return 0, [("", "", ["period", *headers], [_TEXT, *formats], rows)]
         return 0, [_ranking(table, (f"period {p}", "")) for p, table in by_period]
 
     refs = pipeline.resolve_references(dataset, specs, scope)
@@ -253,9 +257,11 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
         _ranking(columns, ("Ranking", "# ranking")),
         ("Descriptive summaries", "# summaries",
          ["column", *stats.DescriptiveSummary._fields],
-         [[name] + list(map(_f2, s._asdict().values())) for name, s in summaries.items()]),
-        ("Correlation matrix", "# correlation", ["indicator"] + leaves,
-         [[leaf] + [_f2(v) for v in row] for leaf, row in zip(leaves, corr_matrix)]),
+         [_TEXT] + [_F2] * len(stats.DescriptiveSummary._fields),
+         [(name, *s._asdict().values()) for name, s in summaries.items()]),
+        ("Correlation matrix", "# correlation", ["indicator", *leaves],
+         [_TEXT] + [_F2] * len(leaves),
+         [(leaf, *row) for leaf, row in zip(leaves, corr_matrix)]),
     ]
 
 
@@ -273,8 +279,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Output]:
                   for name, status, detail in results]
         return exit_status, {"command": "verify", "checks": checks, "failures": failures}
     if args.format == "csv":
-        return exit_status, [("", "", ["status", "check", "detail"],
-                              [[status, name, detail] for name, status, detail in results])]
+        return exit_status, [("", "", ["status", "check", "detail"], [_TEXT] * 3,
+                              [(status, name, detail) for name, status, detail in results])]
     lines = [f"{status:<15} {name}: {detail}" for name, status, detail in results]
     lines.append(
         f"{len(results) - failures}/{len(results)} checks passed"
@@ -287,14 +293,14 @@ def cmd_demo(args: argparse.Namespace) -> tuple[int, Output]:
     from igei import verify
 
     rows = [
-        [rec.territory, f"{rec.x_w:g}", f"{rec.x_m:g}", f"{rec.x_a:g}",
-         _f2(classic), _f2(standard)]
+        (rec.territory, f"{rec.x_w:g}", f"{rec.x_m:g}", f"{rec.x_a:g}",
+         _F2 % classic, _F2 % standard)
         for rec, classic, standard in verify.demo_scores()
     ]
     headers = ["territory", "x_w", "x_m", "x_a", "score_gei", "score"]
     if args.format == "json":
         return 0, {"command": "demo", "countries": [dict(zip(headers, row)) for row in rows]}
-    return 0, [("", "", headers, rows)]
+    return 0, [("", "", headers, [_TEXT] * len(headers), rows)]
 
 
 # --- argument parsing ------------------------------------------------------

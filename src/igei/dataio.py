@@ -236,33 +236,46 @@ def _cell_chunks(handle: IO[str], decimal_comma: bool) -> Iterator[list[str]]:
     """Yield the header row's cells, then each chunk's other rows as one flat list.
 
     Comment and blank lines are dropped; a row not as wide as the header raises
-    ValueError. A chunk, extended to a line end, is cut with ``str.split`` when
-    it holds no '"' or '\\r' and is too short for a cell past the csv module's
-    size limit; else ``csv.reader`` reads it.
+    ValueError. A chunk, extended to a line end, is cut with one ``str.split``
+    when it holds no '"' or '\\r' and is too short for a cell past the csv
+    module's size limit; else ``csv.reader`` reads it. In a split chunk the
+    first cell of every row but the first keeps the '\\n' before it, which the
+    callers strip.
     """
-    delimiter, width = ";" if decimal_comma else ",", 0
+    delimiter = ";" if decimal_comma else ","
+    # the header, read by csv.reader one line at a time: the chunks start after it
+    reader = csv.reader(iter(handle.readline, ""), delimiter=delimiter)
+    header = next((row for row in reader if row and not row[0].lstrip().startswith("#")), None)
+    if header is None:
+        return
+    yield header
+    width = len(header)
     while text := handle.read(_CHUNK_CHARS):
         text += handle.readline()
-        if split := '"' not in text and "\r" not in text and len(text) <= csv.field_size_limit():
-            rows = text.rstrip("\n").split("\n")
-            if "#" in text or "\n\n" in text or text[0] == "\n":
-                rows = [line for line in rows if line and not line.lstrip().startswith("#")]
-        else:
+        if '"' in text or "\r" in text or len(text) > csv.field_size_limit():
             # no more rows than the chunk has lines: the reader reads on past
             # them only to end a row, as where a quoted cell runs on
             lines = io.StringIO(text, newline="").readlines()
             rows = islice(csv.reader(chain(lines, iter(handle.readline, "")),
                                      delimiter=delimiter), len(lines))
             rows = [row for row in rows if row and not row[0].lstrip().startswith("#")]
-        if rows and not width:
-            header = rows.pop(0).split(delimiter) if split else rows.pop(0)
-            width = len(header)
-            yield header
-        widths = set(map(str.count, rows, repeat(delimiter))) if split else set(map(len, rows))
-        if widths - {width - 1 if split else width}:
-            raise ValueError("a row not as wide as the header")
-        if rows:
-            yield delimiter.join(rows).split(delimiter) if split else [*chain.from_iterable(rows)]
+            if set(map(len, rows)) - {width}:
+                raise ValueError("a row not as wide as the header")
+            cells = [*chain.from_iterable(rows)]
+        else:
+            if "#" in text or "\n\n" in text or text[0] == "\n":
+                lines = text.split("\n")
+                text = "\n".join([line for line in lines if line and not line.lstrip().startswith("#")])
+            if not (text := text.rstrip("\n")):
+                continue
+            # each '\n' leads the first cell of a row: every row is ``width`` cells
+            # wide when the cells at ``width``, ``2 * width``, ... hold all of them
+            n = text.count("\n") + 1
+            cells = text.replace("\n", delimiter + "\n").split(delimiter)
+            if len(cells) != n * width or "".join(cells[width::width]).count("\n") != n - 1:
+                raise ValueError("a row not as wide as the header")
+        if cells:
+            yield cells
 
 
 def _load_blocks(handle: IO[str], decimal_comma: bool) -> Dataset | None:
@@ -293,13 +306,27 @@ def _load_blocks(handle: IO[str], decimal_comma: bool) -> Dataset | None:
     blocks = {}
     for indicator, block in columns.items():
         block = blocks[indicator] = Columns(*map(tuple, block))
-        if not block.well_formed() or len(set(zip(block.territory, block.period))) != len(
-            block.territory
-        ):
+        if not block.well_formed() or not _distinct_keys(block.territory, block.period):
             return None
     if "" in names.values():
         return None
     return Dataset._from_columns(blocks, dict.fromkeys(territories.values()), order)
+
+
+def _distinct_keys(territory: tuple[str, ...], period: tuple[int, ...]) -> bool:
+    """Whether no (territory, period) pair repeats.
+
+    A territory-major grid, where each territory's run of rows lists the same
+    periods (one period: distinct territories), answers without a tuple per
+    row; any other layout builds the set of pairs.
+    """
+    n = len(territory)
+    w = len(set(period))
+    heads = territory[::w]
+    if (period == period[:w] * (n // w) and len(set(heads)) == len(heads)
+            and all(territory[k::w] == heads for k in range(1, w))):
+        return True
+    return len(set(zip(territory, period))) == n
 
 
 def _row_pickers(indicators: list[str]) -> dict[str, itemgetter]:

@@ -744,5 +744,59 @@ class TestNumberCells:
     @example(0.005)
     @example(0.0005)
     def test_cells_read_as_format_writes_them(self, x):
-        assert cli._f2(x) == f"{x:.2f}"
-        assert cli._f3(x) == f"{x:.3f}"
+        # a CSV row is its column formats joined with ',' and applied at once
+        row = ",".join([cli._TEXT, cli._F2, cli._F3]) % ("t", x, x)
+        assert row == f"t,{x:.2f},{x:.3f}"
+
+
+# --- CSV rendering against the per-cell renderer ------------------------------
+# The renderer applies one %-format per row and quotes only text columns; the
+# reference formats every cell first and quotes any cell that needs it.
+
+
+def _cells_csv(headers: list[str], rows: list[list[str]]) -> str:
+    lines = [headers, *rows]
+    text = "\n".join(map(",".join, lines))
+    # a cell holds a ',', '"' or line break only where the joined text shows one
+    if ('"' in text or "\r" in text or text.count("\n") >= len(lines)
+            or text.count(",") > sum(map(len, lines)) - len(lines)):
+        text = "\n".join(",".join(map(_cell_csv, row)) for row in lines)
+    return text + "\n"
+
+
+def _cell_csv(cell: str) -> str:
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+TEXT_CELLS = st.text(st.sampled_from(',"\n\r a.é€\U0001f600') | st.characters(), max_size=6)
+NUMBERS = st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 1e308, -1.7976931348623157e308,
+                           0.005, 0.0005]) | st.floats()
+
+
+@st.composite
+def sections(draw):
+    """Headers, formats and rows shaped like one of the CLI's sections."""
+    k = draw(st.integers(0, 4))
+    T, F2, F3 = cli._TEXT, cli._F2, cli._F3
+    formats = draw(st.sampled_from([
+        [T] + [F3] * k + [F2] * 3,  # the wide ranking: indicators, domains, index
+        [T] + [F2] * (k + 1),  # the narrow ranking, and correlations
+        [T, T] + [F2] * (k + 1),  # --time-series, led by a period column
+        [T] + [F2] * 8,  # report summaries
+        [T] * 5,  # validation findings
+    ]))
+    headers = draw(st.lists(TEXT_CELLS, min_size=len(formats), max_size=len(formats)))
+    cells = [TEXT_CELLS if f == T else NUMBERS for f in formats]
+    return headers, formats, draw(st.lists(st.tuples(*cells), max_size=4))
+
+
+@given(sections())
+@example((["territory", "index"], ["%s", "%.2f"], [("North, East", 1.0), ('"B"', -0.0)]))
+@example((["a,b", "x"], ["%s", "%.3f"], [("\r", 5e-324), ("é\n", 1e308)]))
+@example((["period", "territory"], ["%s", "%s"], [("2023", "North"), ("2024", 'B "b"')]))
+def test_csv_matches_the_per_cell_renderer(section):
+    headers, formats, rows = section
+    cells = [[fmt % value for fmt, value in zip(formats, row)] for row in rows]
+    assert cli._render_csv(headers, formats, rows) == _cells_csv(headers, cells)

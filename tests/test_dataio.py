@@ -914,6 +914,42 @@ def test_empty_fixture_rejected(tmp_path, loader):
     assert str(info.value) == f"reference fixture {path} is empty"
 
 
+# --- duplicate keys ------------------------------------------------------------
+
+
+@st.composite
+def key_columns(draw):
+    """Small (territory, period) keys: a grid in either order, or shuffled,
+    ragged, holding a repeated key or territory run, or with one key renamed."""
+    names = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=4, unique=True))
+    periods = draw(st.lists(st.integers(2020, 2024), min_size=1, max_size=4, unique=True))
+    keys = [(t, p) for t in names for p in periods]
+    layout = draw(st.sampled_from(
+        ["territory-major", "period-major", "shuffled", "ragged", "repeated", "repeated run",
+         "renamed"]))
+    if layout == "period-major":
+        keys = [(t, p) for p in periods for t in names]
+    elif layout == "shuffled":
+        keys = draw(st.permutations(keys))
+    elif layout == "ragged" and len(keys) > 1:
+        del keys[draw(st.integers(0, len(keys) - 1))]
+    elif layout == "repeated":
+        keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(keys)))
+    elif layout == "repeated run":
+        keys += keys[:len(periods)]
+    elif layout == "renamed":
+        # another territory's key, in the grid's period order
+        i = draw(st.integers(0, len(keys) - 1))
+        keys[i] = (draw(st.sampled_from(names)), keys[i][1])
+    return keys
+
+
+@given(key_columns())
+def test_distinct_keys_agree_with_the_set_of_pairs(keys):
+    territory, period = map(tuple, zip(*keys))
+    assert dataio._distinct_keys(territory, period) == (len(set(keys)) == len(keys))
+
+
 # --- numeric cells -------------------------------------------------------------
 
 # a three in the Arabic-Indic, fullwidth, Devanagari, Bengali and Thai scripts:

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from igei import dataio
+from igei.cli import main
 from igei.dataio import OBSERVATION_HEADER, ScoreTable, load_dataset, load_score_table
 from igei.errors import DataError, RecordError
 from igei.metrics import MetricKind
@@ -562,3 +563,40 @@ def test_a_stray_quote_at_every_chunk_size(tmp_path, monkeypatch):
     for size in range(1, len(text) + 2):
         monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
         assert _table_outcome(lambda: load_score_table(path)) == expected, size
+
+
+# A 6-cell row followed by a 10-cell row holds the cells of two 8-cell rows,
+# and read as such the file loads (x_a of A would be 3). The column loaders
+# must refuse it at every chunk size, so that the row reader names row 2.
+UNEVEN_ROWS = {
+    "observations": (["score"], HEADER + "\nA,J1,2023,standard,1,2\n3,,C,J1,2023,standard,1,2,3,\n",
+                     "row 2: expected 8 cells, got 6"),
+    "score table": (["aggregate"], "territory,J1,J2\nA,1\n2,C,3,4\n",
+                    "row 2: expected 3 cells, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNEVEN_ROWS))
+def test_rows_of_uneven_width_at_every_chunk_size(tmp_path, monkeypatch, capsys, case):
+    command, text, message = UNEVEN_ROWS[case]
+    path = tmp_path / "uneven.csv"
+    path.write_text(text, encoding="utf-8")
+    for size in range(1, len(text) + 1):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
+        assert main([*command, "--data", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n", size
+
+
+def test_a_name_read_from_two_chunks_is_one_object(tmp_path, monkeypatch):
+    # at most chunk sizes the name leads one chunk and follows a line end in another
+    text = HEADER + "\n" + "".join(f"A,J{j},2023,share,,,,0.{j}\n" for j in range(1, 6))
+    table = "territory,J1\n" + "".join(f"{name},1\n" for name in "ABCDE")
+    path, table_path = tmp_path / "obs.csv", tmp_path / "scores.csv"
+    path.write_text(text, encoding="utf-8")
+    table_path.write_text(table, encoding="utf-8")
+    for size in range(1, len(text) + 1):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
+        records = list(load_dataset(path))
+        assert [r.territory for r in records] == ["A"] * 5, size
+        assert {id(r.territory) for r in records} == {id(records[0].territory)}, size
+        assert load_score_table(table_path).territories == tuple("ABCDE"), size
