@@ -16,6 +16,7 @@ indicator tables), and JSON output carries full precision.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -67,14 +68,14 @@ def _render(fmt: str, output: Output) -> str:
 
 
 def _render_table(headers: list[str], formats: list[str], rows: list[tuple]) -> str:
-    rows = [list(map(str.__mod__, formats, row)) for row in rows]
-    widths = [
-        max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)
-    ]
-    # left-align the first (label) column, right-align numbers
-    line = "  ".join([f"{{:<{widths[0]}}}"] + [f"{{:>{w}}}" for w in widths[1:]]).format
-    rule = "  ".join("-" * w for w in widths)
-    return "\n".join([line(*headers).rstrip(), rule] + [line(*r).rstrip() for r in rows]) + "\n"
+    columns, widths = [], []
+    for header, fmt, cells in zip(headers, formats, zip(*rows) if rows else [()] * len(headers)):
+        cells = [header, *map(fmt.__mod__, cells)]
+        widths.append(max(map(len, cells)))
+        # left-align the first (label) column, right-align numbers
+        columns.append(map(str.rjust if columns else str.ljust, cells, [widths[-1]] * len(cells)))
+    head, *body = map(str.rstrip, map("  ".join, zip(*columns)))
+    return "\n".join([head, "  ".join("-" * w for w in widths), *body]) + "\n"
 
 
 def _render_csv(headers: list[str], formats: list[str], rows: list[tuple]) -> str:
@@ -231,6 +232,10 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
         in_scope = set(scope)
         rows = [i for i, terr in enumerate(table.territories) if terr in in_scope]
         named = {name: list(map(column.__getitem__, rows)) for name, column in named.items()}
+    count = len(scope or table.territories)
+    if count < 3:
+        where = " in --scope" if scope else ""
+        raise StatisticsError(f"report needs at least 3 territories{where}, got {count}")
     leaves = list(tree.leaf_ids())
     try:
         summaries, corr = stats.report_statistics(named, leaves)
@@ -373,12 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # a command's data hold no reference cycles: collecting them only costs time
     try:
         status, output = args.func(args)
         _emit(_render(args.format, output), args.out)
     except IgeiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        (gc.enable if collecting else gc.disable)()
     return status
 
 

@@ -27,7 +27,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from igei._frozen import Frozen
 from igei.errors import DataError, SpecError
-from igei.metrics import MetricKind, _all_rates, _some_degenerate, _within
+from igei.metrics import MetricKind, _all_rates, _complete, _some_degenerate, _within
 from igei.model import (
     Correction,
     CorrectionKind,
@@ -769,7 +769,7 @@ def _block_clean(spec: IndicatorSpec, block: Columns) -> bool:
     if spec.metric is not _STANDARD:
         return True
     x_w, x_m, x_a = block.x_w, block.x_m, block.x_a
-    if (spec.correction.kind is _OWN_AVERAGE and None in x_a) or _some_degenerate(x_w, x_m):
+    if (spec.correction.kind is _OWN_AVERAGE and not _complete(x_a)) or _some_degenerate(x_w, x_m):
         return False
     return spec.polarity is not _NEGATIVE or all(map(_all_rates, (x_w, x_m, x_a)))
 

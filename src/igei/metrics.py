@@ -178,10 +178,19 @@ def _invert(x: float) -> float:
     return 1.0 - x
 
 
+def _complete(column: Sequence[float | None]) -> bool:
+    """``None not in column`` for floats and None only, at C speed: ``sum`` raises at a None."""
+    try:
+        sum(column)
+    except TypeError:
+        return False
+    return True
+
+
 def _all_rates(levels: Sequence[float | None]) -> bool:
     """Whether :func:`invert_polarity` accepts every non-negative level of a
     column, skipping blanks (None)."""
-    if None in levels:
+    if not _complete(levels):
         levels = [v for v in levels if v is not None]
     return not levels or max(levels) <= 1.0
 

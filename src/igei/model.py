@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from igei._frozen import Frozen
 from igei.errors import DataError, RecordError, SpecError
-from igei.metrics import MetricKind
+from igei.metrics import MetricKind, _complete
 from igei.penalized import Polarity
 
 
@@ -338,11 +338,11 @@ class Columns(NamedTuple):
         if self.kind.count(kind) != n:
             return False
         if kind is _STANDARD:
-            if self.value.count(None) != n or None in self.x_w or None in self.x_m:
+            if self.value.count(None) != n or not (_complete(self.x_w) and _complete(self.x_m)):
                 return False
-            x_a = self.x_a if None not in self.x_a else [v for v in self.x_a if v is not None]
+            x_a = self.x_a if _complete(self.x_a) else [v for v in self.x_a if v is not None]
             return _finite(self.x_w, 0.0) and _finite(self.x_m, 0.0) and _finite(x_a, 0.0)
-        if kind.__class__ is not MetricKind or None in self.value:
+        if kind.__class__ is not MetricKind or not _complete(self.value):
             return False
         if (self.x_w.count(None), self.x_m.count(None), self.x_a.count(None)) != (n, n, n):
             return False

@@ -23,6 +23,7 @@ from igei.metrics import (
     MetricKind,
     _all_rates,
     _capped,
+    _complete,
     _correction,
     _invert,
     _ratio,
@@ -149,9 +150,10 @@ def resolve_references(
             continue
         source_id, attr, source_polarity = _correction_source(spec, specs)
         block = data.columns(source_id)
-        levels = None
-        if fits and len(block.territory) == full:
-            levels = _working_levels(getattr(block, attr), source_polarity is _NEGATIVE)
+        levels, source, negative = None, getattr(block, attr), source_polarity is _NEGATIVE
+        if (fits and len(block.territory) == full and _complete(source)
+                and (not negative or _all_rates(source))):
+            levels = _working_levels(source, negative)
         if levels:
             reference = max(levels if everywhere else
                             compress(levels, map(in_scope.__contains__, block.territory)))
@@ -298,7 +300,7 @@ def _fold_tree(tree: IndexTree, leaves: list, fold: Callable) -> tuple:
 
     ``leaves`` holds one entry per tree leaf, in tree order: one
     territory's scores with ``fold=_fold_scores``, or a table's leaf
-    columns with ``fold=_fold_columns``.
+    columns with the fold :func:`_leaf_fold` picks for them.
     """
     subdomain_values: dict = {}
     domain_values: dict = {}
@@ -321,6 +323,11 @@ def _fold_columns(columns: list[Sequence[float]]) -> list[float]:
     """
     if not all(_within(col, -_SCORE_EPS, 100.0 + _SCORE_EPS) for col in columns):
         raise AggregationError("a column holds a score outside [0, 100]")
+    return _fold_kernel(columns)
+
+
+def _fold_kernel(columns: list[Sequence[float]]) -> list[float]:
+    """:func:`_fold_columns` of columns it accepts, untested."""
     if len(columns) <= 2:
         return list(map(_pair_mean, *columns)) if len(columns) == 2 else list(columns[0])
     # _fold_scores' sums and products, a column (or a row's fsum) at a time
@@ -333,6 +340,16 @@ def _fold_columns(columns: list[Sequence[float]]) -> list[float]:
         first if ran == 0.0 else m if ran <= RANGE_TOLERANCE else m - v / (2.0 * ran)
         for first, m, v, ran in zip(columns[0], means, map(fsum, zip(*squares)), ranges)
     ]
+
+
+def _leaf_fold(leaf_columns: list[Sequence[float]]) -> Callable:
+    """:func:`_fold_kernel` if every leaf lies in [0, 100], else :func:`_fold_columns`: a
+    node's mean m is within ulps of its children's [lo, hi], and its penalty var / (2 * ran)
+    is at most (m - lo) / 2 as var <= (m - lo) * (hi - m), so no node leaves [0, 100] by
+    more than about 1e-13, far inside ``_SCORE_EPS``."""
+    if all(_within(col, 0.0, 100.0) for col in leaf_columns):
+        return _fold_kernel
+    return _fold_columns
 
 
 def aggregate_scores(
@@ -377,7 +394,7 @@ def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
         by_indicator = (dict(zip(table.indicators, table.columns)) if table.territories
                         else dict.fromkeys(leaves, ()))
         columns = list(map(by_indicator.__getitem__, leaves))
-        folded = _fold_tree(tree, columns, _fold_columns)
+        folded = _fold_tree(tree, columns, _leaf_fold(columns))
     except (KeyError, IgeiError):
         for i, terr in enumerate(table.territories):
             aggregate_scores(tree, table._row_at(i), terr)
@@ -496,11 +513,11 @@ def _walk(
             if scores is None:
                 raise ScoringError(f"{leaf}: the column tests refused a block that scores")
             columns.append(scores)
-        tables = []
+        tables, fold = [], _leaf_fold(columns)
         for i in range(width):
             leaf_columns = [column[i::width] for column in columns] if width > 1 else columns
             tables.append(TableReport(territories, dict(zip(leaves, leaf_columns)),
-                                      *_fold_tree(tree, leaf_columns, _fold_columns)))
+                                      *_fold_tree(tree, leaf_columns, fold)))
     except (IgeiError, KeyError, TypeError):
         for period in periods:
             for terr in territories:
@@ -512,12 +529,12 @@ def _walk(
 def _column_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -> list | None:
     """:func:`compute_indicator` of every row of ``block``, in row order, through
     the formulas alone; None exactly when it would refuse some row, as a test
-    of each column (counts, min, max and ``in``) shows.
+    of each column (counts, min, max and sum) shows.
 
-    Each row of a dataset block has passed the record rule: its levels are
-    finite and non-negative, a share lies in [0, 1] and a ratio above 0. The
-    tests check what the scorers add to that rule, and a correction base,
-    which ``refs`` may hold as any number.
+    Each row of a dataset block has passed the record rule: a standard row
+    has x_w and x_m, its levels are finite and non-negative, a share lies in
+    [0, 1] and a ratio above 0. The tests check what the scorers add to that
+    rule, and a correction base, which ``refs`` may hold as any number.
     """
     if not block.kind:
         return []
@@ -534,12 +551,12 @@ def _column_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -
         if reference is None or not 0.0 < reference <= _HALF_MAX:
             return None
         if correction is _OWN_AVERAGE:
-            sources = _working_levels(block.x_a, negative)
+            sources = _working_levels(block.x_a, negative) if _complete(block.x_a) else None
             if sources is None or max(sources) > reference:
                 return None
         else:
             sources = list(map(refs.bases.get, zip(repeat(spec.id), block.territory, block.period)))
-            if None in sources or not _within(sources, 0.0, reference):
+            if not _complete(sources) or not _within(sources, 0.0, reference):
                 return None
         # 2a / (r + a) with 0 <= a <= r rounds to at most 1: _factor passes it
         factors = list(map(_correction, sources, repeat(reference)))
@@ -555,14 +572,9 @@ def _column_scores(spec: IndicatorSpec, block: Columns, refs: ReferenceLevels) -
     return list(map(_capped, block.value))
 
 
-def _working_levels(column: Sequence[float | None], negative: bool) -> Sequence[float] | None:
-    """``column`` of floats on the working scale; None if it lacks a level, or
-    if a negative-polarity level is above 1."""
-    if None in column:
-        return None
-    if not negative:
-        return column
-    return list(map(_invert, column)) if _all_rates(column) else None
+def _working_levels(column: Sequence[float], negative: bool) -> Sequence[float]:
+    """A column of levels, rates under negative polarity, on the working scale."""
+    return list(map(_invert, column)) if negative else column
 
 
 def score_territory(

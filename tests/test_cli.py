@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -568,7 +569,7 @@ class TestScoreTableShapes:
         leaves = tree.leaf_ids()
         data = self._write(tmp_path, leaves, territories=[])
         assert run(capsys, "report", "--data", data) == (
-            1, "", "error: cannot summarize an empty sequence\n"
+            1, "", "error: report needs at least 3 territories, got 0\n"
         )
         assert run(capsys, "aggregate", "--data", data, "--format", "json") == (
             0, json.dumps({"command": "aggregate", "reports": []}, indent=2) + "\n", ""
@@ -593,6 +594,17 @@ class TestScoreTableShapes:
             1, "", "error: partial report for 'Molise': missing scores for G3, G17\n"
         )
 
+    @pytest.mark.parametrize("scope", [None, "Molise,Umbria"])
+    def test_report_on_two_territories_gives_the_count(self, capsys, tmp_path, scope):
+        _, tree = dataio.load_index_spec()
+        territories = ["Molise", "Umbria"] if scope is None else ["Molise", "Abruzzo", "Umbria"]
+        data = self._write(tmp_path, tree.leaf_ids(), territories)
+        where = " in --scope" if scope else ""
+        argv = ["report", "--data", data] + (["--scope", scope] if scope else [])
+        assert run(capsys, *argv) == (
+            1, "", f"error: report needs at least 3 territories{where}, got 2\n"
+        )
+
     @pytest.mark.parametrize("command", ["aggregate", "report"])
     @pytest.mark.parametrize("fmt, ext", FORMATS)
     def test_column_order_and_extra_columns_do_not_change_output(
@@ -606,6 +618,44 @@ class TestScoreTableShapes:
         code, out, err = run(capsys, command, "--data", data, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{command}.{ext}").read_text(encoding="utf-8")
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector while a command runs, and leaves it
+    as it found it however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        found = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if found else gc.disable)()
+
+    def test_after_success(self, capsys, collecting):
+        assert run(capsys, "demo")[0] == 0
+        assert gc.isenabled() is collecting
+
+    def test_after_an_igei_error(self, capsys, collecting):
+        assert run(capsys, "report", "--data", SCORES, "--scope", "Atlantis")[0] == 1
+        assert gc.isenabled() is collecting
+
+    def test_after_an_unexpected_exception(self, monkeypatch, collecting):
+        seen = []
+
+        def failing(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_demo", failing)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["demo"])
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    def test_after_an_argument_error(self, capsys, collecting):
+        with pytest.raises(SystemExit):
+            main(["score"])
+        assert gc.isenabled() is collecting
 
 
 class TestVerify:
@@ -800,3 +850,28 @@ def test_csv_matches_the_per_cell_renderer(section):
     headers, formats, rows = section
     cells = [[fmt % value for fmt, value in zip(formats, row)] for row in rows]
     assert cli._render_csv(headers, formats, rows) == _cells_csv(headers, cells)
+
+
+# --- table rendering against the row-wise renderer ----------------------------
+# The renderer formats and pads a column at a time; the reference formats every
+# cell of a row first and pads each row through one str.format.
+
+
+def _rows_table(headers: list[str], formats: list[str], rows: list[tuple]) -> str:
+    rows = [list(map(str.__mod__, formats, row)) for row in rows]
+    widths = [max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)]
+    line = "  ".join([f"{{:<{widths[0]}}}"] + [f"{{:>{w}}}" for w in widths[1:]]).format
+    rule = "  ".join("-" * w for w in widths)
+    return "\n".join([line(*headers).rstrip(), rule] + [line(*r).rstrip() for r in rows]) + "\n"
+
+
+@given(sections())
+@example((["territory", "index"], ["%s", "%.2f"], []))  # header and rule only
+@example((["a territory header", "an index header"], ["%s", "%.2f"], [("N", 1.0), ("S", -0.0)]))
+@example((["territory"], ["%s"], [("North",), ("South",)]))  # one column
+@example((["territory"], ["%s"], []))
+@example((["territory", "index"], ["%s", "%.2f"], [("North  ", 61.5), ("South ", 7.0)]))
+@example((["period", "territory", "index"], ["%s", "%s", "%.2f"],
+          [("2023", "Valle d'Aosta/Vallée d'Aoste", 61.5), ("2024", "Südtirol  ", 1e308)]))
+def test_table_matches_the_row_wise_renderer(section):
+    assert cli._render_table(*section) == _rows_table(*section)

@@ -25,7 +25,7 @@ from igei.dataio import (
     load_score_table,
     validate_dataset,
 )
-from igei.errors import DataError, SpecError
+from igei.errors import DataError, RecordError, SpecError
 from igei.metrics import MetricKind, correction_coefficient, score_standard
 from igei.model import Correction, Dataset, IndicatorSpec, ObservationRecord
 from igei.penalized import Polarity
@@ -192,6 +192,26 @@ class TestLoadObservations:
     def test_non_finite_value_names_row(self, tmp_path, row, message):
         with pytest.raises(DataError, match=f"row 5: {message}"):
             load_observations(write(tmp_path, GOOD_FILE + row + "\n"))
+
+    @pytest.mark.parametrize("levels", [",0.5", "0.4,"], ids=["x_w", "x_m"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first-row", "last-row"])
+    def test_standard_row_without_both_levels_names_row(self, tmp_path, levels, first):
+        # a blank is found by the column test of the block, then named by the row reader
+        row = f"West,G1,2023,standard,{levels},0.4,"
+        header, *rows = GOOD_FILE.splitlines()
+        text = "\n".join([header, row, *rows] if first else [header, *rows, row]) + "\n"
+        message = f"row {2 if first else 5}: standard observations need both x_w and x_m"
+        for load in (dataio.load_dataset, load_observations):
+            with pytest.raises(DataError) as info:
+                load(write(tmp_path, text))
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("x_w, x_m", [(None, 0.5), (0.4, None)], ids=["x_w", "x_m"])
+    def test_dataset_of_records_without_both_levels_is_refused(self, x_w, x_m):
+        good = ObservationRecord("North", "G1", 2023, "standard", 0.4, 0.6)
+        with pytest.raises(RecordError) as info:
+            Dataset([good, ObservationRecord("West", "G1", 2023, "standard", x_w, x_m)])
+        assert info.value.problem == "standard observations need both x_w and x_m"
 
     def test_loaded_records_share_names_and_periods(self, tmp_path):
         text = GOOD_FILE + "South,G2,2023,share,,,,0.4\n"

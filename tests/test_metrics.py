@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from igei.errors import (
@@ -9,6 +11,7 @@ from igei.errors import (
     OutOfModelError,
 )
 from igei.metrics import (
+    _complete,
     correction_coefficient,
     gap_metric,
     gei_correction_coefficient,
@@ -337,3 +340,16 @@ class TestScoreCapped:
     @given(x=levels)
     def test_bounded(self, x):
         assert 0.0 <= score_capped(x) <= 100.0
+
+
+class TestBlankTest:
+    @given(st.lists(st.none() | st.floats(), max_size=8).map(tuple))
+    @example(())
+    @example((None,))
+    @example((None, 1.0, 2.0))
+    @example((1.0, 2.0, None))
+    @example((math.nan, math.inf, -math.inf, -0.0))
+    @example((math.inf, -math.inf, None))
+    @example((1e308, 1e308, None))
+    def test_equals_none_not_in(self, column):
+        assert _complete(column) == (None not in column)

@@ -16,7 +16,14 @@ from igei.dataio import (
     load_index_spec,
     load_observations,
 )
-from igei.errors import AggregationError, DataError, RecordError, ScoringError, SpecError
+from igei.errors import (
+    AggregationError,
+    DataError,
+    IgeiError,
+    RecordError,
+    ScoringError,
+    SpecError,
+)
 from igei.metrics import _HALF_MAX, MetricKind
 from igei.model import (
     Correction,
@@ -28,11 +35,21 @@ from igei.model import (
     ObservationRecord,
     SubDomain,
 )
-from igei.penalized import _SCORE_EPS, Polarity, WeightedSequence, _fold_scores, penalized_mean
+from igei.penalized import (
+    _SCORE_EPS,
+    RANGE_TOLERANCE,
+    Polarity,
+    WeightedSequence,
+    _fold_scores,
+    _pair_mean,
+    penalized_mean,
+)
 from igei.pipeline import (
     ReferenceLevels,
+    TableReport,
     _column_scores,
     _fold_columns,
+    _fold_tree,
     aggregate_level,
     aggregate_scores,
     aggregate_table,
@@ -732,6 +749,100 @@ class TestAggregateTable:
         empty = aggregate_table(tree, table._replace(territories=(),
                                                      columns=tuple(() for _ in kept)))
         assert empty.index == [] and all(col == [] for col in empty.domain_values.values())
+
+
+# --- one range test per fold against a test of every node ---------------------
+
+
+def per_node_fold_columns(columns):
+    """The column fold as it was before leaf tables took one range test:
+    every node tests each child column against the kernel's range."""
+    for col in columns:
+        if col and not (-_SCORE_EPS <= min(col) and max(col) <= 100.0 + _SCORE_EPS
+                        and not math.isnan(sum(col))):
+            raise AggregationError("a column holds a score outside [0, 100]")
+    if len(columns) <= 2:
+        return list(map(_pair_mean, *columns)) if len(columns) == 2 else list(columns[0])
+    p = 1.0 / len(columns)
+    means = [math.fsum(p * x for x in row) for row in zip(*columns)]
+    folded = []
+    for first, m, row in zip(columns[0], means, zip(*columns)):
+        ran = max(row) - min(row)
+        v = math.fsum(p * (x - m) ** 2 for x in row)
+        folded.append(first if ran == 0.0 else m if ran <= RANGE_TOLERANCE
+                      else m - v / (2.0 * ran))
+    return folded
+
+
+def per_node_aggregate_table(tree, table):
+    """aggregate_table's (subdomain, domain, index) columns through the
+    per-node fold, or the error its row-by-row replay raises."""
+    by_indicator = dict(zip(table.indicators, table.columns))
+    columns = [by_indicator[leaf] for leaf in tree.leaf_ids()]
+    try:
+        return _fold_tree(tree, columns, per_node_fold_columns)
+    except AggregationError:
+        for i, terr in enumerate(table.territories):
+            aggregate_scores(tree, table._row_at(i), terr)
+        raise
+
+
+def fold_outcome(fold, tree, table):
+    """Every folded value's bits, or the error's type and message."""
+    try:
+        folded = fold(tree, table)
+    except IgeiError as exc:
+        return type(exc), str(exc)
+    if isinstance(folded, TableReport):
+        folded = folded.subdomain_values, folded.domain_values, folded.index
+    subdomains, domains, index = folded
+    return ([(key, list(map(bits, col))) for key, col in subdomains.items()],
+            [(key, list(map(bits, col))) for key, col in domains.items()],
+            list(map(bits, index)))
+
+
+FOLD_LEAVES = st.one_of(
+    st.sampled_from([0.0, 100.0, -1e-9, 100.0 + 1e-9, 1e-300, math.nan]),
+    st.floats(min_value=0, max_value=100),
+)
+
+
+@st.composite
+def wide_score_tables(draw):
+    """(tree, table): 1-7 children at every node and 0-4 rows of leaf scores."""
+    leaf_ids = iter(f"L{k}" for k in range(400))
+    children = st.integers(1, 7)
+    tree = IndexTree(domains=[
+        Domain(id=f"d{d}", subdomains=[
+            SubDomain(id=f"s{s}", indicators=[next(leaf_ids) for _ in range(draw(children))])
+            for s in range(draw(children))
+        ])
+        for d in range(draw(children))
+    ])
+    leaves = tree.leaf_ids()
+    rows = draw(st.lists(st.lists(FOLD_LEAVES, min_size=len(leaves), max_size=len(leaves)),
+                         max_size=4))
+    return tree, ScoreTable(territories=tuple(f"T{k}" for k in range(len(rows))),
+                            indicators=leaves,
+                            columns=tuple(zip(*rows)) if rows else ((),) * len(leaves))
+
+
+class TestOneRangeTestPerFold:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(case=wide_score_tables())
+    def test_aggregate_table_equals_the_per_node_fold(self, case):
+        tree, table = case
+        assert (fold_outcome(aggregate_table, tree, table)
+                == fold_outcome(per_node_aggregate_table, tree, table))
+
+    def test_a_leaf_past_the_range_keeps_the_per_node_tests(self):
+        # within the kernel's tolerance, so every node folds as before
+        tree = IndexTree(domains=[Domain(id="d", subdomains=[
+            SubDomain(id="s", indicators=["a", "b", "c"])])])
+        table = ScoreTable(territories=("T",), indicators=("a", "b", "c"),
+                           columns=((100.0 + 1e-9,), (-1e-9,), (50.0,)))
+        assert (fold_outcome(aggregate_table, tree, table)
+                == fold_outcome(per_node_aggregate_table, tree, table))
 
 
 # cells at the kernel's edges: both zeros, the range's ends and its tolerance
