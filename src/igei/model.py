@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from igei._frozen import Frozen
 from igei.errors import DataError, RecordError, SpecError
@@ -371,14 +371,11 @@ class Dataset:
 
     ``Dataset(records)`` fills the blocks from records and raises
     :class:`RecordError` for a repeated (territory, indicator, period)
-    key, in time linear in the records. Iteration, :meth:`series` and
-    :meth:`get` read records, built from the blocks on first use and
-    cached (a series builds only its own); the records given to
-    ``Dataset(records)`` are kept as given.
+    key, in time linear in the records. Iteration and :meth:`get` build
+    new records from the blocks on every call, levels as floats.
     """
 
     def __init__(self, records: Iterable[ObservationRecord]):
-        records = tuple(records)
         rows = list(map(_record_fields, records))
         if len(set(map(_record_key, rows))) != len(rows):
             seen: set[tuple] = set()
@@ -390,7 +387,7 @@ class Dataset:
                     )
                     raise RecordError(duplicate, duplicate)
                 seen.add(key)
-        self._fill(rows, records)
+        self._fill(rows)
 
     @classmethod
     def _from_columns(
@@ -398,10 +395,10 @@ class Dataset:
     ) -> "Dataset":
         """A dataset of checked blocks; ``order`` names each input row's indicator."""
         data = cls.__new__(cls)
-        data._set(blocks, tuple(territories), order, None)
+        data._set(blocks, tuple(territories), order)
         return data
 
-    def _fill(self, rows: list[tuple], records: tuple | None = None) -> None:
+    def _fill(self, rows: list[tuple]) -> None:
         """Fill the blocks from rows of the eight record fields, in input order.
 
         The rows' (territory, indicator, period) keys must be distinct. Levels
@@ -415,18 +412,13 @@ class Dataset:
             territory, _, period, kind, *levels = zip(*group)
             blocks[indicator] = Columns(territory, period, kind, *map(_floats, levels))
         territories = dict.fromkeys(row[0] for row in rows)
-        order = None if records is not None else [row[1] for row in rows]
-        self._set(blocks, tuple(territories), order, records)
+        self._set(blocks, tuple(territories), [row[1] for row in rows])
 
-    def _set(self, blocks, territories, order, records) -> None:
+    def _set(self, blocks, territories, order) -> None:
         self._blocks: dict[str, Columns] = blocks
-        self._order: list[str] | None = order
-        self._records: tuple[ObservationRecord, ...] | None = records
-        # per indicator: its records by block row, None where not built yet
-        self._built: dict[str, list[ObservationRecord | None]] = {}
-        # per indicator: each territory's row positions in the block, replaced
-        # by the pair's records once they are built
-        self._index: dict[str, dict[str, list[int] | tuple[ObservationRecord, ...]]] = {}
+        self._order: list[str] = order
+        # per indicator: each territory's row positions in the block, built on first lookup
+        self._index: dict[str, dict[str, list[int]]] = {}
         self.territories: tuple[str, ...] = territories
         self.indicators: tuple[str, ...] = tuple(blocks)
         self.periods: tuple[int, ...] = tuple(
@@ -438,83 +430,45 @@ class Dataset:
         return self._blocks.get(indicator, _NO_COLUMNS)
 
     def __iter__(self) -> Iterator[ObservationRecord]:
-        if self._records is None:
-            built = {}
-            for indicator, block in self._blocks.items():
-                cache = self._cache(indicator)
-                cache[:] = [
-                    ObservationRecord(t, indicator, p, k, w, m, a, v) if rec is None else rec
-                    for rec, t, p, k, w, m, a, v in zip(cache, *block)
-                ]
-                built[indicator] = iter(cache)
-            self._records = tuple(map(next, map(built.__getitem__, self._order)))
-            self._order = None
-        return iter(self._records)
+        rows = {indicator: zip(*block) for indicator, block in self._blocks.items()}
+        for indicator in self._order:
+            t, p, k, w, m, a, v = next(rows[indicator])
+            yield ObservationRecord(t, indicator, p, k, w, m, a, v)
 
     def __len__(self) -> int:
-        return sum(len(block.territory) for block in self._blocks.values())
+        return len(self._order)
 
-    def series(self, territory: str, indicator: str) -> tuple[ObservationRecord, ...]:
-        """Every period's observation of one territory and indicator, in input order.
+    def _row(self, territory: str, indicator: str, period: int | None) -> tuple | None:
+        """The pair's observation as a row of its block's fields, or None.
 
-        Builds only this pair's records, found through a row index kept per
-        block; a record is built once, whether by a series or by iteration.
+        :meth:`get`'s lookup, through a row index kept per block, so it costs
+        at most one comparison per period of the pair.
         """
+        block = self.columns(indicator)
         index = self._index.get(indicator)
         if index is None:
             index = self._index[indicator] = {}
-            for row, terr in enumerate(self.columns(indicator).territory):
+            for row, terr in enumerate(block.territory):
                 index.setdefault(terr, []).append(row)
-        found = index.get(territory, ())
-        if found.__class__ is list:
-            found = index[territory] = tuple(map(self._record_at(indicator), found))
-        return found
-
-    def _cache(self, indicator: str) -> list[ObservationRecord | None]:
-        """The indicator's records by block row, ``None`` where not built yet."""
-        if indicator not in self._built:
-            if self._records is None:
-                self._built[indicator] = [None] * len(self._blocks[indicator].territory)
-            else:
-                for rec in self._records:
-                    self._built.setdefault(rec.indicator, []).append(rec)
-        return self._built[indicator]
-
-    def _record_at(self, indicator: str) -> Callable[[int], ObservationRecord]:
-        """The record of a row position in the indicator's block, built at most once."""
-        cache = self._cache(indicator)
-        t, p, k, w, m, a, v = self._blocks[indicator]
-
-        def record(i: int) -> ObservationRecord:
-            rec = cache[i]
-            if rec is None:
-                rec = cache[i] = ObservationRecord(
-                    t[i], indicator, p[i], k[i], w[i], m[i], a[i], v[i])
-            return rec
-        return record
-
-    def get(
-        self, territory: str, indicator: str, period: int | None = None
-    ) -> ObservationRecord | None:
-        """Look up one observation; ``period=None`` requires a unique period.
-
-        Reads the pair's series, so a lookup costs at most one comparison
-        per period of that pair.
-        """
-        matches = self.series(territory, indicator)
-        if period is not None:
-            for rec in matches:
-                if rec.period == period:
-                    return rec
-            return None
-        if not matches:
-            return None
-        if len(matches) > 1:
+        rows = index.get(territory, ())
+        if period is not None:  # keys are distinct: one row at most
+            rows = [row for row in rows if block.period[row] == period]
+        elif len(rows) > 1:
             raise DataError(
                 f"multiple periods recorded for territory {territory!r}, indicator "
                 f"{indicator!r}; pass an explicit period or score as a time series"
             )
-        return matches[0]
+        return tuple(column[rows[0]] for column in block) if rows else None
+
+    def get(
+        self, territory: str, indicator: str, period: int | None = None
+    ) -> ObservationRecord | None:
+        """Look up one observation; ``period=None`` requires a unique period."""
+        row = self._row(territory, indicator, period)
+        if row is None:
+            return None
+        t, p, k, w, m, a, v = row
+        return ObservationRecord(t, indicator, p, k, w, m, a, v)
 
 
 _NO_COLUMNS = Columns((), (), (), (), (), (), ())

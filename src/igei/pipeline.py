@@ -45,6 +45,7 @@ from igei.model import (
     IndexTree,
     IndicatorSpec,
     ObservationRecord,
+    _shown,
     as_dataset,
     external_source,
 )
@@ -54,8 +55,7 @@ if TYPE_CHECKING:
     from igei.dataio import ScoreTable
 
 # bound once: on CPython 3.11 a member read off its Enum class takes a slow
-# path (the metaclass defines __getattr__), and compute_indicator and _alpha
-# run per observation
+# path (the metaclass defines __getattr__), and _score_row runs per observation
 _NONE, _OWN_AVERAGE = CorrectionKind.NONE, CorrectionKind.OWN_AVERAGE
 _STANDARD, _SHARE, _RATIO = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.RATIO
 _NEGATIVE = Polarity.NEGATIVE
@@ -220,66 +220,58 @@ def _row_reference(
     return reference
 
 
-def _alpha(
-    spec: IndicatorSpec,
-    obs: ObservationRecord,
-    working_total: float | None,
-    refs: ReferenceLevels,
-) -> float | None:
-    """Correction coefficient for one observation; ``None`` when uncorrected."""
-    corr = spec.correction
-    if corr.kind is _NONE:
-        return None
-    reference = refs.maxima.get(spec.id)
-    if reference is None:
-        raise ScoringError(f"{spec.id}: references were not resolved for this indicator")
-    if corr.kind is _OWN_AVERAGE:
-        if working_total is None:
-            raise ScoringError(
-                f"{spec.id}: observation for {obs.territory!r} lacks the total level "
-                f"required by the own-average correction"
-            )
-        return correction_coefficient(working_total, reference)
-    base = refs.bases.get((spec.id, obs.territory, obs.period))
-    if base is None:
+def _score_row(spec: IndicatorSpec, refs: ReferenceLevels, territory: str, period: int,
+               kind: MetricKind, x_w: float | None, x_m: float | None, x_a: float | None,
+               value: float | None) -> float:
+    """Score one observation, given as its block's fields, by its indicator recipe, on 0-100.
+
+    Checks the kind, puts the total, x_w and x_m on the working scale, then
+    finds the correction; a formula's refusal (say, an achievement above the
+    reference maximum) is raised as a :class:`ScoringError` naming the key.
+    """
+    metric, corr = spec.metric, spec.correction.kind
+    if kind is not metric:
+        raise ScoringError(f"{spec.id}: expected a {metric.value} observation, got {kind.value}")
+    try:
+        total = alpha = None
+        if metric is _STANDARD:
+            working = _working_scale(spec.polarity)
+            total = None if x_a is None else working(x_a)
+            x_w, x_m = working(x_w), working(x_m)
+        if corr is not _NONE:
+            reference = refs.maxima.get(spec.id)
+            if reference is None:
+                raise ScoringError(f"{spec.id}: references were not resolved for this indicator")
+            if corr is _OWN_AVERAGE:
+                base, lacking = total, (f"observation for {territory!r} lacks the total "
+                                        f"level required by the own-average correction")
+            else:
+                base = refs.bases.get((spec.id, territory, period))
+                lacking = (f"unresolved external correction for territory {territory!r}, "
+                           f"period {period}")
+            if base is None:
+                raise ScoringError(f"{spec.id}: {lacking}")
+            alpha = correction_coefficient(base, reference)
+        if metric is _STANDARD:
+            return score_standard(x_w, x_m, alpha)
+        if metric is _SHARE:
+            return score_share(value, alpha)
+        return score_ratio(value, alpha) if metric is _RATIO else score_capped(value)
+    except MetricInputError as exc:
         raise ScoringError(
-            f"{spec.id}: unresolved external correction for territory "
-            f"{obs.territory!r}, period {obs.period}"
-        )
-    return correction_coefficient(base, reference)
+            f"territory {territory!r}, indicator {spec.id!r}, period {period}: {exc}"
+        ) from None
 
 
 def compute_indicator(
     spec: IndicatorSpec, obs: ObservationRecord, refs: ReferenceLevels
 ) -> float:
-    """Score one observation according to its indicator recipe, on 0-100.
+    """Score one record by its indicator recipe, on 0-100.
 
-    A scalar formula's refusal (say, an achievement above the reference
-    maximum) is raised as a :class:`ScoringError` naming the record.
+    A scalar formula's refusal is raised as a :class:`ScoringError` naming the record.
     """
-    metric = spec.metric
-    if obs.kind is not metric:
-        raise ScoringError(
-            f"{spec.id}: expected a {metric.value} observation, "
-            f"got {obs.kind.value}"
-        )
-    try:
-        if metric is _STANDARD:
-            working = _working_scale(spec.polarity)
-            total = None if obs.x_a is None else working(obs.x_a)
-            return score_standard(
-                working(obs.x_w), working(obs.x_m), _alpha(spec, obs, total, refs)
-            )
-        if metric is _SHARE:
-            return score_share(obs.value, _alpha(spec, obs, None, refs))
-        if metric is _RATIO:
-            return score_ratio(obs.value, _alpha(spec, obs, None, refs))
-        return score_capped(obs.value)
-    except MetricInputError as exc:
-        raise ScoringError(
-            f"territory {obs.territory!r}, indicator {spec.id!r}, "
-            f"period {obs.period}: {exc}"
-        ) from None
+    return _score_row(spec, refs, obs.territory, obs.period, obs.kind,
+                      obs.x_w, obs.x_m, obs.x_a, obs.value)
 
 
 def aggregate_level(values: Iterable[float]) -> float:
@@ -361,19 +353,23 @@ def aggregate_scores(
     """Fold a full set of leaf scores up the tree into a territory report.
 
     Every sub-domain, domain and the index is the penalized mean of its
-    children, computed by the same kernel as :func:`aggregate_level`.
+    children, computed by the same kernel as :func:`aggregate_level`. A
+    score that ``float`` refuses raises an :class:`AggregationError` naming
+    the territory and the leaf.
     """
     leaves = tree.leaf_ids()
-    try:
-        values = [float(scores[leaf]) for leaf in leaves]
-    except (KeyError, TypeError, ValueError):
-        missing = [leaf for leaf in leaves if leaf not in scores]
-        if not missing:
-            raise
+    missing = [leaf for leaf in leaves if leaf not in scores]
+    if missing:
         raise ScoringError(
-            f"partial report for {territory!r}: missing scores for "
-            f"{', '.join(missing)}"
-        ) from None
+            f"partial report for {territory!r}: missing scores for {', '.join(missing)}"
+        )
+    values = []
+    for leaf in leaves:
+        try:
+            values.append(float(scores[leaf]))
+        except (TypeError, ValueError, OverflowError):
+            raise AggregationError(f"territory {territory!r}, indicator {leaf!r}: a score "
+                                   f"must be a number, got {_shown(scores[leaf])}") from None
     return TerritoryReport(territory, dict(zip(leaves, values)),
                            *_fold_tree(tree, values, _fold_scores), period=period)
 
@@ -395,10 +391,12 @@ def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
                         else dict.fromkeys(leaves, ()))
         columns = list(map(by_indicator.__getitem__, leaves))
         folded = _fold_tree(tree, columns, _leaf_fold(columns))
-    except (KeyError, IgeiError):
+    except (KeyError, TypeError, IgeiError):
         for i, terr in enumerate(table.territories):
             aggregate_scores(tree, table._row_at(i), terr)
-        raise
+        # every row folds: a leaf holds numbers that only float() takes, like '5'
+        columns = [list(map(float, column)) for column in columns]
+        folded = _fold_tree(tree, columns, _leaf_fold(columns))
     return TableReport(table.territories, dict(zip(leaves, columns)), *folded)
 
 
@@ -587,7 +585,8 @@ def score_territory(
 ) -> TerritoryReport:
     """Compute every indicator for one territory and aggregate to the final index.
 
-    Scores one record at a time, so the walk replays it to name a fault.
+    Scores one observation at a time, read off the blocks, so the walk
+    replays it to name a fault.
     """
     data = as_dataset(dataset)
     scores: dict[str, float] = {}
@@ -596,11 +595,11 @@ def score_territory(
         spec = specs.get(leaf)
         if spec is None:
             raise ScoringError(f"no indicator spec for tree leaf {leaf!r}")
-        obs = data.get(territory, leaf, period)
-        if obs is None:
+        row = data._row(territory, leaf, period)
+        if row is None:
             gaps.append(leaf)
             continue
-        scores[leaf] = compute_indicator(spec, obs, refs)
+        scores[leaf] = _score_row(spec, refs, *row)
     if gaps:
         raise ScoringError(
             f"partial report for {territory!r}: missing observations for "

@@ -126,10 +126,12 @@ def demo_scores() -> list[tuple[ObservationRecord, float, float]]:
     specs, tree = dataio.load_index_spec(dataio.bundled_path("demo_tree.yaml"))
     dataset = dataio.load_dataset(dataio.bundled_path("demo_countries.csv"))
     refs = pipeline.resolve_references(dataset, specs, dataset.territories)
-    x_ref = max(rec.x_a for rec in dataset)
-    return [(rec, metrics.score_gei(rec.x_w, rec.x_a, x_ref),
-             pipeline.score_territory(rec.territory, dataset, specs, tree, refs).index)
-            for rec in dataset]
+    table = pipeline.score_table(dataset, specs, tree, refs)
+    index = dict(zip(table.territories, table.index))
+    records = list(dataset)
+    x_ref = max(rec.x_a for rec in records)
+    return [(rec, metrics.score_gei(rec.x_w, rec.x_a, x_ref), index[rec.territory])
+            for rec in records]
 
 
 def _check_demo_scores() -> tuple[str, str]:
@@ -169,11 +171,10 @@ def _check_domain_aggregation() -> tuple[str, str]:
     _, tree = _bundled(dataio.load_index_spec)
     table = _bundled(dataio.load_score_table, "indicator_scores_2023.csv")
     reference = _bundled(load_reference_table)
-    max_delta = 0.0
-    for terr in table.territories:
-        rep = pipeline.aggregate_scores(tree, table.row(terr), terr)
-        for dom, value in rep.domain_values.items():
-            max_delta = max(max_delta, abs(value - reference[terr][dom]))
+    folded = pipeline.aggregate_table(tree, table).domain_values
+    max_delta = max(abs(value - reference[terr][dom])
+                    for dom, column in folded.items()
+                    for terr, value in zip(table.territories, column))
     n = len(table.territories) * len(tree.domains)
     status = PASS if max_delta <= 0.01 else FAIL
     return status, f"max |delta| {max_delta:.4f} over {n} published domain values"

@@ -619,6 +619,17 @@ class TestAggregateScores:
             aggregate_scores(tree, scores, "X")
         assert str(info.value) == "scores must lie in [0, 100], got 101.0"
 
+    @pytest.mark.parametrize("score, shown", [("x", "'x'"), (None, "None"), ([], "a list")])
+    def test_a_non_number_score_names_its_leaf(self, default_spec, score, shown):
+        _, tree = default_spec
+        scores = {leaf: 50.0 for leaf in tree.leaf_ids()}
+        scores.update(G5=score, G9=score)
+        with pytest.raises(AggregationError) as info:
+            aggregate_scores(tree, scores, "X")
+        assert str(info.value) == (
+            f"territory 'X', indicator 'G5': a score must be a number, got {shown}"
+        )
+
     def test_nan_leaf_rejected(self, default_spec):
         _, tree = default_spec
         scores = {leaf: 50.0 for leaf in tree.leaf_ids()}
@@ -749,6 +760,37 @@ class TestAggregateTable:
         empty = aggregate_table(tree, table._replace(territories=(),
                                                      columns=tuple(() for _ in kept)))
         assert empty.index == [] and all(col == [] for col in empty.domain_values.values())
+
+    @pytest.mark.parametrize("cell", ["x", None])
+    def test_a_non_number_cell_names_its_territory_and_indicator(
+        self, default_spec, indicator_table, cell
+    ):
+        _, tree = default_spec
+        k = indicator_table.indicators.index("G4")
+        column = list(indicator_table.columns[k])
+        column[2] = column[5] = cell
+        table = indicator_table._replace(
+            columns=indicator_table.columns[:k] + (tuple(column),)
+            + indicator_table.columns[k + 1:])
+        with pytest.raises(AggregationError) as info:
+            aggregate_table(tree, table)
+        assert str(info.value) == (
+            f"territory {table.territories[2]!r}, indicator 'G4': "
+            f"a score must be a number, got {cell!r}"
+        )
+
+    def test_a_number_as_text_folds_as_its_row(self, default_spec, indicator_table):
+        _, tree = default_spec
+        k = indicator_table.indicators.index("G4")
+        column = list(indicator_table.columns[k])
+        column[2] = "50.5"
+        table = indicator_table._replace(
+            columns=indicator_table.columns[:k] + (tuple(column),)
+            + indicator_table.columns[k + 1:])
+        folded = aggregate_table(tree, table)
+        assert folded.indicator_scores["G4"][2] == 50.5
+        for i, terr in enumerate(table.territories):
+            assert folded.index[i] == aggregate_scores(tree, table.row(terr), terr).index
 
 
 # --- one range test per fold against a test of every node ---------------------
@@ -1221,14 +1263,13 @@ class TestDatasetBoundary:
         largest = ObservationRecord("X", "J1", 2023, "standard", int(sys.float_info.max), 1)
         assert Dataset([largest]).columns("J1").x_w == (sys.float_info.max,)
 
-    def test_series_cannot_be_mutated(self):
+    def test_lookups_build_new_equal_records(self):
         data = Dataset(SYNTH_RECORDS)
-        series = data.series("X", "J1")
-        assert series == (SYNTH_RECORDS[0],)
-        with pytest.raises(AttributeError):
-            series.clear()
-        assert data.get("X", "J1") == SYNTH_RECORDS[0]
-        assert data.series("nowhere", "J1") == ()
+        found = data.get("X", "J1")
+        assert found == SYNTH_RECORDS[0] and found is not SYNTH_RECORDS[0]
+        assert data.get("X", "J1") is not found
+        assert list(data) == SYNTH_RECORDS
+        assert data.get("nowhere", "J1") is None and data.get("X", "J1", 1999) is None
 
     def test_repeated_key_refused(self):
         with pytest.raises(DataError) as info:
@@ -1625,7 +1666,7 @@ class TestScoringWalk:
         for ind in levels:
             block = data.columns(ind)
             assert {type(v) for col in block[3:] for v in col} <= {float, type(None)}
-        assert type(next(iter(data)).x_w) is int  # the records are kept as given
+        assert list(data) == ints and type(next(iter(data)).x_w) is float  # read back as floats
         for period in (2022, 2023):
             in_period = [rec for rec in ints if rec.period == period]
             refs = resolve_references(Dataset(in_period), SYNTH_SPECS, ["X", "Y"])

@@ -4,6 +4,7 @@ import gc
 import random
 import time
 import tracemalloc
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -256,8 +257,8 @@ def test_table_columns_are_lean(table_files):
     assert kept / TERRITORIES < KEPT_BYTES_PER_TERRITORY
 
 
-@pytest.mark.parametrize("series", [False, True])
-def test_scoring_builds_no_record(capsys, monkeypatch, observation_files, series):
+def count_records(monkeypatch):
+    """The arguments of every ObservationRecord built from now on."""
     built = []
     init = ObservationRecord.__init__
 
@@ -266,42 +267,65 @@ def test_scoring_builds_no_record(capsys, monkeypatch, observation_files, series
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ObservationRecord, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("series", [False, True])
+def test_scoring_builds_no_record(capsys, monkeypatch, observation_files, series):
+    built = count_records(monkeypatch)
     argv = ["score", "--format", "json"] + (["--time-series"] if series else [])
     path = observation_files["series" if series else "single"][1]
     assert main(argv + ["--data", path]) == 0
     assert len(capsys.readouterr().out.splitlines()) > TERRITORIES
     assert built == []
-    # records are built when asked for, once: a series builds only its pair's
+    # records are built when asked for, anew on every call
     data = load_dataset(path)
-    first = data.series(STEADY, "G1")
+    periods = PERIODS if series else PERIODS[:1]
+    first = [data.get(STEADY, "G1", period) for period in periods]
     assert len(built) == len(first)
-    assert data.series(STEADY, "G1") is first
-    assert sorted(rec.period for rec in first) == list(PERIODS[:len(first)])
-    assert first[0] is next(rec for rec in data if rec.indicator == "G1" and rec.territory == STEADY)
-    assert len(built) == len(data)
-    # once iterated, a series builds nothing more
-    second = data.series(STEADY, "G2")
-    assert second[0] is next(rec for rec in data if rec.indicator == "G2" and rec.territory == STEADY)
-    assert len(built) == len(data)
+    assert [data.get(STEADY, "G1", period) for period in periods] == first
+    assert len(built) == 2 * len(first)
+    assert [rec.period for rec in first] == list(periods)
+    pair = [rec for rec in data if rec.indicator == "G1" and rec.territory == STEADY]
+    assert sorted(pair, key=attrgetter("period")) == first
+    built.clear()
+    assert sum(1 for _ in data) == len(built) == len(data)
 
 
-def test_scoring_one_territory_builds_only_its_records(monkeypatch, observation_files):
-    built = []
-    init = ObservationRecord.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
+def test_scoring_one_territory_builds_no_record(monkeypatch, observation_files):
     specs, tree = load_index_spec()
     data = load_dataset(observation_files["series"][1])
+    tables = score_series_tables(data, specs, tree)
     refs = resolve_references(data, specs, data.territories, time_mode=True)
-    monkeypatch.setattr(ObservationRecord, "__init__", counted)
+    built = count_records(monkeypatch)
     report = score_territory(STEADY, data, specs, tree, refs, period=PERIODS[0])
-    own = sum(len(data.series(STEADY, leaf)) for leaf in tree.leaf_ids())
+    assert built == []
     assert report.territory == STEADY
-    assert 0 < len(built) == own < len(data)
-    assert {args[0] for args in built} == {STEADY}
+    assert report.index == tables[PERIODS[0]].index[data.territories.index(STEADY)]
+
+
+def test_a_fault_is_named_without_records(capsys, monkeypatch, observation_files, tmp_path):
+    # the last territory, left out of the scope, is the only one above its
+    # own-average reference, and only in the last period: the walk's replay
+    # meets every other territory and period first
+    last = f"Region {TERRITORIES - 1:05d}"
+    lines = Path(observation_files["series"][0]).read_text(encoding="utf-8").splitlines()
+    row = lines.index(next(line for line in lines
+                           if line.startswith(f"{last},G4,{PERIODS[-1]},")))
+    cells = lines[row].split(",")
+    cells[6] = "0.9900"  # x_a; every generated level is at most 0.95
+    lines[row] = ",".join(cells)
+    path = tmp_path / "fault.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scope = ",".join(f"Region {i:05d}" for i in range(TERRITORIES - 1))
+    built = count_records(monkeypatch)
+    argv = ["score", "--time-series", "--data", str(path), "--scope", scope]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: territory {last!r}, indicator 'G4', period {PERIODS[-1]}: "
+        "achievement 0.99 exceeds reference maximum 0.9338\n"
+    )
+    assert built == []
 
 
 def test_unchanged_territory_keeps_its_scores(observation_files):
@@ -328,9 +352,9 @@ def test_long_series_is_indexed_in_linear_time(tmp_path):
     start = time.perf_counter()
     data = Dataset(records)
     assert time.perf_counter() - start < 1.0
-    assert data.series("A", "G10") == tuple(records)
+    assert list(data) == records
     assert data.periods == tuple(range(1, LONG_SERIES + 1))
-    assert data.get("A", "G10", periods[-1]) is records[-1]
+    assert data.get("A", "G10", periods[-1]) == records[-1]
 
     # the loader still names the row of a repeated period
     lines = [",".join(OBSERVATION_HEADER)] + [f"A,G10,{p},capped,,,,0.5" for p in periods]
