@@ -13,8 +13,10 @@ import yaml
 from igei.errors import SpecError
 
 
-class _UniqueKeys:
-    """Safe-loader mixin that refuses a repeated mapping key; PyYAML keeps the last one."""
+class _PureLoader(yaml.SafeLoader):
+    """PyYAML's pure-Python safe loader, refusing a repeated mapping key that PyYAML
+    would overwrite. It runs with or without libyaml, so a spec loads, or fails
+    with the same message, on every install."""
 
     def construct_mapping(self, node, deep=False):
         keys = set()
@@ -37,63 +39,8 @@ class _UniqueKeys:
         return super().construct_mapping(node, deep=deep)
 
 
-class _PureLoader(_UniqueKeys, yaml.SafeLoader):
-    """PyYAML's own parser: the one whose errors a spec message quotes."""
-
-
-class _UniqueKeyLoader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """libyaml's parser where PyYAML was built with it, about ten times faster."""
-
-
-# The pure parser recurses once per nesting level and runs out of Python stack
-# a few hundred levels down, where libyaml goes on: a deeper document is left
-# to the pure parser, so that it is refused with the pure parser's message.
-_FAST_NESTING = 100
-
-
-def _deeper_than(root, limit: int) -> bool:
-    """Whether collections nest more than ``limit`` levels deep, ``root`` the first.
-
-    Nodes are walked in document order and each counts once, where it
-    first appears: an alias repeats its anchor without nesting it again.
-    """
-    stack, seen = [(root, 0)], set()
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, yaml.ScalarNode) or id(node) in seen:
-            continue
-        if depth == limit:
-            return True
-        seen.add(id(node))
-        if isinstance(node, yaml.SequenceNode):
-            children = node.value
-        else:
-            children = [child for pair in node.value for child in pair]
-        stack.extend((child, depth + 1) for child in reversed(children))
-    return False
-
-
 def _parse_yaml(text: str):
-    """The YAML document in ``text``.
-
-    :class:`_PureLoader` parses a text that holds a tab, which PyYAML's
-    own scanner refuses in places where libyaml takes it, and parses
-    again a document the fast loader refuses or that nests too deep for
-    the pure one; so a spec loads, or fails with the same message, with
-    or without libyaml.
-    """
-    if "\t" not in text:
-        loader = _UniqueKeyLoader(text)
-        try:
-            node = loader.get_single_node()
-            if node is None:
-                return None
-            if not _deeper_than(node, _FAST_NESTING):
-                return loader.construct_document(node)
-        except Exception:
-            pass  # the pure loader raises the error a spec message quotes
-        finally:
-            loader.dispose()
+    """The YAML document in ``text``, read by :class:`_PureLoader`."""
     return yaml.load(text, Loader=_PureLoader)
 
 

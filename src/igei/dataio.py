@@ -40,6 +40,7 @@ from igei.model import (
     SubDomain,
     _shown,
     as_dataset,
+    duplicate_problem,
     external_source,
     record_problem,
 )
@@ -402,10 +403,7 @@ def _load_rows(handle: IO[str], source, decimal_comma: bool) -> Dataset:
             raise DataError(f"row {lineno}: {problem}")
         key = fields[:3]
         if key in keys:
-            raise DataError(
-                f"row {lineno}: duplicate observation for territory {key[0]!r}, "
-                f"indicator {key[1]!r}, period {key[2]}"
-            )
+            raise DataError(f"row {lineno}: {duplicate_problem(key)}")
         keys.add(key)
         rows.append(fields)
     data = Dataset.__new__(Dataset)

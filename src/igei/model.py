@@ -303,6 +303,12 @@ def record_problem(
     return _level_problem((("value", value),))
 
 
+def duplicate_problem(key: tuple) -> str:
+    """The problem of a second observation with the (territory, indicator, period) ``key``."""
+    return (f"duplicate observation for territory {key[0]!r}, "
+            f"indicator {key[1]!r}, period {key[2]}")
+
+
 def _level_problem(levels) -> str:
     """The first (name, level) pair that is negative or not finite, as a problem."""
     for name, v in levels:
@@ -381,11 +387,8 @@ class Dataset:
             seen: set[tuple] = set()
             for key in map(_record_key, rows):
                 if key in seen:
-                    duplicate = (
-                        f"duplicate observation for territory {key[0]!r}, "
-                        f"indicator {key[1]!r}, period {key[2]}"
-                    )
-                    raise RecordError(duplicate, duplicate)
+                    problem = duplicate_problem(key)
+                    raise RecordError(problem, problem)
                 seen.add(key)
         self._fill(rows)
 

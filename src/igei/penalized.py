@@ -124,49 +124,22 @@ def penalized_mean(seq: SequenceLike, polarity: Polarity = Polarity.POSITIVE) ->
 
 
 def _fold_scores(values: Sequence[float]) -> float:
-    """Positive-polarity penalized mean of 0-100 scores under uniform weights.
+    """:func:`penalized_mean` of a node's child scores, refusing the first outside [0, 100].
 
-    The aggregation kernel for every tree node: bit-identical to
-    ``penalized_mean(values)`` on the values it accepts, with none of the
-    per-call unpacking. ``values`` is a non-empty list or tuple of floats. The
-    range check reads the min and max the penalty needs, and one or two
-    children take :func:`_fold_two`.
+    ``values`` is a non-empty list or tuple of floats.
     """
-    if len(values) <= 2:
-        return _fold_two(values[0], values[-1])
-    lo, hi = min(values), max(values)
-    p = 1.0 / len(values)
-    if -_SCORE_EPS <= lo and hi <= 100.0 + _SCORE_EPS:
-        m = math.fsum([p * x for x in values])
-    else:
-        m = math.nan
-    # min and max pass over a NaN that is not first, but the mean is NaN then
-    if m != m:
-        for v in values:
-            if not -_SCORE_EPS <= v <= 100.0 + _SCORE_EPS:
-                raise AggregationError(f"scores must lie in [0, 100], got {v}")
-    ran = hi - lo
-    if ran == 0.0:
-        return values[0]
-    if ran <= RANGE_TOLERANCE:
-        return m
-    return m - math.fsum([p * (x - m) ** 2 for x in values]) / (2.0 * ran)
+    for v in values:
+        if not -_SCORE_EPS <= v <= 100.0 + _SCORE_EPS:
+            raise AggregationError(f"scores must lie in [0, 100], got {v}")
+    return penalized_mean(values)
 
 
-def _fold_two(a: float, b: float) -> float:
-    """:func:`_fold_scores` of two scores (of one, given twice), with plain sums for ``fsum``.
+def _pair_mean(a: float, b: float) -> float:
+    """:func:`penalized_mean` of two scores, with plain sums for ``fsum``.
 
     A sum of two floats is correctly rounded, as ``fsum`` is; only the
     sign of a zero sum differs, and ``fsum`` gives +0.0.
     """
-    a_ok = -_SCORE_EPS <= a <= 100.0 + _SCORE_EPS
-    if not (a_ok and -_SCORE_EPS <= b <= 100.0 + _SCORE_EPS):
-        raise AggregationError(f"scores must lie in [0, 100], got {b if a_ok else a}")
-    return _pair_mean(a, b)
-
-
-def _pair_mean(a: float, b: float) -> float:
-    """:func:`_fold_two`'s formula, for two scores it accepts."""
     ran = b - a if a < b else a - b
     if ran == 0.0:
         return a

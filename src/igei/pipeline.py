@@ -54,8 +54,9 @@ from igei.penalized import RANGE_TOLERANCE, _SCORE_EPS, Polarity, _fold_scores, 
 if TYPE_CHECKING:
     from igei.dataio import ScoreTable
 
-# bound once: on CPython 3.11 a member read off its Enum class takes a slow
-# path (the metaclass defines __getattr__), and _score_row runs per observation
+# bound once: on CPython 3.11 a member read off its Enum class takes a slow path
+# (the metaclass defines __getattr__); the column scorers read them once per leaf,
+# and only score_territory and compute_indicator score one observation at a time
 _NONE, _OWN_AVERAGE = CorrectionKind.NONE, CorrectionKind.OWN_AVERAGE
 _STANDARD, _SHARE, _RATIO = MetricKind.STANDARD, MetricKind.SHARE, MetricKind.RATIO
 _NEGATIVE = Polarity.NEGATIVE
@@ -231,7 +232,8 @@ def _score_row(spec: IndicatorSpec, refs: ReferenceLevels, territory: str, perio
     """
     metric, corr = spec.metric, spec.correction.kind
     if kind is not metric:
-        raise ScoringError(f"{spec.id}: expected a {metric.value} observation, got {kind.value}")
+        raise ScoringError(f"territory {territory!r}, indicator {spec.id!r}, period {period}: "
+                           f"expected a {metric.value} observation, got {kind.value}")
     try:
         total = alpha = None
         if metric is _STANDARD:
@@ -322,7 +324,7 @@ def _fold_kernel(columns: list[Sequence[float]]) -> list[float]:
     """:func:`_fold_columns` of columns it accepts, untested."""
     if len(columns) <= 2:
         return list(map(_pair_mean, *columns)) if len(columns) == 2 else list(columns[0])
-    # _fold_scores' sums and products, a column (or a row's fsum) at a time
+    # penalized_mean's sums and products, a column (or a row's fsum) at a time
     p = 1.0 / len(columns)
     means = list(map(fsum, zip(*[list(map(mul, repeat(p), col)) for col in columns])))
     ranges = map(sub, map(max, zip(*columns)), map(min, zip(*columns)))
@@ -370,6 +372,10 @@ def aggregate_scores(
         except (TypeError, ValueError, OverflowError):
             raise AggregationError(f"territory {territory!r}, indicator {leaf!r}: a score "
                                    f"must be a number, got {_shown(scores[leaf])}") from None
+    for leaf, value in zip(leaves, values):
+        if not -_SCORE_EPS <= value <= 100.0 + _SCORE_EPS:  # NaN fails it too
+            raise AggregationError(f"territory {territory!r}, indicator {leaf!r}: "
+                                   f"scores must lie in [0, 100], got {value}")
     return TerritoryReport(territory, dict(zip(leaves, values)),
                            *_fold_tree(tree, values, _fold_scores), period=period)
 

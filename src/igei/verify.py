@@ -54,8 +54,7 @@ def load_reference_table(source=None) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
     for lineno, row in rows:
         out[row[0]] = {
-            col: dataio._parse_number(cell, False, lineno, col) or 0.0
-            for col, cell in zip(header[1:], row[1:])
+            col: _required_number(cell, lineno, col) for col, cell in zip(header[1:], row[1:])
         }
     return out
 

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -498,25 +499,18 @@ indicators:
 
 
 class TestSpecLoaders:
-    """libyaml parses the spec where PyYAML has it; the pure loader keeps the messages."""
-
-    def test_libyaml_parses_where_present(self):
-        libyaml = getattr(yaml, "CSafeLoader", ())
-        assert issubclass(_spec_yaml._UniqueKeyLoader, libyaml) == yaml.__with_libyaml__
-        assert issubclass(_spec_yaml._PureLoader, yaml.SafeLoader)
+    """One loader reads a spec: PyYAML's pure safe loader, refusing repeated keys."""
 
     @pytest.mark.parametrize("name", ["igei_tree.yaml", "demo_tree.yaml"])
     def test_both_loaders_give_equal_documents(self, name):
+        # the unique-key loader reads a valid spec as PyYAML's safe loader does
         text = dataio.bundled_path(name).read_text(encoding="utf-8")
-        pure = yaml.load(text, Loader=_spec_yaml._PureLoader)
-        assert yaml.load(text, Loader=_spec_yaml._UniqueKeyLoader) == pure
-        assert _spec_yaml._parse_yaml(text) == pure
+        assert _spec_yaml._parse_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader)
 
-    def test_both_loaders_refuse_a_duplicate_key(self, tmp_path):
+    def test_duplicate_key_refused(self, tmp_path):
         text = "tree: []\nindicators:\n  C: {metric: capped}\n  C: {metric: share}\n"
-        for loader in (_spec_yaml._UniqueKeyLoader, _spec_yaml._PureLoader):
-            with pytest.raises(yaml.constructor.ConstructorError, match="duplicate key 'C'"):
-                yaml.load(text, Loader=loader)
+        with pytest.raises(yaml.constructor.ConstructorError, match="duplicate key 'C'"):
+            yaml.load(text, Loader=_spec_yaml._PureLoader)
         path = write(tmp_path, text, name="spec.yaml")
         with pytest.raises(SpecError) as info:
             load_index_spec(path)
@@ -526,7 +520,7 @@ class TestSpecLoaders:
 
     @pytest.mark.parametrize("depth", [150, 2000])
     def test_deep_closed_nesting_reads_as_before(self, tmp_path, depth):
-        # libyaml parses 2,000 levels; the pure loader runs out of stack first
+        # the pure loader runs out of stack between the two
         text = "tree: " + "[" * depth + "]" * depth + "\nindicators: {}\n"
         path = write(tmp_path, text, name="spec.yaml")
         with pytest.raises(SpecError) as info:
@@ -545,9 +539,8 @@ class TestSpecLoaders:
         ],
     )
     def test_tab_reads_as_before(self, tmp_path, entry, where):
-        # libyaml takes these tabs; PyYAML's own scanner refuses them
+        # PyYAML's own scanner refuses these tabs, where libyaml would take them
         text = f"tree: {entry}\nindicators: {{C: {{metric: capped}}}}\n"
-        assert yaml.load(text, Loader=_spec_yaml._UniqueKeyLoader) is not None
         path = write(tmp_path, text, name="spec.yaml")
         with pytest.raises(SpecError) as info:
             load_index_spec(path)
@@ -564,20 +557,23 @@ class TestSpecLoaders:
         specs, _ = load_index_spec(write(tmp_path, text, name="spec.yaml"))
         assert specs["C"].label == "a\tb"
 
-    def test_aliases_are_walked_once(self):
-        # nine levels of ten aliases: a walk that followed each would take 10**9
-        # steps; each anchor nests two levels deep, where it first appears
+    def test_aliases_are_walked_once(self, tmp_path):
+        # nine levels of ten aliases: a reading that followed each would take
+        # 10**9 steps; PyYAML builds each anchored node once and shares it
         lines = ["l0: &l0 [x]"] + [
             f"l{k}: &l{k} [{', '.join([f'*l{k - 1}'] * 10)}]" for k in range(1, 9)
-        ]
-        node = yaml.compose("\n".join(lines), Loader=yaml.SafeLoader)
-        # not asserted on the node itself: its repr would expand every alias
-        assert [_spec_yaml._deeper_than(node, limit) for limit in (1, 2)] == [True, False]
+        ] + [f"tree: [{', '.join(['*l8'] * 10)}]", "indicators: {}"]
+        path = write(tmp_path, "\n".join(lines) + "\n", name="spec.yaml")
+        start = time.perf_counter()
+        with pytest.raises(SpecError) as info:
+            load_index_spec(path)
+        assert time.perf_counter() - start < 2.0
+        assert str(info.value) == "tree entry 1 is not a mapping, got a list"
 
     def test_pure_loader_without_libyaml(self):
+        assert _spec_yaml._PureLoader.__bases__ == (yaml.SafeLoader,)
         probe = (
             "import yaml; del yaml.CSafeLoader; from igei import _spec_yaml, dataio; "
-            "assert _spec_yaml._UniqueKeyLoader.__mro__[2] is yaml.SafeLoader; "
             "specs, tree = dataio.load_index_spec(dataio.bundled_path('igei_tree.yaml')); "
             "assert len(tree.leaf_ids()) == 20"
         )
@@ -588,7 +584,7 @@ class TestSpecLoaders:
 class TestBundledSpec:
     """The default spec is served from a snapshot pinned to ``igei_tree.yaml``."""
 
-    @pytest.mark.parametrize("loader", ["_UniqueKeyLoader", "_PureLoader", "_parse_yaml"])
+    @pytest.mark.parametrize("loader", ["_PureLoader", "_parse_yaml"])
     def test_snapshot_is_the_yaml_document(self, loader):
         text = dataio.bundled_path("igei_tree.yaml").read_text(encoding="utf-8")
         if loader == "_parse_yaml":
@@ -932,6 +928,13 @@ def test_empty_fixture_rejected(tmp_path, loader):
     with pytest.raises(DataError) as info:
         loader(path)
     assert str(info.value) == f"reference fixture {path} is empty"
+
+
+def test_blank_reference_cell_rejected(tmp_path):
+    path = write(tmp_path, "territory,index,work\nA,71.5,70.5\nB,,70.5\n", name="fixture.csv")
+    with pytest.raises(DataError) as info:
+        load_reference_table(path)
+    assert str(info.value) == "row 3: column 'index' is not a number: ''"
 
 
 # --- duplicate keys ------------------------------------------------------------

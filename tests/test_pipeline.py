@@ -617,7 +617,9 @@ class TestAggregateScores:
         scores.update(G3=101.0, G7=-3.0)
         with pytest.raises(AggregationError) as info:
             aggregate_scores(tree, scores, "X")
-        assert str(info.value) == "scores must lie in [0, 100], got 101.0"
+        assert str(info.value) == (
+            "territory 'X', indicator 'G3': scores must lie in [0, 100], got 101.0"
+        )
 
     @pytest.mark.parametrize("score, shown", [("x", "'x'"), (None, "None"), ([], "a list")])
     def test_a_non_number_score_names_its_leaf(self, default_spec, score, shown):
@@ -636,7 +638,9 @@ class TestAggregateScores:
         scores["G12"] = float("nan")
         with pytest.raises(AggregationError) as info:
             aggregate_scores(tree, scores, "X")
-        assert str(info.value) == "scores must lie in [0, 100], got nan"
+        assert str(info.value) == (
+            "territory 'X', indicator 'G12': scores must lie in [0, 100], got nan"
+        )
 
     @given(
         scores=st.lists(
@@ -1335,6 +1339,19 @@ class TestScoreTerritory:
             "territory 'X', indicator 'J1', period 2023: "
             "gender gap is undefined when both levels are zero"
         )
+
+    def test_wrong_kind_names_the_record(self):
+        share = obs_value("X", "J5", MetricKind.SHARE, 0.5)
+        records = SYNTH_RECORDS[:8] + [share, SYNTH_RECORDS[9]]
+        refs = resolve_references(records, SYNTH_SPECS, ["X", "Y"])
+        message = ("territory 'X', indicator 'J5', period 2023: "
+                   "expected a capped observation, got share")
+        with pytest.raises(ScoringError) as info:
+            compute_indicator(SYNTH_SPECS["J5"], share, refs)
+        assert str(info.value) == message
+        with pytest.raises(ScoringError) as info:
+            score_territory("X", records, SYNTH_SPECS, SYNTH_TREE, refs)
+        assert str(info.value) == message
 
 
 class TestScoreTimeSeries:
