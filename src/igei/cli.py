@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 from pathlib import Path
 
@@ -68,14 +69,23 @@ def _render(fmt: str, output: Output) -> str:
 
 
 def _render_table(headers: list[str], formats: list[str], rows: list[tuple]) -> str:
-    columns, widths = [], []
-    for header, fmt, cells in zip(headers, formats, zip(*rows) if rows else [()] * len(headers)):
-        cells = [header, *map(fmt.__mod__, cells)]
-        widths.append(max(map(len, cells)))
-        # left-align the first (label) column, right-align numbers
-        columns.append(map(str.rjust if columns else str.ljust, cells, [widths[-1]] * len(cells)))
-    head, *body = map(str.rstrip, map("  ".join, zip(*columns)))
-    return "\n".join([head, "  ".join("-" * w for w in widths), *body]) + "\n"
+    """Each row with one %-format: the first (label) column left-aligned, numbers right-aligned."""
+    widths = [max(len(header), _width(fmt, cells)) for header, fmt, cells
+              in zip(headers, formats, zip(*rows) if rows else [()] * len(headers))]
+    # "%.2f" seven wide is "%7.2f", and "%-7.2f" in the first column
+    lead = ["-"] + [""] * (len(widths) - 1)
+    line = "  ".join(map("%{}{}{}".format, lead, widths, [fmt[1:] for fmt in formats]))
+    head = "  ".join(map("%{}{}s".format, lead, widths)) % tuple(headers)
+    body = map(str.rstrip, map(line.__mod__, rows))
+    return "\n".join([head.rstrip(), "  ".join("-" * w for w in widths), *body]) + "\n"
+
+
+def _width(fmt: str, cells: tuple) -> int:
+    """The length of a column's longest formatted cell: above 0, fixed-decimal text
+    does not get shorter as the value grows (and a NaN makes the sum NaN)."""
+    if fmt != _TEXT and cells and min(cells) > 0 and sum(cells) < math.inf:
+        return len(fmt % max(cells))
+    return max(map(len, map(fmt.__mod__, cells)), default=0)
 
 
 def _render_csv(headers: list[str], formats: list[str], rows: list[tuple]) -> str:
@@ -168,15 +178,10 @@ def cmd_score(args: argparse.Namespace) -> tuple[int, Output]:
         if args.format == "csv":
             return 1, [("", "", keys, [_TEXT] * len(keys),
                          [tuple(getattr(f, key) for key in keys) for f in validation.findings])]
-        lines = [
-            f"{f.level}: {f.code}: territory={f.territory!r} indicator={f.indicator!r}: "
-            f"{f.message}"
-            for f in validation.findings
-        ]
-        lines.append(
-            f"{len(validation.errors)} error(s), {len(validation.warnings)} warning(s); "
-            f"refusing to score"
-        )
+        lines = [f"{f.level}: {f.code}: territory={f.territory!r} indicator={f.indicator!r}: "
+                 f"{f.message}" for f in validation.findings]
+        lines.append(f"{len(validation.errors)} error(s), {len(validation.warnings)} warning(s); "
+                     "refusing to score")
         return 1, "\n".join(lines) + "\n"
 
     if args.time_series:
@@ -221,10 +226,10 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, Output]:
     _, tree = dataio.load_index_spec(args.spec)
     table = dataio.load_score_table(args.data, decimal_comma=args.decimal_comma)
     scope = _parse_scope(args.scope)
-    known = set(table.territories)
-    unknown = [t for t in scope or () if t not in known]
-    if unknown:
-        raise IgeiError(f"scope territories not in the data: {', '.join(unknown)}")
+    if scope:
+        known = set(table.territories)
+        if unknown := [t for t in scope if t not in known]:
+            raise IgeiError(f"scope territories not in the data: {', '.join(unknown)}")
     columns = pipeline.aggregate_table(tree, table)
     named = {"index": columns.index, **columns.domain_values, **columns.indicator_scores}
     if scope and len(scope) < len(table.territories):
@@ -287,10 +292,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Output]:
         return exit_status, [("", "", ["status", "check", "detail"], [_TEXT] * 3,
                               [(status, name, detail) for name, status, detail in results])]
     lines = [f"{status:<15} {name}: {detail}" for name, status, detail in results]
-    lines.append(
-        f"{len(results) - failures}/{len(results)} checks passed"
-        + (f", {failures} failed" if failures else "")
-    )
+    lines.append(f"{len(results) - failures}/{len(results)} checks passed"
+                 + (f", {failures} failed" if failures else ""))
     return exit_status, "\n".join(lines) + "\n"
 
 

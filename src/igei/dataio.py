@@ -22,8 +22,7 @@ import csv
 import io
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import itemgetter
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from igei._frozen import Frozen
 from igei.errors import DataError, SpecError
@@ -46,16 +45,7 @@ from igei.model import (
 )
 from igei.penalized import Polarity
 
-OBSERVATION_HEADER = (
-    "territory",
-    "indicator",
-    "period",
-    "kind",
-    "x_w",
-    "x_m",
-    "x_a",
-    "value",
-)
+OBSERVATION_HEADER = ("territory", "indicator", "period", "kind", "x_w", "x_m", "x_a", "value")
 
 DEFAULT_SPEC_RESOURCE = "igei_tree.yaml"
 
@@ -190,12 +180,8 @@ def _cell_values() -> tuple[_Interned, _Interned]:
     """
     shared: dict[str, str] = {}
     ints: dict[int, int] = {}
-
-    def period(cell: str) -> int:
-        value = _period(cell)
-        return ints.setdefault(value, value)
-
-    return _Interned(lambda cell: shared.setdefault(cell.strip(), cell.strip())), _Interned(period)
+    return (_Interned(lambda cell: shared.setdefault(cell.strip(), cell.strip())),
+            _Interned(lambda cell: ints.setdefault(value := _period(cell), value)))
 
 
 def load_dataset(source, decimal_comma: bool = False) -> Dataset:
@@ -295,14 +281,19 @@ def _load_blocks(handle: IO[str], decimal_comma: bool) -> Dataset | None:
         if tuple(map(str.strip, next(chunks, ()))) != OBSERVATION_HEADER:
             return None
         for cells in chunks:
-            chunk = [cells[k::width] for k in range(width)]
-            # interned here, so that territories keep their order of first appearance
-            chunk[0] = list(map(territories.__getitem__, chunk[0]))
-            indicators = list(map(names.__getitem__, chunk.pop(1)))
-            order += indicators
-            for indicator, take in _row_pickers(indicators).items():
+            indicators, row_indicators, pick = _chunk_rows(cells, width, names)
+            order += row_indicators
+            # interned in row order, so that territories keep their order of first appearance
+            territory = list(map(territories.__getitem__, cells[::width]))
+            period_cells = None
+            for j, indicator in enumerate(indicators):
+                # in a grid every indicator of a chunk lists the same periods
+                if (cells_j := pick(cells, j, 2, width)) != period_cells:
+                    period_cells, period = cells_j, list(map(periods.__getitem__, cells_j))
                 block = columns.setdefault(indicator, [[] for _ in Columns._fields])
-                if not _extend_columns(block, list(map(take, chunk)), periods, decimal_comma):
+                part = [pick(territory, j), period,
+                        *(pick(cells, j, k, width) for k in range(3, width))]
+                if not _extend_columns(block, part, decimal_comma):
                     return None
     blocks = {}
     for indicator, block in columns.items():
@@ -330,35 +321,44 @@ def _distinct_keys(territory: tuple[str, ...], period: tuple[int, ...]) -> bool:
     return len(set(zip(territory, period))) == n
 
 
-def _row_pickers(indicators: list[str]) -> dict[str, itemgetter]:
-    """Per indicator, in order of first appearance, an itemgetter of its rows in a chunk column."""
-    m = len(set(indicators))
-    if indicators[m:] == indicators[:-m]:
-        # each indicator every m-th row, as in a file ordered by territory and period
-        return {ind: itemgetter(slice(j, None, m)) for j, ind in enumerate(indicators[:m])}
-    rows: dict[str, list[int]] = {}
-    for i, indicator in enumerate(indicators):
-        rows.setdefault(indicator, []).append(i)
-    # one row is a slice, as itemgetter of one position gives a cell, not a tuple
-    return {ind: itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
-            for ind, at in rows.items()}
+def _chunk_rows(cells: list[str], width: int,
+                names: _Interned) -> tuple[list[str], list[str], Callable[..., list]]:
+    """A chunk's indicators in order of first appearance, each row's indicator, and
+    ``pick(column, j, k=0, w=1)``: field ``k`` of indicator ``j``'s rows of a column
+    of ``w`` cells a row (the chunk's cells, or one value per row), in row order."""
+    raw = cells[1::width]
+    # the row where the first row's indicator cell comes back: one cycle, if any
+    m = [*raw, raw[0]].index(raw[0], 1)
+    head = list(map(names.__getitem__, raw[:m]))
+    if raw[m:] == raw[:-m] and len(set(head)) == m:
+        # each indicator every m-th row, as in a file ordered by territory and
+        # period; the chunk may start and end inside a cycle
+        q, r = divmod(len(raw), m)
+        return head, head * q + head[:r], lambda column, j, k=0, w=1: column[j * w + k::m * w]
+    at: dict[str, list[int]] = {}
+    for i, name in enumerate(rows := list(map(names.__getitem__, raw))):
+        at.setdefault(name, []).append(i)
+    places = list(at.values())
+    return list(at), rows, lambda column, j, k=0, w=1: [column[i * w + k] for i in places[j]]
 
 
-def _extend_columns(block: list[list], part: list[Sequence[str]], periods: _Interned,
-                    decimal_comma: bool) -> bool:
-    """Append one indicator's cells, ``part`` a column per Columns field, to its columns.
+def _extend_columns(block: list[list], part: list[list], decimal_comma: bool) -> bool:
+    """Append one indicator's rows, ``part`` a list per Columns field, to its
+    columns: names and periods as interned, the other fields as cells.
 
     False for kind cells that name no kind, or several, for a number cell
     that is not plain, and for a '.' where ',' is the decimal separator; a
     cell that does not convert raises ValueError.
     """
-    territory, period_cells, kind_cells, *level_cells = part
-    kinds = {_METRIC_KINDS.get(cell.strip()) for cell in set(kind_cells)}
+    territory, period, kind_cells, *level_cells = part
+    n = len(territory)
+    # one count answers for a column that spells one kind throughout
+    kinds = {_METRIC_KINDS.get(cell.strip()) for cell in
+             (kind_cells[:1] if kind_cells.count(kind_cells[0]) == n else set(kind_cells))}
     if len(kinds) != 1 or None in kinds:
         return False
-    n = len(territory)
     block[0].extend(territory)
-    block[1].extend(map(periods.__getitem__, period_cells))
+    block[1].extend(period)
     block[2].extend((kinds.pop(),) * n)
     for cells, column in zip(level_cells, block[3:]):
         blanks = cells.count("")
@@ -382,16 +382,12 @@ def _load_rows(handle: IO[str], source, decimal_comma: bool) -> Dataset:
     rows: list[tuple] = []
     keys: set[tuple[str, str, int]] = set()
     lines = _rows(source, decimal_comma, handle)
-    for lineno, row in lines:
-        header = tuple(map(str.strip, row))
-        if header != OBSERVATION_HEADER:
-            raise DataError(
-                f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        break
-    else:
+    lineno, row = next(lines, (0, None))
+    if row is None:
         raise DataError("observation file is empty")
+    if (header := tuple(map(str.strip, row))) != OBSERVATION_HEADER:
+        raise DataError(f"row {lineno}: expected header {','.join(OBSERVATION_HEADER)}, "
+                        f"got {','.join(header)}")
     for lineno, row in lines:
         territory, indicator, period, kind, *levels = _parse_observation(
             lineno, row, decimal_comma, periods

@@ -33,14 +33,25 @@ AGGREGATE_TERRITORIES = ("Italia", "Trentino-Alto Adige/Südtirol")
 def _fixture_rows(
     source, default: str
 ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """Header and remaining (line number, stripped cells) of ``source``, or of a bundled file."""
+    """Header and remaining (line number, stripped cells) of ``source``, or of a bundled file.
+
+    A row not as wide as the header raises DataError when it is reached.
+    """
     if source is None:
         source = dataio.bundled_path(default)
     rows = ((lineno, list(map(str.strip, row))) for lineno, row in dataio._rows(source, False))
     first = next(rows, None)
     if first is None:
         raise DataError(f"reference fixture {source} is empty")
-    return first[1], rows
+    width = len(first[1])
+
+    def even():
+        for lineno, row in rows:
+            if len(row) != width:
+                raise DataError(f"row {lineno}: expected {width} cells, got {len(row)}")
+            yield lineno, row
+
+    return first[1], even()
 
 
 def load_reference_table(source=None) -> dict[str, dict[str, float]]:
@@ -53,6 +64,8 @@ def load_reference_table(source=None) -> dict[str, dict[str, float]]:
     header, rows = _fixture_rows(source, "regional_index_2023.csv")
     out: dict[str, dict[str, float]] = {}
     for lineno, row in rows:
+        if row[0] in out:
+            raise DataError(f"row {lineno}: duplicate {header[0]} {row[0]!r}")
         out[row[0]] = {
             col: _required_number(cell, lineno, col) for col, cell in zip(header[1:], row[1:])
         }

@@ -873,5 +873,15 @@ def _rows_table(headers: list[str], formats: list[str], rows: list[tuple]) -> st
 @example((["territory", "index"], ["%s", "%.2f"], [("North  ", 61.5), ("South ", 7.0)]))
 @example((["period", "territory", "index"], ["%s", "%s", "%.2f"],
           [("2023", "Valle d'Aosta/Vallée d'Aoste", 61.5), ("2024", "Südtirol  ", 1e308)]))
+# a column of numbers above 0 takes its width from its largest; any other measures each cell
+@example((["t", "x"], ["%s", "%.2f"], [("a", 0.0), ("b", -0.0)]))
+@example((["t", "x"], ["%s", "%.2f"], [("a", -0.0), ("b", 0.0)]))
+@example((["t", "x"], ["%s", "%.2f"], [("a", 99.99), ("b", 99.995)]))  # 100.00
+@example((["t", "x"], ["%s", "%.3f"], [("a", 5e-324), ("b", 0.5)]))
+@example((["t", "x"], ["%s", "%.2f"], [("a", 0.0), ("b", 0.0)]))
+@example((["t", "x"], ["%s", "%.2f"], [("a", -1.5), ("b", -12.25)]))
+@example((["t", "x", "y"], ["%s", "%.2f", "%.2f"],
+          [("a", 1.0, math.nan), ("b", math.nan, -math.inf), ("c", math.inf, 2.0)]))
+@example((["x", "t"], ["%.2f", "%s"], [(1.5, "a"), (-10.0, "b"), (100.0, "c")]))
 def test_table_matches_the_row_wise_renderer(section):
     assert cli._render_table(*section) == _rows_table(*section)

@@ -930,6 +930,39 @@ def test_empty_fixture_rejected(tmp_path, loader):
     assert str(info.value) == f"reference fixture {path} is empty"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("territory,index,work\nA,71.5\nB,1,2,3\n", "row 2: expected 3 cells, got 2"),
+    ("territory,index,work\nA,71.5,1\nB,1,2,3\n", "row 3: expected 3 cells, got 4"),
+    ("territory,index,work\nA,71.5,1\nA,3,4\n", "row 3: duplicate territory 'A'"),
+    ("# lead\ncolumn,mean\nIGEI,1\n\nIGEI,2\n", "row 5: duplicate column 'IGEI'"),
+])
+def test_uneven_or_repeated_reference_row_rejected(tmp_path, text, message):
+    path = write(tmp_path, text, name="fixture.csv")
+    with pytest.raises(DataError) as info:
+        load_reference_table(path)
+    assert str(info.value) == message
+
+
+def test_uneven_penalized_reference_row_rejected(tmp_path):
+    # each row is unpacked into four fields: a short one is named, not a bare ValueError
+    path = write(tmp_path, "values,mean,penalized,geometric\n1;2,1.5,1.4\n", name="fixture.csv")
+    with pytest.raises(DataError) as info:
+        load_penalized_reference(path)
+    assert str(info.value) == "row 2: expected 4 cells, got 3"
+
+
+@pytest.mark.parametrize("name, loader", [
+    ("regional_index_2023.csv", load_reference_table),
+    ("index_summary_2023.csv", load_reference_table),
+    ("indicator_summary_2023.csv", load_reference_table),
+    ("indicator_correlation_2023.csv", load_correlation_reference),
+    ("penalized_mean_reference.csv", load_penalized_reference),
+    ("demo_countries_expected.csv", load_demo_expected),
+])
+def test_bundled_fixtures_are_even(name, loader):
+    assert loader(dataio.bundled_path(name))
+
+
 def test_blank_reference_cell_rejected(tmp_path):
     path = write(tmp_path, "territory,index,work\nA,71.5,70.5\nB,,70.5\n", name="fixture.csv")
     with pytest.raises(DataError) as info:

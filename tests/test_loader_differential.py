@@ -600,3 +600,59 @@ def test_a_name_read_from_two_chunks_is_one_object(tmp_path, monkeypatch):
         assert [r.territory for r in records] == ["A"] * 5, size
         assert {id(r.territory) for r in records} == {id(records[0].territory)}, size
         assert load_score_table(table_path).territories == tuple("ABCDE"), size
+
+
+# --- the strided path ------------------------------------------------------------
+# Where a chunk's indicator cells come back every m rows, each field of each
+# indicator is one strided slice of the chunk's cells; any other chunk picks
+# its rows by position. A chunk can start and end inside a cycle.
+
+GRID_INDICATORS = [f"G{j}" for j in range(1, 21)]
+
+
+def _grid(territories: int = 2, periods=(2023, 2024), padded=lambda t, p: False) -> list[str]:
+    """A territory-major grid: each territory's periods, each period's 20
+    indicators; G1 is written ' G1' where ``padded(territory, period)``."""
+    lines = []
+    for t in range(territories):
+        for p in periods:
+            for j, ind in enumerate(GRID_INDICATORS):
+                ind = " G1" if ind == "G1" and padded(t, p) else ind
+                kind = "standard,0.5,0.25,0.4," if j % 3 else "share,,,,0.5"
+                lines.append(f"T{t},{ind},{p},{kind}")
+    return lines
+
+
+GRIDS = {
+    "grid": _grid(),
+    "one indicator cell padded": _grid(padded=lambda t, p: (t, p) == (1, 2023)),
+    # two spellings of G1 in one cycle of 40 rows
+    "G1 padded in every second period": _grid(padded=lambda t, p: p == 2024),
+    "indicator-major": sorted(_grid(), key=lambda line: GRID_INDICATORS.index(line.split(",")[1])),
+    "a territory short of one indicator": [line for line in _grid() if line[:6] != "T1,G7,"],
+}
+
+
+@pytest.mark.parametrize("case", list(GRIDS))
+def test_strided_chunks_match_the_row_reader(monkeypatch, case):
+    lines = GRIDS[case]
+    raw = (HEADER + "\n" + "\n".join(lines) + "\n").encode("utf-8")
+    rows = dataio._load_rows(dataio._utf8_lines(raw), "grid.csv", False)
+    line = min(map(len, lines)) + 1
+    cycle = sum(map(len, lines[:20])) + 20
+    # from one line a chunk to several cycles: chunks start at every indicator
+    # offset, and most end inside a cycle
+    for size in range(line, 3 * cycle):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", size)
+        columns = dataio._load_blocks(dataio._utf8_lines(raw), False)
+        assert columns is not None, size
+        assert columns._blocks == rows._blocks, size
+        assert columns._order == rows._order, size
+        assert columns.territories == rows.territories, size
+        assert columns.periods == rows.periods, size
+        names = [*columns.territories, *columns._order, *columns._blocks]
+        periods = []
+        for block in columns._blocks.values():
+            names += block.territory
+            periods += block.period
+        assert _shared_once(names) and _shared_once(periods), size
