@@ -67,15 +67,16 @@ def bundled_path(name: str):
 
 
 def _open_text(source, newline: str | None = None) -> IO[str]:
-    """Open a path or traversable for UTF-8 reading; failures are :class:`DataError`.
+    """Open a path or traversable for UTF-8 reading, skipping a leading
+    byte-order mark; failures are :class:`DataError`.
 
     Delimited files pass ``newline=""``, so that a quoted cell keeps its
     line breaks as written.
     """
     try:
         if hasattr(source, "open"):
-            return source.open("r", encoding="utf-8", newline=newline)
-        return open(source, "r", encoding="utf-8", newline=newline)
+            return source.open("r", encoding="utf-8-sig", newline=newline)
+        return open(source, "r", encoding="utf-8-sig", newline=newline)
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc.strerror or exc}") from None
 
@@ -90,8 +91,9 @@ def _read_bytes(source) -> bytes:
 
 
 def _utf8_lines(raw: bytes) -> IO[str]:
-    """``raw`` as delimited UTF-8 text, decoded as it is read."""
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    """``raw`` as delimited UTF-8 text, decoded as it is read; a leading
+    byte-order mark, as spreadsheet programs write, is skipped."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
 
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:

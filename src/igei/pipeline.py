@@ -49,7 +49,8 @@ from igei.model import (
     as_dataset,
     external_source,
 )
-from igei.penalized import RANGE_TOLERANCE, _SCORE_EPS, Polarity, _fold_scores, _pair_mean
+from igei.penalized import (RANGE_TOLERANCE, _SCORE_EPS, Polarity, _fold_scores, _pair_mean,
+                            penalized_mean)
 
 if TYPE_CHECKING:
     from igei.dataio import ScoreTable
@@ -293,8 +294,9 @@ def _fold_tree(tree: IndexTree, leaves: list, fold: Callable) -> tuple:
     the last three fields of a report, in order.
 
     ``leaves`` holds one entry per tree leaf, in tree order: one
-    territory's scores with ``fold=_fold_scores``, or a table's leaf
-    columns with the fold :func:`_leaf_fold` picks for them.
+    territory's scores with ``fold=penalized_mean``, or a table's leaf
+    columns with ``fold=_fold_kernel``. No node is tested: the callers
+    test the leaves.
     """
     subdomain_values: dict = {}
     domain_values: dict = {}
@@ -307,21 +309,16 @@ def _fold_tree(tree: IndexTree, leaves: list, fold: Callable) -> tuple:
     return subdomain_values, domain_values, fold(list(domain_values.values()))
 
 
-def _fold_columns(columns: list[Sequence[float]]) -> list[float]:
-    """:func:`_fold_scores` of each row of equal-length ``columns``, bit for bit.
-
-    Once every score is inside the kernel's range, one child gives a copy
-    of its column, two map the two-score formula and three or more take a
-    column kernel. A score outside it raises an :class:`AggregationError`
-    that names no row: the callers replay the rows to name the first fault.
-    """
-    if not all(_within(col, -_SCORE_EPS, 100.0 + _SCORE_EPS) for col in columns):
-        raise AggregationError("a column holds a score outside [0, 100]")
-    return _fold_kernel(columns)
-
-
 def _fold_kernel(columns: list[Sequence[float]]) -> list[float]:
-    """:func:`_fold_columns` of columns it accepts, untested."""
+    """:func:`penalized_mean` of each row of equal-length, finite ``columns``, bit for bit.
+
+    One child gives a copy of its column, two map the two-score formula and
+    three or more form the same sums and products a column (or a row's
+    ``fsum``) at a time. Nothing is tested: a node of leaves in [0, 100]
+    stays within about 1e-13 of it, as its mean is within ulps of its
+    children's [lo, hi] and its penalty var / (2 * ran) is at most
+    (m - lo) / 2, since var <= (m - lo) * (hi - m).
+    """
     if len(columns) <= 2:
         return list(map(_pair_mean, *columns)) if len(columns) == 2 else list(columns[0])
     # penalized_mean's sums and products, a column (or a row's fsum) at a time
@@ -336,16 +333,6 @@ def _fold_kernel(columns: list[Sequence[float]]) -> list[float]:
     ]
 
 
-def _leaf_fold(leaf_columns: list[Sequence[float]]) -> Callable:
-    """:func:`_fold_kernel` if every leaf lies in [0, 100], else :func:`_fold_columns`: a
-    node's mean m is within ulps of its children's [lo, hi], and its penalty var / (2 * ran)
-    is at most (m - lo) / 2 as var <= (m - lo) * (hi - m), so no node leaves [0, 100] by
-    more than about 1e-13, far inside ``_SCORE_EPS``."""
-    if all(_within(col, 0.0, 100.0) for col in leaf_columns):
-        return _fold_kernel
-    return _fold_columns
-
-
 def aggregate_scores(
     tree: IndexTree,
     scores: Mapping[str, float],
@@ -356,8 +343,9 @@ def aggregate_scores(
 
     Every sub-domain, domain and the index is the penalized mean of its
     children, computed by the same kernel as :func:`aggregate_level`. A
-    score that ``float`` refuses raises an :class:`AggregationError` naming
-    the territory and the leaf.
+    score that ``float`` refuses, or that lies outside [0, 100] by more than
+    1e-9, raises an :class:`AggregationError` naming the territory and the
+    leaf; no node is tested.
     """
     leaves = tree.leaf_ids()
     missing = [leaf for leaf in leaves if leaf not in scores]
@@ -377,7 +365,7 @@ def aggregate_scores(
             raise AggregationError(f"territory {territory!r}, indicator {leaf!r}: "
                                    f"scores must lie in [0, 100], got {value}")
     return TerritoryReport(territory, dict(zip(leaves, values)),
-                           *_fold_tree(tree, values, _fold_scores), period=period)
+                           *_fold_tree(tree, values, penalized_mean), period=period)
 
 
 def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
@@ -386,8 +374,9 @@ def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
     Row for row, the columns equal :func:`aggregate_scores` of
     ``table.row(territory)`` bit for bit, as the kernels are the same.
     Indicator columns outside the tree are ignored. A table that lacks a
-    leaf's column, or holds a score the kernel refuses, raises the error
-    that folding its rows one by one, in table order, raises first.
+    leaf's column, or holds a leaf score that :func:`aggregate_scores`
+    refuses, raises the error that folding its rows one by one, in table
+    order, raises first.
     """
     leaves = tree.leaf_ids()
     try:
@@ -396,14 +385,17 @@ def aggregate_table(tree: IndexTree, table: ScoreTable) -> TableReport:
         by_indicator = (dict(zip(table.indicators, table.columns)) if table.territories
                         else dict.fromkeys(leaves, ()))
         columns = list(map(by_indicator.__getitem__, leaves))
-        folded = _fold_tree(tree, columns, _leaf_fold(columns))
-    except (KeyError, TypeError, IgeiError):
+        # aggregate_scores's band, tested once on the leaves: no node is tested
+        tested = all(_within(col, -_SCORE_EPS, 100.0 + _SCORE_EPS) for col in columns)
+    except (KeyError, TypeError):  # a missing leaf, or a cell that only float() reads
+        tested = False
+    if not tested:
         for i, terr in enumerate(table.territories):
             aggregate_scores(tree, table._row_at(i), terr)
         # every row folds: a leaf holds numbers that only float() takes, like '5'
         columns = [list(map(float, column)) for column in columns]
-        folded = _fold_tree(tree, columns, _leaf_fold(columns))
-    return TableReport(table.territories, dict(zip(leaves, columns)), *folded)
+    return TableReport(table.territories, dict(zip(leaves, columns)),
+                       *_fold_tree(tree, columns, _fold_kernel))
 
 
 def score_table(
@@ -517,11 +509,11 @@ def _walk(
             if scores is None:
                 raise ScoringError(f"{leaf}: the column tests refused a block that scores")
             columns.append(scores)
-        tables, fold = [], _leaf_fold(columns)
+        tables = []
         for i in range(width):
             leaf_columns = [column[i::width] for column in columns] if width > 1 else columns
             tables.append(TableReport(territories, dict(zip(leaves, leaf_columns)),
-                                      *_fold_tree(tree, leaf_columns, fold)))
+                                      *_fold_tree(tree, leaf_columns, _fold_kernel)))
     except (IgeiError, KeyError, TypeError):
         for period in periods:
             for terr in territories:

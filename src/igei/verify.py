@@ -35,7 +35,8 @@ def _fixture_rows(
 ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """Header and remaining (line number, stripped cells) of ``source``, or of a bundled file.
 
-    A row not as wide as the header raises DataError when it is reached.
+    A row not as wide as the header, or whose first cell (its key) an
+    earlier row holds, raises DataError when it is reached.
     """
     if source is None:
         source = dataio.bundled_path(default)
@@ -43,15 +44,20 @@ def _fixture_rows(
     first = next(rows, None)
     if first is None:
         raise DataError(f"reference fixture {source} is empty")
-    width = len(first[1])
+    header = first[1]
+    width = len(header)
 
     def even():
+        keys = set()
         for lineno, row in rows:
             if len(row) != width:
                 raise DataError(f"row {lineno}: expected {width} cells, got {len(row)}")
+            if row[0] in keys:
+                raise DataError(f"row {lineno}: duplicate {header[0]} {row[0]!r}")
+            keys.add(row[0])
             yield lineno, row
 
-    return first[1], even()
+    return header, even()
 
 
 def load_reference_table(source=None) -> dict[str, dict[str, float]]:
@@ -62,14 +68,9 @@ def load_reference_table(source=None) -> dict[str, dict[str, float]]:
     per column.
     """
     header, rows = _fixture_rows(source, "regional_index_2023.csv")
-    out: dict[str, dict[str, float]] = {}
-    for lineno, row in rows:
-        if row[0] in out:
-            raise DataError(f"row {lineno}: duplicate {header[0]} {row[0]!r}")
-        out[row[0]] = {
-            col: _required_number(cell, lineno, col) for col, cell in zip(header[1:], row[1:])
-        }
-    return out
+    return {row[0]: {col: _required_number(cell, lineno, col)
+                     for col, cell in zip(header[1:], row[1:])}
+            for lineno, row in rows}
 
 
 def load_correlation_reference(source=None) -> dict[tuple[str, str], float]:

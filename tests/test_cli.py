@@ -488,6 +488,14 @@ class TestAggregate:
         top = next(l for l in lines if l.startswith("Provincia Autonoma di Trento"))
         assert "89.422" in top  # indicators carry three decimals
 
+    def test_a_leading_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # spreadsheet programs start a UTF-8 export with one
+        data = tmp_path / "scores.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + Path(SCORES).read_bytes())
+        marked = run(capsys, "aggregate", "--data", str(data))
+        assert marked == run(capsys, "aggregate", "--data", SCORES)
+        assert marked[0] == 0
+
 
 class TestReport:
     def test_sections_present(self, capsys, region_names):

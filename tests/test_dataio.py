@@ -943,6 +943,21 @@ def test_uneven_or_repeated_reference_row_rejected(tmp_path, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("loader, text, message", [
+    (load_demo_expected, "territory,score_gei,score\nA,1,2\nA,3,4\n",
+     "row 3: duplicate territory 'A'"),
+    (load_correlation_reference, "column,G1,G2\nG1,1.00,\nG2,0.50,1.00\nG2,0.40,1.00\n",
+     "row 4: duplicate column 'G2'"),
+    (load_penalized_reference, "sequence,mean,penalized,geometric\n4;6,5,4.75,\n4;6,5,4.8,\n",
+     "row 3: duplicate sequence '4;6'"),
+], ids=["demo", "correlation", "penalized"])
+def test_repeated_fixture_key_rejected(tmp_path, loader, text, message):
+    # a repeated first cell would silently replace the earlier row
+    with pytest.raises(DataError) as info:
+        loader(write(tmp_path, text, name="fixture.csv"))
+    assert str(info.value) == message
+
+
 def test_uneven_penalized_reference_row_rejected(tmp_path):
     # each row is unpacked into four fields: a short one is named, not a bare ValueError
     path = write(tmp_path, "values,mean,penalized,geometric\n1;2,1.5,1.4\n", name="fixture.csv")
@@ -968,6 +983,47 @@ def test_blank_reference_cell_rejected(tmp_path):
     with pytest.raises(DataError) as info:
         load_reference_table(path)
     assert str(info.value) == "row 3: column 'index' is not a number: ''"
+
+
+# --- byte-order mark -------------------------------------------------------------
+
+BOM = "\ufeff"
+# each delimited loader with a clean file, the same file with a bad cell in its
+# last row, the error that cell raises, and the row reader the bad cell forces
+BOM_CASES = [
+    (load_score_table, "territory,G1,G2\nA,50,60\nB,70,80\n", "territory,G1,G2\nA,50,60\nB,70,x\n",
+     "row 3: column 'G2' is not a number: 'x'", "_table_rows"),
+    (load_observations, GOOD_FILE, GOOD_FILE + "East,G2,2023,share,,,,x\n",
+     "row 5: column 'value' is not a number: 'x'", "_load_rows"),
+]
+
+
+@pytest.mark.parametrize("load, clean, bad, message, row_reader", BOM_CASES,
+                         ids=["table", "observations"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, load, clean, bad, message, row_reader):
+    expected = load(write(tmp_path, clean))
+    with mock.patch.object(dataio, row_reader, wraps=getattr(dataio, row_reader)) as rows:
+        assert load(write(tmp_path, BOM + clean)) == expected
+        rows.assert_not_called()
+        # the row reader skips it too, and counts the rows as before
+        with pytest.raises(DataError) as info:
+            load(write(tmp_path, BOM + bad))
+        rows.assert_called_once()
+    assert str(info.value) == message
+
+
+def test_a_fixture_skips_a_leading_byte_order_mark(tmp_path):
+    # the mark would hide the comment, and head the first column's name
+    text = BOM + "# published values\nterritory,index\nA,71.5\n"
+    assert load_reference_table(write(tmp_path, text)) == {"A": {"index": 71.5}}
+    with pytest.raises(DataError) as info:
+        load_reference_table(write(tmp_path, BOM + "territory,index\nA,1\nA,2\n"))
+    assert str(info.value) == "row 3: duplicate territory 'A'"
+
+
+def test_a_byte_order_mark_past_the_start_is_kept(tmp_path):
+    table = load_score_table(write(tmp_path, f"territory,G1\nA,50\n{BOM}B,60\n"))
+    assert table.territories == ("A", BOM + "B")
 
 
 # --- duplicate keys ------------------------------------------------------------

@@ -37,19 +37,16 @@ from igei.model import (
 )
 from igei.penalized import (
     _SCORE_EPS,
-    RANGE_TOLERANCE,
     Polarity,
     WeightedSequence,
     _fold_scores,
-    _pair_mean,
     penalized_mean,
 )
 from igei.pipeline import (
     ReferenceLevels,
     TableReport,
     _column_scores,
-    _fold_columns,
-    _fold_tree,
+    _fold_kernel,
     aggregate_level,
     aggregate_scores,
     aggregate_table,
@@ -797,40 +794,20 @@ class TestAggregateTable:
             assert folded.index[i] == aggregate_scores(tree, table.row(terr), terr).index
 
 
-# --- one range test per fold against a test of every node ---------------------
-
-
-def per_node_fold_columns(columns):
-    """The column fold as it was before leaf tables took one range test:
-    every node tests each child column against the kernel's range."""
-    for col in columns:
-        if col and not (-_SCORE_EPS <= min(col) and max(col) <= 100.0 + _SCORE_EPS
-                        and not math.isnan(sum(col))):
-            raise AggregationError("a column holds a score outside [0, 100]")
-    if len(columns) <= 2:
-        return list(map(_pair_mean, *columns)) if len(columns) == 2 else list(columns[0])
-    p = 1.0 / len(columns)
-    means = [math.fsum(p * x for x in row) for row in zip(*columns)]
-    folded = []
-    for first, m, row in zip(columns[0], means, zip(*columns)):
-        ran = max(row) - min(row)
-        v = math.fsum(p * (x - m) ** 2 for x in row)
-        folded.append(first if ran == 0.0 else m if ran <= RANGE_TOLERANCE
-                      else m - v / (2.0 * ran))
-    return folded
+# --- one range test per fold: the leaves, not the nodes ------------------------
 
 
 def per_node_aggregate_table(tree, table):
-    """aggregate_table's (subdomain, domain, index) columns through the
-    per-node fold, or the error its row-by-row replay raises."""
-    by_indicator = dict(zip(table.indicators, table.columns))
-    columns = [by_indicator[leaf] for leaf in tree.leaf_ids()]
-    try:
-        return _fold_tree(tree, columns, per_node_fold_columns)
-    except AggregationError:
-        for i, terr in enumerate(table.territories):
-            aggregate_scores(tree, table._row_at(i), terr)
-        raise
+    """aggregate_table's (subdomain, domain, index) columns by the leaf-only
+    rule: each row goes through aggregate_scores, which tests its leaves and
+    folds every node with penalized_mean, untested; the first row's error
+    is raised."""
+    reports = [aggregate_scores(tree, table._row_at(i), terr)
+               for i, terr in enumerate(table.territories)]
+    subdomains = [(dom.id, sub.id) for dom in tree.domains for sub in dom.subdomains]
+    return ({key: [r.subdomain_values[key] for r in reports] for key in subdomains},
+            {dom.id: [r.domain_values[dom.id] for r in reports] for dom in tree.domains},
+            [r.index for r in reports])
 
 
 def fold_outcome(fold, tree, table):
@@ -848,7 +825,10 @@ def fold_outcome(fold, tree, table):
 
 
 FOLD_LEAVES = st.one_of(
-    st.sampled_from([0.0, 100.0, -1e-9, 100.0 + 1e-9, 1e-300, math.nan]),
+    # the band's ends, and one ulp past each
+    st.sampled_from([0.0, 100.0, -1e-9, 100.0 + 1e-9, 1e-300, math.nan,
+                     math.nextafter(-_SCORE_EPS, -1.0),
+                     math.nextafter(100.0 + _SCORE_EPS, 200.0)]),
     st.floats(min_value=0, max_value=100),
 )
 
@@ -873,16 +853,29 @@ def wide_score_tables(draw):
                             columns=tuple(zip(*rows)) if rows else ((),) * len(leaves))
 
 
+# five leaves inside the tolerance whose sub-domain folds to 100.00000000100002,
+# past it: only the leaves are tested, so the table folds
+NEAR_EDGE_TREE = IndexTree(domains=[Domain(id="d0", subdomains=[
+    SubDomain(id="s0", indicators=["L0", "L1", "L2", "L3", "L4"]),
+    SubDomain(id="s1", indicators=["L5"])])])
+NEAR_EDGE_TABLE = ScoreTable(
+    territories=("T0",), indicators=NEAR_EDGE_TREE.leaf_ids(),
+    columns=((100.000000001,),) * 4 + ((100.00000000099999,), (50.0,)))
+
+
 class TestOneRangeTestPerFold:
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(case=wide_score_tables())
+    @example(case=(NEAR_EDGE_TREE, NEAR_EDGE_TABLE))
     def test_aggregate_table_equals_the_per_node_fold(self, case):
         tree, table = case
-        assert (fold_outcome(aggregate_table, tree, table)
-                == fold_outcome(per_node_aggregate_table, tree, table))
+        outcome = fold_outcome(aggregate_table, tree, table)
+        assert outcome == fold_outcome(per_node_aggregate_table, tree, table)
+        # three folded levels, or an error's type and message
+        in_band = all(-_SCORE_EPS <= v <= 100.0 + _SCORE_EPS for col in table.columns for v in col)
+        assert (len(outcome) == 3) == in_band
 
-    def test_a_leaf_past_the_range_keeps_the_per_node_tests(self):
-        # within the kernel's tolerance, so every node folds as before
+    def test_a_leaf_past_the_range_folds_as_its_row(self):
         tree = IndexTree(domains=[Domain(id="d", subdomains=[
             SubDomain(id="s", indicators=["a", "b", "c"])])])
         table = ScoreTable(territories=("T",), indicators=("a", "b", "c"),
@@ -890,16 +883,21 @@ class TestOneRangeTestPerFold:
         assert (fold_outcome(aggregate_table, tree, table)
                 == fold_outcome(per_node_aggregate_table, tree, table))
 
+    def test_a_node_past_the_range_is_not_refused(self):
+        report = aggregate_scores(NEAR_EDGE_TREE, NEAR_EDGE_TABLE.row("T0"), "T0")
+        assert report.subdomain_values["d0", "s0"] == 100.00000000100002
+        assert report.index == 68.75000000037501
+        assert aggregate_table(NEAR_EDGE_TREE, NEAR_EDGE_TABLE).index == [report.index]
+
 
 # cells at the kernel's edges: both zeros, the range's ends and its tolerance
 EDGE_CELLS = st.sampled_from([-0.0, 0.0, 100.0, -_SCORE_EPS, 100.0 + _SCORE_EPS, 1e-9])
-BAD_CELLS = st.sampled_from([math.nan, -1.0, -2e-9, 100.0 + 2e-9, 101.0, math.inf, -math.inf])
 
 
 @st.composite
-def fold_columns(draw, bad=False):
+def fold_columns(draw):
     """1 to 7 equal-length columns; rows mix any scores, edges, ties and
-    constant rows, and with ``bad`` one to three cells the kernel refuses."""
+    constant rows."""
     width = draw(st.integers(1, 7))
     cell = st.one_of(SCORES, EDGE_CELLS)
     row = st.one_of(
@@ -909,11 +907,7 @@ def fold_columns(draw, bad=False):
             lambda pool: st.lists(st.sampled_from(pool), min_size=width, max_size=width)
         ),
     )
-    rows = draw(st.lists(row, min_size=1 if bad else 0, max_size=8))
-    if bad:
-        cells = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, width - 1), BAD_CELLS)
-        for r, c, value in draw(st.lists(cells, min_size=1, max_size=3)):
-            rows[r][c] = value
+    rows = draw(st.lists(row, max_size=8))
     return [[row[j] for row in rows] for j in range(width)]
 
 
@@ -925,23 +919,7 @@ class TestFoldColumns:
     @example(columns=[[100.0 + _SCORE_EPS, 0.0, 7.5], [-_SCORE_EPS, 100.0, 7.5]])
     def test_equals_the_row_kernel_bit_for_bit(self, columns):
         expected = list(map(_fold_scores, zip(*columns)))
-        assert list(map(bits, _fold_columns(columns))) == list(map(bits, expected))
-
-    @settings(deadline=None)
-    @given(columns=fold_columns(bad=True))
-    # a NaN after the first row: min and max pass over it
-    @example(columns=[[50.0, math.nan]])
-    @example(columns=[[50.0, 50.0], [50.0, math.nan], [1.0, 2.0]])
-    # two children: a NaN in the last row, and one ulp past the range's end
-    @example(columns=[[50.0, 60.0, 70.0], [1.0, 2.0, math.nan]])
-    @example(columns=[[50.0, 60.0], [1.0, math.nextafter(100.0 + _SCORE_EPS, 200.0)]])
-    def test_raises_on_every_bad_column(self, columns):
-        # the row that holds the fault is named by the callers' replay, as
-        # TestAggregateTable.test_refuses_as_the_rows_would pins
-        with pytest.raises(AggregationError):
-            list(map(_fold_scores, zip(*columns)))
-        with pytest.raises(AggregationError):
-            _fold_columns(columns)
+        assert list(map(bits, _fold_kernel(columns))) == list(map(bits, expected))
 
 
 class TestIndexTree:
@@ -1843,6 +1821,8 @@ class TestColumnTestsAreExact:
         if scores is not None:
             expected = [compute_indicator(spec, rec, refs) for rec in records]
             assert list(map(bits, scores)) == list(map(bits, expected))
+            # the scoring walk folds these columns with no range test
+            assert all(0.0 <= score <= 100.0 for score in scores)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=800)
     @given(case=scored_blocks())

@@ -381,7 +381,7 @@ FALLBACKS = (
     (dataio, "_block_findings", lambda spec, block: spec.id),
     (pipeline, "_row_reference", lambda spec, *rest: spec.id),
     (pipeline, "score_territory", lambda territory, *rest: territory),
-    (pipeline, "_fold_scores", lambda values: "row"),
+    (pipeline, "aggregate_scores", lambda tree, scores, territory, *rest: territory),
 )
 
 
@@ -391,9 +391,9 @@ def count_fallbacks(monkeypatch) -> dict[str, list[str]]:
     for module, name, block_of in FALLBACKS:
         original = getattr(module, name)
 
-        def counted(*args, _name=name, _block_of=block_of, _original=original):
+        def counted(*args, _name=name, _block_of=block_of, _original=original, **kwargs):
             calls.setdefault(_name, []).append(_block_of(*args))
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     return calls
